@@ -39,8 +39,8 @@ from .grid import (
     norm_h1,
     norm_l2,
 )
-from .models import ProblemData, TruncationPlan
-from .operators import ResolventConfig, TruncatedOperator, _to_faces
+from .models import ProblemData, TruncationPlan, drift_bound_max
+from .operators import ResolventConfig, TruncatedOperator
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,6 @@ class EvolutionTrace:
 def _effective_source(
     data: ProblemData,
     t: float,
-    level: float | None,
     splitting: str,
     w: GridFunction,
     op: TruncatedOperator,
@@ -158,30 +157,19 @@ def _effective_source(
     fully-implicit: F(t) - B(t, u_j) at the new state (the drift sits in the
     operator; this is bookkeeping for the energy check).
     semi-implicit: F(t) - theta_M B(t, w) with w the previous state.
+    The drift part comes from `op`, the step's operator at time t.
     """
     dom = data.domain
-    comps = None
     F = data.source_field(t)
-    if F is not None:
-        comps = [c.copy() for c in F.components]
-    if data.has_drift:
-        if comps is None:
-            comps = [np.zeros(dom.face_shape(a)) for a in range(dom.dim)]
-        for a in range(dom.dim):
-            coords = grid.face_coordinates(dom, a)
-            z = _to_faces(w.values, a)
-            B = data.drift.evaluate(coords, t, z)
-            Ba = np.broadcast_to(B[a], dom.face_shape(a))
-            if splitting == "semi-implicit":
-                b = op._face_bound(a)
-                theta = np.ones_like(b)
-                mask = b > level
-                theta[mask] = level / b[mask]
-                comps[a] = comps[a] - theta * Ba
-            else:
-                comps[a] = comps[a] - Ba
-    if comps is None:
-        return None
+    if not data.has_drift:
+        return F
+    if F is None:
+        comps = [np.zeros(dom.face_shape(a)) for a in range(dom.dim)]
+    else:
+        comps = list(F.components)
+    explicit = splitting == "semi-implicit"
+    for a in range(dom.dim):
+        comps[a] = comps[a] - op.drift_flux(w, a, explicit=explicit)
     return VectorField(dom, tuple(comps))
 
 
@@ -211,12 +199,12 @@ def _step_detailed(
         if F is not None:
             rhs_vals = u_prev.values - tau * divergence(F).values
         u_new, diag = op.resolve_detailed(GridFunction(dom, rhs_vals), rescfg, x0=u_prev)
-        source = _effective_source(data, t, level, cfg.splitting, u_new, op)
+        source = _effective_source(data, t, cfg.splitting, u_new, op)
     else:
         op = TruncatedOperator(
             data, t, level=level, drift_mode="remainder" if data.has_drift else "none"
         )
-        source = _effective_source(data, t, level, cfg.splitting, u_prev, op)
+        source = _effective_source(data, t, cfg.splitting, u_prev, op)
         rhs_vals = u_prev.values
         if source is not None:
             rhs_vals = u_prev.values - tau * divergence(source).values
@@ -414,18 +402,8 @@ def uniqueness_harness(
     ]
     alpha = data.diffusion.alpha
     if data.has_drift:
-        op = TruncatedOperator(
-            data,
-            cfg.horizon,
-            level=level,
-            drift_mode="full" if cfg.splitting == "fully-implicit" else "remainder",
-        )
-        b_eff = 0.0
-        for a in range(data.domain.dim):
-            b = op._face_bound(a)
-            if cfg.splitting == "semi-implicit" and level is not None:
-                b = np.minimum(b, level)
-            b_eff = max(b_eff, float(np.max(b)))
+        clamp = level if cfg.splitting == "semi-implicit" else None
+        b_eff = drift_bound_max(data, cfg.horizon, clamp)
         C0 = b_eff**2 / (2 * alpha)
         C = C0 / (1.0 - cfg.dt * C0) if cfg.dt * C0 < 1 else math.inf
     else:

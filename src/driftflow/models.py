@@ -13,6 +13,7 @@ remainder b - T_M(b).
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -32,12 +33,18 @@ class DiffusionFlux:
     alpha is the strong monotonicity constant, beta the Lipschitz/growth
     constant; g_bound is the additive growth offset g(x, t) (zero for every
     built-in model).
+
+    componentwise declares that component a of A depends on eta only
+    through eta_a.  The operators then pass `evaluate` the one native face
+    component (eta_a,) and read the first entry of the result, instead of
+    reconstructing every gradient component on every face.
     """
 
     evaluate: Callable[[Coords, float, Coords], Coords]
     alpha: float
     beta: float
     g_bound: Callable[[Coords, float], np.ndarray] | None = None
+    componentwise: bool = False
 
     def __post_init__(self):
         if self.alpha <= 0 or self.beta < self.alpha:
@@ -49,11 +56,14 @@ class DriftFlux:
     """Drift flux B(x, t, z) with |B(x,t,z) - B(x,t,z*)| <= b(x,t)|z - z*|.
 
     `bound` evaluates the coefficient b itself; B(x, t, 0) = 0 is assumed
-    and spot-checked.
+    and spot-checked.  A drift linear in z, B(x, t, z) = z V(x, t), may
+    also supply `velocity`, which evaluates V; the operators then sample V
+    once per time slice and apply the drift as one multiplication.
     """
 
     evaluate: Callable[[Coords, float, np.ndarray], Coords]
     bound: Callable[[Coords, float], np.ndarray]
+    velocity: Callable[[Coords, float], Coords] | None = None
 
 
 @dataclass(frozen=True)
@@ -110,21 +120,25 @@ class ProblemData:
         )
 
 
-def truncation_weight(b_t: GridFunction, M: float) -> GridFunction:
-    """Weight T_M(b)/b, with the convention 1 where b vanishes.
+def clamp_weight(b: np.ndarray, M: float) -> np.ndarray:
+    """Weight T_M(b)/b of sampled coefficients, 1 where b vanishes.
 
     Equals 1 exactly on {b <= M} and M/b above, so multiplying it by b
     reproduces the clamp T_M(b) identically.
     """
     if M <= 0:
         raise ValueError("truncation level must be positive")
-    b = b_t.values
     if np.any(b < 0):
         raise ValueError("drift coefficient must be nonnegative")
     out = np.ones_like(b)
     mask = b > M
     out[mask] = M / b[mask]
-    return GridFunction(b_t.domain, out)
+    return out
+
+
+def truncation_weight(b_t: GridFunction, M: float) -> GridFunction:
+    """Weight T_M(b)/b of a node field; see `clamp_weight`."""
+    return GridFunction(b_t.domain, clamp_weight(b_t.values, M))
 
 
 @dataclass(frozen=True)
@@ -153,12 +167,15 @@ class TruncationCertificate:
         }
 
 
-def drift_bound_max(data: ProblemData, t: float = 0.0) -> float:
+def drift_bound_max(
+    data: ProblemData, t: float = 0.0, level: float | None = None
+) -> float:
     """Largest sampled drift coefficient over nodes and staggered faces.
 
-    The operators read b at face positions, which sit closer to the
-    singular point than any node, so saturation of a truncation schedule
-    must be judged against the face samples.
+    With a truncation level, the clamped coefficient min(b, level) is
+    measured instead.  The operators read b at face positions, which sit
+    closer to the singular point than any node, so saturation of a
+    truncation schedule must be judged against the face samples.
     """
     if data.drift is None:
         return 0.0
@@ -169,7 +186,7 @@ def drift_bound_max(data: ProblemData, t: float = 0.0) -> float:
             data.domain.face_shape(a),
         )
         worst = max(worst, float(np.max(vals)))
-    return worst
+    return worst if level is None else min(worst, float(level))
 
 
 def remainder_weak_norm(data: ProblemData, M: float, times: Sequence[float]) -> float:
@@ -351,10 +368,11 @@ def _identity_diffusion() -> DiffusionFlux:
         evaluate=lambda coords, t, eta: tuple(e.copy() for e in eta),
         alpha=1.0,
         beta=1.0,
+        componentwise=True,
     )
 
 
-def build_heat(domain: BoxDomain, horizon: float, **params) -> ProblemData:
+def build_heat(domain: BoxDomain, horizon: float) -> ProblemData:
     """Pure diffusion: A = eta, no drift, no source."""
     return ProblemData(
         name="heat",
@@ -368,7 +386,7 @@ def build_heat(domain: BoxDomain, horizon: float, **params) -> ProblemData:
 
 
 def build_variable_diffusion(
-    domain: BoxDomain, horizon: float, alpha: float = 0.5, beta: float = 1.5, **params
+    domain: BoxDomain, horizon: float, alpha: float = 0.5, beta: float = 1.5
 ) -> ProblemData:
     """Scalar coefficient a(x, t) eta with alpha <= a <= beta."""
     mid = 0.5 * (alpha + beta)
@@ -385,7 +403,9 @@ def build_variable_diffusion(
     return ProblemData(
         name="variable-diffusion",
         domain=domain,
-        diffusion=DiffusionFlux(evaluate=evaluate, alpha=alpha, beta=beta),
+        diffusion=DiffusionFlux(
+            evaluate=evaluate, alpha=alpha, beta=beta, componentwise=True
+        ),
         drift=None,
         source=None,
         initial=_eigen_initial(domain),
@@ -394,7 +414,7 @@ def build_variable_diffusion(
 
 
 def build_lipschitz_nonlinear(
-    domain: BoxDomain, horizon: float, beta: float = 1.8, **params
+    domain: BoxDomain, horizon: float, beta: float = 1.8
 ) -> ProblemData:
     """A(eta) = eta + (beta - 1) * phi(eta) with phi a smooth monotone contraction.
 
@@ -412,7 +432,9 @@ def build_lipschitz_nonlinear(
     return ProblemData(
         name="lipschitz-nonlinear",
         domain=domain,
-        diffusion=DiffusionFlux(evaluate=evaluate, alpha=1.0, beta=beta),
+        diffusion=DiffusionFlux(
+            evaluate=evaluate, alpha=1.0, beta=beta, componentwise=True
+        ),
         drift=None,
         source=None,
         initial=_eigen_initial(domain),
@@ -433,7 +455,6 @@ def build_singular_drift(
     c: float = 0.1,
     direction: Sequence[float] | None = None,
     drift_field: GridFunction | None = None,
-    **params,
 ) -> ProblemData:
     """Heat diffusion plus drift B(x, t, z) = z b(x) e with b = c / |x - x0|.
 
@@ -463,11 +484,15 @@ def build_singular_drift(
         b = bound(coords, t)
         return tuple(z * b * ea for ea in e)
 
+    def velocity(coords, t):
+        b = bound(coords, t)
+        return tuple(b * ea for ea in e)
+
     return ProblemData(
         name="singular-drift",
         domain=domain,
         diffusion=_identity_diffusion(),
-        drift=DriftFlux(evaluate=evaluate, bound=bound),
+        drift=DriftFlux(evaluate=evaluate, bound=bound, velocity=velocity),
         source=None,
         initial=_eigen_initial(domain),
         horizon=horizon,
@@ -489,7 +514,7 @@ def _node_field_evaluator(field: GridFunction):
     return bound
 
 
-def build_manufactured(domain: BoxDomain, horizon: float, **params) -> ProblemData:
+def build_manufactured(domain: BoxDomain, horizon: float) -> ProblemData:
     """Heat diffusion driven so the solution is exp(-t) * prod sin(pi x_i / L_i).
 
     The source is F = grad Phi with Phi = (Lam - 1)/Lam * exp(-t) * E where
@@ -542,12 +567,19 @@ def builtin_models() -> dict[str, Callable[..., ProblemData]]:
 
 
 def make_model(name: str, domain: BoxDomain, horizon: float, **params) -> ProblemData:
+    """Build a catalog model; a parameter the model does not take is an error."""
     try:
         builder = _CATALOG[name]
     except KeyError:
         raise ValueError(
             f"unknown model {name!r}; available: {sorted(_CATALOG)}"
         ) from None
+    accepted = list(inspect.signature(builder).parameters)[2:]
+    for key in params:
+        if key not in accepted:
+            raise ValueError(
+                f"model {name!r} has no parameter {key!r}; accepted: {accepted}"
+            )
     return builder(domain, horizon, **params)
 
 

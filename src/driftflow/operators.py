@@ -14,12 +14,19 @@ Resolvent equations (I + lam * A_M(t)) u = g are solved by damped Picard
 iteration preconditioned with the constant-coefficient part
 K = I + lam * gamma * (-Laplacian): strong monotonicity makes the
 preconditioned map a contraction for a small enough damping factor, and K
-itself is inverted by a one-shot sine transform inside a CG loop.  Newton
-with matrix-free GMRES is available as an opt-in alternative.
+itself is inverted exactly by one sine transform, since its coefficients
+are constant.  Newton with matrix-free GMRES is available as an opt-in
+alternative.
+
+An operator is one time slice: everything in the flux that does not depend
+on u (face coordinates, clamp weights, the weighted drift velocity) is
+computed at most once per operator, so each apply does only the work that
+depends on u.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +45,7 @@ from .grid import (
     inner_vec,
     norm_l2,
 )
-from .models import ProblemData
+from .models import ProblemData, clamp_weight, drift_bound_max
 
 
 @dataclass(frozen=True)
@@ -82,21 +89,30 @@ class SolverDiagnostics:
         }
 
 
+def _require_finite(rn: float, solver: str, it: int, last, history) -> None:
+    """Name a NaN or inf residual instead of backtracking to a false stall."""
+    if not math.isfinite(rn):
+        raise ConvergenceError(
+            f"{solver} residual is non-finite ({rn}) after {it} iterations",
+            last=last,
+            history=history,
+        )
+
+
 def _to_faces(values: np.ndarray, axis: int) -> np.ndarray:
     """Average node values onto the staggered faces of one axis (zero ghosts)."""
-    padded = np.concatenate(
-        [
-            np.zeros_like(np.take(values, [0], axis=axis)),
-            values,
-            np.zeros_like(np.take(values, [0], axis=axis)),
-        ],
-        axis=axis,
-    )
+    shape = list(values.shape)
+    shape[axis] += 1
+    out = np.zeros(shape)
     lo = [slice(None)] * values.ndim
     hi = [slice(None)] * values.ndim
     lo[axis] = slice(0, -1)
     hi[axis] = slice(1, None)
-    return 0.5 * (padded[tuple(lo)] + padded[tuple(hi)])
+    # face k sums nodes k-1 and k; the ghost nodes add an exact zero
+    out[tuple(lo)] += values
+    out[tuple(hi)] += values
+    out *= 0.5
+    return out
 
 
 def _pairwise_average(values: np.ndarray, axis: int) -> np.ndarray:
@@ -112,8 +128,10 @@ def _full_gradient_at_faces(grad: VectorField, axis: int) -> tuple[np.ndarray, .
 
     The native component is returned untouched; cross components are moved
     face -> node -> face by adjacent averaging, the usual staggered-grid
-    reconstruction.  Componentwise fluxes never read the averaged entries,
-    so the built-in models stay exact.
+    reconstruction.  It runs only for a diffusion flux that is not
+    declared componentwise, one whose component a may read the other
+    gradient components; a componentwise flux gets the native component
+    alone.
     """
     out = []
     for b, comp in enumerate(grad.components):
@@ -152,48 +170,91 @@ class TruncatedOperator:
         self.t = float(t)
         self.level = level
         self.drift_mode = drift_mode
+        self._drifts = data.has_drift and drift_mode != "none"
+        self._face_coords = tuple(
+            grid.face_coordinates(self.domain, a) for a in range(self.domain.dim)
+        )
         self._face_bounds: dict[int, np.ndarray] = {}
+        self._face_drifts: dict[tuple[int, bool], np.ndarray] = {}
+        self._drift_max: float | None = None
 
     # -- flux assembly -----------------------------------------------------
 
-    def _drift_weight(self, axis: int) -> np.ndarray | None:
-        """Multiplier applied to B on the faces of one axis."""
-        if not self.data.has_drift or self.drift_mode == "none":
+    def _drift_weight(self, axis: int, explicit: bool) -> np.ndarray | None:
+        """Multiplier applied to B on the faces of one axis; None stands for 1.
+
+        The implicit weight is the one this operator's flux carries: 1 in
+        "full" mode, 1 - theta_M in "remainder" mode.  The explicit weight
+        is theta_M, the part a semi-implicit step moves to its source; it
+        needs the truncation level.
+        """
+        if self.drift_mode == "full" and not explicit:
             return None
-        if self.drift_mode == "full":
-            return np.ones(self.domain.face_shape(axis))
-        b = self._face_bound(axis)
-        M = float(self.level)
-        rest = np.zeros_like(b)
-        mask = b > M
-        rest[mask] = 1.0 - M / b[mask]
-        return rest
+        theta = clamp_weight(self._face_bound(axis), float(self.level))
+        return theta if explicit else 1.0 - theta
 
     def _face_bound(self, axis: int) -> np.ndarray:
         if axis not in self._face_bounds:
-            coords = grid.face_coordinates(self.domain, axis)
-            vals = self.data.drift.bound(coords, self.t)
+            vals = self.data.drift.bound(self._face_coords[axis], self.t)
             self._face_bounds[axis] = np.broadcast_to(
                 vals, self.domain.face_shape(axis)
             ).copy()
         return self._face_bounds[axis]
 
+    def _face_drift(self, axis: int, explicit: bool) -> np.ndarray | None:
+        """weight * V on the faces of one axis, computed once per operator.
+
+        None when the drift does not declare itself linear in z.
+        """
+        velocity = self.data.drift.velocity
+        if velocity is None:
+            return None
+        key = (axis, explicit)
+        if key not in self._face_drifts:
+            V = np.broadcast_to(
+                velocity(self._face_coords[axis], self.t)[axis],
+                self.domain.face_shape(axis),
+            )
+            weight = self._drift_weight(axis, explicit)
+            self._face_drifts[key] = (
+                np.array(V, dtype=float) if weight is None else weight * V
+            )
+        return self._face_drifts[key]
+
+    def drift_flux(
+        self, w: GridFunction, axis: int, explicit: bool = False
+    ) -> np.ndarray:
+        """weight * B(x, t, w) on the faces of one axis.
+
+        The weight is the implicit one by default and theta_M with
+        `explicit` (see `_drift_weight`).
+        """
+        z = _to_faces(w.values, axis)
+        V = self._face_drift(axis, explicit)
+        if V is not None:
+            return z * V
+        B = np.broadcast_to(
+            self.data.drift.evaluate(self._face_coords[axis], self.t, z)[axis],
+            self.domain.face_shape(axis),
+        )
+        weight = self._drift_weight(axis, explicit)
+        return B if weight is None else weight * B
+
     def flux(self, u: GridFunction) -> VectorField:
         g = gradient(u)
+        diffusion = self.data.diffusion
         comps = []
-        for axis in range(self.domain.dim):
-            coords = grid.face_coordinates(self.domain, axis)
-            eta = _full_gradient_at_faces(g, axis)
-            A = self.data.diffusion.evaluate(coords, self.t, eta)
-            comp = np.array(
-                np.broadcast_to(A[axis], self.domain.face_shape(axis)), dtype=float
-            )
-            weight = self._drift_weight(axis)
-            if weight is not None:
-                z = _to_faces(u.values, axis)
-                B = self.data.drift.evaluate(coords, self.t, z)
-                comp += weight * np.broadcast_to(B[axis], comp.shape)
-            comps.append(comp)
+        for axis, coords in enumerate(self._face_coords):
+            if diffusion.componentwise:
+                A = diffusion.evaluate(coords, self.t, (g.components[axis],))[0]
+            else:
+                eta = _full_gradient_at_faces(g, axis)
+                A = diffusion.evaluate(coords, self.t, eta)[axis]
+            if self._drifts:
+                comps.append(A + self.drift_flux(u, axis))
+            else:
+                shape = self.domain.face_shape(axis)
+                comps.append(np.array(np.broadcast_to(A, shape), dtype=float))
         return VectorField(self.domain, tuple(comps))
 
     def apply(self, u: GridFunction) -> GridFunction:
@@ -228,15 +289,13 @@ class TruncatedOperator:
         return 0.5 * alpha
 
     def drift_face_max(self) -> float:
-        if not self.data.has_drift or self.drift_mode == "none":
+        """Largest sampled drift coefficient, clamped at the level in remainder mode."""
+        if not self._drifts:
             return 0.0
-        worst = 0.0
-        for axis in range(self.domain.dim):
-            b = self._face_bound(axis)
-            if self.drift_mode == "remainder":
-                b = np.minimum(b, float(self.level))
-            worst = max(worst, float(np.max(b)) if b.size else 0.0)
-        return worst
+        if self._drift_max is None:
+            level = self.level if self.drift_mode == "remainder" else None
+            self._drift_max = drift_bound_max(self.data, self.t, level)
+        return self._drift_max
 
     def contraction_constants(self, lam: float) -> tuple[float, float]:
         """Monotonicity and Lipschitz constants of K^{-1}(I + lam A_M).
@@ -276,8 +335,7 @@ class TruncatedOperator:
         return self._damped_picard(g, cfg, x0)
 
     def _kinv(self, lam: float, values: np.ndarray) -> np.ndarray:
-        # K is constant-coefficient, so the sine transform inverts it exactly;
-        # a CG loop around it would terminate after one application anyway.
+        # K is constant-coefficient, so the sine transform inverts it exactly
         return helmholtz_solve(self.domain, values, 1.0, lam * self.precondition_scale())
 
     def _residual(self, u: GridFunction, lam: float, g: GridFunction) -> GridFunction:
@@ -300,6 +358,7 @@ class TruncatedOperator:
         streak = 0
         for it in range(1, cfg.max_iter + 1):
             diag.residuals.append(rn)
+            _require_finite(rn, "damped Picard", it - 1, u, diag.residuals)
             if rn <= cfg.tol * scale:
                 diag.iterations = it - 1
                 diag.converged = True
@@ -311,6 +370,7 @@ class TruncatedOperator:
                 trial = GridFunction(self.domain, u.values - rho * z)
                 r_trial = self._residual(trial, lam, g)
                 rn_trial = norm_l2(r_trial)
+                _require_finite(rn_trial, "damped Picard", it, u, diag.residuals)
                 if rn_trial < rn or rn_trial <= cfg.tol * scale:
                     accepted = True
                     break
@@ -461,6 +521,7 @@ def stationary_solve(
     streak = 0
     for it in range(1, max_iter + 1):
         residuals.append(rn)
+        _require_finite(rn, "stationary solve", it - 1, u, residuals)
         if rn <= tol * scale:
             return u, StationaryDiagnostics(it - 1, True, residuals)
         z = helmholtz_solve(dom, r.values, 0.0, gamma)
@@ -468,6 +529,7 @@ def stationary_solve(
             trial = GridFunction(dom, u.values - rho * z)
             r_trial = GridFunction(dom, op.apply(trial).values - rhs.values)
             rn_trial = dual_norm(r_trial)
+            _require_finite(rn_trial, "stationary solve", it, u, residuals)
             if rn_trial < rn or rn_trial <= tol * scale:
                 break
             if rho <= rho_floor:

@@ -28,7 +28,7 @@ from . import grid, lorentz
 from .grid import GridFunction, divergence, norm_l2, poincare_constant
 from .models import ProblemData, remainder_weak_norm
 from .operators import TruncatedOperator, stationary_solve
-from .evolution import EvolutionConfig, evolve
+from .evolution import EvolutionConfig, EvolutionTrace, evolve
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,8 @@ class DecayReport:
     small_data_detail: dict = field(default_factory=dict)
     times: list[float] = field(default_factory=list)
     y_values: list[float] = field(default_factory=list)
+    # the marched trajectory's per-step record, without its states
+    trace: EvolutionTrace | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -198,7 +200,8 @@ def decay_experiment(
     The fit window is the second half of the horizon; early transients decay
     faster than the certified rate and would bias the fit upward.  If y sits
     at the numerical floor over the whole window the report flags saturation
-    instead of quoting a rate.
+    instead of quoting a rate.  The report carries the trajectory's
+    EvolutionTrace, so callers need not march the same evolution again.
     """
     dom = data.domain
     u_inf = solve_steady(data, steady_cfg)
@@ -209,6 +212,7 @@ def decay_experiment(
     _, trace = evolve(data, replace(evo_cfg, store_states=True), level=level)
     times = [0.0] + trace.times
     y = [norm_l2(s - u_inf) ** 2 for s in trace.states]
+    trace.states = None
     cp = poincare_constant(dom, tol=1e-12)
     cp_bound = sum(L**2 for L in dom.lengths) / math.pi**2
     alpha = data.diffusion.alpha
@@ -241,4 +245,5 @@ def decay_experiment(
         small_data_detail=detail,
         times=times,
         y_values=y,
+        trace=trace,
     )

@@ -144,6 +144,13 @@ def test_criterion_05_energy_inequality_all_presets(preset_runs):
     )
 
 
+def test_manifest_checks_are_plain_bools(preset_runs):
+    # numpy booleans serialize, but `is True` and isinstance checks miss them
+    for name, (manifest, _) in preset_runs.items():
+        for key, value in manifest.checks.items():
+            assert isinstance(value, bool), (name, key, type(value))
+
+
 def test_criterion_06_truncation_continuation():
     data = M.make_model("singular-drift", DOM32, 0.1, c=0.08)
     plan = M.make_truncation_plan(data)

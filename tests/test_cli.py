@@ -3,6 +3,7 @@ import json
 import pytest
 
 from driftflow import cli
+from driftflow.evolution import evolve
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -23,6 +24,27 @@ cells = 12,12
 [time]
 dt = 0.005
 T = 0.2
+
+[solver]
+tol = 1e-12
+
+[steady]
+tol = 1e-12
+"""
+
+SMALL_DRIFT_DECAY = """
+experiment = decay
+model = singular-drift
+model.c = 0.1
+
+[domain]
+dim = 3
+lengths = 1,1,1
+cells = 8,8,8
+
+[time]
+dt = 0.01
+T = 0.1
 
 [solver]
 tol = 1e-12
@@ -97,6 +119,23 @@ class TestRun:
             path, output_dir=tmp_path / "out", overrides={"time.T": "0.1"}
         )
         assert manifest.config["time.T"] == "0.1"
+
+    @pytest.mark.parametrize("text", [FAST_DECAY, SMALL_DRIFT_DECAY], ids=["heat", "drift3d"])
+    def test_decay_trace_matches_standalone_evolve(self, tmp_path, text):
+        # the decay run writes the trajectory it fitted, not a second march
+        cli.run(write_cfg(tmp_path, text), output_dir=tmp_path / "out")
+        cfg = cli.parse_config(text)
+        data = cli._build_problem(cfg)
+        _, trace = evolve(data, cli._build_evolution(cfg, data))
+        trace.write_csv(tmp_path / "standalone.csv")
+        assert (tmp_path / "out" / "trace.csv").read_bytes() == (
+            tmp_path / "standalone.csv"
+        ).read_bytes()
+
+    def test_unknown_model_parameter_rejected(self, tmp_path):
+        path = write_cfg(tmp_path, SMALL_DRIFT_DECAY.replace("model.c =", "model.cc ="))
+        with pytest.raises(cli.ConfigError, match="'cc'"):
+            cli.run(path, output_dir=tmp_path / "out")
 
     def test_unknown_override_rejected(self, tmp_path):
         path = write_cfg(tmp_path, FAST_DECAY)
@@ -191,6 +230,12 @@ class TestMain:
     def test_exit_two_on_parse_error(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "")
         assert cli.main(["run", str(path)]) == 2
+
+    def test_exit_two_on_unknown_model_parameter(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, FAST_DECAY)
+        argv = ["run", str(path), "--output-dir", str(tmp_path / "out")]
+        assert cli.main(argv + ["--override", "model.c=0.1"]) == 2
+        assert "'c'" in capsys.readouterr().err
 
     def test_exit_two_on_missing_file(self):
         assert cli.main(["run", "/nonexistent/x.cfg"]) == 2

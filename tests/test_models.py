@@ -34,6 +34,13 @@ class TestHypotheses:
         with pytest.raises(ValueError):
             M.make_model("advection-reaction", DOM2, 0.5)
 
+    @pytest.mark.parametrize(
+        "name, key", [("singular-drift", "cc"), ("heat", "c"), ("variable-diffusion", "gamma")]
+    )
+    def test_unknown_parameter_named(self, name, key):
+        with pytest.raises(ValueError, match=repr(key)):
+            M.make_model(name, DOM2, 0.5, **{key: 5.0})
+
 
 class TestTruncationWeight:
     def test_all_ones_when_bounded(self):

@@ -1,11 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftflow import grid as G
 from driftflow import models as M
-from driftflow.operators import ResolventConfig, TruncatedOperator, stationary_solve
+from driftflow.operators import (
+    ResolventConfig,
+    TruncatedOperator,
+    _full_gradient_at_faces,
+    _to_faces,
+    stationary_solve,
+)
 
 DOM = G.BoxDomain(2, (1.0, 1.0), (16, 16))
 DOM3 = G.BoxDomain(3, (1.0, 1.0, 1.0), (10, 10, 10))
@@ -28,8 +38,12 @@ class TestApply:
         )
 
     def test_zero_state_maps_to_zero(self):
-        for name in ("heat", "lipschitz-nonlinear", "singular-drift"):
-            data = M.make_model(name, DOM, 0.5, c=0.1)
+        for name, params in (
+            ("heat", {}),
+            ("lipschitz-nonlinear", {}),
+            ("singular-drift", {"c": 0.1}),
+        ):
+            data = M.make_model(name, DOM, 0.5, **params)
             op = TruncatedOperator(
                 data, 0.2, level=1.0, drift_mode="remainder" if data.has_drift else "none"
             )
@@ -191,3 +205,219 @@ class TestStationary:
         rhs = G.GridFunction(DOM, lam_h * E.values)
         u, _ = stationary_solve(op, rhs, tol=1e-13)
         assert np.max(np.abs(u.values - E.values)) < 1e-10
+
+
+class TestNonFinite:
+    def _nan_rhs(self):
+        rng = np.random.default_rng(12)
+        g = rand_gf(DOM, rng)
+        g.values[3, 4] = np.nan
+        return g
+
+    @pytest.mark.parametrize("name", ["heat", "lipschitz-nonlinear"])
+    def test_resolve_names_nonfinite_residual(self, name):
+        op = TruncatedOperator(M.make_model(name, DOM, 0.5), 0.0, drift_mode="none")
+        with pytest.raises(G.ConvergenceError, match="non-finite") as info:
+            op.resolve(self._nan_rhs(), ResolventConfig(lam=0.1, tol=1e-12))
+        # raised at the first non-finite residual, before any backtracking
+        assert len(info.value.history) == 1
+
+    def test_stationary_names_nonfinite_residual(self):
+        op = heat_op()
+        with pytest.raises(G.ConvergenceError, match="non-finite") as info:
+            stationary_solve(op, self._nan_rhs(), tol=1e-12)
+        assert len(info.value.history) == 1
+
+    def test_resolve_names_nonfinite_trial_residual(self):
+        # a flux that turns non-finite after the initial residual is taken
+        calls = []
+
+        def evaluate(coords, t, eta):
+            calls.append(1)
+            bad = len(calls) > DOM.dim
+            return tuple(np.full_like(e, np.nan) if bad else e.copy() for e in eta)
+
+        heat = M.make_model("heat", DOM, 0.5)
+        data = M.ProblemData(
+            name="nan-after-first-apply",
+            domain=DOM,
+            diffusion=M.DiffusionFlux(evaluate=evaluate, alpha=1.0, beta=1.0),
+            drift=None,
+            source=None,
+            initial=heat.initial,
+            horizon=0.5,
+        )
+        op = TruncatedOperator(data, 0.0, drift_mode="none")
+        g = rand_gf(DOM, np.random.default_rng(13))
+        with pytest.raises(G.ConvergenceError, match="non-finite") as info:
+            op.resolve(g, ResolventConfig(lam=0.1, tol=1e-12))
+        assert len(info.value.history) == 1
+        assert np.all(np.isfinite(info.value.last.values))
+
+
+# -- flux assembly against the reference assembly ---------------------------
+
+
+def reference_to_faces(values, axis):
+    """Zero-ghost padding followed by adjacent averaging."""
+    pad = [(1, 1) if a == axis else (0, 0) for a in range(values.ndim)]
+    padded = np.pad(values, pad)
+    lo = [slice(None)] * values.ndim
+    hi = [slice(None)] * values.ndim
+    lo[axis] = slice(0, -1)
+    hi[axis] = slice(1, None)
+    return 0.5 * (padded[tuple(lo)] + padded[tuple(hi)])
+
+
+def reference_flux_parts(data, t, level, mode, u, axis):
+    """Diffusion and weighted drift on one face axis, assembled the long way.
+
+    Every gradient component is reconstructed on the faces, the diffusion
+    flux sees all of them, and the drift goes through `drift.evaluate`
+    with the clamp weight written out.  Returns (diffusion, drift, theta B),
+    the last two None without drift.
+    """
+    dom = data.domain
+    shape = dom.face_shape(axis)
+    coords = G.face_coordinates(dom, axis)
+    eta = _full_gradient_at_faces(G.gradient(u), axis)
+    A = data.diffusion.evaluate(coords, t, eta)[axis]
+    diffusion = np.array(np.broadcast_to(A, shape), dtype=float)
+    if not data.has_drift or mode == "none":
+        return diffusion, None, None
+    z = reference_to_faces(u.values, axis)
+    B = np.broadcast_to(data.drift.evaluate(coords, t, z)[axis], shape)
+    if mode == "full":
+        return diffusion, B, None
+    b = np.broadcast_to(data.drift.bound(coords, t), shape)
+    rest = np.zeros(shape)
+    theta = np.ones(shape)
+    mask = b > level
+    rest[mask] = 1.0 - level / b[mask]
+    theta[mask] = level / b[mask]
+    return diffusion, rest * B, theta * B
+
+
+def assert_relative(ours, ref, rtol=1e-15):
+    """Entrywise |ours - ref| <= rtol |ref|; equal infinities and NaNs agree."""
+    same = (ours == ref) | (np.isnan(ours) & np.isnan(ref))
+    with np.errstate(invalid="ignore"):
+        close = np.abs(ours - ref) <= rtol * np.abs(ref)
+    assert np.all(same | close)
+
+
+@st.composite
+def flux_cases(draw):
+    dim = draw(st.integers(1, 3))
+    lengths = tuple(draw(st.floats(0.25, 4.0)) for _ in range(dim))
+    # even cell counts keep the singular point off every node; in 1D it
+    # sits on a face, where both assemblies read b = inf
+    top = (12, 8, 5)[dim - 1]
+    cells = tuple(2 * draw(st.integers(1, top)) for _ in range(dim))
+    dom = G.BoxDomain(dim, lengths, cells)
+    name = draw(st.sampled_from(sorted(M.builtin_models())))
+    params = {}
+    if name == "singular-drift":
+        params = {
+            "c": draw(st.floats(0.01, 2.0)),
+            "direction": tuple(draw(st.floats(0.1, 1.0)) for _ in range(dim)),
+        }
+    data = M.make_model(name, dom, 1.0, **params)
+    mode = draw(st.sampled_from(("none", "full", "remainder")))
+    t = draw(st.floats(0.0, 1.0))
+    level = draw(st.floats(0.05, 20.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    u = rand_gf(dom, rng, scale=draw(st.floats(0.1, 10.0)))
+    return data, mode, t, level, u
+
+
+class TestFluxAssembly:
+    @given(case=flux_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_flux_matches_reference_assembly(self, case):
+        data, mode, t, level, u = case
+        op = TruncatedOperator(data, t, level=level, drift_mode=mode)
+        flux = op.flux(u)
+        for axis in range(data.domain.dim):
+            assert np.array_equal(
+                _to_faces(u.values, axis), reference_to_faces(u.values, axis)
+            )
+            diffusion, drift, explicit = reference_flux_parts(data, t, level, mode, u, axis)
+            if drift is None:
+                # diffusion alone: bit-identical to the full reconstruction
+                assert np.array_equal(flux.components[axis], diffusion)
+                continue
+            # a drift linear in z multiplies z by the cached weight * V, so
+            # only the rounding order differs from weight * (z b e)
+            ours = op.drift_flux(u, axis)
+            assert_relative(ours, drift)
+            assert np.array_equal(flux.components[axis], diffusion + ours, equal_nan=True)
+            if explicit is not None:
+                assert_relative(op.drift_flux(u, axis, explicit=True), explicit)
+
+    @given(case=flux_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_general_paths_are_bit_identical(self, case):
+        # a coupled diffusion flux and a drift that is not declared linear in
+        # z take the reconstruction and `drift.evaluate` paths
+        data, mode, t, level, u = case
+        general = replace(
+            data,
+            diffusion=replace(data.diffusion, componentwise=False),
+            drift=None if data.drift is None else replace(data.drift, velocity=None),
+        )
+        flux = TruncatedOperator(general, t, level=level, drift_mode=mode).flux(u)
+        for axis in range(data.domain.dim):
+            diffusion, drift, _ = reference_flux_parts(data, t, level, mode, u, axis)
+            expect = diffusion if drift is None else diffusion + drift
+            assert np.array_equal(flux.components[axis], expect, equal_nan=True)
+
+    def test_coupled_flux_reads_cross_components(self):
+        dom = G.BoxDomain(2, (1.0, 2.0), (8, 10))
+
+        def evaluate(coords, t, eta):
+            return (eta[0] + 0.25 * eta[1], eta[1] + 0.25 * eta[0])
+
+        heat = M.make_model("heat", dom, 0.5)
+        data = replace(heat, diffusion=M.DiffusionFlux(evaluate, alpha=0.75, beta=1.25))
+        u = rand_gf(dom, np.random.default_rng(14))
+        flux = TruncatedOperator(data, 0.0, drift_mode="none").flux(u)
+        g = G.gradient(u)
+        for axis in range(2):
+            eta = _full_gradient_at_faces(g, axis)
+            assert np.array_equal(flux.components[axis], evaluate(None, 0.0, eta)[axis])
+
+    def test_operators_never_share_cached_weights(self):
+        # a drift whose velocity changes with t: each (t, level) slice must
+        # keep its own cached face drift
+        dom = G.BoxDomain(2, (1.0, 1.0), (8, 8))
+        e = (0.6, 0.8)
+
+        def bound(coords, t):
+            return (1.0 + 3.0 * t) * (1.0 + coords[0] + 0.0 * coords[1])
+
+        def velocity(coords, t):
+            b = bound(coords, t)
+            return tuple(b * ea for ea in e)
+
+        def evaluate(coords, t, z):
+            b = bound(coords, t)
+            return tuple(z * b * ea for ea in e)
+
+        data = replace(
+            M.make_model("heat", dom, 1.0),
+            drift=M.DriftFlux(evaluate=evaluate, bound=bound, velocity=velocity),
+        )
+        u = rand_gf(dom, np.random.default_rng(15))
+        slices = [(0.0, 1.5), (1.0, 1.5), (1.0, 4.0), (0.0, 4.0)]
+        for mode in ("full", "remainder"):
+            ops = [TruncatedOperator(data, t, level=lv, drift_mode=mode) for t, lv in slices]
+            # fill every cache before any is checked, then read them in reverse
+            for op in ops:
+                op.flux(u)
+            for (t, lv), op in reversed(list(zip(slices, ops))):
+                for axis in range(2):
+                    _, drift, _ = reference_flux_parts(data, t, lv, mode, u, axis)
+                    assert_relative(op.drift_flux(u, axis), drift)
+            weights = {id(op._face_drift(0, False)) for op in ops}
+            assert len(weights) == len(ops)
