@@ -57,7 +57,6 @@ _KNOWN_KEYS = {
     "truncation.levels",
     "solver.tol",
     "solver.max_iter",
-    "solver.method",
     "solver.relaxation",
     "solver.energy_tol",
     "steady.tol",
@@ -180,7 +179,6 @@ def _build_evolution(cfg: dict[str, str], data: models.ProblemData) -> Evolution
     resolvent = ResolventConfig(
         tol=float(cfg.get("solver.tol", "1e-12")),
         max_iter=int(cfg.get("solver.max_iter", "400")),
-        method=cfg.get("solver.method", "damped-picard"),
         relaxation=float(cfg.get("solver.relaxation", "1.0")),
     )
     plan = None
@@ -345,6 +343,10 @@ def _run_decay(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
 
 
 def _run_verify_hypotheses(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
+    # every catalog model is checked with its default parameters
+    for key in cfg:
+        if key.startswith(_MODEL_PREFIX):
+            raise ConfigError(f"verify-hypotheses takes no model parameters, got {key!r}")
     domain = _build_domain(cfg)
     horizon = float(cfg.get("time.T", "0.5"))
     reports = {}

@@ -247,7 +247,8 @@ def evolve(
 ) -> tuple[GridFunction, EvolutionTrace]:
     """March to the horizon, recording norms and energy slack per step.
 
-    Step failures raise ConvergenceError with the partial trace attached.
+    Step failures raise ConvergenceError with the step, its time and the
+    partial trace attached.
     """
     if level is None:
         level = _default_level(cfg)
@@ -276,7 +277,7 @@ def evolve(
             res = _step_detailed(u, t, cfg, data, level)
         except grid.ConvergenceError as err:
             err.args = (f"step {j} (t={t:.6g}) failed: {err.args[0]}",)
-            err.history = trace
+            err.step, err.t, err.trace = j, t, trace
             raise
         u = res.state
         h1 = norm_h1(u)

@@ -26,12 +26,33 @@ import scipy.sparse
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration failed to reach tolerance.  Carries the last iterate."""
+    """Iteration failed to reach tolerance.  Carries the last iterate.
 
-    def __init__(self, message, last=None, history=None):
+    `residuals` is the residual-norm history of a nonlinear solve and
+    `history` the iteration record of any other iteration (it defaults to
+    `residuals`).  When the failure happens inside a time step, `evolve`
+    adds the step number `step`, its time `t` and the partial
+    `EvolutionTrace` as `trace`.
+    """
+
+    def __init__(
+        self,
+        message,
+        last=None,
+        history=None,
+        *,
+        residuals=None,
+        step: int | None = None,
+        t: float | None = None,
+        trace=None,
+    ):
         super().__init__(message)
         self.last = last
-        self.history = list(history) if history is not None else []
+        self.residuals = list(residuals) if residuals is not None else []
+        self.history = list(history) if history is not None else list(self.residuals)
+        self.step = step
+        self.t = t
+        self.trace = trace
 
 
 @dataclass(frozen=True)
@@ -344,7 +365,7 @@ def conjugate_gradient(
     raise ConvergenceError(
         f"CG did not reach tol={tol} in {max_iter} iterations",
         last=x,
-        history=[float(np.linalg.norm(r))],
+        residuals=[float(np.linalg.norm(r))],
     )
 
 

@@ -443,9 +443,18 @@ def build_lipschitz_nonlinear(
 
 
 def singular_point(domain: BoxDomain) -> tuple[float, ...]:
-    """Center of the domain shifted half a cell so no node or face hits it."""
+    """A point next to the domain's center that no node or face hits.
+
+    Nodes sit at k h and faces at (k + 1/2) h along their own axis.  In two
+    or more dimensions x0_a = (floor(n_a / 2) + 1/2) h_a misses every node,
+    and a face misses it along any other axis, where it sits at a node
+    coordinate.  In 1D every cell center is a face, so
+    x0 = (floor(n / 2) + 1/4) h there.
+    """
+    shift = 0.25 if domain.dim == 1 else 0.5
     return tuple(
-        0.5 * L + 0.5 * h for L, h in zip(domain.lengths, domain.spacing)
+        0.5 * L + (shift if n % 2 == 0 else shift - 0.5) * h
+        for L, h, n in zip(domain.lengths, domain.spacing, domain.cells)
     )
 
 
@@ -459,8 +468,8 @@ def build_singular_drift(
     """Heat diffusion plus drift B(x, t, z) = z b(x) e with b = c / |x - x0|.
 
     b lies in weak-L^N but in no smaller Lebesgue space; the singular point
-    sits at a cell center so every sampled value stays finite.  An explicit
-    node field can be supplied instead of the analytic coefficient.
+    sits off every node and face, so every sampled value stays finite.  An
+    explicit node field can be supplied instead of the analytic coefficient.
     """
     if direction is None:
         direction = tuple(1.0 / math.sqrt(domain.dim) for _ in range(domain.dim))

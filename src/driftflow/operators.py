@@ -10,13 +10,25 @@ the exact negative adjoint of gradient, the strong form -div(flux) realizes
 the pairing identically and accretivity can be asserted at machine
 precision instead of up to discretization error.
 
-Resolvent equations (I + lam * A_M(t)) u = g are solved by damped Picard
-iteration preconditioned with the constant-coefficient part
-K = I + lam * gamma * (-Laplacian): strong monotonicity makes the
-preconditioned map a contraction for a small enough damping factor, and K
-itself is inverted exactly by one sine transform, since its coefficients
-are constant.  Newton with matrix-free GMRES is available as an opt-in
-alternative.
+Resolvent equations (I + lam * A_M(t)) u = g and stationary equations
+A u = f are solved by one kernel, `_monotone_iteration`: damped Picard
+(Richardson) iteration preconditioned with the constant-coefficient part
+K = I + lam * gamma * (-Laplacian), or gamma * (-Laplacian) for the
+stationary problem.  Strong monotonicity makes the preconditioned map a
+contraction for a small enough damping factor, and K itself is inverted
+exactly by one sine transform, since its coefficients are constant.  A
+step that fails to lower the residual is backtracked by halving the
+damping factor.
+
+When Picard contracts slowly -- after the first damped step that lowers
+the residual by less than a factor 10 -- the kernel switches on type-II
+Anderson mixing of depth 5 on the preconditioned update (Walker & Ni,
+2011).  It is safeguarded: a mixed iterate is accepted only if its
+residual is below the current one; otherwise, or when the small
+least-squares system is singular, the history is cleared and the damped
+step is taken instead.  The residual history therefore still falls
+strictly, and the monotone-operator convergence argument is unchanged.
+Fast contractions never mix and run exactly the plain damped iteration.
 
 An operator is one time slice: everything in the flux that does not depend
 on u (face coordinates, clamp weights, the weighted drift velocity) is
@@ -28,9 +40,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
-import scipy.sparse.linalg
 
 from . import grid
 from .grid import (
@@ -55,7 +67,6 @@ class ResolventConfig:
     lam: float = 1.0
     tol: float = 1e-10
     max_iter: int = 400
-    method: str = "damped-picard"
     relaxation: float = 1.0
 
     def __post_init__(self):
@@ -63,8 +74,6 @@ class ResolventConfig:
             raise ValueError("lam must be strictly positive")
         if self.tol <= 0 or self.max_iter < 1:
             raise ValueError("tol must be positive and max_iter >= 1")
-        if self.method not in ("damped-picard", "newton"):
-            raise ValueError(f"unknown method {self.method!r}")
         if not 0 < self.relaxation <= 1:
             raise ValueError("relaxation must lie in (0, 1]")
 
@@ -78,6 +87,10 @@ class SolverDiagnostics:
     converged: bool = False
     residuals: list[float] = field(default_factory=list)
     relaxation: float | None = None
+    # damping halvings, accepted Anderson iterates, and rejected ones
+    backtracks: int = 0
+    mixed_steps: int = 0
+    rejected_mixes: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -86,16 +99,19 @@ class SolverDiagnostics:
             "converged": self.converged,
             "residuals": self.residuals,
             "relaxation": self.relaxation,
+            "backtracks": self.backtracks,
+            "mixed_steps": self.mixed_steps,
+            "rejected_mixes": self.rejected_mixes,
         }
 
 
-def _require_finite(rn: float, solver: str, it: int, last, history) -> None:
+def _require_finite(rn: float, solver: str, it: int, last, residuals) -> None:
     """Name a NaN or inf residual instead of backtracking to a false stall."""
     if not math.isfinite(rn):
         raise ConvergenceError(
             f"{solver} residual is non-finite ({rn}) after {it} iterations",
             last=last,
-            history=history,
+            residuals=residuals,
         )
 
 
@@ -330,159 +346,164 @@ class TruncatedOperator:
         self, g: GridFunction, cfg: ResolventConfig, x0: GridFunction | None = None
     ) -> tuple[GridFunction, SolverDiagnostics]:
         """Solve u + lam * A_M(t) u = g to residual tol * (1 + |g|)."""
-        if cfg.method == "newton":
-            return self._newton(g, cfg, x0)
-        return self._damped_picard(g, cfg, x0)
-
-    def _kinv(self, lam: float, values: np.ndarray) -> np.ndarray:
-        # K is constant-coefficient, so the sine transform inverts it exactly
-        return helmholtz_solve(self.domain, values, 1.0, lam * self.precondition_scale())
-
-    def _residual(self, u: GridFunction, lam: float, g: GridFunction) -> GridFunction:
-        return GridFunction(
-            self.domain, u.values + lam * self.apply(u).values - g.values
-        )
-
-    def _damped_picard(
-        self, g: GridFunction, cfg: ResolventConfig, x0: GridFunction | None
-    ) -> tuple[GridFunction, SolverDiagnostics]:
-        lam = cfg.lam
-        diag = SolverDiagnostics(method="damped-picard")
-        scale = 1.0 + norm_l2(g)
+        lam, dom = cfg.lam, self.domain
         m, M = self.contraction_constants(lam)
-        rho_floor = max(1e-4, 0.9 * m / M**2)
-        rho = cfg.relaxation
-        u = x0.copy() if x0 is not None else g.copy()
-        r = self._residual(u, lam, g)
-        rn = norm_l2(r)
-        streak = 0
-        for it in range(1, cfg.max_iter + 1):
-            diag.residuals.append(rn)
-            _require_finite(rn, "damped Picard", it - 1, u, diag.residuals)
-            if rn <= cfg.tol * scale:
-                diag.iterations = it - 1
-                diag.converged = True
-                diag.relaxation = rho
-                return u, diag
-            z = self._kinv(lam, r.values)
-            accepted = False
-            while True:
-                trial = GridFunction(self.domain, u.values - rho * z)
-                r_trial = self._residual(trial, lam, g)
-                rn_trial = norm_l2(r_trial)
-                _require_finite(rn_trial, "damped Picard", it, u, diag.residuals)
-                if rn_trial < rn or rn_trial <= cfg.tol * scale:
-                    accepted = True
-                    break
-                if rho <= rho_floor:
-                    break
-                rho = max(rho_floor, 0.5 * rho)
-                streak = 0
-            if not accepted:
-                diag.iterations = it
-                diag.relaxation = rho
-                raise ConvergenceError(
-                    f"damped Picard stalled at residual {rn:.3e} "
-                    f"(tol {cfg.tol * scale:.3e}) after {it} iterations",
-                    last=u,
-                    history=diag.residuals,
-                )
-            u, r, rn = trial, r_trial, rn_trial
-            streak += 1
-            if streak >= 3 and rho < cfg.relaxation:
-                rho = min(cfg.relaxation, 1.5 * rho)
-                streak = 0
-        diag.iterations = cfg.max_iter
-        diag.relaxation = rho
-        if rn <= cfg.tol * scale:
-            diag.converged = True
-            return u, diag
-        raise ConvergenceError(
-            f"damped Picard did not reach tol in {cfg.max_iter} iterations "
-            f"(residual {rn:.3e})",
-            last=u,
-            history=diag.residuals,
+        return _monotone_iteration(
+            lambda u: GridFunction(dom, u.values + lam * self.apply(u).values - g.values),
+            # K is constant-coefficient, so the sine transform inverts it exactly
+            lambda r: helmholtz_solve(dom, r, 1.0, lam * self.precondition_scale()),
+            norm_l2,
+            x0.copy() if x0 is not None else g.copy(),
+            tol=cfg.tol * (1.0 + norm_l2(g)),
+            max_iter=cfg.max_iter,
+            relaxation=cfg.relaxation,
+            rho_floor=max(1e-4, 0.9 * m / M**2),
+            solver="damped Picard",
         )
 
-    def _newton(
-        self, g: GridFunction, cfg: ResolventConfig, x0: GridFunction | None
-    ) -> tuple[GridFunction, SolverDiagnostics]:
-        lam = cfg.lam
-        diag = SolverDiagnostics(method="newton")
-        scale = 1.0 + norm_l2(g)
-        gamma = self.precondition_scale()
-        n = self.domain.interior_count
-        shape = self.domain.interior_shape
-        u = x0.copy() if x0 is not None else g.copy()
-        r = self._residual(u, lam, g)
-        rn = norm_l2(r)
-        for it in range(1, cfg.max_iter + 1):
-            diag.residuals.append(rn)
-            if rn <= cfg.tol * scale:
-                diag.iterations = it - 1
-                diag.converged = True
-                return u, diag
-            unorm = float(np.linalg.norm(u.values))
 
-            def jv(vec):
-                v = vec.reshape(shape)
-                vnorm = float(np.linalg.norm(v))
-                if vnorm == 0.0:
-                    return np.zeros(n)
-                eps = 1e-7 * (1.0 + unorm) / vnorm
-                bumped = GridFunction(self.domain, u.values + eps * v)
-                r_b = self._residual(bumped, lam, g)
-                return ((r_b.values - r.values) / eps).ravel()
+# Anderson depth: how many past differences a mixed iterate combines.
+_MIX_DEPTH = 5
+# Mixing starts after the first damped step that lowers the residual by less
+# than this factor; faster contractions gain nothing from it.
+_SLOW_CONTRACTION = 0.1
 
-            def minv(vec):
-                return helmholtz_solve(
-                    self.domain, vec.reshape(shape), 1.0, lam * gamma
-                ).ravel()
 
-            J = scipy.sparse.linalg.LinearOperator((n, n), matvec=jv)
-            P = scipy.sparse.linalg.LinearOperator((n, n), matvec=minv)
-            delta, info = scipy.sparse.linalg.lgmres(
-                J, -r.values.ravel(), M=P, rtol=1e-6, atol=0.0, maxiter=200
-            )
-            if info != 0:
-                raise ConvergenceError(
-                    f"inner GMRES failed at Newton step {it}",
-                    last=u,
-                    history=diag.residuals,
-                )
-            step = 1.0
-            while step >= 1e-4:
-                trial = GridFunction(
-                    self.domain, u.values + step * delta.reshape(shape)
-                )
-                r_trial = self._residual(trial, lam, g)
-                rn_trial = norm_l2(r_trial)
+class _AndersonHistory:
+    """The last _MIX_DEPTH differences of iterates and of updates z = P r.
+
+    The Gram matrix of the update differences is kept up to date one row
+    per push, so a mixed iterate needs a k x k solve (k <= _MIX_DEPTH)
+    instead of a least-squares solve against the N x k history.
+    """
+
+    def __init__(self, u: np.ndarray, z: np.ndarray):
+        self.dU = np.empty((_MIX_DEPTH, u.size))
+        self.dZ = np.empty((_MIX_DEPTH, u.size))
+        self.gram = np.empty((_MIX_DEPTH, _MIX_DEPTH))
+        self.count = 0
+        self.u, self.z = u.ravel(), z.ravel()
+
+    def push(self, u: np.ndarray, z: np.ndarray) -> None:
+        """Record the next iterate and its update."""
+        u, z = u.ravel(), z.ravel()
+        slot = self.count % _MIX_DEPTH
+        np.subtract(u, self.u, out=self.dU[slot])
+        np.subtract(z, self.z, out=self.dZ[slot])
+        self.count += 1
+        k = min(self.count, _MIX_DEPTH)
+        row = self.dZ[:k] @ self.dZ[slot]
+        self.gram[slot, :k] = row
+        self.gram[:k, slot] = row
+        self.u, self.z = u, z
+
+    def mix(self, beta: float) -> np.ndarray | None:
+        """Type-II Anderson iterate from the last push; None if the solve fails.
+
+        gamma minimises |z - dZ gamma|, and the iterate is
+        u - dU gamma - beta (z - dZ gamma): the damped step from the
+        extrapolated point.
+        """
+        k = min(self.count, _MIX_DEPTH)
+        try:
+            gamma = np.linalg.solve(self.gram[:k, :k], self.dZ[:k] @ self.z)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(gamma)):
+            return None
+        return self.u - gamma @ self.dU[:k] - beta * (self.z - gamma @ self.dZ[:k])
+
+
+def _monotone_iteration(
+    residual: Callable[[GridFunction], GridFunction],
+    precondition: Callable[[np.ndarray], np.ndarray],
+    norm: Callable[[GridFunction], float],
+    u: GridFunction,
+    *,
+    tol: float,
+    max_iter: int,
+    relaxation: float,
+    rho_floor: float,
+    solver: str,
+) -> tuple[GridFunction, SolverDiagnostics]:
+    """Drive norm(residual(u)) below tol by preconditioned, damped steps.
+
+    Each iteration takes z = precondition(r) and steps u - rho z, halving
+    the damping rho down to rho_floor until the residual falls; three
+    clean steps in a row let rho grow back toward `relaxation`.  Once a
+    step contracts slowly, a safeguarded Anderson iterate is tried first
+    (see the module docstring).  Every failure raises ConvergenceError
+    carrying the last iterate and the residual history.
+    """
+    diag = SolverDiagnostics(method="damped-picard")
+    rho = relaxation
+    r = residual(u)
+    rn = norm(r)
+    streak = 0
+    mixing = None
+    for it in range(1, max_iter + 1):
+        diag.residuals.append(rn)
+        _require_finite(rn, solver, it - 1, u, diag.residuals)
+        if rn <= tol:
+            diag.iterations = it - 1
+            diag.converged = True
+            diag.relaxation = rho
+            return u, diag
+        z = precondition(r.values)
+        if mixing is not None:
+            mixing.push(u.values, z)
+            mixed = mixing.mix(rho)
+            if mixed is not None:
+                trial = GridFunction(u.domain, mixed.reshape(u.values.shape))
+                r_trial = residual(trial)
+                rn_trial = norm(r_trial)
                 if rn_trial < rn:
-                    break
-                step *= 0.5
-            else:
-                raise ConvergenceError(
-                    f"Newton line search failed at residual {rn:.3e}",
-                    last=u,
-                    history=diag.residuals,
-                )
-            u, r, rn = trial, r_trial, rn_trial
-        diag.iterations = cfg.max_iter
-        if rn <= cfg.tol * scale:
-            diag.converged = True
-            return u, diag
-        raise ConvergenceError(
-            f"Newton did not reach tol in {cfg.max_iter} iterations",
-            last=u,
-            history=diag.residuals,
-        )
-
-
-@dataclass
-class StationaryDiagnostics:
-    iterations: int
-    converged: bool
-    residuals: list[float]
+                    diag.mixed_steps += 1
+                    u, r, rn = trial, r_trial, rn_trial
+                    continue
+                diag.rejected_mixes += 1
+            mixing.count = 0  # clear the history
+        accepted = False
+        while True:
+            trial = GridFunction(u.domain, u.values - rho * z)
+            r_trial = residual(trial)
+            rn_trial = norm(r_trial)
+            _require_finite(rn_trial, solver, it, u, diag.residuals)
+            if rn_trial < rn or rn_trial <= tol:
+                accepted = True
+                break
+            if rho <= rho_floor:
+                break
+            rho = max(rho_floor, 0.5 * rho)
+            streak = 0
+            diag.backtracks += 1
+        if not accepted:
+            diag.iterations = it
+            diag.relaxation = rho
+            raise ConvergenceError(
+                f"{solver} stalled at residual {rn:.3e} "
+                f"(tol {tol:.3e}) after {it} iterations",
+                last=u,
+                residuals=diag.residuals,
+            )
+        if mixing is None and rn_trial > _SLOW_CONTRACTION * rn:
+            mixing = _AndersonHistory(u.values, z)
+        u, r, rn = trial, r_trial, rn_trial
+        streak += 1
+        if streak >= 3 and rho < relaxation:
+            rho = min(relaxation, 1.5 * rho)
+            streak = 0
+    diag.iterations = max_iter
+    diag.relaxation = rho
+    if rn <= tol:
+        diag.converged = True
+        return u, diag
+    raise ConvergenceError(
+        f"{solver} did not reach tol in {max_iter} iterations "
+        f"(residual {rn:.3e})",
+        last=u,
+        residuals=diag.residuals,
+    )
 
 
 def stationary_solve(
@@ -491,8 +512,8 @@ def stationary_solve(
     tol: float = 1e-11,
     max_iter: int = 500,
     x0: GridFunction | None = None,
-) -> tuple[GridFunction, StationaryDiagnostics]:
-    """Solve A(u) = rhs by preconditioned damped Picard in the energy norm.
+) -> tuple[GridFunction, SolverDiagnostics]:
+    """Solve A(u) = rhs by the resolvents' iteration in the energy norm.
 
     The residual is measured in the discrete dual norm
     sqrt(<r, (-Lap)^{-1} r>), the natural norm for a divergence-form
@@ -505,50 +526,20 @@ def stationary_solve(
         z = helmholtz_solve(dom, r.values, 0.0, 1.0)
         return float(np.sqrt(max(inner(GridFunction(dom, z), r), 0.0)))
 
-    scale = 1.0 + dual_norm(rhs)
     alpha = op.data.diffusion.alpha
     beta = op.data.diffusion.beta
     m = op.monotonicity_margin_estimate() / gamma
     M = (beta + (0.5 * alpha if op.data.has_drift else 0.0)) / gamma + (
         op.drift_face_max() / gamma
     )
-    rho_floor = max(1e-4, 0.9 * m / M**2)
-    rho = 1.0
-    u = x0.copy() if x0 is not None else grid.zeros(dom)
-    r = GridFunction(dom, op.apply(u).values - rhs.values)
-    rn = dual_norm(r)
-    residuals = []
-    streak = 0
-    for it in range(1, max_iter + 1):
-        residuals.append(rn)
-        _require_finite(rn, "stationary solve", it - 1, u, residuals)
-        if rn <= tol * scale:
-            return u, StationaryDiagnostics(it - 1, True, residuals)
-        z = helmholtz_solve(dom, r.values, 0.0, gamma)
-        while True:
-            trial = GridFunction(dom, u.values - rho * z)
-            r_trial = GridFunction(dom, op.apply(trial).values - rhs.values)
-            rn_trial = dual_norm(r_trial)
-            _require_finite(rn_trial, "stationary solve", it, u, residuals)
-            if rn_trial < rn or rn_trial <= tol * scale:
-                break
-            if rho <= rho_floor:
-                raise ConvergenceError(
-                    f"stationary solve stalled at dual residual {rn:.3e}",
-                    last=u,
-                    history=residuals,
-                )
-            rho = max(rho_floor, 0.5 * rho)
-            streak = 0
-        u, r, rn = trial, r_trial, rn_trial
-        streak += 1
-        if streak >= 3 and rho < 1.0:
-            rho = min(1.0, 1.5 * rho)
-            streak = 0
-    if rn <= tol * scale:
-        return u, StationaryDiagnostics(max_iter, True, residuals)
-    raise ConvergenceError(
-        f"stationary solve did not reach tol in {max_iter} iterations",
-        last=u,
-        history=residuals,
+    return _monotone_iteration(
+        lambda u: GridFunction(dom, op.apply(u).values - rhs.values),
+        lambda r: helmholtz_solve(dom, r, 0.0, gamma),
+        dual_norm,
+        x0.copy() if x0 is not None else grid.zeros(dom),
+        tol=tol * (1.0 + dual_norm(rhs)),
+        max_iter=max_iter,
+        relaxation=1.0,
+        rho_floor=max(1e-4, 0.9 * m / M**2),
+        solver="stationary solve",
     )

@@ -1,9 +1,10 @@
 """Stationary solves and exponential-decay experiments.
 
 The stationary problem -div[A(x, grad u) + B(x, u)] = -div F is solved by
-the same preconditioned monotone iteration as the resolvents, just without
-the identity term.  Strict monotonicity makes the solution unique, which
-the tests confirm by starting from several initial guesses.
+the same preconditioned monotone iteration as the resolvents (one kernel,
+`operators._monotone_iteration`), just without the identity term and with
+residuals in the dual norm.  Strict monotonicity makes the solution
+unique, which the tests confirm by starting from several initial guesses.
 
 The decay experiment integrates the evolution problem, records
 y(t_j) = |u_j - u_inf|^2, and fits the tail of log y.  The certified decay

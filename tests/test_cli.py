@@ -237,6 +237,18 @@ class TestMain:
         assert cli.main(argv + ["--override", "model.c=0.1"]) == 2
         assert "'c'" in capsys.readouterr().err
 
+    def test_exit_two_on_removed_solver_method(self, tmp_path, capsys):
+        # the Newton option is gone; a config that still picks a method fails
+        path = write_cfg(tmp_path, FAST_DECAY.replace("[solver]\n", "[solver]\nmethod = newton\n"))
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "'solver.method'" in capsys.readouterr().err
+
+    def test_exit_two_on_verify_hypotheses_model_parameter(self, tmp_path, capsys):
+        text = "experiment = verify-hypotheses\ndomain.cells = 8,8\nmodel.cc = 5\n"
+        path = write_cfg(tmp_path, text)
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "'model.cc'" in capsys.readouterr().err
+
     def test_exit_two_on_missing_file(self):
         assert cli.main(["run", "/nonexistent/x.cfg"]) == 2
 

@@ -156,7 +156,9 @@ class TestEvolve:
         bad = cfg(0.01, 0.1, resolvent=ResolventConfig(tol=1e-14, max_iter=1))
         with pytest.raises(G.ConvergenceError) as info:
             E.evolve(data, bad)
-        assert isinstance(info.value.history, E.EvolutionTrace)
+        assert isinstance(info.value.trace, E.EvolutionTrace)
+        assert info.value.step == 1 and info.value.t == pytest.approx(0.01)
+        assert info.value.residuals
         assert "step 1" in str(info.value)
 
     def test_uncertified_level_warns(self):

@@ -6,6 +6,7 @@ import pytest
 from driftflow import grid as G
 from driftflow import lorentz as L
 from driftflow import models as M
+from driftflow.operators import TruncatedOperator
 
 DOM2 = G.BoxDomain(2, (1.0, 1.0), (16, 16))
 DOM3 = G.BoxDomain(3, (1.0, 1.0, 1.0), (12, 12, 12))
@@ -161,6 +162,37 @@ class TestSingularPoint:
         assert np.all(np.isfinite(b.values))
         h = DOM2.spacing[0]
         assert b.max_abs() <= 1.0 / (h / math.sqrt(2)) * (1 + 1e-12)
+
+    @pytest.mark.parametrize(
+        "dom",
+        [
+            G.BoxDomain(1, (1.0,), (16,)),
+            G.BoxDomain(1, (2.0,), (15,)),
+            G.BoxDomain(2, (1.0, 1.0), (15, 15)),
+            G.BoxDomain(2, (1.0, 2.5), (15, 8)),
+            G.BoxDomain(3, (1.0, 1.0, 1.0), (9, 9, 9)),
+            G.BoxDomain(3, (0.5, 1.0, 2.0), (7, 6, 11)),
+        ],
+        ids=["1d-even", "1d-odd", "2d-odd", "2d-mixed", "3d-odd", "3d-mixed"],
+    )
+    def test_no_node_or_face_hits_the_singular_point(self, dom):
+        c = 1.0
+        data = M.make_model("singular-drift", dom, 0.5, c=c)
+        # every node and face lies at least a quarter cell from x0
+        cap = c / (0.25 * min(dom.spacing)) * (1 + 1e-12)
+        assert data.drift_bound_grid(0.0).max_abs() <= cap
+        for axis in range(dom.dim):
+            b = data.drift.bound(G.face_coordinates(dom, axis), 0.0)
+            assert np.max(b) <= cap
+        op = TruncatedOperator(data, 0.0, drift_mode="full")
+        u = G.GridFunction(dom, np.ones(dom.interior_shape))
+        assert np.all(np.isfinite(op.apply(u).values))
+
+    def test_even_counts_keep_the_half_cell_shift(self):
+        # the bundled presets use even counts; their x0 is unchanged
+        for dom in (DOM2, DOM3, G.BoxDomain(2, (1.0, 3.0), (32, 8))):
+            expect = tuple(0.5 * L + 0.5 * h for L, h in zip(dom.lengths, dom.spacing))
+            assert M.singular_point(dom) == expect
 
     def test_custom_drift_field(self):
         field = G.sample(DOM2, lambda c: 0.2 + 0.1 * c[0])
