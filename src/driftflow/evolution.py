@@ -180,20 +180,26 @@ class StepResult:
     energy_slack: float
 
 
+def _step_operator(
+    data: ProblemData, t: float, cfg: EvolutionConfig, level: float | None
+) -> TruncatedOperator:
+    """The implicit part of a step: A + B fully implicit, else A_M."""
+    if not data.has_drift:
+        mode = "none"
+    else:
+        mode = "full" if cfg.splitting == "fully-implicit" else "remainder"
+    return TruncatedOperator(data, t, level=level, drift_mode=mode)
+
+
 def _step_detailed(
-    u_prev: GridFunction,
-    t: float,
-    cfg: EvolutionConfig,
-    data: ProblemData,
-    level: float | None,
+    u_prev: GridFunction, cfg: EvolutionConfig, op: TruncatedOperator
 ) -> StepResult:
+    """One step landing on op.t, solved with the step's operator `op`."""
     tau = cfg.dt
+    t, data = op.t, op.data
     dom = data.domain
     rescfg = replace(cfg.resolvent, lam=tau)
     if cfg.splitting == "fully-implicit":
-        op = TruncatedOperator(
-            data, t, level=level, drift_mode="full" if data.has_drift else "none"
-        )
         rhs_vals = u_prev.values
         F = data.source_field(t)
         if F is not None:
@@ -201,9 +207,6 @@ def _step_detailed(
         u_new, diag = op.resolve_detailed(GridFunction(dom, rhs_vals), rescfg, x0=u_prev)
         source = _effective_source(data, t, cfg.splitting, u_new, op)
     else:
-        op = TruncatedOperator(
-            data, t, level=level, drift_mode="remainder" if data.has_drift else "none"
-        )
         source = _effective_source(data, t, cfg.splitting, u_prev, op)
         rhs_vals = u_prev.values
         if source is not None:
@@ -230,7 +233,7 @@ def step(
     level: float | None = None,
 ) -> GridFunction:
     """One implicit step landing on time t (coefficients evaluated at t)."""
-    return _step_detailed(u_prev, t, cfg, data, level).state
+    return _step_detailed(u_prev, cfg, _step_operator(data, t, cfg, level)).state
 
 
 def _default_level(cfg: EvolutionConfig) -> float | None:
@@ -271,10 +274,14 @@ def evolve(
     trace.initial_l2 = norm_l2(u)
     dissip = 0.0
     tau = cfg.dt
+    # one operator per march; each step moves it to its own time, which
+    # re-samples nothing for autonomous data
+    op = _step_operator(data, tau, cfg, level)
     for j in range(1, cfg.steps + 1):
         t = j * tau
+        op = op.at(t)
         try:
-            res = _step_detailed(u, t, cfg, data, level)
+            res = _step_detailed(u, cfg, op)
         except grid.ConvergenceError as err:
             err.args = (f"step {j} (t={t:.6g}) failed: {err.args[0]}",)
             err.step, err.t, err.trace = j, t, trace
@@ -512,6 +519,7 @@ def weak_residual(
     if tests is None:
         tests = default_test_battery(dom, T)
     out = []
+    op = TruncatedOperator(data, dt, drift_mode="full" if data.has_drift else "none")
     for test in tests:
         acc = 0.0
         scale = 0.0
@@ -520,9 +528,7 @@ def weak_residual(
             u = states[j]
             phi = test.value(dom, t)
             dphi = test.dt(dom, t)
-            op = TruncatedOperator(
-                data, t, drift_mode="full" if data.has_drift else "none"
-            )
+            op = op.at(t)
             flux = op.flux(u)
             gphi = gradient(phi)
             src = data.source_field(t)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +57,12 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class BoxDomain:
-    """Axis-aligned box (0, L_1) x ... x (0, L_N) split into uniform cells."""
+    """Axis-aligned box (0, L_1) x ... x (0, L_N) split into uniform cells.
+
+    The derived geometry (spacing, shapes, weights) is computed on first
+    use and then kept on the instance; equality, hashing and the grid
+    caches keyed on a domain still read the three fields alone.
+    """
 
     dim: int
     lengths: tuple[float, ...]
@@ -75,19 +80,19 @@ class BoxDomain:
         if any(n < 2 for n in self.cells):
             raise ValueError("need at least 2 cells per axis")
 
-    @property
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(L / n for L, n in zip(self.lengths, self.cells))
 
-    @property
+    @cached_property
     def interior_shape(self) -> tuple[int, ...]:
         return tuple(n - 1 for n in self.cells)
 
-    @property
+    @cached_property
     def interior_count(self) -> int:
         return int(np.prod(self.interior_shape))
 
-    @property
+    @cached_property
     def node_weight(self) -> float:
         """Quadrature weight carried by every interior node."""
         return float(np.prod(self.spacing))
@@ -96,10 +101,15 @@ class BoxDomain:
     def volume(self) -> float:
         return float(np.prod(self.lengths))
 
+    @cached_property
+    def _face_shapes(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            self.interior_shape[:a] + (n,) + self.interior_shape[a + 1 :]
+            for a, n in enumerate(self.cells)
+        )
+
     def face_shape(self, axis: int) -> tuple[int, ...]:
-        shape = list(self.interior_shape)
-        shape[axis] = self.cells[axis]
-        return tuple(shape)
+        return self._face_shapes[axis]
 
 
 @lru_cache(maxsize=64)
@@ -224,19 +234,37 @@ def gradient(u: GridFunction) -> VectorField:
     """Staggered first differences with zero boundary ghosts.
 
     Component a at face k+1/2 is (u_{k+1} - u_k)/h_a, second-order accurate
-    at the face midpoint.
+    at the face midpoint.  The two boundary faces difference against the
+    zero ghosts, written as v_0 - 0 and 0 - v_last so that signed zeros
+    come out as in a padded difference.
     """
+    v = u.values
     comps = []
     for a, h in enumerate(u.domain.spacing):
-        comps.append(np.diff(u.values, axis=a, prepend=0.0, append=0.0) / h)
+        out = np.empty(u.domain.face_shape(a))
+        head = (slice(None),) * a
+        first, last = head + (slice(None, 1),), head + (slice(-1, None),)
+        np.subtract(v[head + (slice(1, None),)], v[head + (slice(None, -1),)],
+                    out=out[head + (slice(1, -1),)])
+        out[first] = v[first]
+        np.subtract(0.0, v[last], out=out[last])
+        out /= h
+        comps.append(out)
     return VectorField(u.domain, tuple(comps))
 
 
 def divergence(q: VectorField) -> GridFunction:
     """Discrete divergence; exact negative adjoint of `gradient`."""
-    out = np.zeros(q.domain.interior_shape)
+    shape = q.domain.interior_shape
+    out = np.zeros(shape)
+    diff = np.empty(shape)
     for a, h in enumerate(q.domain.spacing):
-        out += np.diff(q.components[a], axis=a) / h
+        comp = q.components[a]
+        head = (slice(None),) * a
+        np.subtract(comp[head + (slice(1, None),)], comp[head + (slice(None, -1),)],
+                    out=diff)
+        diff /= h
+        out += diff
     return GridFunction(q.domain, out)
 
 
@@ -327,80 +355,13 @@ def helmholtz_solve(
     return scipy.fft.idstn(hat, type=1, norm="ortho")
 
 
-def conjugate_gradient(
-    apply_op,
-    b: np.ndarray,
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 2000,
-    precond=None,
-    x0: np.ndarray | None = None,
-):
-    """Matrix-free preconditioned CG for an SPD operator on node arrays.
+def poincare_constant(domain: BoxDomain) -> float:
+    """Discrete Poincare constant 1/lambda_1 of the Dirichlet Laplacian.
 
-    Returns (x, iterations).  `apply_op` and `precond` map arrays to arrays;
-    convergence is on the 2-norm of the residual relative to `b`.
+    lambda_1 is the closed-form smallest eigenvalue (the lowest sine mode
+    along every axis), so no eigenvalue iteration is needed.
     """
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0
-    x = np.zeros_like(b) if x0 is None else x0.copy()
-    r = b - apply_op(x)
-    z = precond(r) if precond is not None else r
-    p = z.copy()
-    rz = float(np.vdot(r, z))
-    for it in range(1, max_iter + 1):
-        if np.linalg.norm(r) <= tol * bnorm:
-            return x, it - 1
-        Ap = apply_op(p)
-        alpha = rz / float(np.vdot(p, Ap))
-        x += alpha * p
-        r -= alpha * Ap
-        z = precond(r) if precond is not None else r
-        rz_new = float(np.vdot(r, z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    if np.linalg.norm(r) <= tol * bnorm:
-        return x, max_iter
-    raise ConvergenceError(
-        f"CG did not reach tol={tol} in {max_iter} iterations",
-        last=x,
-        residuals=[float(np.linalg.norm(r))],
-    )
-
-
-def poincare_constant(domain: BoxDomain, tol: float = 1e-10, max_iter: int = 500) -> float:
-    """Discrete Poincare constant 1/lambda_1 by inverse power iteration.
-
-    lambda_1 is the smallest eigenvalue of -Laplacian with zero Dirichlet
-    data; each inverse application solves a Poisson problem by CG with the
-    sine-transform preconditioner.  Raises ConvergenceError (carrying the
-    last iterate) if the Rayleigh quotient has not settled to relative
-    tolerance `tol` within `max_iter` sweeps.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    apply_lap = lambda x: laplacian(GridFunction(domain, x)).values
-    precond = lambda r: helmholtz_solve(domain, r, 0.0, 1.0)
-    v = np.ones(domain.interior_shape)
-    v /= np.linalg.norm(v)
-    lam_prev = np.inf
-    history = []
-    for _ in range(max_iter):
-        y, _ = conjugate_gradient(apply_lap, v, tol=1e-13, precond=precond)
-        y /= np.linalg.norm(y)
-        gy = GridFunction(domain, y)
-        lam = inner_vec(gradient(gy), gradient(gy)) / inner(gy, gy)
-        history.append(lam)
-        if abs(lam - lam_prev) <= tol * abs(lam):
-            return 1.0 / lam
-        lam_prev = lam
-        v = y
-    raise ConvergenceError(
-        f"inverse power iteration did not converge in {max_iter} sweeps",
-        last=1.0 / lam_prev,
-        history=history,
-    )
+    return 1.0 / smallest_eigenvalue_exact(domain)
 
 
 _BINARY_MAGIC = b"GFB1"

@@ -59,11 +59,18 @@ class DriftFlux:
     and spot-checked.  A drift linear in z, B(x, t, z) = z V(x, t), may
     also supply `velocity`, which evaluates V; the operators then sample V
     once per time slice and apply the drift as one multiplication.
+
+    `autonomous` declares that b, V and B do not depend on t.  The code
+    cannot observe that from the callables, so it defaults to False and a
+    drift keeps being sampled afresh at every time; with it set, one
+    operator's face samples of b and V serve every time slice of a march
+    (`TruncatedOperator.at`).
     """
 
     evaluate: Callable[[Coords, float, np.ndarray], Coords]
     bound: Callable[[Coords, float], np.ndarray]
     velocity: Callable[[Coords, float], Coords] | None = None
+    autonomous: bool = False
 
 
 @dataclass(frozen=True)
@@ -469,8 +476,12 @@ def build_singular_drift(
 
     b lies in weak-L^N but in no smaller Lebesgue space; the singular point
     sits off every node and face, so every sampled value stays finite.  An
-    explicit node field can be supplied instead of the analytic coefficient.
+    explicit node field can be supplied instead of the analytic coefficient;
+    it must live on `domain` and hold finite, nonnegative values.  Either
+    way b does not depend on t, so the drift is autonomous.
     """
+    if drift_field is not None:
+        _check_drift_field(drift_field, domain)
     if direction is None:
         direction = tuple(1.0 / math.sqrt(domain.dim) for _ in range(domain.dim))
     e = np.asarray(direction, dtype=float)
@@ -501,11 +512,32 @@ def build_singular_drift(
         name="singular-drift",
         domain=domain,
         diffusion=_identity_diffusion(),
-        drift=DriftFlux(evaluate=evaluate, bound=bound, velocity=velocity),
+        drift=DriftFlux(
+            evaluate=evaluate, bound=bound, velocity=velocity, autonomous=True
+        ),
         source=None,
         initial=_eigen_initial(domain),
         horizon=horizon,
     )
+
+
+def _check_drift_field(field: GridFunction, domain: BoxDomain) -> None:
+    """Reject a coefficient field the nearest-node lookup would misread.
+
+    A field from another grid would be silently resampled, and the clamp
+    weights assume b >= 0 everywhere.
+    """
+    if field.domain != domain:
+        raise ValueError(
+            f"drift_field lives on {field.domain}, but the model on {domain}"
+        )
+    v = field.values
+    for bad, what in ((~np.isfinite(v), "non-finite"), (v < 0, "negative")):
+        if np.any(bad):
+            node = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise ValueError(
+                f"drift_field has a {what} value {float(v[node])!r} at node {node}"
+            )
 
 
 def _node_field_evaluator(field: GridFunction):

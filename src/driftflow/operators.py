@@ -33,11 +33,16 @@ Fast contractions never mix and run exactly the plain damped iteration.
 An operator is one time slice: everything in the flux that does not depend
 on u (face coordinates, clamp weights, the weighted drift velocity) is
 computed at most once per operator, so each apply does only the work that
-depends on u.
+depends on u.  `at(t)` moves a slice to another time.  It keeps the face
+coordinates, and when the data has no drift or an autonomous one
+(`DriftFlux.autonomous`) also the drift samples, clamp weights and drift
+maximum, so a march over autonomous data samples its drift once, not once
+per step.  The diffusion flux is still evaluated at the slice's own time.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -193,6 +198,22 @@ class TruncatedOperator:
         self._face_bounds: dict[int, np.ndarray] = {}
         self._face_drifts: dict[tuple[int, bool], np.ndarray] = {}
         self._drift_max: float | None = None
+
+    def at(self, t: float) -> "TruncatedOperator":
+        """This slice at time t: the same data, level and drift mode.
+
+        Returns self when t is unchanged.  The copy shares every cache that
+        does not depend on t; the drift caches count among them only when
+        the data has no drift or an autonomous one.
+        """
+        t = float(t)
+        if t == self.t:
+            return self
+        op = copy.copy(self)
+        op.t = t
+        if self.data.has_drift and not self.data.drift.autonomous:
+            op._face_bounds, op._face_drifts, op._drift_max = {}, {}, None
+        return op
 
     # -- flux assembly -----------------------------------------------------
 

@@ -8,14 +8,14 @@ unique, which the tests confirm by starting from several initial guesses.
 
 The decay experiment integrates the evolution problem, records
 y(t_j) = |u_j - u_inf|^2, and fits the tail of log y.  The certified decay
-rate for the norm is omega = alpha / (4 C_P) with C_P the measured discrete
-Poincare constant 1/lambda_1; the cruder constant alpha / (2 C_P) and the
-box bound C_P <= diam^2 / pi^2 are reported alongside for reference.  The
-rate certificate additionally needs the drift to be small: both the
-truncation remainder and the truncated part must stay below
-alpha / (4 S) in the weak-L^N metric (S the gradient-embedding constant);
-the literal product level * S < alpha / 4 is recorded for comparison but
-not enforced.
+rate for the norm is omega = alpha / (4 C_P) with C_P the discrete
+Poincare constant 1/lambda_1, known in closed form; the cruder constant
+alpha / (2 C_P) and the box bound C_P <= diam^2 / pi^2 are reported
+alongside for reference.  The rate certificate additionally needs the
+drift to be small: both the truncation remainder and the truncated part
+must stay below alpha / (4 S) in the weak-L^N metric (S the
+gradient-embedding constant); the literal product level * S < alpha / 4
+is recorded for comparison but not enforced.
 """
 
 from __future__ import annotations
@@ -214,7 +214,7 @@ def decay_experiment(
     times = [0.0] + trace.times
     y = [norm_l2(s - u_inf) ** 2 for s in trace.states]
     trace.states = None
-    cp = poincare_constant(dom, tol=1e-12)
+    cp = poincare_constant(dom)
     cp_bound = sum(L**2 for L in dom.lengths) / math.pi**2
     alpha = data.diffusion.alpha
     omega = alpha / (4 * cp)

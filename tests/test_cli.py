@@ -91,6 +91,20 @@ class TestRun:
         assert data["passed"] is True
         assert "decay_report.json" in data["outputs"]
         assert "y_series.csv" in data["outputs"]
+        assert data["skipped"] == {}
+
+    def test_manifest_names_skipped_checks(self, tmp_path):
+        # below dimension 3 the small-data certificate cannot hold, so the
+        # two checks resting on it do not run; the manifest says so and why
+        text = SMALL_DRIFT_DECAY.replace("dim = 3", "dim = 2")
+        text = text.replace("lengths = 1,1,1", "lengths = 1,1").replace("cells = 8,8,8", "cells = 12,12")
+        outdir = tmp_path / "out"
+        manifest = cli.run(write_cfg(tmp_path, text), output_dir=outdir)
+        data = json.loads((outdir / "run_manifest.json").read_text())
+        assert set(data["skipped"]) == {"lyapunov_monotone", "rate_at_least_certified"}
+        assert all("dimension 3" in reason for reason in data["skipped"].values())
+        assert data["checks"] == {"energy_inequality": True}
+        assert data["passed"] is manifest.passed is True
 
     def test_manifest_lists_every_file(self, tmp_path):
         path = write_cfg(tmp_path, FAST_DECAY)
@@ -248,6 +262,29 @@ class TestMain:
         path = write_cfg(tmp_path, text)
         assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
         assert "'model.cc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["other_grid", "negative", "nan"])
+    def test_exit_two_on_bad_drift_file(self, tmp_path, capsys, case):
+        # a field from a 16x16 grid used to be resampled onto the 8x8 run by
+        # nearest-node lookup, and bad values went straight into the clamp
+        import numpy as np
+        from driftflow import grid as G
+
+        n = 16 if case == "other_grid" else 8
+        b = G.sample(G.BoxDomain(2, (1.0, 1.0), (n, n)), lambda c: 0.4 + 0.2 * c[0])
+        b.values[2, 3] = {"other_grid": 0.5, "negative": -0.1, "nan": np.nan}[case]
+        field_path = tmp_path / "drift.csv"
+        G.save_grid_function(field_path, b)
+        text = (
+            "experiment = evolve\nmodel = singular-drift\n"
+            f"model.drift_file = {field_path}\n"
+            "domain.cells = 8,8\ntime.dt = 0.01\ntime.T = 0.05\n"
+        )
+        path = write_cfg(tmp_path, text)
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "model.drift_file" in err
+        assert {"other_grid": "lives on", "negative": "negative", "nan": "non-finite"}[case] in err
 
     def test_exit_two_on_missing_file(self):
         assert cli.main(["run", "/nonexistent/x.cfg"]) == 2

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftflow import grid as G
 
@@ -36,6 +38,19 @@ class TestBoxDomain:
     def test_invalid(self, dim, lengths, cells):
         with pytest.raises(ValueError):
             G.BoxDomain(dim, lengths, cells)
+
+    def test_equal_domains_stay_equal_after_geometry_is_read(self):
+        a = G.BoxDomain(3, (1.0, 2.0, 0.5), (4, 6, 8))
+        b = G.BoxDomain(3, [1, 2, 0.5], [4, 6, 8])
+        # read every cached quantity of one of them only
+        a.spacing, a.interior_shape, a.interior_count, a.node_weight
+        a.face_shape(1)
+        assert a == b and hash(a) == hash(b)
+        assert G.node_coordinates(a) is G.node_coordinates(b)
+        assert G.laplacian_symbol(b) is G.laplacian_symbol(a)
+        assert a != G.BoxDomain(3, (1.0, 2.0, 0.5), (4, 6, 9))
+        assert b.face_shape(1) == a.face_shape(1) == (3, 6, 7)
+        assert a.interior_count == 3 * 5 * 7
 
     def test_grid_function_shape_mismatch(self):
         dom = G.BoxDomain(1, (1.0,), (4,))
@@ -75,6 +90,43 @@ class TestGradient:
         g = G.gradient(u).components[0]
         h = dom.spacing[0]
         assert g == pytest.approx([s / h, s / h, -s / h, -s / h])
+
+
+@st.composite
+def fields_with_signed_zeros(draw):
+    """A random node field and flux field, with zeros of both signs mixed in."""
+    dim = draw(st.integers(1, 3))
+    lengths = tuple(draw(st.floats(0.25, 4.0)) for _ in range(dim))
+    cells = tuple(draw(st.integers(2, (20, 9, 6)[dim - 1])) for _ in range(dim))
+    dom = G.BoxDomain(dim, lengths, cells)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    zero_share = draw(st.floats(0.0, 1.0))
+
+    def sprinkle(shape):
+        vals = rng.standard_normal(shape)
+        mask = rng.random(shape) < zero_share
+        vals[mask] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[mask]
+        return vals
+
+    q = G.VectorField(dom, tuple(sprinkle(dom.face_shape(a)) for a in range(dim)))
+    return G.GridFunction(dom, sprinkle(dom.interior_shape)), q
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@given(case=fields_with_signed_zeros())
+@settings(max_examples=80, deadline=None)
+def test_difference_operators_match_padded_reference(case):
+    u, q = case
+    dom = u.domain
+    div = np.zeros(dom.interior_shape)
+    for a, h in enumerate(dom.spacing):
+        grad = np.diff(u.values, axis=a, prepend=0.0, append=0.0) / h
+        assert same_bits(G.gradient(u).components[a], grad)
+        div += np.diff(q.components[a], axis=a) / h
+    assert same_bits(G.divergence(q).values, div)
 
 
 class TestDivergence:
@@ -149,14 +201,14 @@ class TestInner:
 class TestPoincare:
     def test_square_matches_separated_eigenvalue(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (48, 48))
-        cp = G.poincare_constant(dom, tol=1e-12)
+        cp = G.poincare_constant(dom)
         # separation of variables: lambda_1 -> 2 pi^2, C_P -> 0.05066
         assert cp == pytest.approx(1.0 / (2 * math.pi**2), rel=2e-3)
         assert cp == pytest.approx(1.0 / G.smallest_eigenvalue_exact(dom), rel=1e-10)
 
     def test_interval(self):
         dom = G.BoxDomain(1, (1.0,), (64,))
-        cp = G.poincare_constant(dom, tol=1e-12)
+        cp = G.poincare_constant(dom)
         assert 1.0 / cp == pytest.approx(math.pi**2, rel=1e-3)
 
     def test_second_order_convergence(self):
@@ -164,19 +216,30 @@ class TestPoincare:
         errs = []
         for n in (16, 32):
             dom = G.BoxDomain(2, (1.0, 1.0), (n, n))
-            errs.append(abs(1.0 / G.poincare_constant(dom, tol=1e-12) - lam))
+            errs.append(abs(1.0 / G.poincare_constant(dom) - lam))
         assert math.log2(errs[0] / errs[1]) > 1.9
 
-    def test_nonconvergence_carries_last_iterate(self):
-        dom = G.BoxDomain(2, (1.0, 1.0), (16, 16))
-        with pytest.raises(G.ConvergenceError) as info:
-            G.poincare_constant(dom, tol=1e-15, max_iter=2)
-        assert info.value.last is not None
-        assert info.value.history
+    @pytest.mark.parametrize(
+        "dom",
+        [
+            G.BoxDomain(1, (1.5,), (40,)),
+            G.BoxDomain(2, (1.0, 1.0), (32, 32)),
+            G.BoxDomain(2, (0.5, 2.0), (9, 14)),
+            G.BoxDomain(3, (1.0, 1.0, 1.0), (16, 16, 16)),
+            G.BoxDomain(3, (1.0, 0.75, 2.5), (6, 5, 11)),
+        ],
+    )
+    def test_matches_sparse_eigensolver(self, dom):
+        # independent of the closed form: shift-invert Lanczos on the
+        # assembled matrix
+        from scipy.sparse.linalg import eigsh
+
+        lam = eigsh(G.laplacian_matrix(dom).tocsc(), k=1, sigma=0.0, which="LM")[0][0]
+        assert G.poincare_constant(dom) == pytest.approx(1.0 / lam, rel=1e-10)
 
     def test_poincare_inequality_random_fields(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (12, 12))
-        cp = G.poincare_constant(dom, tol=1e-12)
+        cp = G.poincare_constant(dom)
         rng = np.random.default_rng(7)
         for _ in range(100):
             v = rand_gf(dom, rng)
@@ -202,16 +265,6 @@ class TestLinearAlgebra:
         xg = G.GridFunction(dom, x)
         resid = 0.3 * x + 2.0 * G.laplacian(xg).values - b
         assert np.max(np.abs(resid)) < 1e-11
-
-    def test_cg_solves_and_fails_honestly(self):
-        dom = G.BoxDomain(1, (1.0,), (16,))
-        rng = np.random.default_rng(2)
-        b = rng.standard_normal(dom.interior_shape)
-        apply_lap = lambda x: G.laplacian(G.GridFunction(dom, x)).values
-        x, _ = G.conjugate_gradient(apply_lap, b, tol=1e-12)
-        assert np.linalg.norm(apply_lap(x) - b) <= 1e-11 * np.linalg.norm(b)
-        with pytest.raises(G.ConvergenceError):
-            G.conjugate_gradient(apply_lap, b, tol=1e-14, max_iter=1)
 
 
 class TestSerialization:

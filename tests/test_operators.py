@@ -351,6 +351,25 @@ class TestNonFinite:
 # -- flux assembly against the reference assembly ---------------------------
 
 
+def t_dependent_drift(dim):
+    """A drift linear in z whose coefficient grows with t."""
+    e = np.linspace(0.6, 0.8, dim)
+    e = tuple(e / np.linalg.norm(e))
+
+    def bound(coords, t):
+        return (1.0 + 3.0 * t) * (1.0 + coords[0] + 0.0 * coords[-1])
+
+    def velocity(coords, t):
+        b = bound(coords, t)
+        return tuple(b * ea for ea in e)
+
+    def evaluate(coords, t, z):
+        b = bound(coords, t)
+        return tuple(z * b * ea for ea in e)
+
+    return M.DriftFlux(evaluate=evaluate, bound=bound, velocity=velocity)
+
+
 def reference_to_faces(values, axis):
     """Zero-ghost padding followed by adjacent averaging."""
     pad = [(1, 1) if a == axis else (0, 0) for a in range(values.ndim)]
@@ -482,23 +501,7 @@ class TestFluxAssembly:
         # a drift whose velocity changes with t: each (t, level) slice must
         # keep its own cached face drift
         dom = G.BoxDomain(2, (1.0, 1.0), (8, 8))
-        e = (0.6, 0.8)
-
-        def bound(coords, t):
-            return (1.0 + 3.0 * t) * (1.0 + coords[0] + 0.0 * coords[1])
-
-        def velocity(coords, t):
-            b = bound(coords, t)
-            return tuple(b * ea for ea in e)
-
-        def evaluate(coords, t, z):
-            b = bound(coords, t)
-            return tuple(z * b * ea for ea in e)
-
-        data = replace(
-            M.make_model("heat", dom, 1.0),
-            drift=M.DriftFlux(evaluate=evaluate, bound=bound, velocity=velocity),
-        )
+        data = replace(M.make_model("heat", dom, 1.0), drift=t_dependent_drift(2))
         u = rand_gf(dom, np.random.default_rng(15))
         slices = [(0.0, 1.5), (1.0, 1.5), (1.0, 4.0), (0.0, 4.0)]
         for mode in ("full", "remainder"):
@@ -512,3 +515,75 @@ class TestFluxAssembly:
                     assert_relative(op.drift_flux(u, axis), drift)
             weights = {id(op._face_drift(0, False)) for op in ops}
             assert len(weights) == len(ops)
+            # moving a slice of this drift in time samples it afresh
+            for t, lv in slices:
+                op = TruncatedOperator(data, t, level=lv, drift_mode=mode)
+                op.flux(u)
+                moved = op.at(t + 0.5)
+                assert moved._face_drift(0, False) is not op._face_drift(0, False)
+                assert moved._face_bound(1) is not op._face_bound(1)
+                for axis in range(2):
+                    _, drift, _ = reference_flux_parts(data, t + 0.5, lv, mode, u, axis)
+                    assert_relative(moved.drift_flux(u, axis), drift)
+        # the singular drift is autonomous: every slice shares one sample
+        autonomous = M.make_model("singular-drift", dom, 1.0, c=0.3)
+        for mode in ("full", "remainder"):
+            op = TruncatedOperator(autonomous, 0.0, level=1.5, drift_mode=mode)
+            op.flux(u)
+            moved = op.at(0.5).at(0.75)
+            assert moved._face_drift(0, False) is op._face_drift(0, False)
+            assert moved._face_bound(1) is op._face_bound(1)
+            assert moved._face_coords is op._face_coords
+            assert op.at(0.0) is op
+
+
+@st.composite
+def time_slice_cases(draw):
+    dim = draw(st.integers(1, 3))
+    lengths = tuple(draw(st.floats(0.25, 4.0)) for _ in range(dim))
+    top = (24, 16, 10)[dim - 1]
+    cells = tuple(draw(st.integers(2, top)) for _ in range(dim))
+    dom = G.BoxDomain(dim, lengths, cells)
+    kind = draw(st.sampled_from(("singular-drift", "variable-diffusion", "t-dependent")))
+    if kind == "singular-drift":
+        data = M.make_model(
+            kind,
+            dom,
+            1.0,
+            c=draw(st.floats(0.01, 2.0)),
+            direction=tuple(draw(st.floats(0.1, 1.0)) for _ in range(dim)),
+        )
+    elif kind == "variable-diffusion":
+        data = M.make_model(kind, dom, 1.0)
+    else:
+        data = replace(M.make_model("heat", dom, 1.0), drift=t_dependent_drift(dim))
+    mode = draw(st.sampled_from(("none", "full", "remainder")))
+    t1, t2 = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    level = draw(st.floats(0.05, 20.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    u = rand_gf(dom, rng, scale=draw(st.floats(0.1, 10.0)))
+    return data, mode, t1, t2, level, u
+
+
+class TestTimeSlices:
+    @given(case=time_slice_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_moved_slice_equals_fresh_operator(self, case):
+        data, mode, t1, t2, level, u = case
+
+        def parts(op):
+            out = list(op.flux(u).components) + [np.array(op.drift_face_max())]
+            if data.has_drift and mode == "remainder":
+                out += [op.drift_flux(u, a, explicit=True) for a in range(data.domain.dim)]
+            return out
+
+        op = TruncatedOperator(data, t1, level=level, drift_mode=mode)
+        before = parts(op)  # fills every cache at t1 first
+        moved = op.at(t2)
+        assert moved.t == t2 and op.at(t1) is op
+        fresh = TruncatedOperator(data, t2, level=level, drift_mode=mode)
+        for ours, ref in zip(parts(moved), parts(fresh)):
+            assert np.array_equal(ours, ref)
+        # and the slice it came from still answers for t1
+        for ours, ref in zip(parts(op), before):
+            assert np.array_equal(ours, ref)
