@@ -518,39 +518,45 @@ def weak_residual(
     T = dt * (len(states) - 1)
     if tests is None:
         tests = default_test_battery(dom, T)
-    out = []
     op = TruncatedOperator(data, dt, drift_mode="full" if data.has_drift else "none")
-    for test in tests:
-        acc = 0.0
-        scale = 0.0
-        for j in range(1, len(states)):
-            t = j * dt
-            u = states[j]
+    # one accumulator pair per test, summed over the slices in the same j
+    # order as a per-test loop; each slice's flux and source are assembled once
+    acc = [0.0] * len(tests)
+    scale = [0.0] * len(tests)
+    for j in range(1, len(states)):
+        t = j * dt
+        u = states[j]
+        op = op.at(t)
+        flux = op.flux(u)
+        src = data.source_field(t)
+        u_n = norm_l2(u)
+        flux_n = math.sqrt(max(inner_vec(flux, flux), 0.0))
+        src_n = math.sqrt(max(inner_vec(src, src), 0.0)) if src is not None else 0.0
+        for i, test in enumerate(tests):
             phi = test.value(dom, t)
             dphi = test.dt(dom, t)
-            op = op.at(t)
-            flux = op.flux(u)
             gphi = gradient(phi)
-            src = data.source_field(t)
             src_pair = inner_vec(src, gphi) if src is not None else 0.0
-            acc += dt * (-inner(u, dphi) + inner_vec(flux, gphi) - src_pair)
+            acc[i] += dt * (-inner(u, dphi) + inner_vec(flux, gphi) - src_pair)
             # Cauchy-Schwarz size of the terms; immune to cancellation, so the
             # normalized residual stays meaningful for test functions nearly
             # orthogonal to the trajectory.
             gphi_n = math.sqrt(max(inner_vec(gphi, gphi), 0.0))
-            scale += dt * (
-                norm_l2(u) * norm_l2(dphi)
-                + math.sqrt(max(inner_vec(flux, flux), 0.0)) * gphi_n
-                + (math.sqrt(max(inner_vec(src, src), 0.0)) * gphi_n if src is not None else 0.0)
+            scale[i] += dt * (
+                u_n * norm_l2(dphi)
+                + flux_n * gphi_n
+                + (src_n * gphi_n if src is not None else 0.0)
             )
+    out = []
+    for i, test in enumerate(tests):
         phi0 = test.value(dom, 0.0)
-        acc -= inner(states[0], phi0)
-        scale += norm_l2(states[0]) * norm_l2(phi0)
+        total = acc[i] - inner(states[0], phi0)
+        size = scale[i] + norm_l2(states[0]) * norm_l2(phi0)
         out.append(
             WeakResidualEntry(
                 name=test.name,
-                residual=abs(acc),
-                normalized=abs(acc) / max(scale, 1e-300),
+                residual=abs(total),
+                normalized=abs(total) / max(size, 1e-300),
             )
         )
     return out

@@ -15,14 +15,13 @@ Laplacian and monotonicity arguments carry over to the grid verbatim.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
-import scipy.sparse
 
 
 class ConvergenceError(RuntimeError):
@@ -299,36 +298,16 @@ def laplacian(u: GridFunction) -> GridFunction:
     return GridFunction(u.domain, -divergence(g).values)
 
 
-def laplacian_matrix(domain: BoxDomain) -> scipy.sparse.csr_matrix:
-    """Assembled sparse -Laplacian, row-major node ordering.
-
-    Kept for cross-checks against the matrix-free operators; the solvers
-    themselves never assemble it.
-    """
-    blocks = []
-    for h, n in zip(domain.spacing, domain.cells):
-        m = n - 1
-        ones = np.ones(m)
-        blocks.append(
-            scipy.sparse.spdiags([-ones, 2 * ones, -ones], [-1, 0, 1], m, m) / h**2
-        )
-    eyes = [scipy.sparse.eye(n - 1, format="csr") for n in domain.cells]
-    total = None
-    for a, B in enumerate(blocks):
-        factors = [B if i == a else eyes[i] for i in range(domain.dim)]
-        term = reduce(scipy.sparse.kron, factors)
-        total = term if total is None else total + term
-    return total.tocsr()
-
-
 @lru_cache(maxsize=64)
 def laplacian_symbol(domain: BoxDomain) -> np.ndarray:
-    """Eigenvalues of the discrete Dirichlet Laplacian on the sine basis."""
+    """Eigenvalues of the discrete Dirichlet Laplacian on the sine basis, read-only."""
     axes = []
     for h, n in zip(domain.spacing, domain.cells):
         k = np.arange(1, n)
         axes.append((4.0 / h**2) * np.sin(k * np.pi / (2 * n)) ** 2)
-    return reduce(np.add.outer, axes) if len(axes) > 1 else axes[0]
+    sym = reduce(np.add.outer, axes) if len(axes) > 1 else axes[0]
+    sym.flags.writeable = False
+    return sym
 
 
 def smallest_eigenvalue_exact(domain: BoxDomain) -> float:
@@ -341,18 +320,69 @@ def smallest_eigenvalue_exact(domain: BoxDomain) -> float:
     )
 
 
+# Longest axis whose sine transform is a dense matmul.  Measured per
+# helmholtz_solve call on m x m grids (one BLAS thread), the dense transform
+# beats scipy.fft up to m = 127 and loses at m = 255.
+_DENSE_SINE_MAX = 127
+
+
+@lru_cache(maxsize=64)
+def _sine_matrix(m: int) -> np.ndarray:
+    """Orthonormal DST-I matrix S[j, k] = sqrt(2/(m+1)) sin(pi j k/(m+1)), read-only.
+
+    S is symmetric and its own inverse.  j k is reduced modulo 2 (m+1) in
+    integers first, so every sine argument lies in [0, 2 pi) and carries no
+    rounding error from a large product.
+    """
+    k = np.arange(1, m + 1)
+    phase = np.outer(k, k) % (2 * (m + 1))
+    S = np.sqrt(2.0 / (m + 1)) * np.sin(phase * (np.pi / (m + 1)))
+    S.flags.writeable = False
+    return S
+
+
+def _sine_transform(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I along every axis of `x`; its own inverse.
+
+    An axis of at most `_DENSE_SINE_MAX` points is transformed by one
+    matmul with the cached sine matrix, which at these lengths costs less
+    than an FFT call's overhead; a longer axis goes through scipy.fft.
+    """
+    shape = x.shape
+    for a, m in enumerate(shape):
+        if m > _DENSE_SINE_MAX:
+            import scipy.fft
+
+            x = scipy.fft.dst(x, type=1, axis=a, norm="ortho")
+        elif a == len(shape) - 1:
+            x = (x.reshape(-1, m) @ _sine_matrix(m)).reshape(shape)
+        else:
+            before = math.prod(shape[:a])
+            x = (_sine_matrix(m) @ x.reshape(before, m, -1)).reshape(shape)
+    return x
+
+
+@lru_cache(maxsize=16)
+def _inverse_symbol(domain: BoxDomain, shift: float, scale: float) -> np.ndarray:
+    """1 / (shift + scale * laplacian_symbol(domain)), read-only."""
+    inv = 1.0 / (shift + scale * laplacian_symbol(domain))
+    inv.flags.writeable = False
+    return inv
+
+
 def helmholtz_solve(
     domain: BoxDomain, rhs: np.ndarray, shift: float, scale: float = 1.0
 ) -> np.ndarray:
     """Solve (shift*I + scale*(-Laplacian)) x = rhs by sine-transform diagonalization.
 
-    Exact up to roundoff on the uniform grid; used directly for
-    constant-coefficient solves and as the preconditioner everywhere else.
+    The sine basis diagonalizes the Dirichlet Laplacian, so x = S(S(rhs) /
+    symbol) with S the orthonormal DST-I along every axis (`_sine_transform`:
+    a dense matmul per axis of at most `_DENSE_SINE_MAX` points, scipy.fft
+    beyond) and 1/symbol cached per (domain, shift, scale).  Exact up to
+    roundoff on the uniform grid; used directly for constant-coefficient
+    solves and as the preconditioner everywhere else.
     """
-    sym = shift + scale * laplacian_symbol(domain)
-    hat = scipy.fft.dstn(rhs, type=1, norm="ortho")
-    hat /= sym
-    return scipy.fft.idstn(hat, type=1, norm="ortho")
+    return _sine_transform(_sine_transform(rhs) * _inverse_symbol(domain, shift, scale))
 
 
 def poincare_constant(domain: BoxDomain) -> float:

@@ -14,6 +14,7 @@ remainder b - T_M(b).
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -355,10 +356,6 @@ def make_truncation_plan(
 # ---------------------------------------------------------------------------
 
 
-def _zero_initial(domain: BoxDomain) -> GridFunction:
-    return grid.zeros(domain)
-
-
 def _eigen_profile(coords: Coords, lengths) -> np.ndarray:
     out = 1.0
     for x, L in zip(coords, lengths):
@@ -541,16 +538,29 @@ def _check_drift_field(field: GridFunction, domain: BoxDomain) -> None:
 
 
 def _node_field_evaluator(field: GridFunction):
-    """Nearest-node lookup so a stored coefficient can be sampled anywhere."""
+    """Lookup of a stored node coefficient at nodes and staggered faces.
+
+    Each coordinate is classified by its half-index rint(2 x / h): an even
+    one is a node, which reads its own value; an odd one is a face between
+    two nodes, which reads the larger of them, so the face value stays an
+    upper bound for b and the truncation certificate stays conservative.  A
+    boundary face reads its one interior neighbour.
+    """
     dom = field.domain
 
     def bound(coords, t):
-        idx = []
-        for a, (x, h, n) in enumerate(zip(coords, dom.spacing, dom.cells)):
-            i = np.clip(np.rint(np.asarray(x) / h).astype(int) - 1, 0, n - 2)
-            idx.append(i)
-        idx = np.broadcast_arrays(*idx)
-        return field.values[tuple(idx)]
+        choices = []
+        for x, h, n in zip(coords, dom.spacing, dom.cells):
+            half = np.rint(2.0 * np.asarray(x) / h).astype(int)
+            # interior node k is stored at index k - 1
+            lo = np.clip(half // 2 - 1, 0, n - 2)
+            hi = np.clip((half + 1) // 2 - 1, 0, n - 2)
+            choices.append((lo,) if np.array_equal(lo, hi) else (lo, hi))
+        out = None
+        for pick in itertools.product(*choices):
+            vals = field.values[tuple(np.broadcast_arrays(*pick))]
+            out = vals if out is None else np.maximum(out, vals)
+        return out
 
     return bound
 

@@ -16,9 +16,11 @@ A u = f are solved by one kernel, `_monotone_iteration`: damped Picard
 K = I + lam * gamma * (-Laplacian), or gamma * (-Laplacian) for the
 stationary problem.  Strong monotonicity makes the preconditioned map a
 contraction for a small enough damping factor, and K itself is inverted
-exactly by one sine transform, since its coefficients are constant.  A
-step that fails to lower the residual is backtracked by halving the
-damping factor.
+exactly by `grid.helmholtz_solve`, since its coefficients are constant: a
+forward and an inverse sine transform around a cached inverse symbol.  An
+axis of at most `grid._DENSE_SINE_MAX` points is transformed by a dense
+matmul with a cached sine matrix, a longer one by scipy.fft.  A step that
+fails to lower the residual is backtracked by halving the damping factor.
 
 When Picard contracts slowly -- after the first damped step that lowers
 the residual by less than a factor 10 -- the kernel switches on type-II

@@ -83,7 +83,8 @@ def test_criterion_02_accretivity_margin():
 
 
 def test_criterion_03_exact_eigen_decay():
-    dom = G.BoxDomain(2, (1.0, 1.0), (64, 64))
+    # 127 interior points per axis: the longest axis the dense sine transform takes
+    dom = G.BoxDomain(2, (1.0, 1.0), (128, 128))
     data = M.make_model("heat", dom, 0.3)
     tau = 1e-3
     cfg = EvolutionConfig(dt=tau, horizon=0.3, resolvent=ResolventConfig(tol=1e-14))

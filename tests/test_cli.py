@@ -241,6 +241,20 @@ class TestMain:
         assert code == 0
         assert "pass" in capsys.readouterr().out
 
+    def test_exit_one_on_failed_check(self, tmp_path, capsys):
+        # two levels far below the drift's size never saturate, so the last
+        # two continuation states still differ
+        text = (
+            "experiment = continuation\nmodel = singular-drift\nmodel.c = 0.08\n"
+            "domain.cells = 8,8\ntime.dt = 0.01\ntime.T = 0.05\n"
+            "truncation.m0 = 0.01\ntruncation.levels = 2\n"
+        )
+        path = write_cfg(tmp_path, text)
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] saturated_levels_agree" in out
+        assert "continuation: FAIL" in out
+
     def test_exit_two_on_parse_error(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "")
         assert cli.main(["run", str(path)]) == 2

@@ -272,3 +272,74 @@ class TestWeakResidual:
             entries = E.weak_residual(trace.states, data, tau)
             vals.append(max(e.normalized for e in entries))
         assert vals[1] < 0.65 * vals[0]
+
+
+def _weak_residual_per_test(states, data, dt, tests):
+    """Reference: the test-outer loop, re-assembling flux and source per test."""
+    from driftflow.grid import gradient, inner, inner_vec, norm_l2
+    from driftflow.operators import TruncatedOperator
+
+    dom = data.domain
+    out = []
+    op = TruncatedOperator(data, dt, drift_mode="full" if data.has_drift else "none")
+    for test in tests:
+        acc = 0.0
+        scale = 0.0
+        for j in range(1, len(states)):
+            t = j * dt
+            u = states[j]
+            phi = test.value(dom, t)
+            dphi = test.dt(dom, t)
+            op = op.at(t)
+            flux = op.flux(u)
+            gphi = gradient(phi)
+            src = data.source_field(t)
+            src_pair = inner_vec(src, gphi) if src is not None else 0.0
+            acc += dt * (-inner(u, dphi) + inner_vec(flux, gphi) - src_pair)
+            gphi_n = math.sqrt(max(inner_vec(gphi, gphi), 0.0))
+            scale += dt * (
+                norm_l2(u) * norm_l2(dphi)
+                + math.sqrt(max(inner_vec(flux, flux), 0.0)) * gphi_n
+                + (math.sqrt(max(inner_vec(src, src), 0.0)) * gphi_n if src is not None else 0.0)
+            )
+        phi0 = test.value(dom, 0.0)
+        acc -= inner(states[0], phi0)
+        scale += norm_l2(states[0]) * norm_l2(phi0)
+        out.append((test.name, abs(acc), abs(acc) / max(scale, 1e-300)))
+    return out
+
+
+class TestWeakResidualAssembly:
+    @pytest.mark.parametrize(
+        "name, cells", [("manufactured", (10, 12)), ("singular-drift", (9, 8)), ("heat", (5, 6, 7))]
+    )
+    def test_bit_identical_to_per_test_loop(self, name, cells):
+        dom = G.BoxDomain(len(cells), (1.0, 1.3, 0.8)[: len(cells)], cells)
+        data = M.make_model(name, dom, 0.05)
+        tau = 0.01
+        _, trace = E.evolve(data, cfg(tau, 0.05, store_states=True))
+        tests = E.default_test_battery(dom, 0.05)
+        got = [
+            (e.name, e.residual, e.normalized)
+            for e in E.weak_residual(trace.states, data, tau, tests)
+        ]
+        assert got == _weak_residual_per_test(trace.states, data, tau, tests)
+
+    def test_one_flux_assembly_per_slice(self, monkeypatch):
+        from driftflow.operators import TruncatedOperator
+
+        calls = []
+        original = TruncatedOperator.flux
+
+        def counting_flux(self, u):
+            calls.append(self.t)
+            return original(self, u)
+
+        monkeypatch.setattr(TruncatedOperator, "flux", counting_flux)
+        dom = G.BoxDomain(2, (1.0, 1.0), (8, 8))
+        data = M.make_model("singular-drift", dom, 0.05)
+        states = [data.initial * (1.0 - 0.1 * j) for j in range(6)]
+        tests = E.default_test_battery(dom, 0.05)
+        assert len(tests) > 1
+        E.weak_residual(states, data, 0.01, tests)
+        assert calls == pytest.approx([0.01 * j for j in range(1, 6)])

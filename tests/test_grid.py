@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftflow import grid as G
+
+from _oracles import laplacian_matrix
 
 
 def rand_gf(dom, rng, scale=1.0):
@@ -234,7 +240,7 @@ class TestPoincare:
         # assembled matrix
         from scipy.sparse.linalg import eigsh
 
-        lam = eigsh(G.laplacian_matrix(dom).tocsc(), k=1, sigma=0.0, which="LM")[0][0]
+        lam = eigsh(laplacian_matrix(dom).tocsc(), k=1, sigma=0.0, which="LM")[0][0]
         assert G.poincare_constant(dom) == pytest.approx(1.0 / lam, rel=1e-10)
 
     def test_poincare_inequality_random_fields(self):
@@ -252,7 +258,7 @@ class TestLinearAlgebra:
         dom = G.BoxDomain(2, (1.0, 1.5), (6, 5))
         rng = np.random.default_rng(5)
         u = rand_gf(dom, rng)
-        A = G.laplacian_matrix(dom)
+        A = laplacian_matrix(dom)
         assert np.allclose(
             A @ u.values.ravel(), G.laplacian(u).values.ravel(), rtol=1e-13, atol=1e-13
         )
@@ -265,6 +271,83 @@ class TestLinearAlgebra:
         xg = G.GridFunction(dom, x)
         resid = 0.3 * x + 2.0 * G.laplacian(xg).values - b
         assert np.max(np.abs(resid)) < 1e-11
+
+
+def _scipy_helmholtz(dom, b, shift, scale):
+    import scipy.fft
+
+    hat = scipy.fft.dstn(b, type=1, norm="ortho")
+    hat /= shift + scale * G.laplacian_symbol(dom)
+    return scipy.fft.idstn(hat, type=1, norm="ortho")
+
+
+# interior points per axis on both sides of the dense/FFT threshold
+_AXIS_POINTS = st.one_of(
+    st.integers(1, 20),
+    st.integers(G._DENSE_SINE_MAX - 2, G._DENSE_SINE_MAX + 3),
+)
+
+
+class TestSineTransform:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        points=st.integers(1, 3).flatmap(lambda d: st.lists(_AXIS_POINTS, min_size=d, max_size=d)),
+        lengths=st.lists(st.floats(0.3, 3.0), min_size=3, max_size=3),
+        shift=st.floats(0.0, 2.0),
+        scale=st.floats(1e-3, 5.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_scipy_dstn(self, points, lengths, shift, scale, seed):
+        if len(points) == 3:
+            points[2] = min(points[2], 12)  # keep 3D boxes small
+        dim = len(points)
+        dom = G.BoxDomain(dim, lengths[:dim], [m + 1 for m in points])
+        b = np.random.default_rng(seed).standard_normal(dom.interior_shape)
+        x = G.helmholtz_solve(dom, b, shift, scale)
+        ref = _scipy_helmholtz(dom, b, shift, scale)
+        assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "points", [(8, G._DENSE_SINE_MAX + 3), (G._DENSE_SINE_MAX + 3, 5), (G._DENSE_SINE_MAX,)]
+    )
+    def test_mixed_dense_and_fft_axes(self, points):
+        dom = G.BoxDomain(len(points), (1.0, 0.7)[: len(points)], [m + 1 for m in points])
+        b = np.random.default_rng(3).standard_normal(dom.interior_shape)
+        before = b.copy()
+        x = G.helmholtz_solve(dom, b, 0.5, 0.25)
+        np.testing.assert_array_equal(b, before)
+        ref = _scipy_helmholtz(dom, b, 0.5, 0.25)
+        assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_cached_arrays_are_read_only(self):
+        dom = G.BoxDomain(2, (1.0, 2.0), (6, 9))
+        for arr in (G._sine_matrix(5), G._inverse_symbol(dom, 1.0, 0.1), G.laplacian_symbol(dom)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert G._inverse_symbol(dom, 1.0, 0.1) is G._inverse_symbol(dom, 1.0, 0.1)
+
+    def test_no_scipy_on_the_import_path(self):
+        # the dense transform covers every axis up to the threshold, so
+        # importing the library and resolving on a small grid never loads scipy
+        code = (
+            "import sys\n"
+            "import driftflow\n"
+            "from driftflow import grid as G, models as M\n"
+            "from driftflow.operators import ResolventConfig, TruncatedOperator\n"
+            "dom = G.BoxDomain(2, (1.0, 1.0), (33, 33))\n"
+            "data = M.make_model('variable-diffusion', dom, 0.5)\n"
+            "op = TruncatedOperator(data, 0.0, drift_mode='none')\n"
+            "op.resolve(data.initial, ResolventConfig(lam=0.1, tol=1e-12))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(G.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestSerialization:

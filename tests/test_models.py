@@ -201,6 +201,58 @@ class TestSingularPoint:
         assert np.allclose(got.values, field.values)
 
 
+class TestDriftFileLookup:
+    def test_faces_read_the_larger_neighbour(self):
+        # rounding halves to even used to give 1, 2, 2, 4, 4, 6, 6, 7: every
+        # odd-numbered node was never read on a face
+        dom = G.BoxDomain(1, (1.0,), (8,))
+        field = G.GridFunction(dom, np.arange(1.0, 8.0))
+        data = M.make_model("singular-drift", dom, 0.5, drift_field=field)
+        faces = data.drift.bound(G.face_coordinates(dom, 0), 0.0)
+        np.testing.assert_array_equal(faces, [1, 2, 3, 4, 5, 6, 7, 7])
+        np.testing.assert_array_equal(data.drift_bound_grid(0.0).values, field.values)
+
+    @pytest.mark.parametrize(
+        "dom",
+        [
+            G.BoxDomain(1, (1.0,), (16,)),
+            G.BoxDomain(1, (2.0,), (15,)),
+            G.BoxDomain(2, (1.0, 2.5), (15, 8)),
+            G.BoxDomain(3, (0.5, 1.0, 2.0), (7, 6, 11)),
+        ],
+        ids=["1d-even", "1d-odd", "2d-mixed", "3d-mixed"],
+    )
+    def test_stored_analytic_field_brackets_the_analytic_faces(self, dom):
+        analytic = M.make_model("singular-drift", dom, 0.5, c=0.3)
+        nodes = analytic.drift_bound_grid(0.0)
+        stored = M.make_model("singular-drift", dom, 0.5, c=0.3, drift_field=nodes)
+        x0 = M.singular_point(dom)
+        for a, (h, n) in enumerate(zip(dom.spacing, dom.cells)):
+            coords = G.face_coordinates(dom, a)
+            read = stored.drift.bound(coords, 0.0)
+            exact = np.broadcast_to(analytic.drift.bound(coords, 0.0), read.shape)
+            # face k sits between nodes k and k + 1 (stored at k - 1 and k);
+            # the boundary nodes are not stored and do not count
+            pad = [(0, 0)] * dom.dim
+            pad[a] = (1, 1)
+            hi = np.pad(nodes.values, pad, constant_values=-np.inf)
+            lo = np.pad(nodes.values, pad, constant_values=np.inf)
+            left = [slice(None)] * dom.dim
+            right = [slice(None)] * dom.dim
+            left[a], right[a] = slice(None, -1), slice(1, None)
+            upper = np.maximum(hi[tuple(left)], hi[tuple(right)])
+            lower = np.minimum(lo[tuple(left)], lo[tuple(right)])
+            np.testing.assert_array_equal(read, upper)
+            # c/|x - x0| is monotone along every segment between two nodes
+            # except the one whose span along `a` contains x0_a
+            k = np.arange(n).reshape([-1 if i == a else 1 for i in range(dom.dim)])
+            monotone = np.broadcast_to((k * h > x0[a]) | ((k + 1) * h < x0[a]), read.shape)
+            interior = np.broadcast_to((k > 0) & (k < n - 1), read.shape)
+            assert np.all(exact[monotone] <= read[monotone] * (1 + 1e-13))
+            both = monotone & interior
+            assert np.all(lower[both] <= exact[both] * (1 + 1e-13))
+
+
 class TestVariableDiffusion:
     def test_coefficient_respects_bounds(self):
         data = M.make_model("variable-diffusion", DOM2, 0.5, alpha=0.5, beta=1.5)
