@@ -23,8 +23,9 @@ construction up to solver tolerance.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,7 +54,6 @@ class EvolutionConfig:
     truncation: TruncationPlan | None = None
     resolvent: ResolventConfig = field(default_factory=lambda: ResolventConfig(tol=1e-12))
     energy_tol: float = 1e-10
-    store_states: bool = False
 
     def __post_init__(self):
         if self.dt <= 0 or self.horizon <= 0:
@@ -73,7 +73,7 @@ class EvolutionConfig:
 
 @dataclass
 class EvolutionTrace:
-    """Per-step record of norms, energies, and solver effort."""
+    """Per-step norms, energies and solver effort; the states go to `observe`."""
 
     times: list[float] = field(default_factory=list)
     l2_norms: list[float] = field(default_factory=list)
@@ -83,7 +83,6 @@ class EvolutionTrace:
     solver_iterations: list[int] = field(default_factory=list)
     energy_violation: list[float] = field(default_factory=list)
     initial_l2: float = 0.0
-    states: list[GridFunction] | None = None
 
     CSV_COLUMNS = (
         "step",
@@ -110,17 +109,16 @@ class EvolutionTrace:
         return sum(1 for v in self.energy_violation if v > 0)
 
     def rows(self):
-        for j in range(len(self.times)):
-            yield (
-                j + 1,
-                self.times[j],
-                self.l2_norms[j],
-                self.h1_seminorms[j],
-                self.cumulative_dissipation[j],
-                self.truncation_level[j],
-                self.solver_iterations[j],
-                self.energy_violation[j],
-            )
+        return zip(
+            range(1, len(self.times) + 1),
+            self.times,
+            self.l2_norms,
+            self.h1_seminorms,
+            self.cumulative_dissipation,
+            self.truncation_level,
+            self.solver_iterations,
+            self.energy_violation,
+        )
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -199,20 +197,18 @@ def _step_detailed(
     t, data = op.t, op.data
     dom = data.domain
     rescfg = replace(cfg.resolvent, lam=tau)
-    if cfg.splitting == "fully-implicit":
-        rhs_vals = u_prev.values
-        F = data.source_field(t)
-        if F is not None:
-            rhs_vals = u_prev.values - tau * divergence(F).values
-        u_new, diag = op.resolve_detailed(GridFunction(dom, rhs_vals), rescfg, x0=u_prev)
-        source = _effective_source(data, t, cfg.splitting, u_new, op)
+    implicit = cfg.splitting == "fully-implicit"
+    # the flux carried to the right-hand side: F alone when the drift is
+    # implicit, else F - theta_M B(t, u_prev)
+    if implicit:
+        rhs_flux = data.source_field(t)
     else:
-        source = _effective_source(data, t, cfg.splitting, u_prev, op)
-        rhs_vals = u_prev.values
-        if source is not None:
-            rhs_vals = u_prev.values - tau * divergence(source).values
-        u_new, diag = op.resolve_detailed(GridFunction(dom, rhs_vals), rescfg, x0=u_prev)
-
+        rhs_flux = _effective_source(data, t, cfg.splitting, u_prev, op)
+    rhs_vals = u_prev.values
+    if rhs_flux is not None:
+        rhs_vals = u_prev.values - tau * divergence(rhs_flux).values
+    u_new, diag = op.resolve_detailed(GridFunction(dom, rhs_vals), rescfg, x0=u_prev)
+    source = _effective_source(data, t, cfg.splitting, u_new, op) if implicit else rhs_flux
     gu = gradient(u_new)
     pair = inner_vec(source, gu) if source is not None else 0.0
     alpha = data.diffusion.alpha
@@ -242,36 +238,35 @@ def _default_level(cfg: EvolutionConfig) -> float | None:
     return cfg.truncation.levels[-1]
 
 
-def evolve(
-    data: ProblemData,
-    cfg: EvolutionConfig,
-    level: float | None = None,
-    u0: GridFunction | None = None,
-) -> tuple[GridFunction, EvolutionTrace]:
-    """March to the horizon, recording norms and energy slack per step.
+def _march(
+    data: ProblemData, cfg: EvolutionConfig, level: float | None,
+    u0: GridFunction | None, trace: EvolutionTrace,
+) -> Iterator[tuple[float, GridFunction]]:
+    """The one loop that advances a march: yield (t_j, u_j) for j = 0..steps.
 
-    Step failures raise ConvergenceError with the step, its time and the
-    partial trace attached.
+    Starts from a copy of u0 (data.initial if None), appends each step to
+    `trace` and holds only the current state.
     """
     if level is None:
         level = _default_level(cfg)
     if data.has_drift and cfg.splitting == "semi-implicit" and level is None:
         raise ValueError("semi-implicit with drift needs a truncation level")
+    if u0 is not None and u0.domain != data.domain:
+        raise ValueError(f"u0 lives on {u0.domain}, the problem on {data.domain}")
     if cfg.truncation is not None and level in cfg.truncation.levels:
         k = cfg.truncation.levels.index(level)
         if not cfg.truncation.certified(k):
-            import warnings
-
+            # frames: this generator, the loop that drives it, its caller
             warnings.warn(
                 f"truncation level {level:.6g} carries no accretivity "
                 "certificate; the run continues but the alpha/2 margin is "
                 "not guaranteed",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
     u = (u0 if u0 is not None else data.initial).copy()
-    trace = EvolutionTrace(states=[u] if cfg.store_states else None)
     trace.initial_l2 = norm_l2(u)
+    yield 0.0, u
     dissip = 0.0
     tau = cfg.dt
     # one operator per march; each step moves it to its own time, which
@@ -298,8 +293,26 @@ def evolve(
             res.iterations,
             max(0.0, res.energy_slack - cfg.energy_tol),
         )
-        if cfg.store_states:
-            trace.states.append(u)
+        yield t, u
+
+
+def evolve(
+    data: ProblemData,
+    cfg: EvolutionConfig,
+    level: float | None = None,
+    u0: GridFunction | None = None,
+    observe: Callable[[float, GridFunction], None] | None = None,
+) -> tuple[GridFunction, EvolutionTrace]:
+    """March to the horizon, recording norms and energy slack per step.
+
+    `observe(t, u)`, if given, sees the initial state at t = 0 and then each
+    new state; nothing keeps the trajectory.  Step failures raise
+    ConvergenceError with the step, its time and the partial trace attached.
+    """
+    trace = EvolutionTrace()
+    for t, u in _march(data, cfg, level, u0, trace):
+        if observe is not None:
+            observe(t, u)
     return u, trace
 
 
@@ -335,22 +348,20 @@ def continuation(data: ProblemData, cfg: EvolutionConfig) -> ContinuationResult:
     """
     if cfg.truncation is None or len(cfg.truncation.levels) < 2:
         raise ValueError("continuation needs a truncation plan with at least 2 levels")
-    import warnings as _warnings
-
     cfg = replace(cfg, splitting="semi-implicit")
     levels = []
-    warnings = []
+    notes = []
     for k, M in enumerate(cfg.truncation.levels):
         cert = cfg.truncation.certificates[k]
         if not cert.passes_evolution:
-            warnings.append(
+            notes.append(
                 f"level {M:.6g} lacks an accretivity certificate "
                 f"(measured {cert.measured:.3e}): {cert.note or 'bound exceeded'}"
             )
         # the per-level warning is already collected above; silence the
         # duplicate emitted by evolve
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             final, trace = evolve(data, cfg, level=M)
         levels.append(
             ContinuationLevel(
@@ -361,7 +372,7 @@ def continuation(data: ProblemData, cfg: EvolutionConfig) -> ContinuationResult:
         norm_l2(levels[k + 1].final_state - levels[k].final_state)
         for k in range(len(levels) - 1)
     ]
-    return ContinuationResult(levels=levels, differences=diffs, warnings=warnings)
+    return ContinuationResult(levels=levels, differences=diffs, warnings=notes)
 
 
 @dataclass
@@ -394,20 +405,21 @@ def uniqueness_harness(
 ) -> UniquenessReport:
     """March two initial states and check |u_j - v_j| <= e^{C t_j} |u_0 - v_0|.
 
-    C is the measured growth constant of the step's drift coupling,
+    The two marches advance in lockstep, so only their current states are
+    held.  C is the measured growth constant of the step's drift coupling,
     b_max^2 / (2 alpha) corrected for the finite step; it is zero without
     drift, in which case the scheme must contract monotonically.
     """
     if level is None:
         level = _default_level(cfg)
-    cfg_states = replace(cfg, store_states=True)
-    _, trace_u = evolve(data, cfg_states, level=level, u0=u0)
-    _, trace_v = evolve(data, cfg_states, level=level, u0=v0)
-    d0 = norm_l2(u0 - v0)
-    times = [0.0] + trace_u.times
-    dists = [d0] + [
-        norm_l2(a - b) for a, b in zip(trace_u.states[1:], trace_v.states[1:])
-    ]
+    times, dists = [], []
+    for (t, u), (_, v) in zip(
+        _march(data, cfg, level, u0, EvolutionTrace()),
+        _march(data, cfg, level, v0, EvolutionTrace()),
+    ):
+        times.append(t)
+        dists.append(norm_l2(u - v))
+    d0 = dists[0]
     alpha = data.diffusion.alpha
     if data.has_drift:
         clamp = level if cfg.splitting == "semi-implicit" else None
@@ -514,6 +526,8 @@ def weak_residual(
     with the full A + B flux; the marching schemes satisfy it up to
     O(tau + h^2) plus solver tolerance.
     """
+    if len(states) < 2:
+        raise ValueError(f"states needs u_0 and at least one step, got {len(states)}")
     dom = data.domain
     T = dt * (len(states) - 1)
     if tests is None:

@@ -29,29 +29,17 @@ class ConvergenceError(RuntimeError):
 
     `residuals` is the residual-norm history of a nonlinear solve and
     `history` the iteration record of any other iteration (it defaults to
-    `residuals`).  When the failure happens inside a time step, `evolve`
-    adds the step number `step`, its time `t` and the partial
-    `EvolutionTrace` as `trace`.
+    `residuals`).  When the failure happens inside a time step, the march
+    sets the step number `step`, its time `t` and the partial
+    `EvolutionTrace` as `trace`; otherwise they stay None.
     """
 
-    def __init__(
-        self,
-        message,
-        last=None,
-        history=None,
-        *,
-        residuals=None,
-        step: int | None = None,
-        t: float | None = None,
-        trace=None,
-    ):
+    def __init__(self, message, last=None, history=None, *, residuals=None):
         super().__init__(message)
         self.last = last
         self.residuals = list(residuals) if residuals is not None else []
         self.history = list(history) if history is not None else list(self.residuals)
-        self.step = step
-        self.t = t
-        self.trace = trace
+        self.step = self.t = self.trace = None
 
 
 @dataclass(frozen=True)

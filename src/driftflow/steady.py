@@ -90,7 +90,7 @@ class DecayReport:
     small_data_detail: dict = field(default_factory=dict)
     times: list[float] = field(default_factory=list)
     y_values: list[float] = field(default_factory=list)
-    # the marched trajectory's per-step record, without its states
+    # the marched trajectory's per-step record
     trace: EvolutionTrace | None = None
 
     def as_dict(self) -> dict:
@@ -201,19 +201,16 @@ def decay_experiment(
     The fit window is the second half of the horizon; early transients decay
     faster than the certified rate and would bias the fit upward.  If y sits
     at the numerical floor over the whole window the report flags saturation
-    instead of quoting a rate.  The report carries the trajectory's
-    EvolutionTrace, so callers need not march the same evolution again.
+    instead of quoting a rate.  y is taken from the streamed states, and the
+    report carries the march's EvolutionTrace, so nothing is marched twice.
     """
     dom = data.domain
     u_inf = solve_steady(data, steady_cfg)
-    if level is None and evo_cfg.truncation is not None:
-        level = evo_cfg.truncation.levels[-1]
-    from dataclasses import replace
-
-    _, trace = evolve(data, replace(evo_cfg, store_states=True), level=level)
+    y = []
+    _, trace = evolve(
+        data, evo_cfg, level=level, observe=lambda t, u: y.append(norm_l2(u - u_inf) ** 2)
+    )
     times = [0.0] + trace.times
-    y = [norm_l2(s - u_inf) ** 2 for s in trace.states]
-    trace.states = None
     cp = poincare_constant(dom)
     cp_bound = sum(L**2 for L in dom.lengths) / math.pi**2
     alpha = data.diffusion.alpha

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from driftflow import grid as G
 from driftflow import models as M
 from driftflow import evolution as E
 from driftflow.operators import ResolventConfig
+from driftflow.steady import SteadyConfig, decay_experiment, solve_steady
 
 TIGHT = ResolventConfig(tol=1e-13)
 
@@ -15,6 +17,13 @@ TIGHT = ResolventConfig(tol=1e-13)
 def cfg(dt, T, **kw):
     kw.setdefault("resolvent", TIGHT)
     return E.EvolutionConfig(dt=dt, horizon=T, **kw)
+
+
+def observed(data, c, **kw):
+    """The whole trajectory u_0..u_n, collected through evolve's observe."""
+    states = []
+    E.evolve(data, c, observe=lambda t, u: states.append(u), **kw)
+    return states
 
 
 class TestConfig:
@@ -122,14 +131,40 @@ class TestEvolve:
         dom = G.BoxDomain(2, (1.0, 1.0), (16, 16))
         data = M.make_model("manufactured", dom, 0.1)
         rng = np.random.default_rng(0)
-        c = cfg(5e-3, 0.1, store_states=True)
+        c = cfg(5e-3, 0.1)
         u0 = data.initial
         v0 = G.GridFunction(dom, u0.values + rng.standard_normal(dom.interior_shape))
-        _, tu = E.evolve(data, c, u0=u0)
-        _, tv = E.evolve(data, c, u0=v0)
+        us = observed(data, c, u0=u0)
+        vs = observed(data, c, u0=v0)
         d0 = G.norm_l2(u0 - v0)
-        for a, b in zip(tu.states[1:], tv.states[1:]):
+        for a, b in zip(us[1:], vs[1:]):
             assert G.norm_l2(a - b) <= d0 * (1 + 1e-12) + 1e-12
+
+    def test_observe_sees_every_state_once(self):
+        dom = G.BoxDomain(2, (1.0, 1.0), (8, 8))
+        data = M.make_model("manufactured", dom, 0.1)
+        seen = []
+        final, trace = E.evolve(
+            data, cfg(0.01, 0.1), observe=lambda t, u: seen.append((t, u))
+        )
+        assert [t for t, _ in seen] == [0.0] + trace.times
+        assert seen[0][1] is not data.initial
+        assert np.array_equal(seen[0][1].values, data.initial.values)
+        assert seen[-1][1] is final
+        assert [G.norm_l2(u) for _, u in seen[1:]] == trace.l2_norms
+
+    def test_initial_state_on_another_domain_rejected(self):
+        dom = G.BoxDomain(2, (1.0, 1.0), (8, 8))
+        data = M.make_model("heat", dom, 0.05)
+        c = cfg(0.01, 0.05)
+        stretched = G.BoxDomain(2, (2.0, 1.0), (8, 8))  # same cells, other lengths
+        finer = G.BoxDomain(2, (1.0, 1.0), (10, 10))
+        for other in (stretched, finer):
+            u0 = G.GridFunction(other, np.ones(other.interior_shape))
+            with pytest.raises(ValueError, match="u0"):
+                E.evolve(data, c, u0=u0)
+            with pytest.raises(ValueError, match="u0"):
+                E.uniqueness_harness(data, c, data.initial, u0)
 
     def test_splitting_consistency_global(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (16, 16))
@@ -241,14 +276,13 @@ class TestWeakResidual:
     def test_zero_test_function(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (8, 8))
         data = M.make_model("heat", dom, 0.1)
-        c = cfg(0.01, 0.1, store_states=True)
-        _, trace = E.evolve(data, c)
+        states = observed(data, cfg(0.01, 0.1))
         zero = E.SpaceTimeTest(
             name="zero",
             value=lambda dom_, t: G.zeros(dom_),
             dt=lambda dom_, t: G.zeros(dom_),
         )
-        out = E.weak_residual(trace.states, data, 0.01, tests=[zero])
+        out = E.weak_residual(states, data, 0.01, tests=[zero])
         assert out[0].residual == 0.0
 
     def test_exact_trace_residual_is_quadrature_error(self):
@@ -268,10 +302,18 @@ class TestWeakResidual:
         for n, tau in ((12, 4e-3), (24, 2e-3)):
             dom = G.BoxDomain(2, (1.0, 1.0), (n, n))
             data = M.make_model("manufactured", dom, 0.1)
-            _, trace = E.evolve(data, cfg(tau, 0.1, store_states=True))
-            entries = E.weak_residual(trace.states, data, tau)
+            states = observed(data, cfg(tau, 0.1))
+            entries = E.weak_residual(states, data, tau)
             vals.append(max(e.normalized for e in entries))
         assert vals[1] < 0.65 * vals[0]
+
+
+    def test_needs_initial_value_and_one_step(self):
+        dom = G.BoxDomain(2, (1.0, 1.0), (8, 8))
+        data = M.make_model("heat", dom, 0.1)
+        for states in ([data.initial], []):
+            with pytest.raises(ValueError, match="states"):
+                E.weak_residual(states, data, 0.01)
 
 
 def _weak_residual_per_test(states, data, dt, tests):
@@ -317,13 +359,13 @@ class TestWeakResidualAssembly:
         dom = G.BoxDomain(len(cells), (1.0, 1.3, 0.8)[: len(cells)], cells)
         data = M.make_model(name, dom, 0.05)
         tau = 0.01
-        _, trace = E.evolve(data, cfg(tau, 0.05, store_states=True))
+        states = observed(data, cfg(tau, 0.05))
         tests = E.default_test_battery(dom, 0.05)
         got = [
             (e.name, e.residual, e.normalized)
-            for e in E.weak_residual(trace.states, data, tau, tests)
+            for e in E.weak_residual(states, data, tau, tests)
         ]
-        assert got == _weak_residual_per_test(trace.states, data, tau, tests)
+        assert got == _weak_residual_per_test(states, data, tau, tests)
 
     def test_one_flux_assembly_per_slice(self, monkeypatch):
         from driftflow.operators import TruncatedOperator
@@ -343,3 +385,77 @@ class TestWeakResidualAssembly:
         assert len(tests) > 1
         E.weak_residual(states, data, 0.01, tests)
         assert calls == pytest.approx([0.01 * j for j in range(1, 6)])
+
+
+class TestStreamedTrajectories:
+    """decay_experiment and uniqueness_harness keep no trajectory; their
+    streamed numbers must equal those from a trajectory stored here."""
+
+    def test_decay_series_matches_stored_trajectory(self):
+        dom = G.BoxDomain(2, (1.0, 1.0), (12, 12))
+        data = M.make_model("lipschitz-nonlinear", dom, 0.1)
+        c, scfg = cfg(5e-3, 0.1), SteadyConfig(tol=1e-12)
+        rep = decay_experiment(data, c, scfg)
+        u_inf = solve_steady(data, scfg)
+        assert rep.y_values == [G.norm_l2(s - u_inf) ** 2 for s in observed(data, c)]
+
+    @pytest.mark.parametrize(
+        "model, level", [("variable-diffusion", None), ("singular-drift", 1.0)]
+    )
+    def test_uniqueness_distances_match_separate_marches(self, model, level):
+        dom = G.BoxDomain(2, (1.0, 1.0), (12, 12))
+        data = M.make_model(model, dom, 0.05)
+        rng = np.random.default_rng(3)
+        u0 = data.initial
+        v0 = G.GridFunction(dom, u0.values + 0.5 * rng.standard_normal(dom.interior_shape))
+        c = cfg(5e-3, 0.05)
+        rep = E.uniqueness_harness(data, c, u0, v0, level=level)
+        us = observed(data, c, u0=u0, level=level)
+        vs = observed(data, c, u0=v0, level=level)
+        assert rep.distances == [G.norm_l2(a - b) for a, b in zip(us, vs)]
+        assert rep.times == pytest.approx([j * 5e-3 for j in range(11)], abs=1e-15)
+
+    def test_step_failure_keeps_step_time_and_partial_trace(self):
+        dom = G.BoxDomain(2, (1.0, 1.0), (10, 10))
+        data = M.make_model("lipschitz-nonlinear", dom, 0.1)
+        bad = cfg(0.01, 0.1, resolvent=ResolventConfig(tol=1e-14, max_iter=1))
+        runs = (
+            lambda: decay_experiment(data, bad, SteadyConfig(tol=1e-12)),
+            lambda: E.uniqueness_harness(data, bad, data.initial, 0.5 * data.initial),
+        )
+        for run in runs:
+            with pytest.raises(G.ConvergenceError) as info:
+                run()
+            err = info.value
+            assert err.step == 1 and err.t == pytest.approx(0.01)
+            assert isinstance(err.trace, E.EvolutionTrace)
+            assert len(err.trace.times) == err.step - 1
+            assert err.trace.initial_l2 == G.norm_l2(data.initial)
+
+    def test_memory_does_not_grow_with_the_horizon(self):
+        # tracemalloc sees numpy buffers; a stored trajectory costs one
+        # state per step, a streamed one a few floats per step
+        dom = G.BoxDomain(2, (1.0, 1.0), (48, 48))
+        state_bytes = dom.interior_count * 8
+        rng = np.random.default_rng(4)
+        data = M.make_model("heat", dom, 0.4)
+        v0 = G.GridFunction(dom, rng.standard_normal(dom.interior_shape))
+        scfg = SteadyConfig(tol=1e-12)
+        runs = {
+            "decay": lambda c: decay_experiment(data, c, scfg),
+            "uniqueness": lambda c: E.uniqueness_harness(data, c, data.initial, v0),
+        }
+
+        def peak(run, steps):
+            c = cfg(1e-3, steps * 1e-3)
+            tracemalloc.start()
+            try:
+                run(c)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for name, run in runs.items():
+            run(cfg(1e-3, 0.01))  # fill the grid caches outside the measurement
+            growth = peak(run, 400) - peak(run, 100)
+            assert growth < 20 * state_bytes, (name, growth / state_bytes)
