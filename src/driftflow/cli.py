@@ -3,7 +3,9 @@
 Config files are flat ``key = value`` text.  Keys may be written with dots
 (``domain.cells = 32,32``) or grouped under ``[section]`` headers that
 prefix the keys which follow.  ``#`` starts a comment.  Unknown keys are
-rejected so typos fail loudly at parse time.
+rejected so typos fail loudly at parse time, and a value that does not
+convert or lies out of range is rejected, naming its key, before anything
+is solved.
 
 Exit codes: 0 all assertions passed, 1 an assertion failed, 2 config parse
 error, 3 solver failure.
@@ -16,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -35,7 +37,7 @@ from .steady import SteadyConfig, decay_experiment, solve_steady_detailed
 
 
 class ConfigError(ValueError):
-    """Raised on malformed config text; carries the offending line."""
+    """Raised on malformed config text or values; carries the offending line."""
 
     def __init__(self, message, line_no=None):
         super().__init__(message if line_no is None else f"line {line_no}: {message}")
@@ -57,14 +59,11 @@ _KNOWN_KEYS = {
     "truncation.levels",
     "solver.tol",
     "solver.max_iter",
-    "solver.relaxation",
-    "solver.energy_tol",
     "steady.tol",
     "steady.time",
     "evolve.refine",
     "uniqueness.amplitude",
     "output.dir",
-    "output.formats",
 }
 _MODEL_PREFIX = "model."
 
@@ -106,6 +105,25 @@ def _ints(value: str) -> tuple[int, ...]:
     return tuple(int(x) for x in value.split(","))
 
 
+def _positive(x) -> bool:
+    return x > 0
+
+
+def _read(
+    cfg: dict[str, str], key: str, default: str | None, convert=float, valid=None
+):
+    """cfg[key] (default if absent) through convert; a bad value names its key."""
+    value = cfg.get(key, default)
+    try:
+        x = convert(value)
+    except ValueError:
+        pass
+    else:
+        if valid is None or valid(x):
+            return x
+    raise ConfigError(f"bad value {value!r} for {key!r}")
+
+
 @dataclass
 class RunManifest:
     """What a run produced; serialized next to the outputs."""
@@ -133,26 +151,18 @@ class RunManifest:
             if p.is_file() and p.name != "run_manifest.json"
         )
         path = outdir / "run_manifest.json"
-        payload = {
-            "experiment": self.experiment,
-            "config": self.config,
-            "seed": self.seed,
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
-            "outputs": self.outputs,
-            "checks": self.checks,
-            "skipped": self.skipped,
-            "passed": self.passed,
-        }
-        _write_json(path, payload)
+        _write_json(path, {**asdict(self), "passed": self.passed})
         return path
 
 
 def _build_domain(cfg: dict[str, str]) -> BoxDomain:
-    dim = int(cfg.get("domain.dim", "2"))
-    lengths = _floats(cfg.get("domain.lengths", ",".join(["1"] * dim)))
-    cells = _ints(cfg.get("domain.cells", ",".join(["32"] * dim)))
-    return BoxDomain(dim, lengths, cells)
+    dim = _read(cfg, "domain.dim", "2", int, _positive)
+    lengths = _read(cfg, "domain.lengths", ",".join(["1"] * dim), _floats)
+    cells = _read(cfg, "domain.cells", ",".join(["32"] * dim), _ints)
+    try:
+        return BoxDomain(dim, lengths, cells)
+    except ValueError as err:
+        raise ConfigError(f"bad 'domain' settings: {err}") from None
 
 
 def _model_params(cfg: dict[str, str]) -> dict:
@@ -163,15 +173,15 @@ def _model_params(cfg: dict[str, str]) -> dict:
             if name == "drift_file":
                 params["drift_field"] = grid.load_grid_function(value)
             elif name == "direction":
-                params["direction"] = _floats(value)
+                params["direction"] = _read(cfg, key, None, _floats)
             else:
-                params[name] = float(value)
+                params[name] = _read(cfg, key, None)
     return params
 
 
 def _build_problem(cfg: dict[str, str]) -> models.ProblemData:
     domain = _build_domain(cfg)
-    horizon = float(cfg.get("time.T", "0.5"))
+    horizon = _read(cfg, "time.T", "0.5", float, _positive)
     name = cfg.get("model", "heat")
     try:
         return models.make_model(name, domain, horizon, **_model_params(cfg))
@@ -182,28 +192,43 @@ def _build_problem(cfg: dict[str, str]) -> models.ProblemData:
 
 def _build_evolution(cfg: dict[str, str], data: models.ProblemData) -> EvolutionConfig:
     resolvent = ResolventConfig(
-        tol=float(cfg.get("solver.tol", "1e-12")),
-        max_iter=int(cfg.get("solver.max_iter", "400")),
-        relaxation=float(cfg.get("solver.relaxation", "1.0")),
+        tol=_read(cfg, "solver.tol", "1e-12", float, _positive),
+        max_iter=_read(cfg, "solver.max_iter", "400", int, _positive),
     )
+    splitting = _read(
+        cfg, "time.splitting", "fully-implicit", str,
+        lambda s: s in ("fully-implicit", "semi-implicit"),
+    )
+    dt = _read(cfg, "time.dt", "0.002", float, _positive)
+    horizon = _read(cfg, "time.T", "0.5", float, _positive)
     plan = None
     if data.has_drift:
-        m0 = cfg.get("truncation.m0", "auto")
         plan = models.make_truncation_plan(
             data,
-            m0=None if m0 == "auto" else float(m0),
-            factor=float(cfg.get("truncation.factor", "2")),
+            m0=_read(
+                cfg, "truncation.m0", "auto",
+                lambda s: None if s == "auto" else float(s),
+                lambda m: m is None or m > 0,
+            ),
+            factor=_read(cfg, "truncation.factor", "2", float, lambda f: f > 1),
             count=(
-                int(cfg["truncation.levels"]) if "truncation.levels" in cfg else None
+                _read(cfg, "truncation.levels", None, int, _positive)
+                if "truncation.levels" in cfg
+                else None
             ),
         )
-    return EvolutionConfig(
-        dt=float(cfg.get("time.dt", "0.002")),
-        horizon=float(cfg.get("time.T", "0.5")),
-        splitting=cfg.get("time.splitting", "fully-implicit"),
-        truncation=plan,
-        resolvent=resolvent,
-        energy_tol=float(cfg.get("solver.energy_tol", "1e-10")),
+    try:
+        return EvolutionConfig(
+            dt=dt, horizon=horizon, splitting=splitting, truncation=plan, resolvent=resolvent
+        )
+    except ValueError as err:
+        raise ConfigError(f"bad 'time.dt' or 'time.T': {err}") from None
+
+
+def _steady_config(cfg: dict[str, str], default_tol: str) -> SteadyConfig:
+    return SteadyConfig(
+        tol=_read(cfg, "steady.tol", default_tol, float, _positive),
+        time=_read(cfg, "steady.time", "final", lambda s: s if s == "final" else float(s)),
     )
 
 
@@ -239,11 +264,11 @@ def _run_evolve(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
     summary = {
         "final_l2": norm_l2(final),
         "energy_violations": trace.violations,
-        "measured_bound_constant": trace.measured_bound_constant(data),
+        "measured_bound_constant": trace.measured_bound_constant(),
     }
     if data.exact is not None:
         summary["final_error_l2"] = norm_l2(final - data.exact_grid(evo.horizon))
-    refine = int(cfg.get("evolve.refine", "0"))
+    refine = _read(cfg, "evolve.refine", "0", int)
     if refine > 0 and data.exact is not None:
         rows = []
         dt, cells = evo.dt, data.domain.cells
@@ -293,7 +318,7 @@ def _run_uniqueness(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None
     data = _build_problem(cfg)
     evo = _build_evolution(cfg, data)
     rng = np.random.default_rng(seed)
-    amp = float(cfg.get("uniqueness.amplitude", "0.5"))
+    amp = _read(cfg, "uniqueness.amplitude", "0.5")
     u0 = data.initial
     v0 = GridFunction(
         data.domain,
@@ -311,11 +336,8 @@ def _run_uniqueness(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None
 
 
 def _run_steady(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
+    scfg = _steady_config(cfg, "1e-11")
     data = _build_problem(cfg)
-    scfg = SteadyConfig(
-        tol=float(cfg.get("steady.tol", "1e-11")),
-        time=cfg.get("steady.time", "final"),
-    )
     u_inf, diag = solve_steady_detailed(data, scfg)
     grid.save_grid_function(outdir / "steady_state.csv", u_inf)
     _write_json(
@@ -330,12 +352,9 @@ def _run_steady(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
 
 
 def _run_decay(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
+    scfg = _steady_config(cfg, "1e-12")
     data = _build_problem(cfg)
     evo = _build_evolution(cfg, data)
-    scfg = SteadyConfig(
-        tol=float(cfg.get("steady.tol", "1e-12")),
-        time=cfg.get("steady.time", "final"),
-    )
     report = decay_experiment(data, evo, scfg)
     payload = report.as_dict()
     payload["y_series_path"] = "y_series.csv"
@@ -377,7 +396,7 @@ def _run_verify_hypotheses(cfg, outdir: Path, seed: int, manifest: RunManifest) 
         if key.startswith(_MODEL_PREFIX):
             raise ConfigError(f"verify-hypotheses takes no model parameters, got {key!r}")
     domain = _build_domain(cfg)
-    horizon = float(cfg.get("time.T", "0.5"))
+    horizon = _read(cfg, "time.T", "0.5", float, _positive)
     reports = {}
     for name in models.builtin_models():
         data = models.make_model(name, domain, horizon)
@@ -458,7 +477,7 @@ def run(
     if experiment not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
     if seed is None:
-        seed = int(cfg.get("seed", "0"))
+        seed = _read(cfg, "seed", "0", int)
     outdir = Path(output_dir if output_dir is not None else cfg.get("output.dir", "out"))
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(

@@ -16,8 +16,8 @@ Every step is followed by a discrete energy check
 
   1/2 |u_j|^2 + tau (alpha/2) |grad u_j|^2 <= 1/2 |u_{j-1}|^2 + tau <f_j, u_j> + tol
 
-with f_j the step's own effective source; the schemes satisfy it by
-construction up to solver tolerance.
+with f_j the step's own effective source and tol the fixed `_ENERGY_TOL`;
+the schemes satisfy it by construction up to solver tolerance.
 """
 
 from __future__ import annotations
@@ -37,11 +37,14 @@ from .grid import (
     gradient,
     inner,
     inner_vec,
-    norm_h1,
     norm_l2,
 )
 from .models import ProblemData, TruncationPlan, drift_bound_max
 from .operators import ResolventConfig, TruncatedOperator
+
+# Slack of the per-step energy inequality: the solver tolerance and roundoff.
+# A fixed constant, so no setting can loosen the gate.
+_ENERGY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,6 @@ class EvolutionConfig:
     splitting: str = "fully-implicit"
     truncation: TruncationPlan | None = None
     resolvent: ResolventConfig = field(default_factory=lambda: ResolventConfig(tol=1e-12))
-    energy_tol: float = 1e-10
 
     def __post_init__(self):
         if self.dt <= 0 or self.horizon <= 0:
@@ -73,7 +75,11 @@ class EvolutionConfig:
 
 @dataclass
 class EvolutionTrace:
-    """Per-step norms, energies and solver effort; the states go to `observe`."""
+    """Per-step norms, energies and solver effort; the states go to `observe`.
+
+    `source_sum` is sum_j tau |F(t_j)|^2 over the steps taken, added up in
+    step order by the march from the source it samples once per step.
+    """
 
     times: list[float] = field(default_factory=list)
     l2_norms: list[float] = field(default_factory=list)
@@ -83,6 +89,7 @@ class EvolutionTrace:
     solver_iterations: list[int] = field(default_factory=list)
     energy_violation: list[float] = field(default_factory=list)
     initial_l2: float = 0.0
+    source_sum: float = 0.0
 
     CSV_COLUMNS = (
         "step",
@@ -129,38 +136,31 @@ class EvolutionTrace:
                     + "\n"
                 )
 
-    def measured_bound_constant(self, data: ProblemData) -> float:
+    def measured_bound_constant(self) -> float:
         """C in sup_j |u_j|^2 + sum tau |grad u_j|^2 <= C (|u_0|^2 + T + sum tau |F_j|^2)."""
         if not self.times:
             return 0.0
         lhs = max(x**2 for x in self.l2_norms) + self.cumulative_dissipation[-1]
-        tau = self.times[0]
-        f2 = 0.0
-        for t in self.times:
-            F = data.source_field(t)
-            if F is not None:
-                f2 += tau * inner_vec(F, F)
-        return lhs / (self.initial_l2**2 + self.times[-1] + f2)
+        return lhs / (self.initial_l2**2 + self.times[-1] + self.source_sum)
 
 
 def _effective_source(
-    data: ProblemData,
-    t: float,
+    F: VectorField | None,
     splitting: str,
     w: GridFunction,
     op: TruncatedOperator,
 ) -> VectorField | None:
     """Flux whose negative divergence is the step's explicit source f_j.
 
+    F is the source flux sampled at the step's time t = op.t.
     fully-implicit: F(t) - B(t, u_j) at the new state (the drift sits in the
     operator; this is bookkeeping for the energy check).
     semi-implicit: F(t) - theta_M B(t, w) with w the previous state.
     The drift part comes from `op`, the step's operator at time t.
     """
-    dom = data.domain
-    F = data.source_field(t)
-    if not data.has_drift:
+    if not op.data.has_drift:
         return F
+    dom = op.domain
     if F is None:
         comps = [np.zeros(dom.face_shape(a)) for a in range(dom.dim)]
     else:
@@ -176,6 +176,16 @@ class StepResult:
     state: GridFunction
     iterations: int
     energy_slack: float
+    # |u_j|^2, |grad u_j|^2 and |F(t_j)|^2 (0 without a source), computed
+    # once for the energy check and reused by the march
+    l2_sq: float
+    h1_sq: float
+    source_sq: float
+
+
+def _root(sq: float) -> float:
+    """Square root of a squared norm, rounded as `norm_l2` and `norm_h1` round."""
+    return float(np.sqrt(max(sq, 0.0)))
 
 
 def _step_operator(
@@ -190,35 +200,44 @@ def _step_operator(
 
 
 def _step_detailed(
-    u_prev: GridFunction, cfg: EvolutionConfig, op: TruncatedOperator
+    u_prev: GridFunction,
+    cfg: EvolutionConfig,
+    op: TruncatedOperator,
+    prev_sq: float | None = None,
 ) -> StepResult:
-    """One step landing on op.t, solved with the step's operator `op`."""
+    """One step landing on op.t, solved with the step's operator `op`.
+
+    prev_sq is |u_prev|^2 if the caller already has it.
+    """
     tau = cfg.dt
     t, data = op.t, op.data
     dom = data.domain
     rescfg = replace(cfg.resolvent, lam=tau)
     implicit = cfg.splitting == "fully-implicit"
+    F = data.source_field(t)
     # the flux carried to the right-hand side: F alone when the drift is
     # implicit, else F - theta_M B(t, u_prev)
-    if implicit:
-        rhs_flux = data.source_field(t)
-    else:
-        rhs_flux = _effective_source(data, t, cfg.splitting, u_prev, op)
+    rhs_flux = F if implicit else _effective_source(F, cfg.splitting, u_prev, op)
     rhs_vals = u_prev.values
     if rhs_flux is not None:
         rhs_vals = u_prev.values - tau * divergence(rhs_flux).values
     u_new, diag = op.resolve_detailed(GridFunction(dom, rhs_vals), rescfg, x0=u_prev)
-    source = _effective_source(data, t, cfg.splitting, u_new, op) if implicit else rhs_flux
+    source = _effective_source(F, cfg.splitting, u_new, op) if implicit else rhs_flux
     gu = gradient(u_new)
     pair = inner_vec(source, gu) if source is not None else 0.0
+    l2_sq, h1_sq = inner(u_new, u_new), inner_vec(gu, gu)
+    if prev_sq is None:
+        prev_sq = inner(u_prev, u_prev)
     alpha = data.diffusion.alpha
-    slack = (
-        0.5 * inner(u_new, u_new)
-        + tau * 0.5 * alpha * inner_vec(gu, gu)
-        - 0.5 * inner(u_prev, u_prev)
-        - tau * pair
+    slack = 0.5 * l2_sq + tau * 0.5 * alpha * h1_sq - 0.5 * prev_sq - tau * pair
+    return StepResult(
+        state=u_new,
+        iterations=diag.iterations,
+        energy_slack=slack,
+        l2_sq=l2_sq,
+        h1_sq=h1_sq,
+        source_sq=inner_vec(F, F) if F is not None else 0.0,
     )
-    return StepResult(state=u_new, iterations=diag.iterations, energy_slack=slack)
 
 
 def step(
@@ -265,7 +284,8 @@ def _march(
                 stacklevel=3,
             )
     u = (u0 if u0 is not None else data.initial).copy()
-    trace.initial_l2 = norm_l2(u)
+    u_sq = inner(u, u)
+    trace.initial_l2 = _root(u_sq)
     yield 0.0, u
     dissip = 0.0
     tau = cfg.dt
@@ -276,22 +296,23 @@ def _march(
         t = j * tau
         op = op.at(t)
         try:
-            res = _step_detailed(u, cfg, op)
+            res = _step_detailed(u, cfg, op, u_sq)
         except grid.ConvergenceError as err:
             err.args = (f"step {j} (t={t:.6g}) failed: {err.args[0]}",)
             err.step, err.t, err.trace = j, t, trace
             raise
-        u = res.state
-        h1 = norm_h1(u)
+        u, u_sq = res.state, res.l2_sq
+        h1 = _root(res.h1_sq)
         dissip += tau * h1**2
+        trace.source_sum += tau * res.source_sq
         trace.append(
             t,
-            norm_l2(u),
+            _root(u_sq),
             h1,
             dissip,
             float("nan") if level is None else level,
             res.iterations,
-            max(0.0, res.energy_slack - cfg.energy_tol),
+            max(0.0, res.energy_slack - _ENERGY_TOL),
         )
         yield t, u
 

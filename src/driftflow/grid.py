@@ -27,18 +27,16 @@ import numpy as np
 class ConvergenceError(RuntimeError):
     """Iteration failed to reach tolerance.  Carries the last iterate.
 
-    `residuals` is the residual-norm history of a nonlinear solve and
-    `history` the iteration record of any other iteration (it defaults to
-    `residuals`).  When the failure happens inside a time step, the march
-    sets the step number `step`, its time `t` and the partial
-    `EvolutionTrace` as `trace`; otherwise they stay None.
+    `residuals` is the residual-norm history of the failed solve.  When the
+    failure happens inside a time step, the march sets the step number
+    `step`, its time `t` and the partial `EvolutionTrace` as `trace`;
+    otherwise they stay None.
     """
 
-    def __init__(self, message, last=None, history=None, *, residuals=None):
+    def __init__(self, message, last=None, *, residuals=None):
         super().__init__(message)
         self.last = last
         self.residuals = list(residuals) if residuals is not None else []
-        self.history = list(history) if history is not None else list(self.residuals)
         self.step = self.t = self.trace = None
 
 

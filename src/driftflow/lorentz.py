@@ -16,7 +16,7 @@ With q = p this recovers the discrete L^p norm exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -149,12 +149,7 @@ class HolderReport:
     exponents: dict
 
     def as_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "exponents": self.exponents,
-        }
+        return asdict(self)
 
 
 def product_exponents(

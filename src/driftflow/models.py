@@ -16,7 +16,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,9 +31,9 @@ Coords = tuple[np.ndarray, ...]
 class DiffusionFlux:
     """Monotone diffusion flux A(x, t, eta).
 
-    alpha is the strong monotonicity constant, beta the Lipschitz/growth
-    constant; g_bound is the additive growth offset g(x, t) (zero for every
-    built-in model).
+    alpha is the strong monotonicity constant and beta the Lipschitz/growth
+    constant: (A(eta) - A(eta*)) . (eta - eta*) >= alpha |eta - eta*|^2 and
+    |A(x, t, eta)| <= beta |eta|, with no additive growth offset.
 
     componentwise declares that component a of A depends on eta only
     through eta_a.  The operators then pass `evaluate` the one native face
@@ -44,7 +44,6 @@ class DiffusionFlux:
     evaluate: Callable[[Coords, float, Coords], Coords]
     alpha: float
     beta: float
-    g_bound: Callable[[Coords, float], np.ndarray] | None = None
     componentwise: bool = False
 
     def __post_init__(self):
@@ -163,16 +162,7 @@ class TruncationCertificate:
     note: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "measured": self.measured,
-            "bound_evolution": self.bound_evolution,
-            "bound_longtime": self.bound_longtime,
-            "passes_evolution": self.passes_evolution,
-            "passes_longtime": self.passes_longtime,
-            "obstruction": self.obstruction,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def drift_bound_max(
@@ -197,6 +187,11 @@ def drift_bound_max(
     return worst if level is None else min(worst, float(level))
 
 
+def certificate_times(data: ProblemData) -> tuple[float, float, float]:
+    """The times (0, T/2, T) at which the drift certificates sample b."""
+    return (0.0, 0.5 * data.horizon, data.horizon)
+
+
 def remainder_weak_norm(data: ProblemData, M: float, times: Sequence[float]) -> float:
     """sup over time samples of the weak-L^N norm of b - T_M(b) on the nodes."""
     N = data.domain.dim
@@ -213,13 +208,12 @@ def remainder_weak_norm(data: ProblemData, M: float, times: Sequence[float]) -> 
 def certify_truncation(
     data: ProblemData,
     M: float,
-    times: Sequence[float] | None = None,
     refinement_cells: Sequence[int] | None = None,
 ) -> TruncationCertificate:
     """Certify a truncation level against the diffusion margin.
 
     The measured quantity is the weak-L^N norm of the unbounded remainder
-    b - T_M(b), maximized over time samples.  It must stay below
+    b - T_M(b), maximized over the `certificate_times`.  It must stay below
     alpha / (2 S) to keep the truncated operator accretive with margin
     alpha/2, and below alpha / (4 S) for the long-time contraction, where S
     is the gradient-embedding constant for square-integrable gradients.
@@ -228,14 +222,12 @@ def certify_truncation(
     nonzero remainder the constant S requires dimension >= 3; in lower
     dimension the certificate fails with a note.  When `refinement_cells`
     is given and the level fails, the measured norm is re-sampled on the
-    refined grids; if it plateaus above the bound the failure is flagged as
-    a distance-to-bounded obstruction (no level can ever pass).
+    refined grids at t = 0; if it plateaus above the bound the failure is
+    flagged as a distance-to-bounded obstruction (no level can ever pass).
     """
     if M <= 0:
         raise ValueError("truncation level must be positive")
-    if times is None:
-        times = (0.0, 0.5 * data.horizon, data.horizon)
-    measured = remainder_weak_norm(data, M, times)
+    measured = remainder_weak_norm(data, M, certificate_times(data))
     alpha = data.diffusion.alpha
     N = data.domain.dim
     if measured == 0.0:
@@ -271,7 +263,7 @@ def certify_truncation(
         for cells in refinement_cells:
             fine = BoxDomain(N, data.domain.lengths, (int(cells),) * N)
             b = np.broadcast_to(
-                data.drift.bound(grid.node_coordinates(fine), times[0]),
+                data.drift.bound(grid.node_coordinates(fine), 0.0),
                 fine.interior_shape,
             )
             rest = np.maximum(b - M, 0.0)
@@ -307,9 +299,9 @@ class TruncationPlan:
         if len(self.levels) != len(self.certificates):
             raise ValueError("one certificate per level required")
 
-    def certified(self, k: int, mode: str = "evolution") -> bool:
-        c = self.certificates[k]
-        return c.passes_evolution if mode == "evolution" else c.passes_longtime
+    def certified(self, k: int) -> bool:
+        """Whether level k carries the accretivity certificate for evolution."""
+        return self.certificates[k].passes_evolution
 
     @property
     def all_certified(self) -> bool:
@@ -323,7 +315,6 @@ def make_truncation_plan(
     m0: float | None = None,
     factor: float = 2.0,
     count: int | None = None,
-    times: Sequence[float] | None = None,
 ) -> TruncationPlan:
     """Build a truncation schedule, by default M_k = M_0 * factor^k.
 
@@ -347,7 +338,7 @@ def make_truncation_plan(
         else:
             for _ in range(count - 1):
                 levels.append(levels[-1] * factor)
-    certs = tuple(certify_truncation(data, M, times=times) for M in levels)
+    certs = tuple(certify_truncation(data, M) for M in levels)
     return TruncationPlan(tuple(float(M) for M in levels), certs)
 
 
@@ -662,17 +653,7 @@ class HypothesisReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "samples": self.samples,
-            "growth_violations": self.growth_violations,
-            "monotonicity_violations": self.monotonicity_violations,
-            "drift_lipschitz_violations": self.drift_lipschitz_violations,
-            "drift_zero_violations": self.drift_zero_violations,
-            "worst_monotonicity_margin": self.worst_monotonicity_margin,
-            "worst_growth_slack": self.worst_growth_slack,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify_hypotheses(
@@ -696,12 +677,7 @@ def verify_hypotheses(
         A_star = data.diffusion.evaluate(coords, float(t), eta_star)
         mag_A = np.sqrt(sum(np.asarray(c) ** 2 for c in A))
         mag_eta = np.sqrt(sum(np.asarray(c) ** 2 for c in eta))
-        g = (
-            np.zeros(samples)
-            if data.diffusion.g_bound is None
-            else np.asarray(data.diffusion.g_bound(coords, float(t)))
-        )
-        slack = data.diffusion.beta * mag_eta + g - mag_A
+        slack = data.diffusion.beta * mag_eta - mag_A
         report.worst_growth_slack = min(report.worst_growth_slack, float(slack.min()))
         report.growth_violations += int(np.sum(slack < -rtol * (1 + mag_eta)))
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -74,20 +74,20 @@ class ResolventConfig:
     lam: float = 1.0
     tol: float = 1e-10
     max_iter: int = 400
-    relaxation: float = 1.0
 
     def __post_init__(self):
         if self.lam <= 0:
             raise ValueError("lam must be strictly positive")
         if self.tol <= 0 or self.max_iter < 1:
             raise ValueError("tol must be positive and max_iter >= 1")
-        if not 0 < self.relaxation <= 1:
-            raise ValueError("relaxation must lie in (0, 1]")
 
 
 @dataclass
 class SolverDiagnostics:
-    """Iteration record of a nonlinear solve, serializable to JSON."""
+    """Iteration record of a nonlinear solve, serializable to JSON.
+
+    `relaxation` is the damping factor in force when the solve ended.
+    """
 
     method: str
     iterations: int = 0
@@ -100,16 +100,7 @@ class SolverDiagnostics:
     rejected_mixes: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "residuals": self.residuals,
-            "relaxation": self.relaxation,
-            "backtracks": self.backtracks,
-            "mixed_steps": self.mixed_steps,
-            "rejected_mixes": self.rejected_mixes,
-        }
+        return asdict(self)
 
 
 def _require_finite(rn: float, solver: str, it: int, last, residuals) -> None:
@@ -379,7 +370,6 @@ class TruncatedOperator:
             x0.copy() if x0 is not None else g.copy(),
             tol=cfg.tol * (1.0 + norm_l2(g)),
             max_iter=cfg.max_iter,
-            relaxation=cfg.relaxation,
             rho_floor=max(1e-4, 0.9 * m / M**2),
             solver="damped Picard",
         )
@@ -445,21 +435,21 @@ def _monotone_iteration(
     *,
     tol: float,
     max_iter: int,
-    relaxation: float,
     rho_floor: float,
     solver: str,
 ) -> tuple[GridFunction, SolverDiagnostics]:
     """Drive norm(residual(u)) below tol by preconditioned, damped steps.
 
-    Each iteration takes z = precondition(r) and steps u - rho z, halving
-    the damping rho down to rho_floor until the residual falls; three
-    clean steps in a row let rho grow back toward `relaxation`.  Once a
+    Each iteration takes z = precondition(r) and steps u - rho z.  The
+    damping rho starts at 1 and is halved down to rho_floor until the
+    residual falls, which finds any smaller factor a problem needs; three
+    clean steps in a row let rho grow back toward 1.  Once a
     step contracts slowly, a safeguarded Anderson iterate is tried first
     (see the module docstring).  Every failure raises ConvergenceError
     carrying the last iterate and the residual history.
     """
     diag = SolverDiagnostics(method="damped-picard")
-    rho = relaxation
+    rho = 1.0
     r = residual(u)
     rn = norm(r)
     streak = 0
@@ -513,8 +503,8 @@ def _monotone_iteration(
             mixing = _AndersonHistory(u.values, z)
         u, r, rn = trial, r_trial, rn_trial
         streak += 1
-        if streak >= 3 and rho < relaxation:
-            rho = min(relaxation, 1.5 * rho)
+        if streak >= 3 and rho < 1.0:
+            rho = min(1.0, 1.5 * rho)
             streak = 0
     diag.iterations = max_iter
     diag.relaxation = rho
@@ -562,7 +552,6 @@ def stationary_solve(
         x0.copy() if x0 is not None else grid.zeros(dom),
         tol=tol * (1.0 + dual_norm(rhs)),
         max_iter=max_iter,
-        relaxation=1.0,
         rho_floor=max(1e-4, 0.9 * m / M**2),
         solver="stationary solve",
     )

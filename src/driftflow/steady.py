@@ -27,7 +27,7 @@ import numpy as np
 
 from . import grid, lorentz
 from .grid import GridFunction, divergence, norm_l2, poincare_constant
-from .models import ProblemData, remainder_weak_norm
+from .models import ProblemData, certificate_times, remainder_weak_norm
 from .operators import TruncatedOperator, stationary_solve
 from .evolution import EvolutionConfig, EvolutionTrace, evolve
 
@@ -149,7 +149,7 @@ def _small_data_check(data: ProblemData, levels) -> tuple[bool, dict]:
         return False, {"reason": "embedding constant undefined below dimension 3"}
     S = lorentz.sobolev_constant(N, 2)
     bound = alpha / (4 * S)
-    times = (0.0, 0.5 * data.horizon, data.horizon)
+    times = certificate_times(data)
     candidates = [lv for lv in levels if lv is not None]
     if not candidates:
         candidates = [float(np.max(data.drift_bound_grid(0.0).values))]

@@ -265,11 +265,47 @@ class TestMain:
         assert cli.main(argv + ["--override", "model.c=0.1"]) == 2
         assert "'c'" in capsys.readouterr().err
 
-    def test_exit_two_on_removed_solver_method(self, tmp_path, capsys):
-        # the Newton option is gone; a config that still picks a method fails
-        path = write_cfg(tmp_path, FAST_DECAY.replace("[solver]\n", "[solver]\nmethod = newton\n"))
+    @pytest.mark.parametrize(
+        "section, name, value",
+        [
+            ("solver", "method", "newton"),
+            ("solver", "relaxation", "0.5"),
+            ("solver", "energy_tol", "1e9"),
+            ("output", "formats", "csv"),
+        ],
+    )
+    def test_exit_two_on_removed_solver_method(self, tmp_path, capsys, section, name, value):
+        # the Newton option, the damping and energy tolerances and the output
+        # formats are gone; a config that still sets one fails
+        path = write_cfg(tmp_path, FAST_DECAY + f"[{section}]\n{name} = {value}\n")
         assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
-        assert "'solver.method'" in capsys.readouterr().err
+        assert f"'{section}.{name}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("solver.tol", "abc"),
+            ("solver.tol", "-1"),
+            ("solver.max_iter", "2.5"),
+            ("time.dt", "x"),
+            ("time.splitting", "sideways"),
+            ("domain.cells", "8,x"),
+            ("steady.time", "soon"),
+            ("uniqueness.amplitude", "big"),
+            ("truncation.factor", "0.5"),
+            ("truncation.m0", "-3"),
+        ],
+    )
+    def test_exit_two_on_malformed_value(self, tmp_path, capsys, key, value):
+        # each used to escape as a traceback with exit code 1, except a
+        # nonpositive m0, which the plan silently replaced by 1
+        experiment = "uniqueness" if key.startswith("uniqueness") else "decay"
+        base = SMALL_DRIFT_DECAY if key.startswith("truncation") else FAST_DECAY
+        text = base.replace("experiment = decay", f"experiment = {experiment}")
+        path = write_cfg(tmp_path, text)
+        argv = ["run", str(path), "--output-dir", str(tmp_path / "out")]
+        assert cli.main(argv + ["--override", f"{key}={value}"]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
 
     def test_exit_two_on_verify_hypotheses_model_parameter(self, tmp_path, capsys):
         text = "experiment = verify-hypotheses\ndomain.cells = 8,8\nmodel.cc = 5\n"

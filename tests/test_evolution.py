@@ -182,8 +182,50 @@ class TestEvolve:
         dom = G.BoxDomain(2, (1.0, 1.0), (16, 16))
         data = M.make_model("manufactured", dom, 0.2)
         _, trace = E.evolve(data, cfg(5e-3, 0.2))
-        C = trace.measured_bound_constant(data)
+        C = trace.measured_bound_constant()
         assert 0 < C < 10
+
+    def test_bound_constant_matches_resampled_source(self):
+        dom = G.BoxDomain(2, (1.0, 1.0), (16, 16))
+        data = M.make_model("manufactured", dom, 0.2)
+        c = cfg(5e-3, 0.2)
+        _, trace = E.evolve(data, c)
+        f2 = 0.0
+        for t in trace.times:
+            F = data.source_field(t)
+            f2 += c.dt * G.inner_vec(F, F)
+        lhs = max(x**2 for x in trace.l2_norms) + trace.cumulative_dissipation[-1]
+        expected = lhs / (trace.initial_l2**2 + trace.times[-1] + f2)
+        assert trace.measured_bound_constant() == expected
+
+    @pytest.mark.parametrize("splitting", ["fully-implicit", "semi-implicit"])
+    def test_source_sampled_once_per_slice(self, monkeypatch, splitting):
+        dom = G.BoxDomain(2, (1.0, 1.0), (8, 8))
+        data = M.make_model("manufactured", dom, 0.1)
+        calls = []
+        sample = M.ProblemData.source_field
+
+        def counted(self, t):
+            calls.append(t)
+            return sample(self, t)
+
+        monkeypatch.setattr(M.ProblemData, "source_field", counted)
+        c = cfg(0.01, 0.1, splitting=splitting)
+        _, trace = E.evolve(data, c)
+        trace.measured_bound_constant()
+        assert calls == trace.times
+
+    @pytest.mark.parametrize("splitting", ["fully-implicit", "semi-implicit"])
+    def test_trace_norms_match_the_states(self, splitting):
+        # the march reuses the energy check's norms; they must be the norms
+        dom = G.BoxDomain(2, (1.0, 1.0), (12, 12))
+        data = M.make_model("singular-drift", dom, 0.05, c=0.08)
+        c = cfg(0.01, 0.05, splitting=splitting)
+        seen = []
+        _, trace = E.evolve(data, c, level=1.0, observe=lambda t, u: seen.append(u))
+        assert trace.initial_l2 == G.norm_l2(seen[0])
+        assert trace.l2_norms == [G.norm_l2(u) for u in seen[1:]]
+        assert trace.h1_seminorms == [G.norm_h1(u) for u in seen[1:]]
 
     def test_step_failure_attaches_partial_trace(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (10, 10))

@@ -170,7 +170,7 @@ class TestResolve:
         with pytest.raises(G.ConvergenceError) as info:
             op.resolve(g, ResolventConfig(lam=1.0, tol=1e-13, max_iter=2))
         assert info.value.last is not None
-        assert len(info.value.history) >= 1
+        assert len(info.value.residuals) >= 1
 
     def test_diagnostics_serialize(self):
         rng = np.random.default_rng(11)
@@ -315,13 +315,13 @@ class TestNonFinite:
         with pytest.raises(G.ConvergenceError, match="non-finite") as info:
             op.resolve(self._nan_rhs(), ResolventConfig(lam=0.1, tol=1e-12))
         # raised at the first non-finite residual, before any backtracking
-        assert len(info.value.history) == 1
+        assert len(info.value.residuals) == 1
 
     def test_stationary_names_nonfinite_residual(self):
         op = heat_op()
         with pytest.raises(G.ConvergenceError, match="non-finite") as info:
             stationary_solve(op, self._nan_rhs(), tol=1e-12)
-        assert len(info.value.history) == 1
+        assert len(info.value.residuals) == 1
 
     def test_resolve_names_nonfinite_trial_residual(self):
         # a flux that turns non-finite after the initial residual is taken
@@ -346,7 +346,7 @@ class TestNonFinite:
         g = rand_gf(DOM, np.random.default_rng(13))
         with pytest.raises(G.ConvergenceError, match="non-finite") as info:
             op.resolve(g, ResolventConfig(lam=0.1, tol=1e-12))
-        assert len(info.value.history) == 1
+        assert len(info.value.residuals) == 1
         assert np.all(np.isfinite(info.value.last.values))
 
 

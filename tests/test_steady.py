@@ -69,7 +69,7 @@ class TestSolveSteady:
         )
         with pytest.raises(G.ConvergenceError) as info:
             solve_steady(data, SteadyConfig(tol=1e-13, max_iter=1))
-        assert info.value.history
+        assert info.value.residuals
         # and the same problem converges with a sensible budget
         u, diag = solve_steady_detailed(data, SteadyConfig(tol=1e-12, max_iter=200))
         assert diag.converged
