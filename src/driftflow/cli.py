@@ -186,8 +186,14 @@ def _build_problem(cfg: dict[str, str]) -> models.ProblemData:
     try:
         return models.make_model(name, domain, horizon, **_model_params(cfg))
     except ValueError as err:
-        # the loaded file reaches the builder as its drift_field parameter
-        raise ConfigError(str(err).replace("drift_field", "model.drift_file")) from err
+        # a builder names the parameter it rejects first; name its config key
+        # (the loaded file reaches the builder as its drift_field parameter)
+        msg = str(err)
+        param = msg.split(" ", 1)[0]
+        key = _MODEL_PREFIX + ("drift_file" if param == "drift_field" else param)
+        if key in cfg:
+            msg = key + msg[len(param):]
+        raise ConfigError(msg) from err
 
 
 def _build_evolution(cfg: dict[str, str], data: models.ProblemData) -> EvolutionConfig:

@@ -18,12 +18,25 @@ Every step is followed by a discrete energy check
 
 with f_j the step's own effective source and tol the fixed `_ENERGY_TOL`;
 the schemes satisfy it by construction up to solver tolerance.
+
+Along a march the resolve of step j starts from the polynomial
+extrapolation of the last q + 1 states,
+
+  u_j^(0) = sum_{k=0..q} (-1)^k C(q+1, k+1) u_{j-1-k},
+
+the degree-q polynomial through them evaluated one step on, with q the
+smaller of `_EXTRAPOLATION_ORDER` and the number of earlier steps (step 1
+starts from u_0, step 2 linearly, and so on).  Only the starting point
+moves: the solver still converges to tolerance and the energy check reads
+the converged state.  Each march starts a fresh history; the public `step`
+starts from u_prev.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence
 
@@ -40,11 +53,15 @@ from .grid import (
     norm_l2,
 )
 from .models import ProblemData, TruncationPlan, drift_bound_max
-from .operators import ResolventConfig, TruncatedOperator
+from .operators import ResolventConfig, SolverDiagnostics, TruncatedOperator
 
 # Slack of the per-step energy inequality: the solver tolerance and roundoff.
 # A fixed constant, so no setting can loosen the gate.
 _ENERGY_TOL = 1e-10
+# Degree of the polynomial through the last states that starts each resolve
+# of a march.  On the drift presets the summed iterations fall with the
+# order up to 5 (singular_drift_decay_3d: 1115 cold, 374 at 5, 385 at 6).
+_EXTRAPOLATION_ORDER = 5
 
 
 @dataclass(frozen=True)
@@ -78,7 +95,10 @@ class EvolutionTrace:
     """Per-step norms, energies and solver effort; the states go to `observe`.
 
     `source_sum` is sum_j tau |F(t_j)|^2 over the steps taken, added up in
-    step order by the march from the source it samples once per step.
+    step order by the march from the source it samples once per step.  The
+    last four columns are the step's `SolverDiagnostics`: the residual the
+    resolve stopped at, its damping halvings, its accepted Anderson
+    iterates and its final damping factor.
     """
 
     times: list[float] = field(default_factory=list)
@@ -88,6 +108,10 @@ class EvolutionTrace:
     truncation_level: list[float] = field(default_factory=list)
     solver_iterations: list[int] = field(default_factory=list)
     energy_violation: list[float] = field(default_factory=list)
+    final_residual: list[float] = field(default_factory=list)
+    backtracks: list[int] = field(default_factory=list)
+    mixed_steps: list[int] = field(default_factory=list)
+    damping: list[float] = field(default_factory=list)
     initial_l2: float = 0.0
     source_sum: float = 0.0
 
@@ -100,16 +124,24 @@ class EvolutionTrace:
         "M_level",
         "resolvent_iters",
         "energy_violation",
+        "final_residual",
+        "backtracks",
+        "mixed_steps",
+        "damping",
     )
 
-    def append(self, t, l2, h1, dissip, level, iters, violation):
+    def append(self, t, l2, h1, dissip, level, violation, diag: SolverDiagnostics):
         self.times.append(t)
         self.l2_norms.append(l2)
         self.h1_seminorms.append(h1)
         self.cumulative_dissipation.append(dissip)
         self.truncation_level.append(level)
-        self.solver_iterations.append(iters)
+        self.solver_iterations.append(diag.iterations)
         self.energy_violation.append(violation)
+        self.final_residual.append(diag.residuals[-1])
+        self.backtracks.append(diag.backtracks)
+        self.mixed_steps.append(diag.mixed_steps)
+        self.damping.append(diag.relaxation)
 
     @property
     def violations(self) -> int:
@@ -125,6 +157,10 @@ class EvolutionTrace:
             self.truncation_level,
             self.solver_iterations,
             self.energy_violation,
+            self.final_residual,
+            self.backtracks,
+            self.mixed_steps,
+            self.damping,
         )
 
     def write_csv(self, path) -> None:
@@ -174,7 +210,7 @@ def _effective_source(
 @dataclass
 class StepResult:
     state: GridFunction
-    iterations: int
+    diagnostics: SolverDiagnostics
     energy_slack: float
     # |u_j|^2, |grad u_j|^2 and |F(t_j)|^2 (0 without a source), computed
     # once for the energy check and reused by the march
@@ -204,10 +240,12 @@ def _step_detailed(
     cfg: EvolutionConfig,
     op: TruncatedOperator,
     prev_sq: float | None = None,
+    guess: GridFunction | None = None,
 ) -> StepResult:
     """One step landing on op.t, solved with the step's operator `op`.
 
-    prev_sq is |u_prev|^2 if the caller already has it.
+    prev_sq is |u_prev|^2 if the caller already has it; the resolve starts
+    from `guess`, or from u_prev if None.
     """
     tau = cfg.dt
     t, data = op.t, op.data
@@ -221,7 +259,8 @@ def _step_detailed(
     rhs_vals = u_prev.values
     if rhs_flux is not None:
         rhs_vals = u_prev.values - tau * divergence(rhs_flux).values
-    u_new, diag = op.resolve_detailed(GridFunction(dom, rhs_vals), rescfg, x0=u_prev)
+    x0 = u_prev if guess is None else guess
+    u_new, diag = op.resolve_detailed(GridFunction(dom, rhs_vals), rescfg, x0=x0)
     source = _effective_source(F, cfg.splitting, u_new, op) if implicit else rhs_flux
     gu = gradient(u_new)
     pair = inner_vec(source, gu) if source is not None else 0.0
@@ -232,7 +271,7 @@ def _step_detailed(
     slack = 0.5 * l2_sq + tau * 0.5 * alpha * h1_sq - 0.5 * prev_sq - tau * pair
     return StepResult(
         state=u_new,
-        iterations=diag.iterations,
+        diagnostics=diag,
         energy_slack=slack,
         l2_sq=l2_sq,
         h1_sq=h1_sq,
@@ -251,6 +290,19 @@ def step(
     return _step_detailed(u_prev, cfg, _step_operator(data, t, cfg, level)).state
 
 
+def _extrapolate(history: deque[GridFunction]) -> GridFunction:
+    """sum_k (-1)^k C(q+1, k+1) u_{j-1-k} over the states held, newest first.
+
+    The degree-q polynomial through the q + 1 states, evaluated one step
+    past the newest; with one state it is that state.
+    """
+    q = len(history) - 1
+    vals = history[0].values * (q + 1)
+    for k in range(1, q + 1):
+        vals = vals + (-1) ** k * math.comb(q + 1, k + 1) * history[k].values
+    return GridFunction(history[0].domain, vals)
+
+
 def _default_level(cfg: EvolutionConfig) -> float | None:
     if cfg.truncation is None:
         return None
@@ -264,7 +316,8 @@ def _march(
     """The one loop that advances a march: yield (t_j, u_j) for j = 0..steps.
 
     Starts from a copy of u0 (data.initial if None), appends each step to
-    `trace` and holds only the current state.
+    `trace` and holds only the last `_EXTRAPOLATION_ORDER + 1` states, the
+    history that starts each resolve (see the module docstring).
     """
     if level is None:
         level = _default_level(cfg)
@@ -286,6 +339,7 @@ def _march(
     u = (u0 if u0 is not None else data.initial).copy()
     u_sq = inner(u, u)
     trace.initial_l2 = _root(u_sq)
+    history = deque([u], maxlen=_EXTRAPOLATION_ORDER + 1)
     yield 0.0, u
     dissip = 0.0
     tau = cfg.dt
@@ -296,12 +350,13 @@ def _march(
         t = j * tau
         op = op.at(t)
         try:
-            res = _step_detailed(u, cfg, op, u_sq)
+            res = _step_detailed(u, cfg, op, u_sq, guess=_extrapolate(history))
         except grid.ConvergenceError as err:
             err.args = (f"step {j} (t={t:.6g}) failed: {err.args[0]}",)
             err.step, err.t, err.trace = j, t, trace
             raise
         u, u_sq = res.state, res.l2_sq
+        history.appendleft(u)
         h1 = _root(res.h1_sq)
         dissip += tau * h1**2
         trace.source_sum += tau * res.source_sq
@@ -311,8 +366,8 @@ def _march(
             h1,
             dissip,
             float("nan") if level is None else level,
-            res.iterations,
             max(0.0, res.energy_slack - _ENERGY_TOL),
+            res.diagnostics,
         )
         yield t, u
 

@@ -466,8 +466,12 @@ def build_singular_drift(
     sits off every node and face, so every sampled value stays finite.  An
     explicit node field can be supplied instead of the analytic coefficient;
     it must live on `domain` and hold finite, nonnegative values.  Either
-    way b does not depend on t, so the drift is autonomous.
+    way b does not depend on t, so the drift is autonomous.  c must be
+    finite and nonnegative: the clamp weights and the certificates assume
+    b >= 0.
     """
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError(f"c must be finite and nonnegative, got {c!r}")
     if drift_field is not None:
         _check_drift_field(drift_field, domain)
     if direction is None:

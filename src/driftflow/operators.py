@@ -508,6 +508,7 @@ def _monotone_iteration(
             streak = 0
     diag.iterations = max_iter
     diag.relaxation = rho
+    diag.residuals.append(rn)
     if rn <= tol:
         diag.converged = True
         return u, diag

@@ -136,8 +136,9 @@ def test_criterion_05_energy_inequality_all_presets(preset_runs):
         if "energy_inequality" in manifest.checks:
             assert manifest.checks["energy_inequality"], name
         for trace in sorted(outdir.glob("trace*.csv")):
-            rows = trace.read_text().splitlines()[1:]
-            violations = [float(r.split(",")[-1]) for r in rows]
+            header, *rows = trace.read_text().splitlines()
+            col = header.split(",").index("energy_violation")
+            violations = [float(r.split(",")[col]) for r in rows]
             assert all(v == 0.0 for v in violations), (name, trace.name)
     print(
         f"[criterion 5] PASS discrete energy inequality; zero violations across "

@@ -307,6 +307,14 @@ class TestMain:
         assert cli.main(argv + ["--override", f"{key}={value}"]) == 2
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c", ["-5", "nan", "inf"])
+    def test_exit_two_on_bad_drift_coefficient(self, tmp_path, capsys, c):
+        # model.c = -5 used to run and end "decay: pass"
+        path = write_cfg(tmp_path, SMALL_DRIFT_DECAY)
+        argv = ["run", str(path), "--output-dir", str(tmp_path / "out")]
+        assert cli.main(argv + ["--override", f"model.c={c}"]) == 2
+        assert "model.c must be finite and nonnegative" in capsys.readouterr().err
+
     def test_exit_two_on_verify_hypotheses_model_parameter(self, tmp_path, capsys):
         text = "experiment = verify-hypotheses\ndomain.cells = 8,8\nmodel.cc = 5\n"
         path = write_cfg(tmp_path, text)

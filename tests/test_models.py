@@ -42,6 +42,16 @@ class TestHypotheses:
         with pytest.raises(ValueError, match=repr(key)):
             M.make_model(name, DOM2, 0.5, **{key: 5.0})
 
+    @pytest.mark.parametrize("c", [-5.0, math.nan, math.inf])
+    def test_singular_drift_rejects_bad_coefficient(self, c):
+        # c = -5 used to be certified at every level ("remainder vanishes")
+        with pytest.raises(ValueError, match=r"^c must be finite and nonnegative"):
+            M.make_model("singular-drift", DOM3, 0.5, c=c)
+
+    def test_singular_drift_accepts_zero_coefficient(self):
+        data = M.make_model("singular-drift", DOM2, 0.5, c=0.0)
+        assert data.drift_bound_grid(0.0).max_abs() == 0.0
+
 
 class TestTruncationWeight:
     def test_all_ones_when_bounded(self):

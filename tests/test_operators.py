@@ -286,6 +286,18 @@ class TestMonotoneKernel:
         assert len(diag.residuals) == diag.iterations + 1
         assert all(b < a for a, b in zip(diag.residuals, diag.residuals[1:]))
 
+    def test_residual_history_ends_at_the_final_residual(self):
+        # converging on the last allowed iteration records that residual too
+        op = TruncatedOperator(
+            M.make_model("lipschitz-nonlinear", DOM, 0.5), 0.25, drift_mode="none"
+        )
+        g = rand_gf(DOM, np.random.default_rng(19))
+        cfg = ResolventConfig(lam=1.0, tol=1e-12)
+        _, free = op.resolve_detailed(g, cfg)
+        _, diag = op.resolve_detailed(g, replace(cfg, max_iter=free.iterations))
+        assert diag.converged and diag.iterations == free.iterations
+        assert diag.residuals == free.residuals
+
     def test_stationary_solve_from_several_guesses(self):
         data = M.make_model("lipschitz-nonlinear", DOM, 0.5, beta=1.8)
         op = TruncatedOperator(data, 0.0, drift_mode="none")
