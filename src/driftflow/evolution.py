@@ -96,9 +96,9 @@ class EvolutionTrace:
 
     `source_sum` is sum_j tau |F(t_j)|^2 over the steps taken, added up in
     step order by the march from the source it samples once per step.  The
-    last four columns are the step's `SolverDiagnostics`: the residual the
-    resolve stopped at, its damping halvings, its accepted Anderson
-    iterates and its final damping factor.
+    last five columns are the step's `SolverDiagnostics`: the residual the
+    resolve stopped at, its damping halvings, its accepted and its rejected
+    Anderson iterates, and its final damping factor.
     """
 
     times: list[float] = field(default_factory=list)
@@ -111,6 +111,7 @@ class EvolutionTrace:
     final_residual: list[float] = field(default_factory=list)
     backtracks: list[int] = field(default_factory=list)
     mixed_steps: list[int] = field(default_factory=list)
+    rejected_mixes: list[int] = field(default_factory=list)
     damping: list[float] = field(default_factory=list)
     initial_l2: float = 0.0
     source_sum: float = 0.0
@@ -127,6 +128,7 @@ class EvolutionTrace:
         "final_residual",
         "backtracks",
         "mixed_steps",
+        "rejected_mixes",
         "damping",
     )
 
@@ -141,6 +143,7 @@ class EvolutionTrace:
         self.final_residual.append(diag.residuals[-1])
         self.backtracks.append(diag.backtracks)
         self.mixed_steps.append(diag.mixed_steps)
+        self.rejected_mixes.append(diag.rejected_mixes)
         self.damping.append(diag.relaxation)
 
     @property
@@ -160,6 +163,7 @@ class EvolutionTrace:
             self.final_residual,
             self.backtracks,
             self.mixed_steps,
+            self.rejected_mixes,
             self.damping,
         )
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import KW_ONLY, asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,6 +28,17 @@ Coords = tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
+class _ScaledGradient:
+    """The flux a(x, t) eta of a diffusion declared by its coefficient a."""
+
+    coefficient: Callable[[Coords, float], np.ndarray]
+
+    def __call__(self, coords: Coords, t: float, eta: Coords) -> Coords:
+        a = self.coefficient(coords, t)
+        return tuple(a * e for e in eta)
+
+
+@dataclass(frozen=True)
 class DiffusionFlux:
     """Monotone diffusion flux A(x, t, eta).
 
@@ -35,20 +46,42 @@ class DiffusionFlux:
     constant: (A(eta) - A(eta*)) . (eta - eta*) >= alpha |eta - eta*|^2 and
     |A(x, t, eta)| <= beta |eta|, with no additive growth offset.
 
+    A linear isotropic diffusion A = a(x, t) eta is declared by
+    `coefficient`, which evaluates a, in place of `evaluate`, much as
+    `DriftFlux.velocity` declares a drift linear in z.  `evaluate` is then
+    derived from it (a times each component of eta), so the flux and the
+    operators' stencil (see `operators`) read one function and cannot
+    disagree; passing a different `evaluate` as well raises ValueError.
+    Such a flux is componentwise.
+
     componentwise declares that component a of A depends on eta only
     through eta_a.  The operators then pass `evaluate` the one native face
     component (eta_a,) and read the first entry of the result, instead of
     reconstructing every gradient component on every face.
     """
 
-    evaluate: Callable[[Coords, float, Coords], Coords]
+    evaluate: Callable[[Coords, float, Coords], Coords] | None = None
+    _: KW_ONLY
     alpha: float
     beta: float
     componentwise: bool = False
+    coefficient: Callable[[Coords, float], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.alpha <= 0 or self.beta < self.alpha:
             raise ValueError("need 0 < alpha <= beta")
+        if self.coefficient is None:
+            if self.evaluate is None:
+                raise ValueError("a diffusion flux needs evaluate or coefficient")
+            return
+        derived = _ScaledGradient(self.coefficient)
+        # dataclasses.replace hands back the flux derived from this coefficient
+        if self.evaluate is not None and self.evaluate != derived:
+            raise ValueError(
+                "declare a linear diffusion by coefficient or by evaluate, not both"
+            )
+        object.__setattr__(self, "evaluate", derived)
+        object.__setattr__(self, "componentwise", True)
 
 
 @dataclass(frozen=True)
@@ -359,12 +392,7 @@ def _eigen_initial(domain: BoxDomain) -> GridFunction:
 
 
 def _identity_diffusion() -> DiffusionFlux:
-    return DiffusionFlux(
-        evaluate=lambda coords, t, eta: tuple(e.copy() for e in eta),
-        alpha=1.0,
-        beta=1.0,
-        componentwise=True,
-    )
+    return DiffusionFlux(coefficient=lambda coords, t: 1.0, alpha=1.0, beta=1.0)
 
 
 def build_heat(domain: BoxDomain, horizon: float) -> ProblemData:
@@ -391,16 +419,10 @@ def build_variable_diffusion(
     def coefficient(coords, t):
         return mid + amp * _eigen_profile(coords, lengths) * math.cos(t)
 
-    def evaluate(coords, t, eta):
-        a = coefficient(coords, t)
-        return tuple(a * e for e in eta)
-
     return ProblemData(
         name="variable-diffusion",
         domain=domain,
-        diffusion=DiffusionFlux(
-            evaluate=evaluate, alpha=alpha, beta=beta, componentwise=True
-        ),
+        diffusion=DiffusionFlux(coefficient=coefficient, alpha=alpha, beta=beta),
         drift=None,
         source=None,
         initial=_eigen_initial(domain),

@@ -7,8 +7,9 @@ The operator assembled here is
 with theta_M = T_M(b)/b the truncation weight, in weak form
 < A_M(t) u, v > = inner_vec(flux(u), gradient(v)).  Because divergence is
 the exact negative adjoint of gradient, the strong form -div(flux) realizes
-the pairing identically and accretivity can be asserted at machine
-precision instead of up to discretization error.
+the pairing identically (a linear slice's stencil, below, to roundoff) and
+accretivity can be asserted at machine precision instead of up to
+discretization error.
 
 Resolvent equations (I + lam * A_M(t)) u = g and stationary equations
 A u = f are solved by one kernel, `_monotone_iteration`: damped Picard
@@ -40,6 +41,20 @@ coordinates, and when the data has no drift or an autonomous one
 (`DriftFlux.autonomous`) also the drift samples, clamp weights and drift
 maximum, so a march over autonomous data samples its drift once, not once
 per step.  The diffusion flux is still evaluated at the slice's own time.
+
+A slice that is linear in u -- its diffusion declares `coefficient` a and
+its drift is absent or declares `velocity` V -- applies as a (2d+1)-point
+stencil, built once per slice from the face coefficients
+c+- = a/h +- w V/2 (w V the weighted face drift of `_face_drift`):
+
+    apply(u) = diag u + sum_a (lower_a u[k-1] + upper_a u[k+1]),
+
+which is the same -div(flux(u)) summed in another order, so the two agree
+to roundoff and `pairing` still equals inner(apply(u), v) to roundoff.
+`at(t)` keeps the stencil when the drift is absent or autonomous and the
+coefficient re-sampled at t is identical, and rebuilds it otherwise.  Every
+other slice applies as -div(flux(u)).  `flux`, `pairing`, `drift_flux` and
+`accretivity_margin` always assemble the flux.
 """
 
 from __future__ import annotations
@@ -157,6 +172,51 @@ def _full_gradient_at_faces(grad: VectorField, axis: int) -> tuple[np.ndarray, .
     return tuple(out)
 
 
+class _Stencil:
+    """The (2d+1)-point stencil of a linear slice, on the flattened grid.
+
+    In the C-ordered flat array the neighbours of node k along axis a are
+    k - s and k + s, with s the stride of that axis.  Each axis holds the
+    weights of u[k + s] at nodes k < N - s and of u[k - s] at nodes k >= s;
+    a weight is 0 where that neighbour is a boundary ghost and the flat
+    offset would wrap onto the next line.  `coefficients` are the face
+    samples of a the stencil was built from.
+    """
+
+    def __init__(
+        self, op: "TruncatedOperator", coefficients: tuple[np.ndarray | float, ...]
+    ):
+        self.coefficients = coefficients
+        dom = op.domain
+        shape = dom.interior_shape
+        diag = np.zeros(shape)
+        self.neighbours = []
+        for axis, (a, h) in enumerate(zip(coefficients, dom.spacing)):
+            up = down = np.broadcast_to(a, dom.face_shape(axis)) / h
+            if op._drifts:
+                half = 0.5 * op._face_drift(axis, False)
+                up, down = up + half, up - half
+            head = (slice(None),) * axis
+            below, above = head + (slice(None, -1),), head + (slice(1, None),)
+            inner_faces = head + (slice(1, -1),)
+            # node k sits between face k (below) and face k + 1 (above)
+            diag += (up[below] + down[above]) / h
+            upper, lower = np.zeros(shape), np.zeros(shape)
+            upper[below] = -up[inner_faces] / h
+            lower[above] = -down[inner_faces] / h
+            s = math.prod(shape[axis + 1 :])
+            self.neighbours.append((s, upper.ravel()[:-s], lower.ravel()[s:]))
+        self.diag = diag.ravel()
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        flat = v.ravel()
+        out = self.diag * flat
+        for s, upper, lower in self.neighbours:
+            out[:-s] += upper * flat[s:]
+            out[s:] += lower * flat[:-s]
+        return out.reshape(v.shape)
+
+
 class TruncatedOperator:
     """Weak-form spatial operator at one time slice.
 
@@ -191,13 +251,19 @@ class TruncatedOperator:
         self._face_bounds: dict[int, np.ndarray] = {}
         self._face_drifts: dict[tuple[int, bool], np.ndarray] = {}
         self._drift_max: float | None = None
+        self._linear = data.diffusion.coefficient is not None and (
+            not self._drifts or data.drift.velocity is not None
+        )
+        self._stencil: _Stencil | None = None
 
     def at(self, t: float) -> "TruncatedOperator":
         """This slice at time t: the same data, level and drift mode.
 
         Returns self when t is unchanged.  The copy shares every cache that
         does not depend on t; the drift caches count among them only when
-        the data has no drift or an autonomous one.
+        the data has no drift or an autonomous one, and the stencil only
+        when, in addition, the diffusion coefficient sampled at t equals
+        the one it was built from.
         """
         t = float(t)
         if t == self.t:
@@ -206,6 +272,15 @@ class TruncatedOperator:
         op.t = t
         if self.data.has_drift and not self.data.drift.autonomous:
             op._face_bounds, op._face_drifts, op._drift_max = {}, {}, None
+            op._stencil = None
+        elif self._stencil is not None:
+            coefficients = op._face_coefficients()
+            # the same object samples identically, and costs no comparison
+            if not all(
+                a is b or np.array_equal(a, b)
+                for a, b in zip(coefficients, self._stencil.coefficients)
+            ):
+                op._stencil = _Stencil(op, coefficients)
         return op
 
     # -- flux assembly -----------------------------------------------------
@@ -287,9 +362,21 @@ class TruncatedOperator:
                 comps.append(np.array(np.broadcast_to(A, shape), dtype=float))
         return VectorField(self.domain, tuple(comps))
 
+    def _face_coefficients(self) -> tuple[np.ndarray | float, ...]:
+        """The diffusion coefficient a(., t) on the faces of every axis, as sampled."""
+        coefficient = self.data.diffusion.coefficient
+        return tuple(coefficient(coords, self.t) for coords in self._face_coords)
+
     def apply(self, u: GridFunction) -> GridFunction:
-        """Strong form: -div(flux(u)); consistent with `pairing` exactly."""
-        return GridFunction(self.domain, -divergence(self.flux(u)).values)
+        """Strong form -div(flux(u)), by the slice's stencil when it is linear.
+
+        inner(apply(u), v) equals `pairing(u, v)` to roundoff.
+        """
+        if not self._linear:
+            return GridFunction(self.domain, -divergence(self.flux(u)).values)
+        if self._stencil is None:
+            self._stencil = _Stencil(self, self._face_coefficients())
+        return GridFunction(self.domain, self._stencil.apply(u.values))
 
     def pairing(self, u: GridFunction, v: GridFunction) -> float:
         """Weak pairing < A_M(t) u, v > = (flux(u), grad v)."""

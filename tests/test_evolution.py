@@ -258,13 +258,14 @@ class TestEvolve:
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(E.EvolutionTrace.CSV_COLUMNS)
         assert lines[0].endswith(
-            "energy_violation,final_residual,backtracks,mixed_steps,damping"
+            "energy_violation,final_residual,backtracks,mixed_steps,rejected_mixes,"
+            "damping"
         )
         assert len(lines) == 11
 
     def test_telemetry_columns_are_the_step_diagnostics(self, monkeypatch):
-        # rough data on a stiff nonlinearity backtracks, variable diffusion
-        # mixes, heat sweeps once at full damping
+        # rough data on a stiff nonlinearity backtracks and rejects mixes,
+        # variable diffusion mixes, heat sweeps once at full damping
         dom = G.BoxDomain(2, (1.0, 1.0), (16, 16))
         stiff = M.make_model("lipschitz-nonlinear", dom, 0.5, beta=20.0)
         runs = {
@@ -292,12 +293,15 @@ class TestEvolve:
             assert trace.final_residual == [d.residuals[-1] for d in diags]
             assert trace.backtracks == [d.backtracks for d in diags]
             assert trace.mixed_steps == [d.mixed_steps for d in diags]
+            assert trace.rejected_mixes == [d.rejected_mixes for d in diags]
             assert trace.damping == [d.relaxation for d in diags]
             traces[name] = trace
         assert sum(traces["stiff"].backtracks) > 0 and min(traces["stiff"].damping) < 1
+        assert sum(traces["stiff"].rejected_mixes) > 0
         assert sum(traces["variable-diffusion"].mixed_steps) > 0
         heat = traces["heat"]
         assert sum(heat.backtracks) == sum(heat.mixed_steps) == 0
+        assert sum(heat.rejected_mixes) == 0
         assert set(heat.damping) == {1.0}
 
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -487,7 +488,7 @@ class TestFluxAssembly:
         data, mode, t, level, u = case
         general = replace(
             data,
-            diffusion=replace(data.diffusion, componentwise=False),
+            diffusion=replace(data.diffusion, componentwise=False, coefficient=None),
             drift=None if data.drift is None else replace(data.drift, velocity=None),
         )
         flux = TruncatedOperator(general, t, level=level, drift_mode=mode).flux(u)
@@ -558,7 +559,9 @@ def time_slice_cases(draw):
     top = (24, 16, 10)[dim - 1]
     cells = tuple(draw(st.integers(2, top)) for _ in range(dim))
     dom = G.BoxDomain(dim, lengths, cells)
-    kind = draw(st.sampled_from(("singular-drift", "variable-diffusion", "t-dependent")))
+    kind = draw(
+        st.sampled_from(("heat", "singular-drift", "variable-diffusion", "t-dependent"))
+    )
     if kind == "singular-drift":
         data = M.make_model(
             kind,
@@ -567,7 +570,7 @@ def time_slice_cases(draw):
             c=draw(st.floats(0.01, 2.0)),
             direction=tuple(draw(st.floats(0.1, 1.0)) for _ in range(dim)),
         )
-    elif kind == "variable-diffusion":
+    elif kind in ("heat", "variable-diffusion"):
         data = M.make_model(kind, dom, 1.0)
     else:
         data = replace(M.make_model("heat", dom, 1.0), drift=t_dependent_drift(dim))
@@ -601,3 +604,68 @@ class TestTimeSlices:
         # and the slice it came from still answers for t1
         for ours, ref in zip(parts(op), before):
             assert np.array_equal(ours, ref)
+
+
+def stencil_row_sums(op, shape):
+    """sum_j |S_kj| over the stencil row of every node k."""
+    out = np.abs(op._stencil.diag).copy()
+    for s, upper, lower in op._stencil.neighbours:
+        out[:-s] += np.abs(upper)
+        out[s:] += np.abs(lower)
+    return out.reshape(shape)
+
+
+class TestStencil:
+    @given(case=time_slice_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_stencil_matches_divergence_of_flux(self, case):
+        data, mode, t1, t2, level, u = case
+        umax = np.max(np.abs(u.values))
+
+        def assert_matches(op):
+            ours = op.apply(u).values
+            ref = -G.divergence(op.flux(u)).values
+            bound = 1e-13 * stencil_row_sums(op, ours.shape) * umax
+            assert np.all(np.abs(ours - ref) <= bound)
+
+        op = TruncatedOperator(data, t1, level=level, drift_mode=mode)
+        assert op._linear
+        assert_matches(op)
+        stencil = op._stencil
+        moved = op.at(t2)
+        assert_matches(moved)
+        time_free_drift = data.drift is None or data.drift.autonomous
+        if data.name != "variable-diffusion" and time_free_drift:
+            # identity diffusion, no drift or an autonomous one
+            assert moved._stencil is stencil
+        elif data.name == "variable-diffusion" and math.cos(t1) != math.cos(t2):
+            assert moved._stencil is not stencil
+        elif not time_free_drift and mode != "none" and t1 != t2:
+            assert moved._stencil is not stencil
+        # without a coefficient, or with a drift not declared linear, the
+        # slice applies as -div(flux) itself
+        general = [replace(data, diffusion=replace(data.diffusion, coefficient=None))]
+        if data.has_drift and mode != "none":
+            general.append(replace(data, drift=replace(data.drift, velocity=None)))
+        for other in general:
+            op = TruncatedOperator(other, t1, level=level, drift_mode=mode)
+            assert not op._linear
+            assert np.array_equal(
+                op.apply(u).values, -G.divergence(op.flux(u)).values, equal_nan=True
+            )
+
+    def test_coefficient_and_evaluate_are_exclusive(self):
+        def a(coords, t):
+            return 2.0
+
+        with pytest.raises(ValueError, match="not both"):
+            M.DiffusionFlux(lambda c, t, eta: eta, alpha=1.0, beta=2.0, coefficient=a)
+        with pytest.raises(ValueError, match="evaluate or coefficient"):
+            M.DiffusionFlux(alpha=1.0, beta=2.0)
+        flux = M.DiffusionFlux(coefficient=a, alpha=1.0, beta=2.0)
+        eta = (np.arange(3.0), np.ones(3))
+        assert flux.componentwise
+        for A, e in zip(flux.evaluate(None, 0.0, eta), eta):
+            assert np.array_equal(A, 2.0 * e)
+        # dataclasses.replace hands the derived flux back, which is accepted
+        assert replace(flux, beta=3.0).evaluate == flux.evaluate
