@@ -138,6 +138,9 @@ class RunManifest:
     # checks the experiment did not run, each with the reason; `passed`
     # reads `checks` alone
     skipped: dict[str, str] = field(default_factory=dict)
+    # wall seconds per phase of the evolve, continuation and decay
+    # experiments (`_Laps`); they vary run to run, so no CSV carries them
+    timings: dict[str, float] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -262,11 +265,32 @@ def _write_json(path: Path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+class _Laps:
+    """Wall time of consecutive phases, written into a manifest's timings.
+
+    `lap(name)` records the seconds since the previous lap, or since the
+    stopwatch started.  The phases are `setup_s` (model, truncation plan
+    and its certificates), `march_s` (every solve of the experiment) and
+    `write_s` (its output files, not the manifest).
+    """
+
+    def __init__(self, manifest: RunManifest):
+        self.timings = manifest.timings
+        self.last = time.monotonic()
+
+    def lap(self, name: str) -> None:
+        now = time.monotonic()
+        self.timings[name] = now - self.last
+        self.last = now
+
+
 def _run_evolve(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
+    laps = _Laps(manifest)
     data = _build_problem(cfg)
     evo = _build_evolution(cfg, data)
+    refine = _read(cfg, "evolve.refine", "0", int)
+    laps.lap("setup_s")
     final, trace = evolve(data, evo)
-    trace.write_csv(outdir / "trace.csv")
     summary = {
         "final_l2": norm_l2(final),
         "energy_violations": trace.violations,
@@ -274,9 +298,8 @@ def _run_evolve(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
     }
     if data.exact is not None:
         summary["final_error_l2"] = norm_l2(final - data.exact_grid(evo.horizon))
-    refine = _read(cfg, "evolve.refine", "0", int)
+    rows = []
     if refine > 0 and data.exact is not None:
-        rows = []
         dt, cells = evo.dt, data.domain.cells
         for k in range(refine + 1):
             dom_k = BoxDomain(data.domain.dim, data.domain.lengths, cells)
@@ -289,19 +312,26 @@ def _run_evolve(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
             rows.append((dt, dom_k.spacing[0], err))
             dt /= 2
             cells = tuple(2 * n for n in cells)
+        summary["refinement_errors"] = [r[2] for r in rows]
+    laps.lap("march_s")
+    trace.write_csv(outdir / "trace.csv")
+    if rows:
         with open(outdir / "convergence.csv", "w", encoding="utf-8") as f:
             f.write("tau,h,error\n")
             for row in rows:
                 f.write(",".join(repr(x) for x in row) + "\n")
-        summary["refinement_errors"] = [r[2] for r in rows]
     _write_json(outdir / "evolve_summary.json", summary)
+    laps.lap("write_s")
     manifest.checks["energy_inequality"] = trace.violations == 0
 
 
 def _run_continuation(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
+    laps = _Laps(manifest)
     data = _build_problem(cfg)
     evo = _build_evolution(cfg, data)
+    laps.lap("setup_s")
     result = continuation(data, evo)
+    laps.lap("march_s")
     for lev in result.levels:
         lev.trace.write_csv(outdir / f"trace_M{lev.level:.6g}.csv")
     payload = {
@@ -313,6 +343,7 @@ def _run_continuation(cfg, outdir: Path, seed: int, manifest: RunManifest) -> No
         "certificates": [c.as_dict() for c in evo.truncation.certificates],
     }
     _write_json(outdir / "continuation.json", payload)
+    laps.lap("write_s")
     manifest.checks["differences_nonincreasing"] = result.differences_nonincreasing
     manifest.checks["saturated_levels_agree"] = result.differences[-1] <= 1e-9
     manifest.checks["energy_inequality"] = all(
@@ -358,15 +389,20 @@ def _run_steady(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
 
 
 def _run_decay(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
+    laps = _Laps(manifest)
     scfg = _steady_config(cfg, "1e-12")
     data = _build_problem(cfg)
     evo = _build_evolution(cfg, data)
+    laps.lap("setup_s")
+    # the stationary solve, the march and the rate fit
     report = decay_experiment(data, evo, scfg)
+    laps.lap("march_s")
     payload = report.as_dict()
     payload["y_series_path"] = "y_series.csv"
     _write_json(outdir / "decay_report.json", payload)
     report.write_series(outdir / "y_series.csv")
     report.trace.write_csv(outdir / "trace.csv")
+    laps.lap("write_s")
     manifest.checks["energy_inequality"] = report.trace.violations == 0
     if not report.small_data_pass:
         reason = _small_data_failure(report.small_data_detail)

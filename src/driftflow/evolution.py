@@ -17,7 +17,21 @@ Every step is followed by a discrete energy check
   1/2 |u_j|^2 + tau (alpha/2) |grad u_j|^2 <= 1/2 |u_{j-1}|^2 + tau <f_j, u_j> + tol
 
 with f_j the step's own effective source and tol the fixed `_ENERGY_TOL`;
-the schemes satisfy it by construction up to solver tolerance.
+the schemes satisfy it by construction up to solver tolerance.  With f_j
+= -div G_j, tau <f_j, u_j> = tau (G_j, grad u_j).  When the drift declares
+`velocity` (B(u) = V avg(u) on the faces), its part of that pairing is
+read from two closed forms instead of re-assembled face arrays:
+
+  semi-implicit    -(theta_M B(u_{j-1}), grad u_j) = -<S_theta(u_{j-1}), u_j>
+  fully-implicit   -(B(u_j), grad u_j)             = 1/2 <div V, u_j^2>
+
+S_theta(w) = -div(theta_M B(w)) is the operator's `explicit_drift`, the
+same array that moves the explicit drift to the right-hand side, and
+div V its cached `drift_divergence`; the second identity holds because
+avg(u) (u_{k+1} - u_k)/h = (u_{k+1}^2 - u_k^2)/(2h) on every face.  Both
+are exact in exact arithmetic and agree with the assembled pairings to
+roundoff (about 1e-15 relative in dimensions 1-3), far below the gate's
+1e-10.  A drift without `velocity` keeps the assembled `_effective_source`.
 
 Along a march the resolve of step j starts from the polynomial
 extrapolation of the last q + 1 states,
@@ -184,6 +198,20 @@ class EvolutionTrace:
         return lhs / (self.initial_l2**2 + self.times[-1] + self.source_sum)
 
 
+def _drift_pairing(
+    op: TruncatedOperator, implicit: bool, u: np.ndarray, explicit: np.ndarray | None
+) -> float:
+    """The drift's part of <f_j, u_j> in closed form (see the module docstring).
+
+    For a drift that declares `velocity`; u is the new state's values and
+    `explicit` is S_theta(u_prev), used by the semi-implicit splitting.
+    """
+    weight = op.domain.node_weight
+    if implicit:
+        return 0.5 * weight * float(np.vdot(op.drift_divergence(), u * u))
+    return -weight * float(np.vdot(explicit, u))
+
+
 def _effective_source(
     F: VectorField | None,
     splitting: str,
@@ -256,18 +284,30 @@ def _step_detailed(
     dom = data.domain
     rescfg = replace(cfg.resolvent, lam=tau)
     implicit = cfg.splitting == "fully-implicit"
+    closed_form = data.has_drift and data.drift.velocity is not None
     F = data.source_field(t)
-    # the flux carried to the right-hand side: F alone when the drift is
-    # implicit, else F - theta_M B(t, u_prev)
-    rhs_flux = F if implicit else _effective_source(F, cfg.splitting, u_prev, op)
     rhs_vals = u_prev.values
+    explicit = None
+    if closed_form and not implicit:
+        # the explicit drift moves to the right-hand side as S_theta(u_prev)
+        explicit = op.explicit_drift(u_prev.values)
+        rhs_vals = rhs_vals - tau * explicit
+    # the flux carried to the right-hand side: F, or F - theta_M B(t, u_prev)
+    # for a semi-implicit drift without `velocity`
+    rhs_flux = F
+    if not (implicit or closed_form):
+        rhs_flux = _effective_source(F, cfg.splitting, u_prev, op)
     if rhs_flux is not None:
-        rhs_vals = u_prev.values - tau * divergence(rhs_flux).values
+        rhs_vals = rhs_vals - tau * divergence(rhs_flux).values
     x0 = u_prev if guess is None else guess
     u_new, diag = op.resolve_detailed(GridFunction(dom, rhs_vals), rescfg, x0=x0)
-    source = _effective_source(F, cfg.splitting, u_new, op) if implicit else rhs_flux
     gu = gradient(u_new)
+    source = rhs_flux
+    if implicit and not closed_form:
+        source = _effective_source(F, cfg.splitting, u_new, op)
     pair = inner_vec(source, gu) if source is not None else 0.0
+    if closed_form:
+        pair += _drift_pairing(op, implicit, u_new.values, explicit)
     l2_sq, h1_sq = inner(u_new, u_new), inner_vec(gu, gu)
     if prev_sq is None:
         prev_sq = inner(u_prev, u_prev)
@@ -294,17 +334,22 @@ def step(
     return _step_detailed(u_prev, cfg, _step_operator(data, t, cfg, level)).state
 
 
-def _extrapolate(history: deque[GridFunction]) -> GridFunction:
+def _extrapolate(
+    history: deque[GridFunction], out: np.ndarray, term: np.ndarray
+) -> np.ndarray:
     """sum_k (-1)^k C(q+1, k+1) u_{j-1-k} over the states held, newest first.
 
     The degree-q polynomial through the q + 1 states, evaluated one step
-    past the newest; with one state it is that state.
+    past the newest; with one state it is that state.  Written into `out`
+    with `term` as scratch, by the same products and sums in the same order
+    as the plain expression, so the result is bit for bit the same.
     """
     q = len(history) - 1
-    vals = history[0].values * (q + 1)
+    np.multiply(history[0].values, q + 1, out=out)
     for k in range(1, q + 1):
-        vals = vals + (-1) ** k * math.comb(q + 1, k + 1) * history[k].values
-    return GridFunction(history[0].domain, vals)
+        np.multiply((-1) ** k * math.comb(q + 1, k + 1), history[k].values, out=term)
+        np.add(out, term, out=out)
+    return out
 
 
 def _default_level(cfg: EvolutionConfig) -> float | None:
@@ -344,6 +389,9 @@ def _march(
     u_sq = inner(u, u)
     trace.initial_l2 = _root(u_sq)
     history = deque([u], maxlen=_EXTRAPOLATION_ORDER + 1)
+    # the guess and its scratch term, reused by every step: the resolve
+    # starts from a copy, so no state aliases them
+    guess, term = np.empty_like(u.values), np.empty_like(u.values)
     yield 0.0, u
     dissip = 0.0
     tau = cfg.dt
@@ -354,7 +402,8 @@ def _march(
         t = j * tau
         op = op.at(t)
         try:
-            res = _step_detailed(u, cfg, op, u_sq, guess=_extrapolate(history))
+            x0 = GridFunction(u.domain, _extrapolate(history, guess, term))
+            res = _step_detailed(u, cfg, op, u_sq, guess=x0)
         except grid.ConvergenceError as err:
             err.args = (f"step {j} (t={t:.6g}) failed: {err.args[0]}",)
             err.step, err.t, err.trace = j, t, trace

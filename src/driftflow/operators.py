@@ -55,6 +55,27 @@ to roundoff and `pairing` still equals inner(apply(u), v) to roundoff.
 coefficient re-sampled at t is identical, and rebuilds it otherwise.  Every
 other slice applies as -div(flux(u)).  `flux`, `pairing`, `drift_flux` and
 `accretivity_margin` always assemble the flux.
+
+A drift that declares `velocity` has two more per-slice forms, both for
+the time step's explicit source and energy check:
+
+- `explicit_drift(w)` is S_theta(w) = -div(theta_M V avg(w)), the negative
+  divergence of `drift_flux(w, explicit=True)`, applied as the same
+  stencil built with a = 0 and the explicit face drift theta_M V;
+- `drift_divergence()` is the node field div(w V) of the implicit face
+  drift.  On every face avg(u) (u_{k+1} - u_k)/h = (u_{k+1}^2 - u_k^2)/(2h),
+  so the exact adjoint identity gives
+  (w V avg(u), grad u) = -1/2 inner(div(w V), u^2).
+
+Each is built on first use and kept by `at(t)` exactly when the drift
+caches are, so they agree with the assembled forms to roundoff at every t.
+
+The kernel works on raw arrays: residuals, preconditioned updates, trial
+and mixed iterates are ndarrays of the interior shape, and the operator
+enters it through `_apply_values`, the array form of `apply`.
+`GridFunction` appears only at the kernel's boundary: the right-hand side,
+starting guess and solution of `resolve_detailed` and `stationary_solve`,
+and the last iterate a `ConvergenceError` carries as `last`.
 """
 
 from __future__ import annotations
@@ -75,7 +96,6 @@ from .grid import (
     divergence,
     gradient,
     helmholtz_solve,
-    inner,
     inner_vec,
     norm_l2,
 )
@@ -118,12 +138,14 @@ class SolverDiagnostics:
         return asdict(self)
 
 
-def _require_finite(rn: float, solver: str, it: int, last, residuals) -> None:
+def _require_finite(
+    rn: float, solver: str, it: int, domain: BoxDomain, u: np.ndarray, residuals
+) -> None:
     """Name a NaN or inf residual instead of backtracking to a false stall."""
     if not math.isfinite(rn):
         raise ConvergenceError(
             f"{solver} residual is non-finite ({rn}) after {it} iterations",
-            last=last,
+            last=GridFunction(domain, u),
             residuals=residuals,
         )
 
@@ -180,11 +202,16 @@ class _Stencil:
     weights of u[k + s] at nodes k < N - s and of u[k - s] at nodes k >= s;
     a weight is 0 where that neighbour is a boundary ghost and the flat
     offset would wrap onto the next line.  `coefficients` are the face
-    samples of a the stencil was built from.
+    samples of a the stencil was built from.  The drift part is the
+    operator's implicit face drift, or with `explicit` its explicit one,
+    theta_M V.
     """
 
     def __init__(
-        self, op: "TruncatedOperator", coefficients: tuple[np.ndarray | float, ...]
+        self,
+        op: "TruncatedOperator",
+        coefficients: tuple[np.ndarray | float, ...],
+        explicit: bool = False,
     ):
         self.coefficients = coefficients
         dom = op.domain
@@ -194,7 +221,7 @@ class _Stencil:
         for axis, (a, h) in enumerate(zip(coefficients, dom.spacing)):
             up = down = np.broadcast_to(a, dom.face_shape(axis)) / h
             if op._drifts:
-                half = 0.5 * op._face_drift(axis, False)
+                half = 0.5 * op._face_drift(axis, explicit)
                 up, down = up + half, up - half
             head = (slice(None),) * axis
             below, above = head + (slice(None, -1),), head + (slice(1, None),)
@@ -255,15 +282,18 @@ class TruncatedOperator:
             not self._drifts or data.drift.velocity is not None
         )
         self._stencil: _Stencil | None = None
+        # the drift's explicit stencil S_theta and div(w V): see the module docstring
+        self._explicit_stencil: _Stencil | None = None
+        self._drift_div: np.ndarray | None = None
 
     def at(self, t: float) -> "TruncatedOperator":
         """This slice at time t: the same data, level and drift mode.
 
         Returns self when t is unchanged.  The copy shares every cache that
-        does not depend on t; the drift caches count among them only when
-        the data has no drift or an autonomous one, and the stencil only
-        when, in addition, the diffusion coefficient sampled at t equals
-        the one it was built from.
+        does not depend on t; the drift caches (with the explicit stencil
+        and div(w V)) count among them only when the data has no drift or
+        an autonomous one, and the stencil only when, in addition, the
+        diffusion coefficient sampled at t equals the one it was built from.
         """
         t = float(t)
         if t == self.t:
@@ -272,7 +302,7 @@ class TruncatedOperator:
         op.t = t
         if self.data.has_drift and not self.data.drift.autonomous:
             op._face_bounds, op._face_drifts, op._drift_max = {}, {}, None
-            op._stencil = None
+            op._stencil = op._explicit_stencil = op._drift_div = None
         elif self._stencil is not None:
             coefficients = op._face_coefficients()
             # the same object samples identically, and costs no comparison
@@ -372,11 +402,38 @@ class TruncatedOperator:
 
         inner(apply(u), v) equals `pairing(u, v)` to roundoff.
         """
+        return GridFunction(self.domain, self._apply_values(u.values))
+
+    def _apply_values(self, v: np.ndarray) -> np.ndarray:
+        """`apply` on the node values alone, as the kernel calls it."""
         if not self._linear:
-            return GridFunction(self.domain, -divergence(self.flux(u)).values)
+            return -divergence(self.flux(GridFunction(self.domain, v))).values
         if self._stencil is None:
             self._stencil = _Stencil(self, self._face_coefficients())
-        return GridFunction(self.domain, self._stencil.apply(u.values))
+        return self._stencil.apply(v)
+
+    def explicit_drift(self, w: np.ndarray) -> np.ndarray:
+        """S_theta(w) = -div(theta_M B(w)) on node values, for a drift with `velocity`.
+
+        The negative divergence of `drift_flux(w, explicit=True)` to
+        roundoff, by the stencil with a = 0 and the explicit face drift
+        theta_M V, built once per slice.
+        """
+        if self._explicit_stencil is None:
+            zero = (0.0,) * self.domain.dim
+            self._explicit_stencil = _Stencil(self, zero, explicit=True)
+        return self._explicit_stencil.apply(w)
+
+    def drift_divergence(self) -> np.ndarray:
+        """div(w V) of the implicit face drift, for a drift with `velocity`.
+
+        One node field per slice, with (w V avg(u), grad u) =
+        -1/2 inner(div(w V), u^2) for every u.
+        """
+        if self._drift_div is None:
+            faces = tuple(self._face_drift(a, False) for a in range(self.domain.dim))
+            self._drift_div = divergence(VectorField(self.domain, faces)).values
+        return self._drift_div
 
     def pairing(self, u: GridFunction, v: GridFunction) -> float:
         """Weak pairing < A_M(t) u, v > = (flux(u), grad v)."""
@@ -449,17 +506,21 @@ class TruncatedOperator:
         """Solve u + lam * A_M(t) u = g to residual tol * (1 + |g|)."""
         lam, dom = cfg.lam, self.domain
         m, M = self.contraction_constants(lam)
-        return _monotone_iteration(
-            lambda u: GridFunction(dom, u.values + lam * self.apply(u).values - g.values),
+        gv, weight = g.values, dom.node_weight
+        u, diag = _monotone_iteration(
+            lambda u: u + lam * self._apply_values(u) - gv,
             # K is constant-coefficient, so the sine transform inverts it exactly
             lambda r: helmholtz_solve(dom, r, 1.0, lam * self.precondition_scale()),
-            norm_l2,
-            x0.copy() if x0 is not None else g.copy(),
+            # norm_l2 on the values
+            lambda r: math.sqrt(max(weight * float(np.vdot(r, r)), 0.0)),
+            (x0 if x0 is not None else g).values.copy(),
+            domain=dom,
             tol=cfg.tol * (1.0 + norm_l2(g)),
             max_iter=cfg.max_iter,
             rho_floor=max(1e-4, 0.9 * m / M**2),
             solver="damped Picard",
         )
+        return GridFunction(dom, u), diag
 
 
 # Anderson depth: how many past differences a mixed iterate combines.
@@ -515,17 +576,22 @@ class _AndersonHistory:
 
 
 def _monotone_iteration(
-    residual: Callable[[GridFunction], GridFunction],
+    residual: Callable[[np.ndarray], np.ndarray],
     precondition: Callable[[np.ndarray], np.ndarray],
-    norm: Callable[[GridFunction], float],
-    u: GridFunction,
+    norm: Callable[[np.ndarray], float],
+    u: np.ndarray,
     *,
+    domain: BoxDomain,
     tol: float,
     max_iter: int,
     rho_floor: float,
     solver: str,
-) -> tuple[GridFunction, SolverDiagnostics]:
+) -> tuple[np.ndarray, SolverDiagnostics]:
     """Drive norm(residual(u)) below tol by preconditioned, damped steps.
+
+    Iterates, residuals and updates are node-value arrays; the solution is
+    returned as one, and a failure wraps the last iterate as a
+    GridFunction on `domain`.  u itself is never written to.
 
     Each iteration takes z = precondition(r) and steps u - rho z.  The
     damping rho starts at 1 and is halved down to rho_floor until the
@@ -543,18 +609,18 @@ def _monotone_iteration(
     mixing = None
     for it in range(1, max_iter + 1):
         diag.residuals.append(rn)
-        _require_finite(rn, solver, it - 1, u, diag.residuals)
+        _require_finite(rn, solver, it - 1, domain, u, diag.residuals)
         if rn <= tol:
             diag.iterations = it - 1
             diag.converged = True
             diag.relaxation = rho
             return u, diag
-        z = precondition(r.values)
+        z = precondition(r)
         if mixing is not None:
-            mixing.push(u.values, z)
+            mixing.push(u, z)
             mixed = mixing.mix(rho)
             if mixed is not None:
-                trial = GridFunction(u.domain, mixed.reshape(u.values.shape))
+                trial = mixed.reshape(u.shape)
                 r_trial = residual(trial)
                 rn_trial = norm(r_trial)
                 if rn_trial < rn:
@@ -565,10 +631,10 @@ def _monotone_iteration(
             mixing.count = 0  # clear the history
         accepted = False
         while True:
-            trial = GridFunction(u.domain, u.values - rho * z)
+            trial = u - rho * z
             r_trial = residual(trial)
             rn_trial = norm(r_trial)
-            _require_finite(rn_trial, solver, it, u, diag.residuals)
+            _require_finite(rn_trial, solver, it, domain, u, diag.residuals)
             if rn_trial < rn or rn_trial <= tol:
                 accepted = True
                 break
@@ -583,11 +649,11 @@ def _monotone_iteration(
             raise ConvergenceError(
                 f"{solver} stalled at residual {rn:.3e} "
                 f"(tol {tol:.3e}) after {it} iterations",
-                last=u,
+                last=GridFunction(domain, u),
                 residuals=diag.residuals,
             )
         if mixing is None and rn_trial > _SLOW_CONTRACTION * rn:
-            mixing = _AndersonHistory(u.values, z)
+            mixing = _AndersonHistory(u, z)
         u, r, rn = trial, r_trial, rn_trial
         streak += 1
         if streak >= 3 and rho < 1.0:
@@ -602,7 +668,7 @@ def _monotone_iteration(
     raise ConvergenceError(
         f"{solver} did not reach tol in {max_iter} iterations "
         f"(residual {rn:.3e})",
-        last=u,
+        last=GridFunction(domain, u),
         residuals=diag.residuals,
     )
 
@@ -622,10 +688,11 @@ def stationary_solve(
     """
     dom = op.domain
     gamma = op.precondition_scale()
+    weight = dom.node_weight
 
-    def dual_norm(r: GridFunction) -> float:
-        z = helmholtz_solve(dom, r.values, 0.0, 1.0)
-        return float(np.sqrt(max(inner(GridFunction(dom, z), r), 0.0)))
+    def dual_norm(r: np.ndarray) -> float:
+        z = helmholtz_solve(dom, r, 0.0, 1.0)
+        return math.sqrt(max(weight * float(np.vdot(z, r)), 0.0))
 
     alpha = op.data.diffusion.alpha
     beta = op.data.diffusion.beta
@@ -633,13 +700,16 @@ def stationary_solve(
     M = (beta + (0.5 * alpha if op.data.has_drift else 0.0)) / gamma + (
         op.drift_face_max() / gamma
     )
-    return _monotone_iteration(
-        lambda u: GridFunction(dom, op.apply(u).values - rhs.values),
+    rv = rhs.values
+    u, diag = _monotone_iteration(
+        lambda u: op._apply_values(u) - rv,
         lambda r: helmholtz_solve(dom, r, 0.0, gamma),
         dual_norm,
-        x0.copy() if x0 is not None else grid.zeros(dom),
-        tol=tol * (1.0 + dual_norm(rhs)),
+        x0.values.copy() if x0 is not None else np.zeros(dom.interior_shape),
+        domain=dom,
+        tol=tol * (1.0 + dual_norm(rv)),
         max_iter=max_iter,
         rho_floor=max(1e-4, 0.9 * m / M**2),
         solver="stationary solve",
     )
+    return GridFunction(dom, u), diag

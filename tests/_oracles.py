@@ -5,6 +5,7 @@ from functools import reduce
 import numpy as np
 import scipy.sparse
 
+from driftflow import models as M
 from driftflow.grid import BoxDomain
 
 
@@ -28,3 +29,22 @@ def laplacian_matrix(domain: BoxDomain) -> scipy.sparse.csr_matrix:
         term = reduce(scipy.sparse.kron, factors)
         total = term if total is None else total + term
     return total.tocsr()
+
+
+def t_dependent_drift(dim):
+    """A drift linear in z whose coefficient grows with t."""
+    e = np.linspace(0.6, 0.8, dim)
+    e = tuple(e / np.linalg.norm(e))
+
+    def bound(coords, t):
+        return (1.0 + 3.0 * t) * (1.0 + coords[0] + 0.0 * coords[-1])
+
+    def velocity(coords, t):
+        b = bound(coords, t)
+        return tuple(b * ea for ea in e)
+
+    def evaluate(coords, t, z):
+        b = bound(coords, t)
+        return tuple(z * b * ea for ea in e)
+
+    return M.DriftFlux(evaluate=evaluate, bound=bound, velocity=velocity)

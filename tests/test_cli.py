@@ -127,6 +127,30 @@ class TestRun:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            FAST_DECAY,
+            "experiment = evolve\nmodel = manufactured\ndomain.cells = 8,8\n"
+            "time.dt = 0.01\ntime.T = 0.05\nevolve.refine = 1\n",
+            "experiment = continuation\nmodel = singular-drift\nmodel.c = 0.08\n"
+            "domain.cells = 8,8\ntime.dt = 0.01\ntime.T = 0.05\n",
+        ],
+        ids=["decay", "evolve", "continuation"],
+    )
+    def test_manifest_records_phase_timings(self, tmp_path, text):
+        outdir = tmp_path / "out"
+        manifest = cli.run(write_cfg(tmp_path, text), output_dir=outdir)
+        timings = json.loads((outdir / "run_manifest.json").read_text())["timings"]
+        assert timings == manifest.timings
+        assert set(timings) == {"setup_s", "march_s", "write_s"}
+        assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+        assert sum(timings.values()) <= manifest.wall_time_s
+        # wall times stay out of every CSV the run writes
+        for path in outdir.glob("*.csv"):
+            header = path.read_text(encoding="utf-8").splitlines()[0]
+            assert not any(key in header for key in timings), path.name
+
     def test_override(self, tmp_path):
         path = write_cfg(tmp_path, FAST_DECAY)
         manifest = cli.run(

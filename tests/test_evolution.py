@@ -5,13 +5,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftflow import cli
 from driftflow import grid as G
 from driftflow import models as M
 from driftflow import evolution as E
-from driftflow.operators import ResolventConfig
+from driftflow.operators import ResolventConfig, _to_faces
 from driftflow.steady import SteadyConfig, decay_experiment, solve_steady
+
+from _oracles import t_dependent_drift
 
 TIGHT = ResolventConfig(tol=1e-13)
 
@@ -614,3 +618,113 @@ class TestStreamedTrajectories:
             run(cfg(1e-3, 0.01))  # fill the grid caches outside the measurement
             growth = peak(run, 400) - peak(run, 100)
             assert growth < 20 * state_bytes, (name, growth / state_bytes)
+
+
+@st.composite
+def pairing_cases(draw):
+    """A velocity drift on an anisotropic box of dimension 1-3, one splitting,
+    an optional source, and a previous and a new state."""
+    dim = draw(st.integers(1, 3))
+    lengths = tuple(draw(st.floats(0.25, 4.0)) for _ in range(dim))
+    top = (24, 16, 10)[dim - 1]
+    dom = G.BoxDomain(dim, lengths, tuple(draw(st.integers(2, top)) for _ in range(dim)))
+    if draw(st.booleans()):
+        data = M.make_model(
+            "singular-drift", dom, 1.0,
+            c=draw(st.floats(0.01, 2.0)),
+            direction=tuple(draw(st.floats(0.1, 1.0)) for _ in range(dim)),
+        )
+    else:
+        data = replace(M.make_model("heat", dom, 1.0), drift=t_dependent_drift(dim))
+    if draw(st.booleans()):
+        data = replace(
+            data, source=lambda c, t: tuple((1.0 + t) * np.cos(x + a) for a, x in enumerate(c))
+        )
+    splitting = draw(st.sampled_from(("fully-implicit", "semi-implicit")))
+    dt = 1.0 / draw(st.integers(10, 1000))
+    c = cfg(dt, 1.0, splitting=splitting)
+    t = draw(st.floats(0.0, 1.0))
+    level = draw(st.floats(0.05, 20.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    u_prev, u = (G.GridFunction(dom, rng.standard_normal(dom.interior_shape)) for _ in "ab")
+    return data, c, E._step_operator(data, t, c, level), u_prev, u
+
+
+def assembled_pairing(c, op, u_prev, u):
+    """<f_j, u_j> through the assembled effective source flux."""
+    w = u if c.splitting == "fully-implicit" else u_prev
+    source = E._effective_source(op.data.source_field(op.t), c.splitting, w, op)
+    return G.inner_vec(source, G.gradient(u))
+
+
+class TestClosedFormPairing:
+    """The energy check reads a velocity drift's pairing in closed form."""
+
+    @given(case=pairing_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_effective_source(self, case):
+        data, c, op, u_prev, u = case
+        dom = data.domain
+        implicit = c.splitting == "fully-implicit"
+        explicit = None if implicit else op.explicit_drift(u_prev.values)
+        F = data.source_field(op.t)
+        closed = E._drift_pairing(op, implicit, u.values, explicit)
+        if F is not None:
+            closed += G.inner_vec(F, G.gradient(u))
+        ref = assembled_pairing(c, op, u_prev, u)
+        # every face term on either side is at most |w V| (|w_k| + |w_k+1|) |u| / h
+        w = np.abs(u.values if implicit else u_prev.values)
+        scale = abs(ref) + dom.node_weight * sum(
+            np.vdot(
+                np.abs(op._face_drift(a, not implicit)),
+                (_to_faces(w, a) * _to_faces(np.abs(u.values), a)),
+            ) * 4 / h
+            for a, h in enumerate(dom.spacing)
+        )
+        assert abs(closed - ref) <= 1e-13 * scale
+
+    @given(case=pairing_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_step_slack_matches_the_assembled_check(self, case):
+        data, c, op, u_prev, _ = case
+        res = E._step_detailed(u_prev, c, op)
+        u, tau = res.state, c.dt
+        pair = assembled_pairing(c, op, u_prev, u)
+        ref = (
+            0.5 * G.inner(u, u)
+            + tau * 0.5 * data.diffusion.alpha * G.norm_h1(u) ** 2
+            - 0.5 * G.inner(u_prev, u_prev)
+            - tau * pair
+        )
+        size = G.inner(u, u) + G.inner(u_prev, u_prev) + tau * (res.h1_sq + abs(pair))
+        assert abs(res.energy_slack - ref) <= 1e-12 * size
+
+
+def unbuffered_extrapolation(history):
+    """The guess as one expression, fresh arrays for every term."""
+    q = len(history) - 1
+    vals = history[0].values * (q + 1)
+    for k in range(1, q + 1):
+        vals = vals + (-1) ** k * math.comb(q + 1, k + 1) * history[k].values
+    return vals
+
+
+class TestBufferedExtrapolation:
+    @given(
+        dim=st.integers(1, 3),
+        q=st.integers(0, E._EXTRAPOLATION_ORDER),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_the_unbuffered_sum(self, dim, q, seed):
+        rng = np.random.default_rng(seed)
+        dom = G.BoxDomain(dim, (1.0,) * dim, tuple(rng.integers(2, 9, size=dim)))
+        history = [
+            G.GridFunction(dom, rng.standard_normal(dom.interior_shape) * 10.0 ** rng.integers(-3, 4))
+            for _ in range(q + 1)
+        ]
+        # stale buffer contents must not leak into the result
+        out, term = (np.full(dom.interior_shape, np.nan) for _ in "ab")
+        got = E._extrapolate(history, out, term)
+        assert got is out
+        assert np.array_equal(got, unbuffered_extrapolation(history))

@@ -85,6 +85,70 @@ class TestLorentzNorm:
             L.LorentzExponents(2.0, 0.5)
 
 
+def brute_force_norm(values, weight, p, q):
+    """||u||_{p,q} summed over the distribution function, counted node by node.
+
+    Between consecutive distinct values c_{j-1} < c_j of |u|, mu(m) is the
+    weight of the nodes with |u| >= c_j, so the integral of
+    mu^{q/p} m^{q-1} over that interval is mu^{q/p} (c_j^q - c_{j-1}^q) / q.
+    """
+    flat = np.abs(np.asarray(values, dtype=float)).ravel()
+    levels = sorted({float(x) for x in flat if x > 0})
+    mus = [weight * int(np.count_nonzero(flat >= c)) for c in levels]
+    if math.isinf(q):
+        return max((c * mu ** (1.0 / p) for c, mu in zip(levels, mus)), default=0.0)
+    total, prev = 0.0, 0.0
+    for c, mu in zip(levels, mus):
+        total += mu ** (q / p) * (c**q - prev**q) / q
+        prev = c
+    return (p * total) ** (1.0 / q)
+
+
+def rearrangement_norm(values, weight, p, q):
+    """||u||_{p,q} = (int_0^inf (t^{1/p} u*(t))^q dt/t)^{1/q}, q finite.
+
+    u* is the decreasing rearrangement: the k-th largest |u| on
+    [(k-1) w, k w), where t^{q/p - 1} integrates in closed form.
+    """
+    a = np.sort(np.abs(np.asarray(values, dtype=float)).ravel())[::-1]
+    k = np.arange(1, a.size + 1)
+    steps = (k * weight) ** (q / p) - ((k - 1) * weight) ** (q / p)
+    return float((p / q * np.sum(a**q * steps)) ** (1.0 / q))
+
+
+@st.composite
+def lorentz_cases(draw):
+    dim = draw(st.integers(1, 3))
+    lengths = tuple(draw(st.floats(0.25, 4.0)) for _ in range(dim))
+    cells = tuple(draw(st.integers(2, (40, 12, 7)[dim - 1])) for _ in range(dim))
+    dom = G.BoxDomain(dim, lengths, cells)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    shape = dom.interior_shape
+    if draw(st.booleans()):
+        # few distinct values, many ties and zeros
+        vals = rng.integers(-3, 4, size=shape) * draw(st.floats(0.01, 100.0))
+    else:
+        vals = rng.lognormal(0.0, 2.0, size=shape) * rng.choice([-1.0, 0.0, 1.0], size=shape)
+    p = draw(st.floats(1.05, 8.0))
+    q = draw(st.one_of(st.just(INF), st.floats(1.0, 10.0)))
+    return G.GridFunction(dom, vals.astype(float)), p, q
+
+
+class TestAgainstBruteForce:
+    @given(case=lorentz_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_lorentz_norm_and_weak_norm(self, case):
+        u, p, q = case
+        w = u.domain.node_weight
+        got = L.lorentz_norm(u, L.LorentzExponents(p, q))
+        ref = brute_force_norm(u.values, w, p, q)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+        weak = L.weak_norm_of_values(u.values, w, p)
+        assert weak == pytest.approx(brute_force_norm(u.values, w, p, INF), rel=1e-12, abs=0.0)
+        if not math.isinf(q):
+            assert got == pytest.approx(rearrangement_norm(u.values, w, p, q), rel=1e-10, abs=0.0)
+
+
 class TestTruncate:
     def test_no_op_above_max(self):
         u = gf([-0.5, 0.25, 0.75])

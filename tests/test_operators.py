@@ -19,7 +19,7 @@ from driftflow.operators import (
     stationary_solve,
 )
 
-from _oracles import laplacian_matrix
+from _oracles import laplacian_matrix, t_dependent_drift
 
 DOM = G.BoxDomain(2, (1.0, 1.0), (16, 16))
 DOM3 = G.BoxDomain(3, (1.0, 1.0, 1.0), (10, 10, 10))
@@ -366,25 +366,6 @@ class TestNonFinite:
 # -- flux assembly against the reference assembly ---------------------------
 
 
-def t_dependent_drift(dim):
-    """A drift linear in z whose coefficient grows with t."""
-    e = np.linspace(0.6, 0.8, dim)
-    e = tuple(e / np.linalg.norm(e))
-
-    def bound(coords, t):
-        return (1.0 + 3.0 * t) * (1.0 + coords[0] + 0.0 * coords[-1])
-
-    def velocity(coords, t):
-        b = bound(coords, t)
-        return tuple(b * ea for ea in e)
-
-    def evaluate(coords, t, z):
-        b = bound(coords, t)
-        return tuple(z * b * ea for ea in e)
-
-    return M.DriftFlux(evaluate=evaluate, bound=bound, velocity=velocity)
-
-
 def reference_to_faces(values, axis):
     """Zero-ghost padding followed by adjacent averaging."""
     pad = [(1, 1) if a == axis else (0, 0) for a in range(values.ndim)]
@@ -553,15 +534,17 @@ class TestFluxAssembly:
 
 
 @st.composite
-def time_slice_cases(draw):
+def time_slice_cases(
+    draw,
+    kinds=("heat", "singular-drift", "variable-diffusion", "t-dependent"),
+    modes=("none", "full", "remainder"),
+):
     dim = draw(st.integers(1, 3))
     lengths = tuple(draw(st.floats(0.25, 4.0)) for _ in range(dim))
     top = (24, 16, 10)[dim - 1]
     cells = tuple(draw(st.integers(2, top)) for _ in range(dim))
     dom = G.BoxDomain(dim, lengths, cells)
-    kind = draw(
-        st.sampled_from(("heat", "singular-drift", "variable-diffusion", "t-dependent"))
-    )
+    kind = draw(st.sampled_from(kinds))
     if kind == "singular-drift":
         data = M.make_model(
             kind,
@@ -574,7 +557,7 @@ def time_slice_cases(draw):
         data = M.make_model(kind, dom, 1.0)
     else:
         data = replace(M.make_model("heat", dom, 1.0), drift=t_dependent_drift(dim))
-    mode = draw(st.sampled_from(("none", "full", "remainder")))
+    mode = draw(st.sampled_from(modes))
     t1, t2 = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
     level = draw(st.floats(0.05, 20.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -669,3 +652,66 @@ class TestStencil:
             assert np.array_equal(A, 2.0 * e)
         # dataclasses.replace hands the derived flux back, which is accepted
         assert replace(flux, beta=3.0).evaluate == flux.evaluate
+
+
+# the two drifts that declare `velocity`: autonomous and growing with t
+drift_slice_cases = time_slice_cases(
+    kinds=("singular-drift", "t-dependent"), modes=("full", "remainder")
+)
+
+
+class TestDriftClosedForms:
+    @given(case=drift_slice_cases)
+    @settings(max_examples=80, deadline=None)
+    def test_explicit_stencil_matches_divergence_of_drift_flux(self, case):
+        data, mode, t1, t2, level, u = case
+        dom = data.domain
+        umax = np.max(np.abs(u.values))
+
+        def assert_matches(op):
+            ours = op.explicit_drift(u.values)
+            faces = tuple(op.drift_flux(u, a, explicit=True) for a in range(dom.dim))
+            ref = -G.divergence(G.VectorField(dom, faces)).values
+            # |theta V| / h summed over the faces of every node: with a = 0 the
+            # stencil's diagonal is a difference of two of these and may cancel
+            weights = np.zeros(dom.interior_shape)
+            for a, h in enumerate(dom.spacing):
+                w = np.abs(op._face_drift(a, True))
+                head = (slice(None),) * a
+                weights += (w[head + (slice(None, -1),)] + w[head + (slice(1, None),)]) / h
+            assert np.all(np.abs(ours - ref) <= 1e-13 * weights * umax)
+
+        op = TruncatedOperator(data, t1, level=level, drift_mode=mode)
+        assert_matches(op)
+        stencil, div = op._explicit_stencil, op.drift_divergence()
+        moved = op.at(t2)
+        assert_matches(moved)
+        if data.drift.autonomous:
+            assert moved._explicit_stencil is stencil
+            assert moved.drift_divergence() is div
+        elif t1 != t2:
+            assert moved._explicit_stencil is not stencil
+            assert moved.drift_divergence() is not div
+        fresh = TruncatedOperator(data, t2, level=level, drift_mode=mode)
+        assert np.array_equal(moved.drift_divergence(), fresh.drift_divergence())
+
+    @given(case=drift_slice_cases)
+    @settings(max_examples=80, deadline=None)
+    def test_drift_pairing_closed_form(self, case):
+        # (w V avg(u), grad u) = -1/2 inner(div(w V), u^2), before and after at(t)
+        data, mode, t1, t2, level, u = case
+        dom = data.domain
+        first = TruncatedOperator(data, t1, level=level, drift_mode=mode)
+        first.drift_divergence()  # cached at t1 before the slice moves
+        for op in (first, first.at(t2)):
+            faces = [op.drift_flux(u, a) for a in range(dom.dim)]
+            assembled = G.inner_vec(G.VectorField(dom, tuple(faces)), G.gradient(u))
+            closed = -0.5 * G.inner(
+                G.GridFunction(dom, op.drift_divergence()), G.GridFunction(dom, u.values**2)
+            )
+            # every face term of both sides is at most |w V| (u_k^2 + u_{k+1}^2) / 2h
+            scale = dom.node_weight * sum(
+                np.vdot(np.abs(op._face_drift(a, False)), _to_faces(u.values**2, a)) / h
+                for a, h in enumerate(dom.spacing)
+            )
+            assert abs(closed - assembled) <= 1e-13 * scale
