@@ -109,17 +109,30 @@ def _positive(x) -> bool:
     return x > 0
 
 
+def _finite(x) -> bool:
+    """False for a NaN or infinite float, alone or in a tuple."""
+    return all(
+        math.isfinite(v) for v in (x if isinstance(x, tuple) else (x,))
+        if isinstance(v, float)
+    )
+
+
 def _read(
     cfg: dict[str, str], key: str, default: str | None, convert=float, valid=None
 ):
-    """cfg[key] (default if absent) through convert; a bad value names its key."""
+    """cfg[key] (default if absent) through convert; a bad value names its key.
+
+    A NaN or infinite number is a bad value for every config key; a model
+    parameter reaches its builder, which names what it rejects.
+    """
     value = cfg.get(key, default)
     try:
         x = convert(value)
     except ValueError:
         pass
     else:
-        if valid is None or valid(x):
+        finite = key.startswith(_MODEL_PREFIX) or _finite(x)
+        if finite and (valid is None or valid(x)):
             return x
     raise ConfigError(f"bad value {value!r} for {key!r}")
 

@@ -62,6 +62,7 @@ from .grid import (
     VectorField,
     divergence,
     gradient,
+    gradient_sq,
     inner,
     inner_vec,
     norm_l2,
@@ -76,6 +77,11 @@ _ENERGY_TOL = 1e-10
 # of a march.  On the drift presets the summed iterations fall with the
 # order up to 5 (singular_drift_decay_3d: 1115 cold, 374 at 5, 385 at 6).
 _EXTRAPOLATION_ORDER = 5
+# (-1)^k C(q+1, k+1) for k = 0..q, the weights of order q at index q
+_EXTRAPOLATION_WEIGHTS = tuple(
+    tuple((-1) ** k * math.comb(q + 1, k + 1) for k in range(q + 1))
+    for q in range(_EXTRAPOLATION_ORDER + 1)
+)
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,9 @@ class EvolutionConfig:
     resolvent: ResolventConfig = field(default_factory=lambda: ResolventConfig(tol=1e-12))
 
     def __post_init__(self):
+        for name in ("dt", "horizon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dt <= 0 or self.horizon <= 0:
             raise ValueError("dt and horizon must be positive")
         if self.dt >= 1.0:
@@ -182,13 +191,14 @@ class EvolutionTrace:
         )
 
     def write_csv(self, path) -> None:
+        """One line per step: floats as repr, everything else as str."""
+        lines = [",".join(self.CSV_COLUMNS)]
+        lines.extend(
+            ",".join([repr(x) if isinstance(x, float) else str(x) for x in row])
+            for row in self.rows()
+        )
         with open(path, "w", encoding="utf-8") as f:
-            f.write(",".join(self.CSV_COLUMNS) + "\n")
-            for row in self.rows():
-                f.write(
-                    ",".join(repr(x) if isinstance(x, float) else str(x) for x in row)
-                    + "\n"
-                )
+            f.write("\n".join(lines) + "\n")
 
     def measured_bound_constant(self) -> float:
         """C in sup_j |u_j|^2 + sum tau |grad u_j|^2 <= C (|u_0|^2 + T + sum tau |F_j|^2)."""
@@ -273,16 +283,19 @@ def _step_detailed(
     op: TruncatedOperator,
     prev_sq: float | None = None,
     guess: GridFunction | None = None,
+    rescfg: ResolventConfig | None = None,
 ) -> StepResult:
     """One step landing on op.t, solved with the step's operator `op`.
 
     prev_sq is |u_prev|^2 if the caller already has it; the resolve starts
-    from `guess`, or from u_prev if None.
+    from `guess`, or from u_prev if None.  rescfg is cfg.resolvent at
+    lam = dt, built here if None.
     """
     tau = cfg.dt
     t, data = op.t, op.data
     dom = data.domain
-    rescfg = replace(cfg.resolvent, lam=tau)
+    if rescfg is None:
+        rescfg = replace(cfg.resolvent, lam=tau)
     implicit = cfg.splitting == "fully-implicit"
     closed_form = data.has_drift and data.drift.velocity is not None
     F = data.source_field(t)
@@ -301,14 +314,17 @@ def _step_detailed(
         rhs_vals = rhs_vals - tau * divergence(rhs_flux).values
     x0 = u_prev if guess is None else guess
     u_new, diag = op.resolve_detailed(GridFunction(dom, rhs_vals), rescfg, x0=x0)
-    gu = gradient(u_new)
     source = rhs_flux
     if implicit and not closed_form:
         source = _effective_source(F, cfg.splitting, u_new, op)
-    pair = inner_vec(source, gu) if source is not None else 0.0
+    if source is None:
+        pair, h1_sq = 0.0, gradient_sq(u_new)
+    else:
+        gu = gradient(u_new)
+        pair, h1_sq = inner_vec(source, gu), inner_vec(gu, gu)
     if closed_form:
         pair += _drift_pairing(op, implicit, u_new.values, explicit)
-    l2_sq, h1_sq = inner(u_new, u_new), inner_vec(gu, gu)
+    l2_sq = inner(u_new, u_new)
     if prev_sq is None:
         prev_sq = inner(u_prev, u_prev)
     alpha = data.diffusion.alpha
@@ -344,10 +360,10 @@ def _extrapolate(
     with `term` as scratch, by the same products and sums in the same order
     as the plain expression, so the result is bit for bit the same.
     """
-    q = len(history) - 1
-    np.multiply(history[0].values, q + 1, out=out)
-    for k in range(1, q + 1):
-        np.multiply((-1) ** k * math.comb(q + 1, k + 1), history[k].values, out=term)
+    weights = _EXTRAPOLATION_WEIGHTS[len(history) - 1]
+    np.multiply(history[0].values, weights[0], out=out)
+    for k in range(1, len(weights)):
+        np.multiply(weights[k], history[k].values, out=term)
         np.add(out, term, out=out)
     return out
 
@@ -395,6 +411,7 @@ def _march(
     yield 0.0, u
     dissip = 0.0
     tau = cfg.dt
+    rescfg = replace(cfg.resolvent, lam=tau)
     # one operator per march; each step moves it to its own time, which
     # re-samples nothing for autonomous data
     op = _step_operator(data, tau, cfg, level)
@@ -403,7 +420,7 @@ def _march(
         op = op.at(t)
         try:
             x0 = GridFunction(u.domain, _extrapolate(history, guess, term))
-            res = _step_detailed(u, cfg, op, u_sq, guess=x0)
+            res = _step_detailed(u, cfg, op, u_sq, guess=x0, rescfg=rescfg)
         except grid.ConvergenceError as err:
             err.args = (f"step {j} (t={t:.6g}) failed: {err.args[0]}",)
             err.step, err.t, err.trace = j, t, trace

@@ -215,14 +215,8 @@ def sample(domain: BoxDomain, fn) -> GridFunction:
     return GridFunction(domain, np.array(vals, dtype=float))
 
 
-def gradient(u: GridFunction) -> VectorField:
-    """Staggered first differences with zero boundary ghosts.
-
-    Component a at face k+1/2 is (u_{k+1} - u_k)/h_a, second-order accurate
-    at the face midpoint.  The two boundary faces difference against the
-    zero ghosts, written as v_0 - 0 and 0 - v_last so that signed zeros
-    come out as in a padded difference.
-    """
+def _face_differences(u: GridFunction) -> tuple[np.ndarray, ...]:
+    """The components of `gradient(u)` as plain face arrays."""
     v = u.values
     comps = []
     for a, h in enumerate(u.domain.spacing):
@@ -235,7 +229,18 @@ def gradient(u: GridFunction) -> VectorField:
         np.subtract(0.0, v[last], out=out[last])
         out /= h
         comps.append(out)
-    return VectorField(u.domain, tuple(comps))
+    return tuple(comps)
+
+
+def gradient(u: GridFunction) -> VectorField:
+    """Staggered first differences with zero boundary ghosts.
+
+    Component a at face k+1/2 is (u_{k+1} - u_k)/h_a, second-order accurate
+    at the face midpoint.  The two boundary faces difference against the
+    zero ghosts, written as v_0 - 0 and 0 - v_last so that signed zeros
+    come out as in a padded difference.
+    """
+    return VectorField(u.domain, _face_differences(u))
 
 
 def divergence(q: VectorField) -> GridFunction:
@@ -263,10 +268,22 @@ def inner_vec(p: VectorField, q: VectorField) -> float:
     """L2 pairing of two flux fields (same face weights as `inner`)."""
     if p.domain != q.domain:
         raise ValueError("vector fields live on different domains")
-    w = p.domain.node_weight
-    return w * float(
-        sum(np.vdot(a, b) for a, b in zip(p.components, q.components))
-    )
+    return p.domain.node_weight * _face_sum(p.components, q.components)
+
+
+def _face_sum(p: tuple[np.ndarray, ...], q: tuple[np.ndarray, ...]) -> float:
+    """sum_a vdot(p_a, q_a), the unweighted pairing of `inner_vec`."""
+    return float(sum(np.vdot(a, b) for a, b in zip(p, q)))
+
+
+def gradient_sq(u: GridFunction) -> float:
+    """|grad u|^2, the same number as inner_vec(gradient(u), gradient(u)).
+
+    The same face arrays and dot products, without building the VectorField.
+    """
+    comps = _face_differences(u)
+    return u.domain.node_weight * _face_sum(comps, comps)
+
 
 def norm_l2(u: GridFunction) -> float:
     return float(np.sqrt(max(inner(u, u), 0.0)))
@@ -274,8 +291,7 @@ def norm_l2(u: GridFunction) -> float:
 
 def norm_h1(u: GridFunction) -> float:
     """H1 seminorm: L2 norm of the staggered gradient."""
-    g = gradient(u)
-    return float(np.sqrt(max(inner_vec(g, g), 0.0)))
+    return float(np.sqrt(max(gradient_sq(u), 0.0)))
 
 
 def laplacian(u: GridFunction) -> GridFunction:
@@ -367,8 +383,17 @@ def helmholtz_solve(
     beyond) and 1/symbol cached per (domain, shift, scale).  Exact up to
     roundoff on the uniform grid; used directly for constant-coefficient
     solves and as the preconditioner everywhere else.
+
+    A 2D grid with both axes dense is one chain, S0 ((S0 rhs S1) / symbol)
+    S1 with S0, S1 the sine matrices of the two axes: the four matmuls of
+    the per-axis transforms, in their order, so the result is bit for bit
+    the same without the per-axis reshapes.
     """
-    return _sine_transform(_sine_transform(rhs) * _inverse_symbol(domain, shift, scale))
+    inv = _inverse_symbol(domain, shift, scale)
+    if rhs.ndim == 2 and max(rhs.shape) <= _DENSE_SINE_MAX:
+        S0, S1 = _sine_matrix(rhs.shape[0]), _sine_matrix(rhs.shape[1])
+        return S0 @ ((S0 @ rhs @ S1) * inv) @ S1
+    return _sine_transform(_sine_transform(rhs) * inv)
 
 
 def poincare_constant(domain: BoxDomain) -> float:

@@ -68,8 +68,8 @@ class DiffusionFlux:
     coefficient: Callable[[Coords, float], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta < self.alpha:
-            raise ValueError("need 0 < alpha <= beta")
+        if not 0 < self.alpha <= self.beta < math.inf:
+            raise ValueError("need 0 < alpha <= beta < inf")
         if self.coefficient is None:
             if self.evaluate is None:
                 raise ValueError("a diffusion flux needs evaluate or coefficient")
@@ -412,6 +412,9 @@ def build_variable_diffusion(
     domain: BoxDomain, horizon: float, alpha: float = 0.5, beta: float = 1.5
 ) -> ProblemData:
     """Scalar coefficient a(x, t) eta with alpha <= a <= beta."""
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     mid = 0.5 * (alpha + beta)
     amp = 0.5 * (beta - alpha)
     lengths = domain.lengths
@@ -439,9 +442,9 @@ def build_lipschitz_nonlinear(
     convex potential, so monotonicity stays >= 1 exactly while the
     Lipschitz constant is beta.
     """
+    if not (math.isfinite(beta) and beta >= 1):
+        raise ValueError(f"beta must be finite and >= 1, got {beta!r}")
     kappa = beta - 1.0
-    if kappa < 0:
-        raise ValueError("beta must be >= 1")
 
     def evaluate(coords, t, eta):
         return tuple(e + kappa * e / np.sqrt(1.0 + e * e) for e in eta)
@@ -490,7 +493,7 @@ def build_singular_drift(
     it must live on `domain` and hold finite, nonnegative values.  Either
     way b does not depend on t, so the drift is autonomous.  c must be
     finite and nonnegative: the clamp weights and the certificates assume
-    b >= 0.
+    b >= 0.  `direction` must be finite and nonzero; it is normalized.
     """
     if not (math.isfinite(c) and c >= 0):
         raise ValueError(f"c must be finite and nonnegative, got {c!r}")
@@ -499,6 +502,8 @@ def build_singular_drift(
     if direction is None:
         direction = tuple(1.0 / math.sqrt(domain.dim) for _ in range(domain.dim))
     e = np.asarray(direction, dtype=float)
+    if not (np.all(np.isfinite(e)) and np.any(e)):
+        raise ValueError(f"direction must be finite and nonzero, got {tuple(direction)!r}")
     e = tuple(e / np.linalg.norm(e))
     x0 = singular_point(domain)
 

@@ -20,8 +20,10 @@ contraction for a small enough damping factor, and K itself is inverted
 exactly by `grid.helmholtz_solve`, since its coefficients are constant: a
 forward and an inverse sine transform around a cached inverse symbol.  An
 axis of at most `grid._DENSE_SINE_MAX` points is transformed by a dense
-matmul with a cached sine matrix, a longer one by scipy.fft.  A step that
-fails to lower the residual is backtracked by halving the damping factor.
+matmul with a cached sine matrix, a longer one by scipy.fft; on a 2D grid
+with both axes dense the whole solve is one chain of four matmuls.  A step
+that fails to lower the residual is backtracked by halving the damping
+factor.
 
 When Picard contracts slowly -- after the first damped step that lowers
 the residual by less than a factor 10 -- the kernel switches on type-II
@@ -41,6 +43,10 @@ coordinates, and when the data has no drift or an autonomous one
 (`DriftFlux.autonomous`) also the drift samples, clamp weights and drift
 maximum, so a march over autonomous data samples its drift once, not once
 per step.  The diffusion flux is still evaluated at the slice's own time.
+What a resolve needs besides the right-hand side -- the damping floor from
+`contraction_constants(lam)` and K's Laplacian weight lam * gamma -- is
+computed once per (slice, lam), and `at(t)` keeps it exactly when it
+keeps the drift maximum that it reads.
 
 A slice that is linear in u -- its diffusion declares `coefficient` a and
 its drift is absent or declares `velocity` V -- applies as a (2d+1)-point
@@ -80,7 +86,6 @@ and the last iterate a `ConvergenceError` carries as `last`.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -111,10 +116,12 @@ class ResolventConfig:
     max_iter: int = 400
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be strictly positive")
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("tol must be positive and max_iter >= 1")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lam must be finite and strictly positive, got {self.lam!r}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
 
 
 @dataclass
@@ -278,6 +285,8 @@ class TruncatedOperator:
         self._face_bounds: dict[int, np.ndarray] = {}
         self._face_drifts: dict[tuple[int, bool], np.ndarray] = {}
         self._drift_max: float | None = None
+        # lam -> (damping floor, K's Laplacian weight lam * gamma) of resolve_detailed
+        self._resolve_constants: dict[float, tuple[float, float]] = {}
         self._linear = data.diffusion.coefficient is not None and (
             not self._drifts or data.drift.velocity is not None
         )
@@ -290,18 +299,22 @@ class TruncatedOperator:
         """This slice at time t: the same data, level and drift mode.
 
         Returns self when t is unchanged.  The copy shares every cache that
-        does not depend on t; the drift caches (with the explicit stencil
-        and div(w V)) count among them only when the data has no drift or
-        an autonomous one, and the stencil only when, in addition, the
-        diffusion coefficient sampled at t equals the one it was built from.
+        does not depend on t; the drift caches (with the explicit stencil,
+        div(w V) and the resolve constants) count among them only when the
+        data has no drift or an autonomous one, and the stencil only when,
+        in addition, the diffusion coefficient sampled at t equals the one
+        it was built from.
         """
         t = float(t)
         if t == self.t:
             return self
-        op = copy.copy(self)
+        # a shallow copy, as copy.copy makes it but without its reduce protocol
+        op = object.__new__(type(self))
+        op.__dict__.update(self.__dict__)
         op.t = t
         if self.data.has_drift and not self.data.drift.autonomous:
             op._face_bounds, op._face_drifts, op._drift_max = {}, {}, None
+            op._resolve_constants = {}
             op._stencil = op._explicit_stencil = op._drift_div = None
         elif self._stencil is not None:
             coefficients = op._face_coefficients()
@@ -503,21 +516,30 @@ class TruncatedOperator:
     def resolve_detailed(
         self, g: GridFunction, cfg: ResolventConfig, x0: GridFunction | None = None
     ) -> tuple[GridFunction, SolverDiagnostics]:
-        """Solve u + lam * A_M(t) u = g to residual tol * (1 + |g|)."""
+        """Solve u + lam * A_M(t) u = g to residual tol * (1 + |g|).
+
+        The damping floor and K's Laplacian weight depend on the slice and
+        lam alone; they are computed on the first resolve at a lam and kept.
+        """
         lam, dom = cfg.lam, self.domain
-        m, M = self.contraction_constants(lam)
+        if lam not in self._resolve_constants:
+            m, M = self.contraction_constants(lam)
+            self._resolve_constants[lam] = (
+                max(1e-4, 0.9 * m / M**2), lam * self.precondition_scale()
+            )
+        rho_floor, scale = self._resolve_constants[lam]
         gv, weight = g.values, dom.node_weight
         u, diag = _monotone_iteration(
             lambda u: u + lam * self._apply_values(u) - gv,
             # K is constant-coefficient, so the sine transform inverts it exactly
-            lambda r: helmholtz_solve(dom, r, 1.0, lam * self.precondition_scale()),
+            lambda r: helmholtz_solve(dom, r, 1.0, scale),
             # norm_l2 on the values
             lambda r: math.sqrt(max(weight * float(np.vdot(r, r)), 0.0)),
             (x0 if x0 is not None else g).values.copy(),
             domain=dom,
             tol=cfg.tol * (1.0 + norm_l2(g)),
             max_iter=cfg.max_iter,
-            rho_floor=max(1e-4, 0.9 * m / M**2),
+            rho_floor=rho_floor,
             solver="damped Picard",
         )
         return GridFunction(dom, u), diag

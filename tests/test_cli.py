@@ -331,6 +331,50 @@ class TestMain:
         assert cli.main(argv + ["--override", f"{key}={value}"]) == 2
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("solver.tol", "inf"),
+            ("steady.tol", "inf"),
+            ("time.T", "inf"),
+            ("time.dt", "nan"),
+            ("domain.lengths", "1,inf"),
+            ("steady.time", "inf"),
+            ("uniqueness.amplitude", "nan"),
+            ("truncation.factor", "inf"),
+            ("truncation.m0", "nan"),
+        ],
+    )
+    def test_exit_two_on_non_finite_value(self, tmp_path, capsys, key, value):
+        # solver.tol = inf ran every resolve with zero iterations and ended
+        # "decay: FAIL", steady.tol = inf ended "decay: pass", and time.T = inf
+        # escaped as an OverflowError traceback
+        experiment = "uniqueness" if key.startswith("uniqueness") else "decay"
+        base = SMALL_DRIFT_DECAY if key.startswith("truncation") else FAST_DECAY
+        text = base.replace("experiment = decay", f"experiment = {experiment}")
+        path = write_cfg(tmp_path, text)
+        argv = ["run", str(path), "--output-dir", str(tmp_path / "out")]
+        assert cli.main(argv + ["--override", f"{key}={value}"]) == 2
+        assert f"bad value {value!r} for '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "model, name, value",
+        [
+            ("lipschitz-nonlinear", "beta", "inf"),
+            ("lipschitz-nonlinear", "beta", "nan"),
+            ("variable-diffusion", "alpha", "nan"),
+            ("variable-diffusion", "beta", "inf"),
+            ("singular-drift", "direction", "1,nan"),
+            ("singular-drift", "direction", "0,0"),
+        ],
+    )
+    def test_exit_two_on_non_finite_model_parameter(self, tmp_path, capsys, model, name, value):
+        # beta = inf or nan used to reach the solver and fail there
+        path = write_cfg(tmp_path, FAST_DECAY.replace("model = heat", f"model = {model}"))
+        argv = ["run", str(path), "--output-dir", str(tmp_path / "out")]
+        assert cli.main(argv + ["--override", f"model.{name}={value}"]) == 2
+        assert f"model.{name} must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("c", ["-5", "nan", "inf"])
     def test_exit_two_on_bad_drift_coefficient(self, tmp_path, capsys, c):
         # model.c = -5 used to run and end "decay: pass"

@@ -43,6 +43,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             E.EvolutionConfig(dt=0.1, horizon=0.5, splitting="imex")
 
+    @pytest.mark.parametrize(
+        "field, kw",
+        [
+            ("dt", dict(dt=math.nan, horizon=1.0)),
+            ("dt", dict(dt=-math.inf, horizon=1.0)),
+            ("horizon", dict(dt=0.1, horizon=math.nan)),
+            ("horizon", dict(dt=0.1, horizon=math.inf)),
+        ],
+    )
+    def test_non_finite_setting_names_its_field(self, field, kw):
+        # dt = nan used to fail with "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+            E.EvolutionConfig(**kw)
+
     def test_steps(self):
         assert cfg(0.1, 0.5).steps == 5
 
@@ -266,6 +280,11 @@ class TestEvolve:
             "damping"
         )
         assert len(lines) == 11
+        # floats as repr, ints as str, row by row
+        assert lines[1:] == [
+            ",".join(repr(x) if isinstance(x, float) else str(x) for x in row)
+            for row in trace.rows()
+        ]
 
     def test_telemetry_columns_are_the_step_diagnostics(self, monkeypatch):
         # rough data on a stiff nonlinearity backtracks and rejects mixes,
@@ -348,6 +367,22 @@ class TestWarmStart:
         assert np.array_equal(warm[1].values, cold[0].values)
         for a, b in zip(warm[1:], cold):
             assert np.max(np.abs(a.values - b.values)) <= 1e-9
+
+    @pytest.mark.parametrize("dom, model, splitting, level", WARM_CASES)
+    def test_observed_states_are_never_overwritten(self, dom, model, splitting, level):
+        # the guess and scratch buffers of the march, and the resolve's
+        # scratch arrays, must not alias a state handed out to `observe`
+        data = M.make_model(model, dom, 0.06)
+        seen = []
+        E.evolve(
+            data,
+            cfg(5e-3, 0.06, splitting=splitting),
+            level=level,
+            observe=lambda t, u: seen.append((u, u.values.copy())),
+        )
+        assert len(seen) == 13
+        for u, at_the_time in seen:
+            assert np.array_equal(u.values, at_the_time)
 
     def test_drift_preset_needs_at_most_half_the_iterations(self):
         path = cli.resolve_config_path("singular_drift_decay_3d")
@@ -728,3 +763,27 @@ class TestBufferedExtrapolation:
         got = E._extrapolate(history, out, term)
         assert got is out
         assert np.array_equal(got, unbuffered_extrapolation(history))
+
+
+class TestKnownStalls:
+    """Valid inputs on which the damped Picard kernel stalls today.
+
+    lipschitz-nonlinear with beta = 100 on 16^2 cells, from 30 times the
+    model's initial state, tol 1e-13, 10 steps.  The kernel accepts and
+    backtracks on the plain L2 residual, while its safe damping contracts
+    in the preconditioner's norm; a kernel that decides in that norm
+    should march both to the end, and then these marks must go.
+    """
+
+    @pytest.mark.xfail(strict=True, raises=G.ConvergenceError)
+    @pytest.mark.parametrize("dt, failing_step", [(5e-3, 7), (0.05, 1)])
+    def test_stiff_lipschitz_march_completes(self, dt, failing_step):
+        dom = G.BoxDomain(2, (1.0, 1.0), (16, 16))
+        data = M.make_model("lipschitz-nonlinear", dom, 10 * dt, beta=100)
+        c = cfg(dt, 10 * dt)
+        try:
+            _, trace = E.evolve(data, c, u0=30 * data.initial)
+        except G.ConvergenceError as err:
+            assert err.step == failing_step
+            raise
+        assert len(trace.times) == 10

@@ -280,6 +280,21 @@ class TestPoincare:
             assert G.inner(v, v) <= cp * G.inner_vec(gv, gv) * (1 + 1e-12)
 
 
+class TestGradientSq:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+        lengths=st.lists(st.floats(0.3, 3.0), min_size=3, max_size=3),
+    )
+    def test_is_inner_vec_of_the_gradient(self, dim, seed, lengths):
+        rng = np.random.default_rng(seed)
+        dom = G.BoxDomain(dim, lengths[:dim], tuple(rng.integers(2, 12, size=dim)))
+        u = rand_gf(dom, rng)
+        g = G.gradient(u)
+        assert G.gradient_sq(u) == G.inner_vec(g, g)
+
+
 class TestLinearAlgebra:
     def test_laplacian_matrix_matches_matrix_free(self):
         dom = G.BoxDomain(2, (1.0, 1.5), (6, 5))
@@ -345,6 +360,50 @@ class TestSineTransform:
         np.testing.assert_array_equal(b, before)
         ref = _scipy_helmholtz(dom, b, 0.5, 0.25)
         assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        points=st.lists(st.integers(2, G._DENSE_SINE_MAX), min_size=2, max_size=2),
+        square=st.booleans(),
+        lengths=st.lists(st.floats(0.3, 3.0), min_size=2, max_size=2),
+        shift=st.floats(0.0, 2.0),
+        scale=st.floats(1e-3, 5.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_2d_chain_is_bit_identical_to_the_per_axis_loop(
+        self, points, square, lengths, shift, scale, seed
+    ):
+        if square:
+            points[1] = points[0]
+        self._assert_chain_matches_loop(points, lengths, shift, scale, seed)
+
+    @pytest.mark.parametrize(
+        "points", [(2, 2), (2, G._DENSE_SINE_MAX), (G._DENSE_SINE_MAX, 3),
+                   (G._DENSE_SINE_MAX, G._DENSE_SINE_MAX)]
+    )
+    def test_2d_chain_at_the_ends_of_the_dense_range(self, points):
+        self._assert_chain_matches_loop(list(points), (1.0, 0.6), 1.0, 0.02, 4)
+
+    @staticmethod
+    def _assert_chain_matches_loop(points, lengths, shift, scale, seed):
+        dom = G.BoxDomain(2, lengths, [m + 1 for m in points])
+        b = np.random.default_rng(seed).standard_normal(dom.interior_shape)
+        inv = G._inverse_symbol(dom, shift, scale)
+        loop = G._sine_transform(G._sine_transform(b) * inv)
+        assert np.array_equal(G.helmholtz_solve(dom, b, shift, scale), loop)
+
+    @pytest.mark.parametrize(
+        "cells", [(9,), (G._DENSE_SINE_MAX + 4,), (7, 12), (9, G._DENSE_SINE_MAX + 4), (5, 6, 4)]
+    )
+    def test_results_are_kept_after_later_calls(self, cells):
+        dom = G.BoxDomain(len(cells), (1.0,) * len(cells), cells)
+        rng = np.random.default_rng(len(cells))
+        b1, b2 = (rng.standard_normal(dom.interior_shape) for _ in "12")
+        first = G.helmholtz_solve(dom, b1, 1.0, 0.5)
+        kept = first.copy()
+        G.helmholtz_solve(dom, b2, 1.0, 0.5)
+        G.helmholtz_solve(dom, first, 1.0, 0.5)
+        assert np.array_equal(first, kept)
 
     def test_cached_arrays_are_read_only(self):
         dom = G.BoxDomain(2, (1.0, 2.0), (6, 9))

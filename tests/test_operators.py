@@ -163,6 +163,12 @@ class TestResolve:
         with pytest.raises(ValueError):
             ResolventConfig(lam=-1.0)
 
+    @pytest.mark.parametrize("field", ["lam", "tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_setting_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+            ResolventConfig(**{field: value})
+
     def test_nonconvergence_reports_history(self):
         data = M.make_model("variable-diffusion", DOM, 0.5)
         op = TruncatedOperator(data, 0.0, drift_mode="none")
@@ -715,3 +721,65 @@ class TestDriftClosedForms:
                 for a, h in enumerate(dom.spacing)
             )
             assert abs(closed - assembled) <= 1e-13 * scale
+
+
+class TestNoAliasing:
+    """A returned array is the caller's: later calls, on the same slice or a
+    moved one, never write into it through a cache or a scratch array."""
+
+    @given(case=time_slice_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_apply_and_explicit_drift_results_are_kept(self, case):
+        data, mode, t1, t2, level, u = case
+        v = rand_gf(data.domain, np.random.default_rng(7))
+        u_vals = u.values.copy()
+        op = TruncatedOperator(data, t1, level=level, drift_mode=mode)
+        calls = [lambda op, w: op.apply(w).values]
+        if data.has_drift and data.drift.velocity is not None:
+            calls.append(lambda op, w: op.explicit_drift(w.values))
+        for call in calls:
+            first = call(op, u)
+            kept = first.copy()
+            for later in (op, op.at(t2)):
+                call(later, v)
+            assert np.array_equal(first, kept)
+        assert np.array_equal(u.values, u_vals)
+
+    @given(case=resolve_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_resolve_results_are_kept(self, case):
+        data, level, mode, lam, g1, g2 = case
+        op = TruncatedOperator(data, 0.3, level=level, drift_mode=mode)
+        cfg = ResolventConfig(lam=lam, tol=1e-12)
+        g1_vals = g1.values.copy()
+        first, _ = op.resolve_detailed(g1, cfg)
+        kept = first.values.copy()
+        # the first solution as the next starting guess must not be written to
+        op.resolve_detailed(g2, cfg, x0=first)
+        op.at(0.7).resolve_detailed(g2, cfg, x0=first)
+        assert np.array_equal(first.values, kept)
+        assert np.array_equal(g1.values, g1_vals)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_moved_slice_recomputes_the_resolve_constants(self, dim):
+        # the damping floor reads the drift maximum, which grows with t here
+        dom = G.BoxDomain(dim, (1.0,) * dim, (6,) * dim)
+        data = replace(M.make_model("heat", dom, 1.0), drift=t_dependent_drift(dim))
+        g = rand_gf(dom, np.random.default_rng(dim))
+        cfg = ResolventConfig(lam=0.05, tol=1e-12)
+        op = TruncatedOperator(data, 0.0, drift_mode="full")
+        op.resolve_detailed(g, cfg)
+        moved = op.at(1.0)
+        u, diag = moved.resolve_detailed(g, cfg)
+        fresh = TruncatedOperator(data, 1.0, drift_mode="full")
+        ref, ref_diag = fresh.resolve_detailed(g, cfg)
+        assert fresh._resolve_constants != op._resolve_constants
+        assert moved._resolve_constants == fresh._resolve_constants
+        assert np.array_equal(u.values, ref.values)
+        assert diag.as_dict() == ref_diag.as_dict()
+
+    def test_autonomous_slices_share_the_resolve_constants(self):
+        data = M.make_model("singular-drift", DOM3, 0.5, c=0.1)
+        op = TruncatedOperator(data, 0.0, drift_mode="full")
+        op.resolve_detailed(data.initial, ResolventConfig(lam=0.05, tol=1e-12))
+        assert op.at(0.5)._resolve_constants is op._resolve_constants

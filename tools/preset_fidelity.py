@@ -10,7 +10,9 @@ one after another.  For each preset the report gives:
 - whether the two runs pass the same manifest checks with the same values;
 - for every CSV both runs wrote (the traces, `y_series.csv`, ...), the
   worst absolute difference of each numeric column (NaN against NaN
-  counts as equal, a differing row count is reported instead);
+  counts as equal, NaN against a number as inf, a column only one run
+  wrote as inf, a differing row count is reported instead), and every CSV
+  that only one run wrote;
 - the summed `resolvent_iters` of each side over its trace CSVs.
 
 The last line is one JSON object with the same content.  The exit status
@@ -57,7 +59,11 @@ def read_columns(path: Path) -> dict[str, list[str]]:
 
 
 def worst_difference(a: list[str], b: list[str]) -> float | None:
-    """max |a_i - b_i| over the rows; None for a column that is not numeric."""
+    """max |a_i - b_i| over the rows; None for a column that is not numeric.
+
+    NaN against NaN is equal and NaN against a number is inf (`max` would
+    drop the NaN difference and report the cell as equal).
+    """
     worst = 0.0
     for x, y in zip(a, b):
         try:
@@ -66,7 +72,8 @@ def worst_difference(a: list[str], b: list[str]) -> float | None:
             return None
         if x == y or (math.isnan(x) and math.isnan(y)):
             continue
-        worst = max(worst, abs(x - y))
+        diff = abs(x - y)
+        worst = math.inf if math.isnan(diff) else max(worst, diff)
     return worst
 
 
@@ -88,7 +95,13 @@ def compare(before: Path, after: Path) -> dict:
                 d = worst_difference(cols_a[col], cols_b[col])
                 if d is not None:
                     diffs[col] = d
+        # a column only one run wrote differs everywhere
+        for col in set(cols_a).symmetric_difference(cols_b):
+            diffs[col] = math.inf
         out[name] = diffs
+    for name in sorted(p.name for p in after.glob("*.csv")):
+        if not (before / name).exists():
+            out[name] = "missing before"
     return out
 
 
