@@ -46,7 +46,9 @@ class BoxDomain:
 
     The derived geometry (spacing, shapes, weights) is computed on first
     use and then kept on the instance; equality, hashing and the grid
-    caches keyed on a domain still read the three fields alone.
+    caches keyed on a domain still read the three fields alone.  The hash
+    is the generated one, the hash of the field tuple, computed once: the
+    grid caches hash their domain on every lookup.
     """
 
     dim: int
@@ -95,6 +97,13 @@ class BoxDomain:
 
     def face_shape(self, axis: int) -> tuple[int, ...]:
         return self._face_shapes[axis]
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.dim, self.lengths, self.cells))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @lru_cache(maxsize=64)
@@ -201,7 +210,7 @@ class VectorField:
 
 
 def _check_same_domain(u: GridFunction, v: GridFunction) -> None:
-    if u.domain != v.domain:
+    if u.domain is not v.domain and u.domain != v.domain:
         raise ValueError("grid functions live on different domains")
 
 
@@ -215,12 +224,11 @@ def sample(domain: BoxDomain, fn) -> GridFunction:
     return GridFunction(domain, np.array(vals, dtype=float))
 
 
-def _face_differences(u: GridFunction) -> tuple[np.ndarray, ...]:
-    """The components of `gradient(u)` as plain face arrays."""
-    v = u.values
+def _face_differences(domain: BoxDomain, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The components of `gradient` of the node values v as plain face arrays."""
     comps = []
-    for a, h in enumerate(u.domain.spacing):
-        out = np.empty(u.domain.face_shape(a))
+    for a, h in enumerate(domain.spacing):
+        out = np.empty(domain.face_shape(a))
         head = (slice(None),) * a
         first, last = head + (slice(None, 1),), head + (slice(-1, None),)
         np.subtract(v[head + (slice(1, None),)], v[head + (slice(None, -1),)],
@@ -240,22 +248,28 @@ def gradient(u: GridFunction) -> VectorField:
     zero ghosts, written as v_0 - 0 and 0 - v_last so that signed zeros
     come out as in a padded difference.
     """
-    return VectorField(u.domain, _face_differences(u))
+    return VectorField(u.domain, _face_differences(u.domain, u.values))
 
 
 def divergence(q: VectorField) -> GridFunction:
     """Discrete divergence; exact negative adjoint of `gradient`."""
-    shape = q.domain.interior_shape
-    out = np.zeros(shape)
-    diff = np.empty(shape)
+    out = np.zeros(q.domain.interior_shape)
+    diff = np.empty_like(out)
     for a, h in enumerate(q.domain.spacing):
-        comp = q.components[a]
-        head = (slice(None),) * a
-        np.subtract(comp[head + (slice(1, None),)], comp[head + (slice(None, -1),)],
-                    out=diff)
-        diff /= h
-        out += diff
+        _add_difference(out, q.components[a], a, h, diff)
     return GridFunction(q.domain, out)
+
+
+def _add_difference(out: np.ndarray, comp: np.ndarray, a: int, h: float,
+                    diff: np.ndarray) -> None:
+    """out += (comp[k+1] - comp[k]) / h along axis a: one term of `divergence`.
+
+    diff is scratch of the node shape.
+    """
+    head = (slice(None),) * a
+    np.subtract(comp[head + (slice(1, None),)], comp[head + (slice(None, -1),)], out=diff)
+    diff /= h
+    out += diff
 
 
 def inner(u: GridFunction, v: GridFunction) -> float:
@@ -266,7 +280,7 @@ def inner(u: GridFunction, v: GridFunction) -> float:
 
 def inner_vec(p: VectorField, q: VectorField) -> float:
     """L2 pairing of two flux fields (same face weights as `inner`)."""
-    if p.domain != q.domain:
+    if p.domain is not q.domain and p.domain != q.domain:
         raise ValueError("vector fields live on different domains")
     return p.domain.node_weight * _face_sum(p.components, q.components)
 
@@ -281,7 +295,7 @@ def gradient_sq(u: GridFunction) -> float:
 
     The same face arrays and dot products, without building the VectorField.
     """
-    comps = _face_differences(u)
+    comps = _face_differences(u.domain, u.values)
     return u.domain.node_weight * _face_sum(comps, comps)
 
 

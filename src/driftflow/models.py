@@ -446,8 +446,17 @@ def build_lipschitz_nonlinear(
         raise ValueError(f"beta must be finite and >= 1, got {beta!r}")
     kappa = beta - 1.0
 
+    def flux_component(e):
+        # e + kappa e / sqrt(1 + e^2) with two temporaries, rounded the same
+        s = e * e
+        s += 1.0
+        np.sqrt(s, out=s)
+        out = kappa * e
+        np.divide(out, s, out=out)
+        return np.add(e, out, out=out)
+
     def evaluate(coords, t, eta):
-        return tuple(e + kappa * e / np.sqrt(1.0 + e * e) for e in eta)
+        return tuple(flux_component(e) for e in eta)
 
     return ProblemData(
         name="lipschitz-nonlinear",

@@ -30,10 +30,23 @@ the residual by less than a factor 10 -- the kernel switches on type-II
 Anderson mixing of depth 5 on the preconditioned update (Walker & Ni,
 2011).  It is safeguarded: a mixed iterate is accepted only if its
 residual is below the current one; otherwise, or when the small
-least-squares system is singular, the history is cleared and the damped
-step is taken instead.  The residual history therefore still falls
-strictly, and the monotone-operator convergence argument is unchanged.
-Fast contractions never mix and run exactly the plain damped iteration.
+least-squares system is singular or its solution non-finite, the history
+is cleared and the damped step is taken instead.  The residual history
+therefore still falls strictly, and the monotone-operator convergence
+argument is unchanged.  Fast contractions never mix and run exactly the
+plain damped iteration.
+
+One iteration costs one residual, one preconditioner solve and one norm
+per trial, plus, while mixing, one push and one mix of the history:
+
+- a residual u + lam A(u) - g (A(u) - f for the stationary solve) is
+  formed in place in the fresh array `_apply_values` returns, with the
+  operations of the plain expression in its order, so it rounds the same;
+- the damped trial is u - rho z, taken as u - z at rho = 1;
+- the history keeps the iterate and update differences as the rows of one
+  buffer H, with zeros past the live rows, so a mixed iterate is
+  (u - beta z) - c H, one matrix-vector product, and the update
+  differences' Gram matrix gains one row per push.
 
 An operator is one time slice: everything in the flux that does not depend
 on u (face coordinates, clamp weights, the weighted drift velocity) is
@@ -58,9 +71,17 @@ c+- = a/h +- w V/2 (w V the weighted face drift of `_face_drift`):
 which is the same -div(flux(u)) summed in another order, so the two agree
 to roundoff and `pairing` still equals inner(apply(u), v) to roundoff.
 `at(t)` keeps the stencil when the drift is absent or autonomous and the
-coefficient re-sampled at t is identical, and rebuilds it otherwise.  Every
-other slice applies as -div(flux(u)).  `flux`, `pairing`, `drift_flux` and
-`accretivity_margin` always assemble the flux.
+coefficient re-sampled at t is identical, and rebuilds it otherwise.
+
+A slice that is not linear but whose diffusion is componentwise, with a
+drift that is absent or declares `velocity`, applies -div(flux(u)) on the
+raw face arrays: the face differences of u, `evaluate` on each face array,
+plus the face term avg(u) w V of a drift, summed into the divergence as
+`grid.divergence` sums it.  These are the operations of the assembled
+flux in their order, so the result is bit for bit the same, without the
+`GridFunction` and `VectorField` wrappers.  Every other slice applies as
+-div(flux(u)).  `flux`, `pairing`, `drift_flux` and `accretivity_margin`
+always assemble the flux.
 
 A drift that declares `velocity` has two more per-slice forms, both for
 the time step's explicit source and energy check:
@@ -287,9 +308,10 @@ class TruncatedOperator:
         self._drift_max: float | None = None
         # lam -> (damping floor, K's Laplacian weight lam * gamma) of resolve_detailed
         self._resolve_constants: dict[float, tuple[float, float]] = {}
-        self._linear = data.diffusion.coefficient is not None and (
-            not self._drifts or data.drift.velocity is not None
-        )
+        # drifts that enter every apply as z V on the faces, if any
+        face_drift = not self._drifts or data.drift.velocity is not None
+        self._linear = data.diffusion.coefficient is not None and face_drift
+        self._raw_faces = data.diffusion.componentwise and face_drift
         self._stencil: _Stencil | None = None
         # the drift's explicit stencil S_theta and div(w V): see the module docstring
         self._explicit_stencil: _Stencil | None = None
@@ -418,12 +440,31 @@ class TruncatedOperator:
         return GridFunction(self.domain, self._apply_values(u.values))
 
     def _apply_values(self, v: np.ndarray) -> np.ndarray:
-        """`apply` on the node values alone, as the kernel calls it."""
-        if not self._linear:
+        """`apply` on the node values alone, as the kernel calls it.
+
+        Every call returns a fresh array, which the kernel's residuals are
+        formed in.
+        """
+        if self._linear:
+            if self._stencil is None:
+                self._stencil = _Stencil(self, self._face_coefficients())
+            return self._stencil.apply(v)
+        if not self._raw_faces:
             return -divergence(self.flux(GridFunction(self.domain, v))).values
-        if self._stencil is None:
-            self._stencil = _Stencil(self, self._face_coefficients())
-        return self._stencil.apply(v)
+        # -div(flux(v)) of a componentwise diffusion (plus z V) on the raw face
+        # arrays: the same operations in the same order, without the wrappers
+        dom, evaluate = self.domain, self.data.diffusion.evaluate
+        out = np.zeros(dom.interior_shape)
+        diff = np.empty_like(out)
+        faces = grid._face_differences(dom, v)
+        for axis, (coords, eta, h) in enumerate(zip(self._face_coords, faces, dom.spacing)):
+            A = evaluate(coords, self.t, (eta,))[0]
+            if self._drifts:
+                A = A + _to_faces(v, axis) * self._face_drift(axis, False)
+            elif np.shape(A) != eta.shape:  # a flux constant along some axis
+                A = np.broadcast_to(A, eta.shape)
+            grid._add_difference(out, A, axis, h, diff)
+        return np.negative(out, out=out)
 
     def explicit_drift(self, w: np.ndarray) -> np.ndarray:
         """S_theta(w) = -div(theta_M B(w)) on node values, for a drift with `velocity`.
@@ -529,8 +570,16 @@ class TruncatedOperator:
             )
         rho_floor, scale = self._resolve_constants[lam]
         gv, weight = g.values, dom.node_weight
+
+        def residual(u: np.ndarray) -> np.ndarray:
+            # u + lam * A(u) - g, formed in the fresh array A(u)
+            r = self._apply_values(u)
+            np.multiply(r, lam, out=r)
+            np.add(u, r, out=r)
+            return np.subtract(r, gv, out=r)
+
         u, diag = _monotone_iteration(
-            lambda u: u + lam * self._apply_values(u) - gv,
+            residual,
             # K is constant-coefficient, so the sine transform inverts it exactly
             lambda r: helmholtz_solve(dom, r, 1.0, scale),
             # norm_l2 on the values
@@ -555,17 +604,28 @@ _SLOW_CONTRACTION = 0.1
 class _AndersonHistory:
     """The last _MIX_DEPTH differences of iterates and of updates z = P r.
 
-    The Gram matrix of the update differences is kept up to date one row
-    per push, so a mixed iterate needs a k x k solve (k <= _MIX_DEPTH)
-    instead of a least-squares solve against the N x k history.
+    Both live in one buffer H of 2 _MIX_DEPTH rows: the iterate difference
+    of slot j in row j, the update difference in row _MIX_DEPTH + j.  Rows
+    past the live history hold zeros, so the mixed iterate is one
+    matrix-vector product over all of H.  The Gram matrix of the update
+    differences is kept up to date one row per push, so a mixed iterate
+    needs a k x k solve (k <= _MIX_DEPTH) instead of a least-squares solve
+    against the N x k history.
     """
 
     def __init__(self, u: np.ndarray, z: np.ndarray):
-        self.dU = np.empty((_MIX_DEPTH, u.size))
-        self.dZ = np.empty((_MIX_DEPTH, u.size))
+        self.H = np.zeros((2 * _MIX_DEPTH, u.size))
+        self.dU, self.dZ = self.H[:_MIX_DEPTH], self.H[_MIX_DEPTH:]
         self.gram = np.empty((_MIX_DEPTH, _MIX_DEPTH))
         self.count = 0
         self.u, self.z = u.ravel(), z.ravel()
+
+    def clear(self) -> None:
+        """Forget every difference; the next push starts a new history."""
+        k = min(self.count, _MIX_DEPTH)
+        self.dU[:k] = 0.0
+        self.dZ[:k] = 0.0
+        self.count = 0
 
     def push(self, u: np.ndarray, z: np.ndarray) -> None:
         """Record the next iterate and its update."""
@@ -584,8 +644,9 @@ class _AndersonHistory:
         """Type-II Anderson iterate from the last push; None if the solve fails.
 
         gamma minimises |z - dZ gamma|, and the iterate is
-        u - dU gamma - beta (z - dZ gamma): the damped step from the
-        extrapolated point.
+        u - dU gamma - beta (z - dZ gamma), the damped step from the
+        extrapolated point, evaluated as (u - beta z) - c H with
+        c = (gamma, -beta gamma), each half zero-padded to _MIX_DEPTH.
         """
         k = min(self.count, _MIX_DEPTH)
         try:
@@ -594,7 +655,16 @@ class _AndersonHistory:
             return None
         if not np.all(np.isfinite(gamma)):
             return None
-        return self.u - gamma @ self.dU[:k] - beta * (self.z - gamma @ self.dZ[:k])
+        c = np.zeros(2 * _MIX_DEPTH)
+        c[:k] = gamma
+        np.multiply(gamma, -beta, out=c[_MIX_DEPTH : _MIX_DEPTH + k])
+        out = _damped(self.u, beta, self.z)
+        return np.subtract(out, c @ self.H, out=out)
+
+
+def _damped(u: np.ndarray, rho: float, z: np.ndarray) -> np.ndarray:
+    """u - rho z as a fresh array; u - z at rho = 1, which rounds the same."""
+    return u - z if rho == 1.0 else u - rho * z
 
 
 def _monotone_iteration(
@@ -650,10 +720,10 @@ def _monotone_iteration(
                     u, r, rn = trial, r_trial, rn_trial
                     continue
                 diag.rejected_mixes += 1
-            mixing.count = 0  # clear the history
+            mixing.clear()
         accepted = False
         while True:
-            trial = u - rho * z
+            trial = _damped(u, rho, z)
             r_trial = residual(trial)
             rn_trial = norm(r_trial)
             _require_finite(rn_trial, solver, it, domain, u, diag.residuals)
@@ -723,8 +793,14 @@ def stationary_solve(
         op.drift_face_max() / gamma
     )
     rv = rhs.values
+
+    def residual(u: np.ndarray) -> np.ndarray:
+        # A(u) - f, formed in the fresh array A(u)
+        r = op._apply_values(u)
+        return np.subtract(r, rv, out=r)
+
     u, diag = _monotone_iteration(
-        lambda u: op._apply_values(u) - rv,
+        residual,
         lambda r: helmholtz_solve(dom, r, 0.0, gamma),
         dual_norm,
         x0.values.copy() if x0 is not None else np.zeros(dom.interior_shape),

@@ -61,6 +61,39 @@ class TestBoxDomain:
         assert b.face_shape(1) == a.face_shape(1) == (3, 6, 7)
         assert a.interior_count == 3 * 5 * 7
 
+    def test_hash_is_the_field_tuple_hash_computed_once(self):
+        a = G.BoxDomain(2, (1.0, 3.0), (4, 6))
+        assert hash(a) == hash((2, (1.0, 3.0), (4, 6)))
+        assert a.__dict__["_hash"] == hash(a)
+        # a set of domains still tells equal from unequal ones
+        assert len({a, G.BoxDomain(2, [1, 3], [4, 6]), G.BoxDomain(2, (1.0, 3.0), (4, 7))}) == 2
+
+    def test_same_domain_checks_compare_identity_first(self, monkeypatch):
+        dom = G.BoxDomain(2, (1.0, 2.0), (5, 4))
+        calls = []
+        field_eq = G.BoxDomain.__eq__
+
+        def counting_eq(self, other):
+            calls.append(1)
+            return field_eq(self, other)
+
+        monkeypatch.setattr(G.BoxDomain, "__eq__", counting_eq)
+        rng = np.random.default_rng(4)
+        u, v = rand_gf(dom, rng), rand_gf(dom, rng)
+        G.inner(u, v), u + v, u - v
+        G.inner_vec(G.gradient(u), G.gradient(v))
+        G.helmholtz_solve(dom, u.values, 1.0, 0.5)
+        assert calls == []
+        # an equal but distinct domain is still compared field by field
+        twin = G.GridFunction(G.BoxDomain(2, (1.0, 2.0), (5, 4)), v.values)
+        assert G.inner(u, twin) == G.inner(u, v)
+        assert G.inner_vec(G.gradient(u), G.gradient(twin)) == G.inner_vec(
+            G.gradient(u), G.gradient(v)
+        )
+        assert len(calls) == 2
+        with pytest.raises(ValueError, match="different domains"):
+            G.inner(u, G.zeros(G.BoxDomain(2, (1.0, 2.0), (5, 5))))
+
     def test_grid_function_shape_mismatch(self):
         dom = G.BoxDomain(1, (1.0,), (4,))
         with pytest.raises(ValueError):

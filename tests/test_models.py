@@ -273,3 +273,22 @@ class TestVariableDiffusion:
             A = data.diffusion.evaluate(coords, t, eta)
             assert np.all(A[0] >= 0.5 - 1e-12)
             assert np.all(A[0] <= 1.5 + 1e-12)
+
+
+class TestLipschitzNonlinear:
+    @pytest.mark.parametrize("beta", [1.0, 1.8, 100.0])
+    def test_flux_rounds_as_the_closed_form(self, beta):
+        # evaluated in two temporaries, with the operations of the expression
+        dom = G.BoxDomain(2, (1.0, 1.0), (8, 8))
+        evaluate = M.make_model("lipschitz-nonlinear", dom, 1.0, beta=beta).diffusion.evaluate
+        rng = np.random.default_rng(int(beta))
+        eta = [rng.standard_normal((9, 7)) * 10.0 ** rng.integers(-200, 200, (9, 7)) for _ in "ab"]
+        eta[0][0, :4] = (0.0, -0.0, np.inf, -np.inf)
+        kappa = beta - 1.0
+        with np.errstate(all="ignore"):
+            got = evaluate(None, 0.0, tuple(eta))
+            for A, e in zip(got, eta):
+                ref = e + kappa * e / np.sqrt(1.0 + e * e)
+                assert np.array_equal(A, ref, equal_nan=True)
+                assert np.array_equal(np.signbit(A), np.signbit(ref))
+        assert not any(np.shares_memory(A, e) for A, e in zip(got, eta))

@@ -1,5 +1,7 @@
+import contextlib
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,10 +12,13 @@ from hypothesis import strategies as st
 
 from driftflow import grid as G
 from driftflow import models as M
+from driftflow import operators as O
 from driftflow.operators import (
     ResolventConfig,
     SolverDiagnostics,
     TruncatedOperator,
+    _AndersonHistory,
+    _damped,
     _full_gradient_at_faces,
     _to_faces,
     stationary_solve,
@@ -783,3 +788,192 @@ class TestNoAliasing:
         op = TruncatedOperator(data, 0.0, drift_mode="full")
         op.resolve_detailed(data.initial, ResolventConfig(lam=0.05, tol=1e-12))
         assert op.at(0.5)._resolve_constants is op._resolve_constants
+
+
+def same_bits(a, b):
+    """Equal values, NaNs in the same places and zeros of the same sign."""
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def coupled_diffusion(dim):
+    """A diffusion whose component a reads every gradient component."""
+
+    def evaluate(coords, t, eta):
+        total = sum(eta)
+        return tuple(e + 0.25 * (total - e) for e in eta)
+
+    return M.DiffusionFlux(evaluate, alpha=0.5, beta=1.5)
+
+
+@st.composite
+def raw_face_cases(draw):
+    """lipschitz-nonlinear, alone or with a drift, or a coupled diffusion,
+    on an anisotropic box of dimension 1-3.
+
+    Returns the problem, drift mode, time, level, a state and whether the
+    slice should apply on the raw face arrays.
+    """
+    dim = draw(st.integers(1, 3))
+    lengths = tuple(draw(st.floats(0.25, 4.0)) for _ in range(dim))
+    top = (24, 16, 10)[dim - 1]
+    dom = G.BoxDomain(dim, lengths, tuple(draw(st.integers(2, top)) for _ in range(dim)))
+    data = M.make_model("lipschitz-nonlinear", dom, 1.0, beta=draw(st.floats(1.0, 100.0)))
+    drift = draw(st.sampled_from(("none", "singular-drift", "t-dependent", "no-velocity")))
+    if drift == "singular-drift":
+        data = replace(data, drift=M.make_model(drift, dom, 1.0, c=draw(st.floats(0.01, 2.0))).drift)
+    elif drift != "none":
+        data = replace(data, drift=t_dependent_drift(dim))
+        if drift == "no-velocity":
+            data = replace(data, drift=replace(data.drift, velocity=None))
+    coupled = draw(st.booleans())
+    if coupled:
+        data = replace(data, diffusion=coupled_diffusion(dim))
+    mode = draw(st.sampled_from(("none", "full", "remainder")))
+    raw = not coupled and (drift != "no-velocity" or mode == "none")
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    u = rand_gf(dom, rng, scale=10.0 ** draw(st.integers(-3, 3)))
+    return data, mode, draw(st.floats(0.0, 1.0)), draw(st.floats(0.05, 20.0)), u, raw
+
+
+class TestRawFaceApply:
+    """A componentwise nonlinear slice applies on the raw face arrays."""
+
+    @given(case=raw_face_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_to_divergence_of_flux(self, case):
+        data, mode, t, level, u, raw = case
+        op = TruncatedOperator(data, t, level=level, drift_mode=mode)
+        assert not op._linear and op._raw_faces == raw
+        with mock.patch.object(op, "flux", wraps=op.flux) as flux:
+            ours = op._apply_values(u.values)
+        # only a coupled diffusion or a drift without `velocity` assembles the flux
+        assert flux.call_count == (0 if raw else 1)
+        assert same_bits(ours, -G.divergence(op.flux(u)).values)
+        assert same_bits(op.apply(u).values, ours)
+
+    def test_lipschitz_sweep_never_assembles_the_flux(self):
+        dom = G.BoxDomain(2, (1.0, 2.0), (12, 9))
+        op = TruncatedOperator(M.make_model("lipschitz-nonlinear", dom, 0.5), 0.2, drift_mode="none")
+        with mock.patch.object(op, "flux", wraps=op.flux) as flux:
+            _, diag = op.resolve_detailed(rand_gf(dom, np.random.default_rng(3)), ResolventConfig(lam=0.5))
+        assert diag.converged and diag.iterations > 1
+        assert flux.call_count == 0
+
+
+def kernel_residuals(solve):
+    """Run solve() and return the residual callables it handed the kernel."""
+    with mock.patch.object(O, "_monotone_iteration", wraps=O._monotone_iteration) as kernel:
+        with contextlib.suppress(G.ConvergenceError):
+            solve()
+    return [call.args[0] for call in kernel.call_args_list]
+
+
+class TestInPlaceResiduals:
+    """Residuals are formed in the fresh array of `_apply_values`."""
+
+    @given(case=raw_face_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_nonlinear_apply_returns_a_fresh_array(self, case):
+        data, mode, t, level, u, _ = case
+        op = TruncatedOperator(data, t, level=level, drift_mode=mode)
+        first = op._apply_values(u.values)
+        kept = first.copy()
+        second = op._apply_values(u.values)
+        assert second is not first and not np.shares_memory(first, second)
+        op._apply_values(2.0 * u.values)
+        op.at(t + 0.5)._apply_values(u.values)
+        assert same_bits(first, kept)
+
+    @given(case=resolve_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_residuals_equal_the_expressions_and_are_kept(self, case):
+        data, level, mode, lam, g1, g2 = case
+        op = TruncatedOperator(data, 0.3, level=level, drift_mode=mode)
+        cfg = ResolventConfig(lam=lam, tol=1e-12)
+        (resolvent,) = kernel_residuals(lambda: op.resolve_detailed(g1, cfg))
+        # the stationary solve's residual, taken from one capped iteration
+        (stationary,) = kernel_residuals(lambda: stationary_solve(op, g1, max_iter=1))
+        u = g2.values
+        r = resolvent(u)
+        assert same_bits(r, u + lam * op._apply_values(u) - g1.values)
+        s = stationary(u)
+        assert same_bits(s, op._apply_values(u) - g1.values)
+        kept = r.copy(), s.copy()
+        op.resolve_detailed(g2, cfg, x0=G.GridFunction(g2.domain, r))
+        resolvent(2.0 * u), stationary(2.0 * u)
+        assert same_bits(r, kept[0]) and same_bits(s, kept[1])
+        assert np.array_equal(u, g2.values)
+
+
+def history_of(us, zs):
+    """An Anderson history fed the iterates us[1:] and updates zs[1:]."""
+    hist = _AndersonHistory(us[0], zs[0])
+    for u, z in zip(us[1:], zs[1:]):
+        hist.push(u, z)
+    return hist
+
+
+class TestAndersonHistory:
+    D = O._MIX_DEPTH
+
+    @pytest.mark.parametrize("beta", [1.0, 0.5, 1e-4])
+    @pytest.mark.parametrize("k", range(1, O._MIX_DEPTH + 1))
+    def test_one_buffer_matches_the_three_term_formula(self, k, beta):
+        rng = np.random.default_rng(100 * k + int(1e4 * beta))
+        # a longer history than the depth wraps the ring buffer
+        for pushes in (k, k + self.D + 2):
+            us = [rng.standard_normal(40) for _ in range(pushes + 1)]
+            zs = [rng.standard_normal(40) * 0.1**j for j in range(pushes + 1)]
+            hist = history_of(us, zs)
+            live = min(pushes, self.D)
+            dU = np.diff(us, axis=0)[-live:]
+            dZ = np.diff(zs, axis=0)[-live:]
+            gamma = np.linalg.solve(dZ @ dZ.T, dZ @ zs[-1])
+            u, z = us[-1], zs[-1]
+            ref = u - gamma @ dU - beta * (z - gamma @ dZ)
+            scale = np.max(np.abs(u)) + beta * np.max(np.abs(z)) + np.sum(np.abs(gamma)) * (
+                np.max(np.abs(dU)) + beta * np.max(np.abs(dZ))
+            )
+            assert np.max(np.abs(hist.mix(beta) - ref)) <= 1e-13 * scale
+
+    def test_singular_gram_returns_none(self):
+        # a 1D grid of 3 cells has N = 2 < _MIX_DEPTH: the third update
+        # difference repeats the first and the Gram matrix is exactly singular
+        zs = [np.array(z, dtype=float) for z in ([0, 0], [1, 0], [0, 1], [1, 1])]
+        us = [np.full(2, float(j)) for j in range(4)]
+        hist = history_of(us, zs)
+        assert hist.count == 3
+        assert hist.mix(1.0) is None
+
+    def test_non_finite_gamma_returns_none(self):
+        # the Gram matrix overflows to +-inf, and the solve returns NaNs
+        us = [np.full(3, float(j)) for j in range(3)]
+        zs = [np.zeros(3), np.full(3, 1e200), np.array([1e200, -1e200, 0.0])]
+        with np.errstate(all="ignore"):
+            hist = history_of(us, zs)
+            assert not np.all(np.isfinite(hist.gram[:2, :2]))
+            assert hist.mix(0.5) is None
+
+    @pytest.mark.parametrize("refill", [1, 3, O._MIX_DEPTH])
+    def test_cleared_rows_add_exact_zeros(self, refill):
+        rng = np.random.default_rng(refill)
+        us = [rng.standard_normal(30) for _ in range(12)]
+        zs = [rng.standard_normal(30) for _ in range(12)]
+        hist = history_of(us[:8], zs[:8])
+        hist.clear()
+        assert hist.count == 0 and not np.any(hist.H)
+        for u, z in zip(us[8 : 8 + refill], zs[8 : 8 + refill]):
+            hist.push(u, z)
+        # a fresh history from the same last push: no stale row contributes
+        fresh = history_of(us[7 : 8 + refill], zs[7 : 8 + refill])
+        assert not np.any(hist.H[refill : self.D]) and not np.any(hist.H[self.D + refill :])
+        for beta in (1.0, 0.3):
+            assert same_bits(hist.mix(beta), fresh.mix(beta))
+
+    def test_damped_trial_at_full_step_rounds_as_the_product(self):
+        rng = np.random.default_rng(5)
+        u, z = rng.standard_normal(200), rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)
+        u[:6] = (0.0, -0.0, 0.0, -0.0, np.inf, 5e-324)
+        z[:6] = (0.0, 0.0, -0.0, -0.0, 1.0, -5e-324)
+        assert same_bits(_damped(u, 1.0, z), u - 1.0 * z)
+        assert same_bits(_damped(u, 0.25, z), u - 0.25 * z)
