@@ -245,7 +245,7 @@ def _effective_source(
         comps = list(F.components)
     explicit = splitting == "semi-implicit"
     for a in range(dom.dim):
-        comps[a] = comps[a] - op.drift_flux(w, a, explicit=explicit)
+        comps[a] = comps[a] - op.drift_flux(w.values, a, explicit=explicit)
     return VectorField(dom, tuple(comps))
 
 

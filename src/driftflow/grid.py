@@ -253,23 +253,20 @@ def gradient(u: GridFunction) -> VectorField:
 
 def divergence(q: VectorField) -> GridFunction:
     """Discrete divergence; exact negative adjoint of `gradient`."""
-    out = np.zeros(q.domain.interior_shape)
+    return GridFunction(q.domain, _divergence_values(q.domain, q.components))
+
+
+def _divergence_values(domain: BoxDomain, comps) -> np.ndarray:
+    """The node values of `divergence` of the plain face arrays comps."""
+    out = np.zeros(domain.interior_shape)
     diff = np.empty_like(out)
-    for a, h in enumerate(q.domain.spacing):
-        _add_difference(out, q.components[a], a, h, diff)
-    return GridFunction(q.domain, out)
-
-
-def _add_difference(out: np.ndarray, comp: np.ndarray, a: int, h: float,
-                    diff: np.ndarray) -> None:
-    """out += (comp[k+1] - comp[k]) / h along axis a: one term of `divergence`.
-
-    diff is scratch of the node shape.
-    """
-    head = (slice(None),) * a
-    np.subtract(comp[head + (slice(1, None),)], comp[head + (slice(None, -1),)], out=diff)
-    diff /= h
-    out += diff
+    for a, (comp, h) in enumerate(zip(comps, domain.spacing)):
+        head = (slice(None),) * a
+        np.subtract(comp[head + (slice(1, None),)], comp[head + (slice(None, -1),)],
+                    out=diff)
+        diff /= h
+        out += diff
+    return out
 
 
 def inner(u: GridFunction, v: GridFunction) -> float:

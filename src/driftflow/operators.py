@@ -42,10 +42,9 @@ per trial, plus, while mixing, one push and one mix of the history:
 - a residual u + lam A(u) - g (A(u) - f for the stationary solve) is
   formed in place in the fresh array `_apply_values` returns, with the
   operations of the plain expression in its order, so it rounds the same;
-- the damped trial is u - rho z, taken as u - z at rho = 1;
-- the history keeps the iterate and update differences as the rows of one
-  buffer H, with zeros past the live rows, so a mixed iterate is
-  (u - beta z) - c H, one matrix-vector product, and the update
+- the history keeps each slot's iterate and update differences side by
+  side in one buffer H, so a mixed iterate is (u - beta z) - c H[:k], one
+  matrix-vector product over the k live slots, and the update
   differences' Gram matrix gains one row per push.
 
 An operator is one time slice: everything in the flux that does not depend
@@ -73,15 +72,11 @@ to roundoff and `pairing` still equals inner(apply(u), v) to roundoff.
 `at(t)` keeps the stencil when the drift is absent or autonomous and the
 coefficient re-sampled at t is identical, and rebuilds it otherwise.
 
-A slice that is not linear but whose diffusion is componentwise, with a
-drift that is absent or declares `velocity`, applies -div(flux(u)) on the
-raw face arrays: the face differences of u, `evaluate` on each face array,
-plus the face term avg(u) w V of a drift, summed into the divergence as
-`grid.divergence` sums it.  These are the operations of the assembled
-flux in their order, so the result is bit for bit the same, without the
-`GridFunction` and `VectorField` wrappers.  Every other slice applies as
--div(flux(u)).  `flux`, `pairing`, `drift_flux` and `accretivity_margin`
-always assemble the flux.
+A slice that is not linear applies -div(flux(u)) on raw face arrays: the
+flux components `_flux_faces` builds from the node values, which `flux`
+wraps in a `VectorField`, summed into the divergence as `grid.divergence`
+sums them.  The result is bit for bit that of the assembled form, without
+the `GridFunction` and `VectorField` wrappers.
 
 A drift that declares `velocity` has two more per-slice forms, both for
 the time step's explicit source and energy check:
@@ -202,7 +197,7 @@ def _pairwise_average(values: np.ndarray, axis: int) -> np.ndarray:
     return 0.5 * (values[tuple(lo)] + values[tuple(hi)])
 
 
-def _full_gradient_at_faces(grad: VectorField, axis: int) -> tuple[np.ndarray, ...]:
+def _full_gradient_at_faces(grad: tuple[np.ndarray, ...], axis: int) -> tuple[np.ndarray, ...]:
     """All gradient components co-located at the faces of `axis`.
 
     The native component is returned untouched; cross components are moved
@@ -213,7 +208,7 @@ def _full_gradient_at_faces(grad: VectorField, axis: int) -> tuple[np.ndarray, .
     alone.
     """
     out = []
-    for b, comp in enumerate(grad.components):
+    for b, comp in enumerate(grad):
         if b == axis:
             out.append(comp)
         else:
@@ -308,10 +303,9 @@ class TruncatedOperator:
         self._drift_max: float | None = None
         # lam -> (damping floor, K's Laplacian weight lam * gamma) of resolve_detailed
         self._resolve_constants: dict[float, tuple[float, float]] = {}
-        # drifts that enter every apply as z V on the faces, if any
-        face_drift = not self._drifts or data.drift.velocity is not None
-        self._linear = data.diffusion.coefficient is not None and face_drift
-        self._raw_faces = data.diffusion.componentwise and face_drift
+        self._linear = data.diffusion.coefficient is not None and (
+            not self._drifts or data.drift.velocity is not None
+        )
         self._stencil: _Stencil | None = None
         # the drift's explicit stencil S_theta and div(w V): see the module docstring
         self._explicit_stencil: _Stencil | None = None
@@ -391,15 +385,13 @@ class TruncatedOperator:
             )
         return self._face_drifts[key]
 
-    def drift_flux(
-        self, w: GridFunction, axis: int, explicit: bool = False
-    ) -> np.ndarray:
-        """weight * B(x, t, w) on the faces of one axis.
+    def drift_flux(self, w: np.ndarray, axis: int, explicit: bool = False) -> np.ndarray:
+        """weight * B(x, t, w) on the faces of one axis, for node values w.
 
         The weight is the implicit one by default and theta_M with
         `explicit` (see `_drift_weight`).
         """
-        z = _to_faces(w.values, axis)
+        z = _to_faces(w, axis)
         V = self._face_drift(axis, explicit)
         if V is not None:
             return z * V
@@ -410,22 +402,29 @@ class TruncatedOperator:
         weight = self._drift_weight(axis, explicit)
         return B if weight is None else weight * B
 
-    def flux(self, u: GridFunction) -> VectorField:
-        g = gradient(u)
+    def _flux_faces(self, v: np.ndarray) -> list[np.ndarray]:
+        """The components of the flux of node values v, as plain face arrays.
+
+        A component the diffusion returns constant along some axis is
+        broadcast to the face shape as a read-only view.
+        """
+        grad = grid._face_differences(self.domain, v)
         diffusion = self.data.diffusion
-        comps = []
+        faces = []
         for axis, coords in enumerate(self._face_coords):
             if diffusion.componentwise:
-                A = diffusion.evaluate(coords, self.t, (g.components[axis],))[0]
+                A = diffusion.evaluate(coords, self.t, (grad[axis],))[0]
             else:
-                eta = _full_gradient_at_faces(g, axis)
-                A = diffusion.evaluate(coords, self.t, eta)[axis]
+                A = diffusion.evaluate(coords, self.t, _full_gradient_at_faces(grad, axis))[axis]
             if self._drifts:
-                comps.append(A + self.drift_flux(u, axis))
-            else:
-                shape = self.domain.face_shape(axis)
-                comps.append(np.array(np.broadcast_to(A, shape), dtype=float))
-        return VectorField(self.domain, tuple(comps))
+                A = A + self.drift_flux(v, axis)
+            elif np.shape(A) != grad[axis].shape:
+                A = np.broadcast_to(A, grad[axis].shape)
+            faces.append(A)
+        return faces
+
+    def flux(self, u: GridFunction) -> VectorField:
+        return VectorField(self.domain, tuple(self._flux_faces(u.values)))
 
     def _face_coefficients(self) -> tuple[np.ndarray | float, ...]:
         """The diffusion coefficient a(., t) on the faces of every axis, as sampled."""
@@ -449,21 +448,8 @@ class TruncatedOperator:
             if self._stencil is None:
                 self._stencil = _Stencil(self, self._face_coefficients())
             return self._stencil.apply(v)
-        if not self._raw_faces:
-            return -divergence(self.flux(GridFunction(self.domain, v))).values
-        # -div(flux(v)) of a componentwise diffusion (plus z V) on the raw face
-        # arrays: the same operations in the same order, without the wrappers
-        dom, evaluate = self.domain, self.data.diffusion.evaluate
-        out = np.zeros(dom.interior_shape)
-        diff = np.empty_like(out)
-        faces = grid._face_differences(dom, v)
-        for axis, (coords, eta, h) in enumerate(zip(self._face_coords, faces, dom.spacing)):
-            A = evaluate(coords, self.t, (eta,))[0]
-            if self._drifts:
-                A = A + _to_faces(v, axis) * self._face_drift(axis, False)
-            elif np.shape(A) != eta.shape:  # a flux constant along some axis
-                A = np.broadcast_to(A, eta.shape)
-            grid._add_difference(out, A, axis, h, diff)
+        # -div(flux(v)), summed as `divergence` sums it, without the wrappers
+        out = grid._divergence_values(self.domain, self._flux_faces(v))
         return np.negative(out, out=out)
 
     def explicit_drift(self, w: np.ndarray) -> np.ndarray:
@@ -604,28 +590,21 @@ _SLOW_CONTRACTION = 0.1
 class _AndersonHistory:
     """The last _MIX_DEPTH differences of iterates and of updates z = P r.
 
-    Both live in one buffer H of 2 _MIX_DEPTH rows: the iterate difference
-    of slot j in row j, the update difference in row _MIX_DEPTH + j.  Rows
-    past the live history hold zeros, so the mixed iterate is one
-    matrix-vector product over all of H.  The Gram matrix of the update
-    differences is kept up to date one row per push, so a mixed iterate
-    needs a k x k solve (k <= _MIX_DEPTH) instead of a least-squares solve
-    against the N x k history.
+    Slot j of the ring buffer H holds its iterate difference in H[j, 0]
+    and its update difference in H[j, 1], so the live slots are the first
+    k of H, contiguous, and a mixed iterate is one matrix-vector product
+    over them.  The Gram matrix of the update differences is kept up to
+    date one row per push, so a mixed iterate needs a k x k solve
+    (k <= _MIX_DEPTH) instead of a least-squares solve against the N x k
+    history.
     """
 
     def __init__(self, u: np.ndarray, z: np.ndarray):
-        self.H = np.zeros((2 * _MIX_DEPTH, u.size))
-        self.dU, self.dZ = self.H[:_MIX_DEPTH], self.H[_MIX_DEPTH:]
+        self.H = np.empty((_MIX_DEPTH, 2, u.size))
+        self.dU, self.dZ = self.H[:, 0], self.H[:, 1]
         self.gram = np.empty((_MIX_DEPTH, _MIX_DEPTH))
         self.count = 0
         self.u, self.z = u.ravel(), z.ravel()
-
-    def clear(self) -> None:
-        """Forget every difference; the next push starts a new history."""
-        k = min(self.count, _MIX_DEPTH)
-        self.dU[:k] = 0.0
-        self.dZ[:k] = 0.0
-        self.count = 0
 
     def push(self, u: np.ndarray, z: np.ndarray) -> None:
         """Record the next iterate and its update."""
@@ -645,8 +624,8 @@ class _AndersonHistory:
 
         gamma minimises |z - dZ gamma|, and the iterate is
         u - dU gamma - beta (z - dZ gamma), the damped step from the
-        extrapolated point, evaluated as (u - beta z) - c H with
-        c = (gamma, -beta gamma), each half zero-padded to _MIX_DEPTH.
+        extrapolated point, evaluated as (u - beta z) - c H[:k] with c the
+        pairs (gamma_j, -beta gamma_j) in slot order.
         """
         k = min(self.count, _MIX_DEPTH)
         try:
@@ -655,16 +634,9 @@ class _AndersonHistory:
             return None
         if not np.all(np.isfinite(gamma)):
             return None
-        c = np.zeros(2 * _MIX_DEPTH)
-        c[:k] = gamma
-        np.multiply(gamma, -beta, out=c[_MIX_DEPTH : _MIX_DEPTH + k])
-        out = _damped(self.u, beta, self.z)
-        return np.subtract(out, c @ self.H, out=out)
-
-
-def _damped(u: np.ndarray, rho: float, z: np.ndarray) -> np.ndarray:
-    """u - rho z as a fresh array; u - z at rho = 1, which rounds the same."""
-    return u - z if rho == 1.0 else u - rho * z
+        c = (gamma[:, None] * (1.0, -beta)).ravel()
+        out = self.u - beta * self.z
+        return np.subtract(out, c @ self.H[:k].reshape(2 * k, -1), out=out)
 
 
 def _monotone_iteration(
@@ -720,10 +692,10 @@ def _monotone_iteration(
                     u, r, rn = trial, r_trial, rn_trial
                     continue
                 diag.rejected_mixes += 1
-            mixing.clear()
+            mixing.count = 0  # clear the history
         accepted = False
         while True:
-            trial = _damped(u, rho, z)
+            trial = u - rho * z
             r_trial = residual(trial)
             rn_trial = norm(r_trial)
             _require_finite(rn_trial, solver, it, domain, u, diag.residuals)

@@ -18,7 +18,6 @@ from driftflow.operators import (
     SolverDiagnostics,
     TruncatedOperator,
     _AndersonHistory,
-    _damped,
     _full_gradient_at_faces,
     _to_faces,
     stationary_solve,
@@ -399,7 +398,7 @@ def reference_flux_parts(data, t, level, mode, u, axis):
     dom = data.domain
     shape = dom.face_shape(axis)
     coords = G.face_coordinates(dom, axis)
-    eta = _full_gradient_at_faces(G.gradient(u), axis)
+    eta = _full_gradient_at_faces(G.gradient(u).components, axis)
     A = data.diffusion.evaluate(coords, t, eta)[axis]
     diffusion = np.array(np.broadcast_to(A, shape), dtype=float)
     if not data.has_drift or mode == "none":
@@ -466,11 +465,11 @@ class TestFluxAssembly:
                 continue
             # a drift linear in z multiplies z by the cached weight * V, so
             # only the rounding order differs from weight * (z b e)
-            ours = op.drift_flux(u, axis)
+            ours = op.drift_flux(u.values, axis)
             assert_relative(ours, drift)
             assert np.array_equal(flux.components[axis], diffusion + ours, equal_nan=True)
             if explicit is not None:
-                assert_relative(op.drift_flux(u, axis, explicit=True), explicit)
+                assert_relative(op.drift_flux(u.values, axis, explicit=True), explicit)
 
     @given(case=flux_cases())
     @settings(max_examples=40, deadline=None)
@@ -501,7 +500,7 @@ class TestFluxAssembly:
         flux = TruncatedOperator(data, 0.0, drift_mode="none").flux(u)
         g = G.gradient(u)
         for axis in range(2):
-            eta = _full_gradient_at_faces(g, axis)
+            eta = _full_gradient_at_faces(g.components, axis)
             assert np.array_equal(flux.components[axis], evaluate(None, 0.0, eta)[axis])
 
     def test_operators_never_share_cached_weights(self):
@@ -519,7 +518,7 @@ class TestFluxAssembly:
             for (t, lv), op in reversed(list(zip(slices, ops))):
                 for axis in range(2):
                     _, drift, _ = reference_flux_parts(data, t, lv, mode, u, axis)
-                    assert_relative(op.drift_flux(u, axis), drift)
+                    assert_relative(op.drift_flux(u.values, axis), drift)
             weights = {id(op._face_drift(0, False)) for op in ops}
             assert len(weights) == len(ops)
             # moving a slice of this drift in time samples it afresh
@@ -531,7 +530,7 @@ class TestFluxAssembly:
                 assert moved._face_bound(1) is not op._face_bound(1)
                 for axis in range(2):
                     _, drift, _ = reference_flux_parts(data, t + 0.5, lv, mode, u, axis)
-                    assert_relative(moved.drift_flux(u, axis), drift)
+                    assert_relative(moved.drift_flux(u.values, axis), drift)
         # the singular drift is autonomous: every slice shares one sample
         autonomous = M.make_model("singular-drift", dom, 1.0, c=0.3)
         for mode in ("full", "remainder"):
@@ -585,7 +584,7 @@ class TestTimeSlices:
         def parts(op):
             out = list(op.flux(u).components) + [np.array(op.drift_face_max())]
             if data.has_drift and mode == "remainder":
-                out += [op.drift_flux(u, a, explicit=True) for a in range(data.domain.dim)]
+                out += [op.drift_flux(u.values, a, explicit=True) for a in range(data.domain.dim)]
             return out
 
         op = TruncatedOperator(data, t1, level=level, drift_mode=mode)
@@ -681,7 +680,7 @@ class TestDriftClosedForms:
 
         def assert_matches(op):
             ours = op.explicit_drift(u.values)
-            faces = tuple(op.drift_flux(u, a, explicit=True) for a in range(dom.dim))
+            faces = tuple(op.drift_flux(u.values, a, explicit=True) for a in range(dom.dim))
             ref = -G.divergence(G.VectorField(dom, faces)).values
             # |theta V| / h summed over the faces of every node: with a = 0 the
             # stencil's diagonal is a difference of two of these and may cancel
@@ -715,7 +714,7 @@ class TestDriftClosedForms:
         first = TruncatedOperator(data, t1, level=level, drift_mode=mode)
         first.drift_divergence()  # cached at t1 before the slice moves
         for op in (first, first.at(t2)):
-            faces = [op.drift_flux(u, a) for a in range(dom.dim)]
+            faces = [op.drift_flux(u.values, a) for a in range(dom.dim)]
             assembled = G.inner_vec(G.VectorField(dom, tuple(faces)), G.gradient(u))
             closed = -0.5 * G.inner(
                 G.GridFunction(dom, op.drift_divergence()), G.GridFunction(dom, u.values**2)
@@ -810,8 +809,7 @@ def raw_face_cases(draw):
     """lipschitz-nonlinear, alone or with a drift, or a coupled diffusion,
     on an anisotropic box of dimension 1-3.
 
-    Returns the problem, drift mode, time, level, a state and whether the
-    slice should apply on the raw face arrays.
+    Returns the problem, drift mode, time, level and a state.
     """
     dim = draw(st.integers(1, 3))
     lengths = tuple(draw(st.floats(0.25, 4.0)) for _ in range(dim))
@@ -829,35 +827,23 @@ def raw_face_cases(draw):
     if coupled:
         data = replace(data, diffusion=coupled_diffusion(dim))
     mode = draw(st.sampled_from(("none", "full", "remainder")))
-    raw = not coupled and (drift != "no-velocity" or mode == "none")
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     u = rand_gf(dom, rng, scale=10.0 ** draw(st.integers(-3, 3)))
-    return data, mode, draw(st.floats(0.0, 1.0)), draw(st.floats(0.05, 20.0)), u, raw
+    return data, mode, draw(st.floats(0.0, 1.0)), draw(st.floats(0.05, 20.0)), u
 
 
 class TestRawFaceApply:
-    """A componentwise nonlinear slice applies on the raw face arrays."""
+    """A nonlinear slice applies on the raw face arrays of its flux."""
 
     @given(case=raw_face_cases())
     @settings(max_examples=80, deadline=None)
     def test_bit_identical_to_divergence_of_flux(self, case):
-        data, mode, t, level, u, raw = case
+        data, mode, t, level, u = case
         op = TruncatedOperator(data, t, level=level, drift_mode=mode)
-        assert not op._linear and op._raw_faces == raw
-        with mock.patch.object(op, "flux", wraps=op.flux) as flux:
-            ours = op._apply_values(u.values)
-        # only a coupled diffusion or a drift without `velocity` assembles the flux
-        assert flux.call_count == (0 if raw else 1)
+        assert not op._linear
+        ours = op._apply_values(u.values)
         assert same_bits(ours, -G.divergence(op.flux(u)).values)
         assert same_bits(op.apply(u).values, ours)
-
-    def test_lipschitz_sweep_never_assembles_the_flux(self):
-        dom = G.BoxDomain(2, (1.0, 2.0), (12, 9))
-        op = TruncatedOperator(M.make_model("lipschitz-nonlinear", dom, 0.5), 0.2, drift_mode="none")
-        with mock.patch.object(op, "flux", wraps=op.flux) as flux:
-            _, diag = op.resolve_detailed(rand_gf(dom, np.random.default_rng(3)), ResolventConfig(lam=0.5))
-        assert diag.converged and diag.iterations > 1
-        assert flux.call_count == 0
 
 
 def kernel_residuals(solve):
@@ -874,7 +860,7 @@ class TestInPlaceResiduals:
     @given(case=raw_face_cases())
     @settings(max_examples=40, deadline=None)
     def test_nonlinear_apply_returns_a_fresh_array(self, case):
-        data, mode, t, level, u, _ = case
+        data, mode, t, level, u = case
         op = TruncatedOperator(data, t, level=level, drift_mode=mode)
         first = op._apply_values(u.values)
         kept = first.copy()
@@ -955,25 +941,16 @@ class TestAndersonHistory:
             assert hist.mix(0.5) is None
 
     @pytest.mark.parametrize("refill", [1, 3, O._MIX_DEPTH])
-    def test_cleared_rows_add_exact_zeros(self, refill):
+    def test_cleared_history_reads_no_stale_slot(self, refill):
         rng = np.random.default_rng(refill)
         us = [rng.standard_normal(30) for _ in range(12)]
         zs = [rng.standard_normal(30) for _ in range(12)]
         hist = history_of(us[:8], zs[:8])
-        hist.clear()
-        assert hist.count == 0 and not np.any(hist.H)
+        hist.count = 0  # the kernel's clear
         for u, z in zip(us[8 : 8 + refill], zs[8 : 8 + refill]):
             hist.push(u, z)
-        # a fresh history from the same last push: no stale row contributes
+        # slots past the refill are never read: poison them
+        hist.H[refill:] = np.nan
         fresh = history_of(us[7 : 8 + refill], zs[7 : 8 + refill])
-        assert not np.any(hist.H[refill : self.D]) and not np.any(hist.H[self.D + refill :])
         for beta in (1.0, 0.3):
             assert same_bits(hist.mix(beta), fresh.mix(beta))
-
-    def test_damped_trial_at_full_step_rounds_as_the_product(self):
-        rng = np.random.default_rng(5)
-        u, z = rng.standard_normal(200), rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)
-        u[:6] = (0.0, -0.0, 0.0, -0.0, np.inf, 5e-324)
-        z[:6] = (0.0, 0.0, -0.0, -0.0, 1.0, -5e-324)
-        assert same_bits(_damped(u, 1.0, z), u - 1.0 * z)
-        assert same_bits(_damped(u, 0.25, z), u - 0.25 * z)
