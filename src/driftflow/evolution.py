@@ -17,21 +17,16 @@ Every step is followed by a discrete energy check
   1/2 |u_j|^2 + tau (alpha/2) |grad u_j|^2 <= 1/2 |u_{j-1}|^2 + tau <f_j, u_j> + tol
 
 with f_j the step's own effective source and tol the fixed `_ENERGY_TOL`;
-the schemes satisfy it by construction up to solver tolerance.  With f_j
-= -div G_j, tau <f_j, u_j> = tau (G_j, grad u_j).  When the drift declares
-`velocity` (B(u) = V avg(u) on the faces), its part of that pairing is
-read from two closed forms instead of re-assembled face arrays:
+the schemes satisfy it by construction up to solver tolerance.  With
+F = F(t_j) the source flux,
 
-  semi-implicit    -(theta_M B(u_{j-1}), grad u_j) = -<S_theta(u_{j-1}), u_j>
-  fully-implicit   -(B(u_j), grad u_j)             = 1/2 <div V, u_j^2>
+  semi-implicit    <f_j, u_j> = (F, grad u_j) - <S_theta(u_{j-1}), u_j>
+  fully-implicit   <f_j, u_j> = (F, grad u_j) - (B(u_j), grad u_j)
 
-S_theta(w) = -div(theta_M B(w)) is the operator's `explicit_drift`, the
-same array that moves the explicit drift to the right-hand side, and
-div V its cached `drift_divergence`; the second identity holds because
-avg(u) (u_{k+1} - u_k)/h = (u_{k+1}^2 - u_k^2)/(2h) on every face.  Both
-are exact in exact arithmetic and agree with the assembled pairings to
-roundoff (about 1e-15 relative in dimensions 1-3), far below the gate's
-1e-10.  A drift without `velocity` keeps the assembled `_effective_source`.
+and the drift's terms come from the operator (see `operators`):
+S_theta(w) = -div(theta_M B(w)) is its `explicit_drift`, which also moves
+the explicit drift to the right-hand side, and (B(u), grad u) its
+`drift_energy`.
 
 Along a march the resolve of step j starts from the polynomial
 extrapolation of the last q + 1 states,
@@ -59,7 +54,6 @@ import numpy as np
 from . import grid
 from .grid import (
     GridFunction,
-    VectorField,
     divergence,
     gradient,
     gradient_sq,
@@ -208,47 +202,6 @@ class EvolutionTrace:
         return lhs / (self.initial_l2**2 + self.times[-1] + self.source_sum)
 
 
-def _drift_pairing(
-    op: TruncatedOperator, implicit: bool, u: np.ndarray, explicit: np.ndarray | None
-) -> float:
-    """The drift's part of <f_j, u_j> in closed form (see the module docstring).
-
-    For a drift that declares `velocity`; u is the new state's values and
-    `explicit` is S_theta(u_prev), used by the semi-implicit splitting.
-    """
-    weight = op.domain.node_weight
-    if implicit:
-        return 0.5 * weight * float(np.vdot(op.drift_divergence(), u * u))
-    return -weight * float(np.vdot(explicit, u))
-
-
-def _effective_source(
-    F: VectorField | None,
-    splitting: str,
-    w: GridFunction,
-    op: TruncatedOperator,
-) -> VectorField | None:
-    """Flux whose negative divergence is the step's explicit source f_j.
-
-    F is the source flux sampled at the step's time t = op.t.
-    fully-implicit: F(t) - B(t, u_j) at the new state (the drift sits in the
-    operator; this is bookkeeping for the energy check).
-    semi-implicit: F(t) - theta_M B(t, w) with w the previous state.
-    The drift part comes from `op`, the step's operator at time t.
-    """
-    if not op.data.has_drift:
-        return F
-    dom = op.domain
-    if F is None:
-        comps = [np.zeros(dom.face_shape(a)) for a in range(dom.dim)]
-    else:
-        comps = list(F.components)
-    explicit = splitting == "semi-implicit"
-    for a in range(dom.dim):
-        comps[a] = comps[a] - op.drift_flux(w.values, a, explicit=explicit)
-    return VectorField(dom, tuple(comps))
-
-
 @dataclass
 class StepResult:
     state: GridFunction
@@ -270,10 +223,7 @@ def _step_operator(
     data: ProblemData, t: float, cfg: EvolutionConfig, level: float | None
 ) -> TruncatedOperator:
     """The implicit part of a step: A + B fully implicit, else A_M."""
-    if not data.has_drift:
-        mode = "none"
-    else:
-        mode = "full" if cfg.splitting == "fully-implicit" else "remainder"
+    mode = "full" if cfg.splitting == "fully-implicit" else "remainder"
     return TruncatedOperator(data, t, level=level, drift_mode=mode)
 
 
@@ -297,33 +247,27 @@ def _step_detailed(
     if rescfg is None:
         rescfg = replace(cfg.resolvent, lam=tau)
     implicit = cfg.splitting == "fully-implicit"
-    closed_form = data.has_drift and data.drift.velocity is not None
     F = data.source_field(t)
-    rhs_vals = u_prev.values
+    rhs = u_prev.values
     explicit = None
-    if closed_form and not implicit:
+    if data.has_drift and not implicit:
         # the explicit drift moves to the right-hand side as S_theta(u_prev)
         explicit = op.explicit_drift(u_prev.values)
-        rhs_vals = rhs_vals - tau * explicit
-    # the flux carried to the right-hand side: F, or F - theta_M B(t, u_prev)
-    # for a semi-implicit drift without `velocity`
-    rhs_flux = F
-    if not (implicit or closed_form):
-        rhs_flux = _effective_source(F, cfg.splitting, u_prev, op)
-    if rhs_flux is not None:
-        rhs_vals = rhs_vals - tau * divergence(rhs_flux).values
+        rhs = rhs - tau * explicit
+    if F is not None:
+        rhs = rhs - tau * divergence(F).values
     x0 = u_prev if guess is None else guess
-    u_new, diag = op.resolve_detailed(GridFunction(dom, rhs_vals), rescfg, x0=x0)
-    source = rhs_flux
-    if implicit and not closed_form:
-        source = _effective_source(F, cfg.splitting, u_new, op)
-    if source is None:
+    u_new, diag = op.resolve_detailed(GridFunction(dom, rhs), rescfg, x0=x0)
+    if F is None:
         pair, h1_sq = 0.0, gradient_sq(u_new)
     else:
         gu = gradient(u_new)
-        pair, h1_sq = inner_vec(source, gu), inner_vec(gu, gu)
-    if closed_form:
-        pair += _drift_pairing(op, implicit, u_new.values, explicit)
+        pair, h1_sq = inner_vec(F, gu), inner_vec(gu, gu)
+    # the drift's part of <f_j, u_j> (see the module docstring)
+    if explicit is not None:
+        pair -= dom.node_weight * float(np.vdot(explicit, u_new.values))
+    elif data.has_drift:
+        pair -= op.drift_energy(u_new.values)
     l2_sq = inner(u_new, u_new)
     if prev_sq is None:
         prev_sq = inner(u_prev, u_prev)
@@ -678,7 +622,7 @@ def weak_residual(
     T = dt * (len(states) - 1)
     if tests is None:
         tests = default_test_battery(dom, T)
-    op = TruncatedOperator(data, dt, drift_mode="full" if data.has_drift else "none")
+    op = TruncatedOperator(data, dt, drift_mode="full")
     # one accumulator pair per test, summed over the slices in the same j
     # order as a per-test loop; each slice's flux and source are assembled once
     acc = [0.0] * len(tests)

@@ -419,33 +419,30 @@ def poincare_constant(domain: BoxDomain) -> float:
 _BINARY_MAGIC = b"GFB1"
 
 
-def save_grid_function(path, u: GridFunction, fmt: str | None = None) -> Path:
-    """Write a grid function to disk.
+def save_grid_function(path, u: GridFunction) -> Path:
+    """Write a grid function to disk, in the format the path's suffix picks.
 
-    csv: a text header (dim, cells, lengths) followed by row-major values,
-    one per line.  bin: the same header packed as int64/float64 followed by
-    raw little-endian float64 values.
+    csv (any suffix but .bin and .gfb): a text header (dim, cells, lengths)
+    followed by row-major values, one per line.  bin (.bin or .gfb): the
+    same header packed as int64/float64 followed by raw little-endian
+    float64 values.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = "bin" if path.suffix in (".bin", ".gfb") else "csv"
     d = u.domain
-    if fmt == "csv":
+    if path.suffix not in (".bin", ".gfb"):
         with open(path, "w", encoding="utf-8") as f:
             f.write(f"dim,{d.dim}\n")
             f.write("cells," + ",".join(str(n) for n in d.cells) + "\n")
             f.write("lengths," + ",".join(repr(L) for L in d.lengths) + "\n")
             for x in u.values.ravel(order="C"):
                 f.write(repr(float(x)) + "\n")
-    elif fmt == "bin":
+    else:
         with open(path, "wb") as f:
             f.write(_BINARY_MAGIC)
             f.write(struct.pack("<q", d.dim))
             f.write(struct.pack(f"<{d.dim}q", *d.cells))
             f.write(struct.pack(f"<{d.dim}d", *d.lengths))
             f.write(u.values.astype("<f8").tobytes(order="C"))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
     return path
 
 

@@ -85,13 +85,27 @@ class DiffusionFlux:
 
 
 @dataclass(frozen=True)
+class _VelocityDrift:
+    """The flux z V(x, t) of a drift declared by its velocity V."""
+
+    velocity: Callable[[Coords, float], Coords]
+
+    def __call__(self, coords: Coords, t: float, z: np.ndarray) -> Coords:
+        return tuple(z * v for v in self.velocity(coords, t))
+
+
+@dataclass(frozen=True)
 class DriftFlux:
     """Drift flux B(x, t, z) with |B(x,t,z) - B(x,t,z*)| <= b(x,t)|z - z*|.
 
     `bound` evaluates the coefficient b itself; B(x, t, 0) = 0 is assumed
-    and spot-checked.  A drift linear in z, B(x, t, z) = z V(x, t), may
-    also supply `velocity`, which evaluates V; the operators then sample V
-    once per time slice and apply the drift as one multiplication.
+    and spot-checked.  A drift linear in z, B(x, t, z) = z V(x, t), is
+    declared by `velocity`, which evaluates V, in place of `evaluate`, the
+    way `DiffusionFlux.coefficient` declares a linear diffusion: `evaluate`
+    is then derived from it (z times each component of V), so the
+    operators, which sample V once per time slice, and `verify_hypotheses`,
+    which checks `evaluate` against `bound`, read one function.  Passing a
+    different `evaluate` as well raises ValueError.
 
     `autonomous` declares that b, V and B do not depend on t.  The code
     cannot observe that from the callables, so it defaults to False and a
@@ -100,10 +114,22 @@ class DriftFlux:
     (`TruncatedOperator.at`).
     """
 
-    evaluate: Callable[[Coords, float, np.ndarray], Coords]
+    evaluate: Callable[[Coords, float, np.ndarray], Coords] | None = None
+    _: KW_ONLY
     bound: Callable[[Coords, float], np.ndarray]
     velocity: Callable[[Coords, float], Coords] | None = None
     autonomous: bool = False
+
+    def __post_init__(self):
+        if self.velocity is None:
+            if self.evaluate is None:
+                raise ValueError("a drift flux needs evaluate or velocity")
+            return
+        derived = _VelocityDrift(self.velocity)
+        # dataclasses.replace hands back the flux derived from this velocity
+        if self.evaluate is not None and self.evaluate != derived:
+            raise ValueError("declare a linear drift by velocity or by evaluate, not both")
+        object.__setattr__(self, "evaluate", derived)
 
 
 @dataclass(frozen=True)
@@ -528,10 +554,6 @@ def build_singular_drift(
             with np.errstate(divide="ignore"):
                 return c / np.sqrt(r2)
 
-    def evaluate(coords, t, z):
-        b = bound(coords, t)
-        return tuple(z * b * ea for ea in e)
-
     def velocity(coords, t):
         b = bound(coords, t)
         return tuple(b * ea for ea in e)
@@ -540,9 +562,7 @@ def build_singular_drift(
         name="singular-drift",
         domain=domain,
         diffusion=_identity_diffusion(),
-        drift=DriftFlux(
-            evaluate=evaluate, bound=bound, velocity=velocity, autonomous=True
-        ),
+        drift=DriftFlux(bound=bound, velocity=velocity, autonomous=True),
         source=None,
         initial=_eigen_initial(domain),
         horizon=horizon,

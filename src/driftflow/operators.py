@@ -78,19 +78,26 @@ wraps in a `VectorField`, summed into the divergence as `grid.divergence`
 sums them.  The result is bit for bit that of the assembled form, without
 the `GridFunction` and `VectorField` wrappers.
 
-A drift that declares `velocity` has two more per-slice forms, both for
-the time step's explicit source and energy check:
+Every drift term a time step needs comes from the operator, for any drift:
 
-- `explicit_drift(w)` is S_theta(w) = -div(theta_M V avg(w)), the negative
-  divergence of `drift_flux(w, explicit=True)`, applied as the same
-  stencil built with a = 0 and the explicit face drift theta_M V;
-- `drift_divergence()` is the node field div(w V) of the implicit face
-  drift.  On every face avg(u) (u_{k+1} - u_k)/h = (u_{k+1}^2 - u_k^2)/(2h),
-  so the exact adjoint identity gives
-  (w V avg(u), grad u) = -1/2 inner(div(w V), u^2).
+- `explicit_drift(w)` is S_theta(w) = -div(theta_M B(w)), the negative
+  divergence of `drift_flux(w, explicit=True)`: the semi-implicit step's
+  explicit source, whose energy pairing with the new state u is
+  -<S_theta(w), u> = -(theta_M B(w), grad u) by the exact adjoint identity;
+- `drift_energy(u)` is (w B(u), grad u), the drift's part of the fully
+  implicit step's energy pairing, w the implicit weight.
 
-Each is built on first use and kept by `at(t)` exactly when the drift
-caches are, so they agree with the assembled forms to roundoff at every t.
+A drift that declares `velocity` assembles no face arrays for either.
+S_theta is applied as the stencil above built with a = 0 and the explicit
+face drift theta_M V.  On every face avg(u) (u_{k+1} - u_k)/h =
+(u_{k+1}^2 - u_k^2)/(2h), so the exact adjoint identity gives
+
+    (w V avg(u), grad u) = -1/2 inner(div(w V), u^2),
+
+with div(w V) one node field per slice (`drift_divergence`).  Both forms
+are exact in exact arithmetic and agree with the assembled ones to
+roundoff (about 1e-15 relative in dimensions 1-3); each is built on first
+use and kept by `at(t)` exactly when the drift caches are.
 
 The kernel works on raw arrays: residuals, preconditioned updates, trial
 and mixed iterates are ndarrays of the interior shape, and the operator
@@ -453,16 +460,32 @@ class TruncatedOperator:
         return np.negative(out, out=out)
 
     def explicit_drift(self, w: np.ndarray) -> np.ndarray:
-        """S_theta(w) = -div(theta_M B(w)) on node values, for a drift with `velocity`.
+        """S_theta(w) = -div(theta_M B(w)) on node values, for any drift.
 
-        The negative divergence of `drift_flux(w, explicit=True)` to
-        roundoff, by the stencil with a = 0 and the explicit face drift
-        theta_M V, built once per slice.
+        The negative divergence of `drift_flux(w, explicit=True)`; for a
+        drift with `velocity` to roundoff, by the stencil with a = 0 and the
+        explicit face drift theta_M V, built once per slice.
         """
+        if self.data.drift.velocity is None:
+            faces = [self.drift_flux(w, a, explicit=True) for a in range(self.domain.dim)]
+            out = grid._divergence_values(self.domain, faces)
+            return np.negative(out, out=out)
         if self._explicit_stencil is None:
             zero = (0.0,) * self.domain.dim
             self._explicit_stencil = _Stencil(self, zero, explicit=True)
         return self._explicit_stencil.apply(w)
+
+    def drift_energy(self, u: np.ndarray) -> float:
+        """(w B(u), grad u) for node values u, w the implicit drift weight.
+
+        For a drift with `velocity` the closed form -1/2 inner(div(w V), u^2)
+        of `drift_divergence`, else the assembled face sum.
+        """
+        weight = self.domain.node_weight
+        if self.data.drift.velocity is not None:
+            return -0.5 * weight * float(np.vdot(self.drift_divergence(), u * u))
+        faces = [self.drift_flux(u, a) for a in range(self.domain.dim)]
+        return weight * grid._face_sum(faces, grid._face_differences(self.domain, u))
 
     def drift_divergence(self) -> np.ndarray:
         """div(w V) of the implicit face drift, for a drift with `velocity`.

@@ -42,8 +42,14 @@ class SteadyConfig:
     time: float | str = "final"
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
+        if self.time != "final" and (
+            isinstance(self.time, str) or not math.isfinite(self.time)
+        ):
+            raise ValueError(f"time must be 'final' or finite, got {self.time!r}")
 
     def frozen_time(self, data: ProblemData) -> float:
         if self.time == "final":
@@ -59,9 +65,7 @@ def solve_steady(data: ProblemData, cfg: SteadyConfig) -> GridFunction:
 def solve_steady_detailed(data: ProblemData, cfg: SteadyConfig):
     """Stationary state with dual-norm residual below cfg.tol."""
     t = cfg.frozen_time(data)
-    op = TruncatedOperator(
-        data, t, drift_mode="full" if data.has_drift else "none"
-    )
+    op = TruncatedOperator(data, t, drift_mode="full")
     F = data.source_field(t)
     rhs = (
         GridFunction(data.domain, -divergence(F).values)

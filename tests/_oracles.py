@@ -5,6 +5,7 @@ from functools import reduce
 import numpy as np
 import scipy.sparse
 
+from driftflow import grid as G
 from driftflow import models as M
 from driftflow.grid import BoxDomain
 
@@ -43,8 +44,21 @@ def t_dependent_drift(dim):
         b = bound(coords, t)
         return tuple(b * ea for ea in e)
 
-    def evaluate(coords, t, z):
-        b = bound(coords, t)
-        return tuple(z * b * ea for ea in e)
+    return M.DriftFlux(bound=bound, velocity=velocity)
 
-    return M.DriftFlux(evaluate=evaluate, bound=bound, velocity=velocity)
+
+def assembled_pairing(op, splitting, u_prev, u):
+    """A drift step's <f_j, u_j> as (F - w B(w), grad u), assembled on the faces.
+
+    F is the source flux at op.t (zero if none); w B(w) is `drift_flux` at
+    the new state u with the implicit weight (fully implicit) or at u_prev
+    with theta_M (semi-implicit), subtracted face by face before the pairing.
+    """
+    F = op.data.source_field(op.t)
+    explicit = splitting == "semi-implicit"
+    w = (u_prev if explicit else u).values
+    comps = tuple(
+        (0.0 if F is None else F.components[a]) - op.drift_flux(w, a, explicit=explicit)
+        for a in range(op.domain.dim)
+    )
+    return G.inner_vec(G.VectorField(op.domain, comps), G.gradient(u))

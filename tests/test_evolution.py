@@ -15,7 +15,7 @@ from driftflow import evolution as E
 from driftflow.operators import ResolventConfig, _to_faces
 from driftflow.steady import SteadyConfig, decay_experiment, solve_steady
 
-from _oracles import t_dependent_drift
+from _oracles import assembled_pairing, t_dependent_drift
 
 TIGHT = ResolventConfig(tol=1e-13)
 
@@ -657,8 +657,9 @@ class TestStreamedTrajectories:
 
 @st.composite
 def pairing_cases(draw):
-    """A velocity drift on an anisotropic box of dimension 1-3, one splitting,
-    an optional source, and a previous and a new state."""
+    """A drift on an anisotropic box of dimension 1-3, declared by its
+    velocity or (the same flux) by `evaluate` alone, one splitting, an
+    optional source, and a previous and a new state."""
     dim = draw(st.integers(1, 3))
     lengths = tuple(draw(st.floats(0.25, 4.0)) for _ in range(dim))
     top = (24, 16, 10)[dim - 1]
@@ -671,6 +672,8 @@ def pairing_cases(draw):
         )
     else:
         data = replace(M.make_model("heat", dom, 1.0), drift=t_dependent_drift(dim))
+    if draw(st.booleans()):
+        data = replace(data, drift=replace(data.drift, velocity=None))
     if draw(st.booleans()):
         data = replace(
             data, source=lambda c, t: tuple((1.0 + t) * np.cos(x + a) for a, x in enumerate(c))
@@ -698,15 +701,9 @@ def in_contraction_regime(case):
     return M.certify_truncation(data, op.level).passes_evolution
 
 
-def assembled_pairing(c, op, u_prev, u):
-    """<f_j, u_j> through the assembled effective source flux."""
-    w = u if c.splitting == "fully-implicit" else u_prev
-    source = E._effective_source(op.data.source_field(op.t), c.splitting, w, op)
-    return G.inner_vec(source, G.gradient(u))
-
-
 class TestClosedFormPairing:
-    """The energy check reads a velocity drift's pairing in closed form."""
+    """The energy check reads the drift's pairing from the operator: in
+    closed form for a velocity drift, from the faces for any other."""
 
     @given(case=pairing_cases())
     @settings(max_examples=80, deadline=None)
@@ -714,22 +711,31 @@ class TestClosedFormPairing:
         data, c, op, u_prev, u = case
         dom = data.domain
         implicit = c.splitting == "fully-implicit"
-        explicit = None if implicit else op.explicit_drift(u_prev.values)
         F = data.source_field(op.t)
-        closed = E._drift_pairing(op, implicit, u.values, explicit)
-        if F is not None:
-            closed += G.inner_vec(F, G.gradient(u))
-        ref = assembled_pairing(c, op, u_prev, u)
-        # every face term on either side is at most |w V| (|w_k| + |w_k+1|) |u| / h
-        w = np.abs(u.values if implicit else u_prev.values)
+        ours = 0.0 if F is None else G.inner_vec(F, G.gradient(u))
+        if implicit:
+            ours -= op.drift_energy(u.values)
+        else:
+            ours -= G.inner(G.GridFunction(dom, op.explicit_drift(u_prev.values)), u)
+        ref = assembled_pairing(op, c.splitting, u_prev, u)
+        w = u if implicit else u_prev
+        if data.drift.velocity is not None:
+            # every face term on either side is at most |w V| (|w_k| + |w_k+1|) |u| / h
+            faces = [
+                np.abs(op._face_drift(a, not implicit)) * _to_faces(np.abs(w.values), a)
+                for a in range(dom.dim)
+            ]
+        else:
+            # every face term on either side is at most |w B(w)| (|u_k| + |u_k+1|) / h
+            faces = [
+                np.abs(op.drift_flux(w.values, a, explicit=not implicit))
+                for a in range(dom.dim)
+            ]
         scale = abs(ref) + dom.node_weight * sum(
-            np.vdot(
-                np.abs(op._face_drift(a, not implicit)),
-                (_to_faces(w, a) * _to_faces(np.abs(u.values), a)),
-            ) * 4 / h
-            for a, h in enumerate(dom.spacing)
+            np.vdot(face, _to_faces(np.abs(u.values), a)) * 4 / h
+            for a, (face, h) in enumerate(zip(faces, dom.spacing))
         )
-        assert abs(closed - ref) <= 1e-13 * scale
+        assert abs(ours - ref) <= 1e-13 * scale
 
     @given(case=pairing_cases().filter(in_contraction_regime))
     @settings(max_examples=25, deadline=None)
@@ -737,7 +743,7 @@ class TestClosedFormPairing:
         data, c, op, u_prev, _ = case
         res = E._step_detailed(u_prev, c, op)
         u, tau = res.state, c.dt
-        pair = assembled_pairing(c, op, u_prev, u)
+        pair = assembled_pairing(op, c.splitting, u_prev, u)
         ref = (
             0.5 * G.inner(u, u)
             + tau * 0.5 * data.diffusion.alpha * G.norm_h1(u) ** 2

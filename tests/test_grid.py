@@ -476,12 +476,9 @@ class TestSerialization:
         rng = np.random.default_rng(1)
         u = rand_gf(dom, rng)
         path = tmp_path / f"field.{fmt}"
-        G.save_grid_function(path, u, fmt)
+        G.save_grid_function(path, u)
+        # the suffix picks the format
+        assert (path.read_bytes()[:4] == b"GFB1") == (fmt == "bin")
         w = G.load_grid_function(path)
         assert w.domain == dom
         assert np.array_equal(w.values, u.values)
-
-    def test_unknown_format(self, tmp_path):
-        dom = G.BoxDomain(1, (1.0,), (4,))
-        with pytest.raises(ValueError):
-            G.save_grid_function(tmp_path / "x", G.zeros(dom), "hdf5")

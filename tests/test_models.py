@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,6 +52,57 @@ class TestHypotheses:
     def test_singular_drift_accepts_zero_coefficient(self):
         data = M.make_model("singular-drift", DOM2, 0.5, c=0.0)
         assert data.drift_bound_grid(0.0).max_abs() == 0.0
+
+
+class TestDriftFlux:
+    def test_velocity_derives_evaluate(self):
+        drift = M.make_model("singular-drift", DOM2, 0.5, c=0.2).drift
+        rng = np.random.default_rng(6)
+        coords = tuple(rng.uniform(0.05, 0.95, 200) for _ in range(2))
+        z = rng.standard_normal(200)
+        for B, v in zip(drift.evaluate(coords, 0.1, z), drift.velocity(coords, 0.1)):
+            assert np.array_equal(B, z * v)
+
+    def test_evaluate_and_a_different_velocity_are_exclusive(self):
+        drift = M.make_model("singular-drift", DOM2, 0.5).drift
+
+        def evaluate(coords, t, z):
+            return drift.evaluate(coords, t, z)
+
+        with pytest.raises(ValueError, match="not both"):
+            M.DriftFlux(evaluate, bound=drift.bound, velocity=drift.velocity)
+        # replace keeps the flux derived from the old velocity
+        with pytest.raises(ValueError, match="not both"):
+            replace(drift, velocity=lambda c, t: tuple(2 * v for v in drift.velocity(c, t)))
+        with pytest.raises(ValueError, match="evaluate or velocity"):
+            M.DriftFlux(bound=drift.bound)
+        with pytest.raises(TypeError):
+            M.DriftFlux(evaluate, drift.bound)  # bound is keyword-only
+        # dataclasses.replace hands the derived flux back, which is accepted
+        assert replace(drift, autonomous=False).evaluate == drift.evaluate
+
+    def test_without_velocity_is_a_general_drift(self):
+        data = M.make_model("singular-drift", DOM2, 0.5)
+        general = replace(data.drift, velocity=None)
+        assert general.velocity is None
+        assert general.evaluate == data.drift.evaluate
+        op = TruncatedOperator(replace(data, drift=general), 0.1, drift_mode="full")
+        assert not op._linear
+        assert M.verify_hypotheses(replace(data, drift=general), seed=3).passed
+
+    def test_velocity_beyond_its_bound_fails_the_hypotheses(self):
+        # this used to pass: the check read a hand-written evaluate, while
+        # the solver applied the velocity
+        data = M.make_model("singular-drift", DOM2, 0.5)
+        V = data.drift.velocity
+        fast = M.DriftFlux(
+            bound=data.drift.bound,
+            velocity=lambda c, t: tuple(50 * v for v in V(c, t)),
+            autonomous=True,
+        )
+        report = M.verify_hypotheses(replace(data, drift=fast), seed=3)
+        assert report.drift_lipschitz_violations > 0
+        assert not report.passed
 
 
 class TestTruncationWeight:

@@ -68,6 +68,26 @@ class TestApply:
             rhs = op.pairing(u, v)
             assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
 
+    @pytest.mark.parametrize(
+        "name", ["heat", "lipschitz-nonlinear", "manufactured", "variable-diffusion"]
+    )
+    def test_drift_modes_agree_without_drift(self, name):
+        # with no drift there is no drift term for a mode to keep or drop
+        data = M.make_model(name, DOM, 0.5)
+        rng = np.random.default_rng(2)
+        u, g = rand_gf(DOM, rng), rand_gf(DOM, rng)
+        cfg = ResolventConfig(lam=0.1, tol=1e-12)
+        outs = []
+        for mode in ("none", "full", "remainder"):
+            op = TruncatedOperator(data, 0.2, drift_mode=mode)
+            v, diag = op.resolve_detailed(g, cfg)
+            outs.append((op.apply(u).values, v.values, diag.as_dict(), op.contraction_constants(0.1)))
+        for apply, v, diag, constants in outs[1:]:
+            assert np.array_equal(apply, outs[0][0])
+            assert np.array_equal(v, outs[0][1])
+            assert diag == outs[0][2]
+            assert constants == outs[0][3]
+
     def test_remainder_mode_needs_level(self):
         data = M.make_model("singular-drift", DOM, 0.5, c=0.1)
         with pytest.raises(ValueError):

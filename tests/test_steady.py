@@ -17,6 +17,28 @@ def evo(dt, T, **kw):
     return EvolutionConfig(dt=dt, horizon=T, **kw)
 
 
+class TestSteadyConfig:
+    @pytest.mark.parametrize(
+        "field, kw",
+        [
+            ("tol", dict(tol=math.nan)),
+            ("tol", dict(tol=math.inf)),
+            ("tol", dict(tol=0.0)),
+            ("max_iter", dict(max_iter=0)),
+            ("max_iter", dict(max_iter=-3)),
+            ("time", dict(time=math.nan)),
+            ("time", dict(time=math.inf)),
+            ("time", dict(time="start")),
+        ],
+    )
+    def test_bad_setting_names_its_field(self, field, kw):
+        # these used to fail inside the solve ("stalled ... (tol nan)", "did
+        # not reach tol in -3 iterations", "residual is non-finite"), and
+        # time = inf returned u = 0 marked converged
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            SteadyConfig(**kw)
+
+
 class TestSolveSteady:
     def test_zero_data_gives_zero(self):
         data = M.make_model("heat", DOM, 0.5)
