@@ -15,15 +15,52 @@ Resolvent equations (I + lam * A_M(t)) u = g and stationary equations
 A u = f are solved by one kernel, `_monotone_iteration`: damped Picard
 (Richardson) iteration preconditioned with the constant-coefficient part
 K = I + lam * gamma * (-Laplacian), or gamma * (-Laplacian) for the
-stationary problem.  Strong monotonicity makes the preconditioned map a
-contraction for a small enough damping factor, and K itself is inverted
-exactly by `grid.helmholtz_solve`, since its coefficients are constant: a
-forward and an inverse sine transform around a cached inverse symbol.  An
-axis of at most `grid._DENSE_SINE_MAX` points is transformed by a dense
-matmul with a cached sine matrix, a longer one by scipy.fft; on a 2D grid
-with both axes dense the whole solve is one chain of four matmuls.  A step
-that fails to lower the residual is backtracked by halving the damping
-factor.
+stationary problem, gamma = (alpha + beta)/2.  Strong monotonicity makes
+the preconditioned map a contraction for a small enough damping factor, and
+K itself is inverted exactly by `grid.helmholtz_solve`, since its
+coefficients are constant: a forward and an inverse sine transform around a
+cached inverse symbol.  An axis of at most `grid._DENSE_SINE_MAX` points is
+transformed by a dense matmul with a cached sine matrix, a longer one by
+scipy.fft; on a 2D grid with both axes dense the whole solve is one chain
+of four matmuls.  A step that fails to lower the residual is backtracked by
+halving the damping factor.
+
+A slice whose diffusion declares its coefficient a is preconditioned
+instead by P = sigma K sigma, sigma = sqrt(clip(a, alpha, beta) / gamma)
+at the nodes (Concus & Golub, SIAM J. Numer. Anal. 10, 1973): P matches
+-div(a grad) to leading order, so P^{-1} B is the identity plus lower-order
+terms where K^{-1} B spans [alpha/gamma, beta/gamma].  It costs two
+elementwise products around the same sine transform, z = sigma^{-1}
+K^{-1}(sigma^{-1} r).  sigma is one node field per `at(t)` lineage, sampled
+at the first slice that needs it; where alpha == beta (identity diffusion)
+sigma == 1, P is K and the iteration is exactly the K one.  The
+stationary solve's `dual_norm` stays the (-Laplacian)^{-1} norm, which
+defines its tolerance.
+
+The damping floor max(1e-4, 0.9 m / M^2) is the classical safe step of a
+preconditioned map with monotonicity m and Lipschitz constant M measured in
+the preconditioner's geometry.  `contraction_constants` (and
+`stationary_constants`) bound them in the K geometry and carry them to P
+by c_lo K <= P <= c_hi K: m_P = m / c_hi, M_P = M / c_lo.  For
+K = s I + k (-Lap) with any s >= 0, k > 0, c_hi follows from the discrete
+product rule on each face,
+
+    (sigma w)_{k+1} - (sigma w)_k = avg(sigma) (w_{k+1} - w_k)
+                                    + avg(w) (sigma_{k+1} - sigma_k),
+
+exact on the staggered grid with the ghost sigma equal to its neighbour
+(so a boundary face carries no difference of sigma).  Young's inequality
+with epsilon = 1 and sum_faces avg(w)^2 <= |w|^2 give
+
+    |grad(sigma w)|^2 <= 2 max sigma^2 |grad w|^2 + 2 g^2 |w|^2,
+
+g^2 = sum_a max |D_a sigma|^2 over the difference quotients of sigma along
+each axis, and the discrete Poincare inequality |w|^2 <= C_P |grad w|^2
+(`grid.poincare_constant`) takes the last term into the gradient term.
+With s |sigma w|^2 <= max sigma^2 s |w|^2, c_hi = 2 (max sigma^2 + C_P g^2)
+bounds <P w, w> / <K w, w>.  With v = sigma w, K <= c P is
+sigma^{-1} K sigma^{-1} <= c K, the same bound for 1/sigma:
+c_lo = 1 / (2 (max sigma^{-2} + C_P g_{1/sigma}^2)).
 
 When Picard contracts slowly -- after the first damped step that lowers
 the residual by less than a factor 10 -- the kernel switches on type-II
@@ -56,9 +93,10 @@ coordinates, and when the data has no drift or an autonomous one
 maximum, so a march over autonomous data samples its drift once, not once
 per step.  The diffusion flux is still evaluated at the slice's own time.
 What a resolve needs besides the right-hand side -- the damping floor from
-`contraction_constants(lam)` and K's Laplacian weight lam * gamma -- is
-computed once per (slice, lam), and `at(t)` keeps it exactly when it
-keeps the drift maximum that it reads.
+`contraction_constants(lam)`, in the P geometry, and K's Laplacian weight
+lam * gamma -- is computed once per (slice, lam), and `at(t)` keeps it
+exactly when it keeps the drift maximum that it reads; sigma and c_lo, c_hi
+belong to the lineage and every slice shares them.
 
 A slice that is linear in u -- its diffusion declares `coefficient` a and
 its drift is absent or declares `velocity` V -- applies as a (2d+1)-point
@@ -224,6 +262,33 @@ def _full_gradient_at_faces(grad: tuple[np.ndarray, ...], axis: int) -> tuple[np
     return tuple(out)
 
 
+@dataclass(frozen=True)
+class _Conjugation:
+    """sigma of a preconditioner P = sigma K sigma, and P's equivalence to K.
+
+    `inverse` is 1/sigma at the nodes; lower * K <= P <= upper * K for every
+    K = s * I + k * (-Lap) with s >= 0, k > 0 (see the module docstring).
+    """
+
+    inverse: np.ndarray
+    lower: float
+    upper: float
+
+
+def _conjugation_bound(sigma: np.ndarray, domain: BoxDomain) -> float:
+    """A c with sigma K sigma <= c K for every K = s * I + k * (-Lap), s >= 0, k > 0.
+
+    c = 2 (max sigma^2 + C_P sum_a max |D_a sigma|^2), with D_a sigma the
+    difference quotients of sigma between neighbouring nodes along axis a
+    and C_P the discrete Poincare constant; see the module docstring.
+    """
+    slope_sq = sum(
+        (float(np.max(np.abs(np.diff(sigma, axis=a)), initial=0.0)) / h) ** 2
+        for a, h in enumerate(domain.spacing)
+    )
+    return 2.0 * (float(np.max(sigma)) ** 2 + grid.poincare_constant(domain) * slope_sq)
+
+
 class _Stencil:
     """The (2d+1)-point stencil of a linear slice, on the flattened grid.
 
@@ -317,16 +382,20 @@ class TruncatedOperator:
         # the drift's explicit stencil S_theta and div(w V): see the module docstring
         self._explicit_stencil: _Stencil | None = None
         self._drift_div: np.ndarray | None = None
+        # the preconditioner's sigma, filled on first use and shared by every
+        # slice at(t) derives from this one
+        self._lineage: dict[str, _Conjugation | None] = {}
 
     def at(self, t: float) -> "TruncatedOperator":
         """This slice at time t: the same data, level and drift mode.
 
         Returns self when t is unchanged.  The copy shares every cache that
-        does not depend on t; the drift caches (with the explicit stencil,
-        div(w V) and the resolve constants) count among them only when the
-        data has no drift or an autonomous one, and the stencil only when,
-        in addition, the diffusion coefficient sampled at t equals the one
-        it was built from.
+        does not depend on t, and the preconditioner's conjugation sigma
+        always (see `_conjugation`); the drift caches (with the explicit
+        stencil, div(w V) and the resolve constants) count among them only
+        when the data has no drift or an autonomous one, and the stencil
+        only when, in addition, the diffusion coefficient sampled at t
+        equals the one it was built from.
         """
         t = float(t)
         if t == self.t:
@@ -459,6 +528,14 @@ class TruncatedOperator:
         out = grid._divergence_values(self.domain, self._flux_faces(v))
         return np.negative(out, out=out)
 
+    def _require_drift_terms(self) -> None:
+        """The drift terms of a step need a drift weight: none in "none" mode."""
+        if self.drift_mode == "none":
+            raise ValueError(
+                'drift_mode "none" has no drift terms: explicit_drift, drift_energy '
+                "and drift_divergence need \"full\" or \"remainder\""
+            )
+
     def explicit_drift(self, w: np.ndarray) -> np.ndarray:
         """S_theta(w) = -div(theta_M B(w)) on node values, for any drift.
 
@@ -466,6 +543,7 @@ class TruncatedOperator:
         drift with `velocity` to roundoff, by the stencil with a = 0 and the
         explicit face drift theta_M V, built once per slice.
         """
+        self._require_drift_terms()
         if self.data.drift.velocity is None:
             faces = [self.drift_flux(w, a, explicit=True) for a in range(self.domain.dim)]
             out = grid._divergence_values(self.domain, faces)
@@ -481,6 +559,7 @@ class TruncatedOperator:
         For a drift with `velocity` the closed form -1/2 inner(div(w V), u^2)
         of `drift_divergence`, else the assembled face sum.
         """
+        self._require_drift_terms()
         weight = self.domain.node_weight
         if self.data.drift.velocity is not None:
             return -0.5 * weight * float(np.vdot(self.drift_divergence(), u * u))
@@ -493,6 +572,7 @@ class TruncatedOperator:
         One node field per slice, with (w V avg(u), grad u) =
         -1/2 inner(div(w V), u^2) for every u.
         """
+        self._require_drift_terms()
         if self._drift_div is None:
             faces = tuple(self._face_drift(a, False) for a in range(self.domain.dim))
             self._drift_div = divergence(VectorField(self.domain, faces)).values
@@ -535,25 +615,108 @@ class TruncatedOperator:
         return self._drift_max
 
     def contraction_constants(self, lam: float) -> tuple[float, float]:
-        """Monotonicity and Lipschitz constants of K^{-1}(I + lam A_M).
+        """Monotonicity and Lipschitz constants of P^{-1}(I + lam A_M).
 
-        Measured in the K = I + lam * gamma * (-Lap) geometry; they bound a
-        guaranteed-safe damping factor m / M^2 from below.
+        m and M are first bounded in the K = I + lam * gamma * (-Lap)
+        geometry, where the diffusion contributes its range [alpha, beta]
+        relative to gamma, then carried to the geometry of the resolve's
+        preconditioner P = sigma K sigma (P = K when sigma == 1) by the
+        equivalence constants of `_conjugation`.  The safe damping factor
+        m / M^2 they give is the resolve's damping floor.
         """
         alpha = self.data.diffusion.alpha
         beta = self.data.diffusion.beta
+        gamma = self.precondition_scale()
         mu = self.monotonicity_margin_estimate()
         b_eff = self.drift_face_max()
-        m = min(1.0, mu)
+        m = min(1.0, mu / gamma)
         if self.drift_mode == "full" and b_eff > 0:
             # zeroth-order loss from absorbing the bounded drift part
-            m = max(1e-6, min(1.0, mu) - lam * b_eff**2 / (2 * alpha))
-        M = max(1.0, beta + (0.5 * alpha if self.data.has_drift else 0.0)) + b_eff * np.sqrt(lam)
-        return m, M
+            m = max(1e-6, min(1.0, mu / gamma) - lam * b_eff**2 / (2 * alpha))
+        M = max(1.0, (beta + (0.5 * alpha if self.data.has_drift else 0.0)) / gamma) + (
+            b_eff * np.sqrt(lam / gamma)
+        )
+        return self._in_preconditioner_geometry(m, M)
+
+    def stationary_constants(self) -> tuple[float, float]:
+        """Monotonicity and Lipschitz constants of P^{-1} A_M, for `stationary_solve`.
+
+        As `contraction_constants`, with K = gamma * (-Lap).
+        """
+        alpha = self.data.diffusion.alpha
+        beta = self.data.diffusion.beta
+        gamma = self.precondition_scale()
+        m = self.monotonicity_margin_estimate() / gamma
+        M = (beta + (0.5 * alpha if self.data.has_drift else 0.0)) / gamma + (
+            self.drift_face_max() / gamma
+        )
+        return self._in_preconditioner_geometry(m, M)
+
+    def _in_preconditioner_geometry(self, m: float, M: float) -> tuple[float, float]:
+        """Carry constants of the K geometry to the P geometry.
+
+        With c_lo K <= P <= c_hi K: <B w, w> >= m <K w, w> >= (m / c_hi)
+        <P w, w>, and P^{-1} <= K^{-1} / c_lo gives <P^{-1} B w, B w> <=
+        (M^2 / c_lo) <K w, w> <= (M / c_lo)^2 <P w, w>.
+        """
+        conj = self._conjugation()
+        if conj is None:
+            return m, M
+        return m / conj.upper, M / conj.lower
 
     def precondition_scale(self) -> float:
-        """Laplacian weight gamma of the preconditioner."""
+        """Laplacian weight gamma = (alpha + beta) / 2 of the preconditioner.
+
+        K = I + lam * gamma * (-Lap), or gamma * (-Lap) for the stationary
+        problem.  On a slice with a coefficient a, P = sigma K sigma with
+        sigma^2 = a / gamma carries a, not gamma, in its leading-order part;
+        see `_conjugation`.
+        """
         return 0.5 * (self.data.diffusion.alpha + self.data.diffusion.beta)
+
+    def _conjugation(self) -> _Conjugation | None:
+        """sigma of the preconditioner P = sigma K sigma; None when P is K.
+
+        sigma = sqrt(clip(a, alpha, beta) / gamma) is sampled at the nodes,
+        at the time of the first slice of an `at(t)` lineage that asks, and
+        kept for the whole lineage: any sigma > 0 gives a valid
+        preconditioner.  Clipping keeps P symmetric positive definite for a
+        coefficient sampled outside [alpha, beta].  Without a coefficient P
+        is K, and with alpha == beta (identity diffusion among them) the
+        clip makes sigma == 1, so P is K without sampling a.
+        """
+        if "conjugation" not in self._lineage:
+            diffusion, dom = self.data.diffusion, self.domain
+            conj = None
+            if diffusion.coefficient is not None and diffusion.alpha < diffusion.beta:
+                a = diffusion.coefficient(grid.node_coordinates(dom), self.t)
+                a = np.clip(np.broadcast_to(a, dom.interior_shape), diffusion.alpha, diffusion.beta)
+                sigma = np.sqrt(a / self.precondition_scale())
+                inverse = 1.0 / sigma
+                conj = _Conjugation(
+                    inverse,
+                    lower=1.0 / _conjugation_bound(inverse, dom),
+                    upper=_conjugation_bound(sigma, dom),
+                )
+            self._lineage["conjugation"] = conj
+        return self._lineage["conjugation"]
+
+    def _preconditioner(self, shift: float, scale: float) -> Callable[[np.ndarray], np.ndarray]:
+        """r -> P^{-1} r for K = shift * I + scale * (-Lap) and P = sigma K sigma.
+
+        P^{-1} = sigma^{-1} K^{-1} sigma^{-1}: the sine transform inverts the
+        constant-coefficient K exactly, between two elementwise products.
+        """
+        dom, conj = self.domain, self._conjugation()
+        if conj is None:
+            return lambda r: helmholtz_solve(dom, r, shift, scale)
+        inverse = conj.inverse
+
+        def solve(r: np.ndarray) -> np.ndarray:
+            z = helmholtz_solve(dom, r * inverse, shift, scale)
+            return np.multiply(z, inverse, out=z)
+
+        return solve
 
     # -- resolvent ----------------------------------------------------------
 
@@ -568,8 +731,10 @@ class TruncatedOperator:
     ) -> tuple[GridFunction, SolverDiagnostics]:
         """Solve u + lam * A_M(t) u = g to residual tol * (1 + |g|).
 
-        The damping floor and K's Laplacian weight depend on the slice and
-        lam alone; they are computed on the first resolve at a lam and kept.
+        Preconditioned by P = sigma K sigma, K = I + lam * gamma * (-Lap)
+        (see `_conjugation`).  The damping floor and K's Laplacian weight
+        depend on the slice and lam alone; they are computed on the first
+        resolve at a lam and kept.
         """
         lam, dom = cfg.lam, self.domain
         if lam not in self._resolve_constants:
@@ -589,8 +754,7 @@ class TruncatedOperator:
 
         u, diag = _monotone_iteration(
             residual,
-            # K is constant-coefficient, so the sine transform inverts it exactly
-            lambda r: helmholtz_solve(dom, r, 1.0, scale),
+            self._preconditioner(1.0, scale),
             # norm_l2 on the values
             lambda r: math.sqrt(max(weight * float(np.vdot(r, r)), 0.0)),
             (x0 if x0 is not None else g).values.copy(),
@@ -774,19 +938,13 @@ def stationary_solve(
     residual; convergence is tol * (1 + dual norm of rhs).
     """
     dom = op.domain
-    gamma = op.precondition_scale()
     weight = dom.node_weight
 
     def dual_norm(r: np.ndarray) -> float:
         z = helmholtz_solve(dom, r, 0.0, 1.0)
         return math.sqrt(max(weight * float(np.vdot(z, r)), 0.0))
 
-    alpha = op.data.diffusion.alpha
-    beta = op.data.diffusion.beta
-    m = op.monotonicity_margin_estimate() / gamma
-    M = (beta + (0.5 * alpha if op.data.has_drift else 0.0)) / gamma + (
-        op.drift_face_max() / gamma
-    )
+    m, M = op.stationary_constants()
     rv = rhs.values
 
     def residual(u: np.ndarray) -> np.ndarray:
@@ -796,7 +954,7 @@ def stationary_solve(
 
     u, diag = _monotone_iteration(
         residual,
-        lambda r: helmholtz_solve(dom, r, 0.0, gamma),
+        op._preconditioner(0.0, op.precondition_scale()),
         dual_norm,
         x0.values.copy() if x0 is not None else np.zeros(dom.interior_shape),
         domain=dom,

@@ -1,6 +1,6 @@
 import contextlib
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 from unittest import mock
 
 import numpy as np
@@ -619,13 +619,24 @@ class TestTimeSlices:
             assert np.array_equal(ours, ref)
 
 
-def stencil_row_sums(op, shape):
-    """sum_j |S_kj| over the stencil row of every node k."""
-    out = np.abs(op._stencil.diag).copy()
-    for s, upper, lower in op._stencil.neighbours:
-        out[:-s] += np.abs(upper)
-        out[s:] += np.abs(lower)
-    return out.reshape(shape)
+def stencil_face_weights(op):
+    """sum over the faces of every node of (|a/h + w V/2| + |a/h - w V/2|) / h.
+
+    The face weights' magnitudes before the diagonal sums them: a node's
+    diagonal may cancel to 0 (one interior node and a drift), while both
+    forms of -div(flux(u)) still carry the roundoff of every face term.
+    """
+    dom = op.domain
+    out = np.zeros(dom.interior_shape)
+    for axis, (a, h) in enumerate(zip(op._face_coefficients(), dom.spacing)):
+        up = down = np.broadcast_to(a, dom.face_shape(axis)) / h
+        if op._drifts:
+            half = 0.5 * op._face_drift(axis, False)
+            up, down = up + half, up - half
+        w = np.abs(up) + np.abs(down)
+        head = (slice(None),) * axis
+        out += (w[head + (slice(None, -1),)] + w[head + (slice(1, None),)]) / h
+    return out
 
 
 class TestStencil:
@@ -638,7 +649,7 @@ class TestStencil:
         def assert_matches(op):
             ours = op.apply(u).values
             ref = -G.divergence(op.flux(u)).values
-            bound = 1e-13 * stencil_row_sums(op, ours.shape) * umax
+            bound = 1e-13 * stencil_face_weights(op) * umax
             assert np.all(np.abs(ours - ref) <= bound)
 
         op = TruncatedOperator(data, t1, level=level, drift_mode=mode)
@@ -759,7 +770,8 @@ class TestNoAliasing:
         u_vals = u.values.copy()
         op = TruncatedOperator(data, t1, level=level, drift_mode=mode)
         calls = [lambda op, w: op.apply(w).values]
-        if data.has_drift and data.drift.velocity is not None:
+        # "none" mode has no drift terms (TestDriftModeNone)
+        if data.has_drift and data.drift.velocity is not None and mode != "none":
             calls.append(lambda op, w: op.explicit_drift(w.values))
         for call in calls:
             first = call(op, u)
@@ -974,3 +986,201 @@ class TestAndersonHistory:
         fresh = history_of(us[7 : 8 + refill], zs[7 : 8 + refill])
         for beta in (1.0, 0.3):
             assert same_bits(hist.mix(beta), fresh.mix(beta))
+
+
+class TestDriftModeNone:
+    """"none" mode drops the drift from the flux, so it has no drift terms."""
+
+    @pytest.mark.parametrize("velocity", [True, False])
+    def test_drift_terms_raise_naming_the_mode(self, velocity):
+        dom = G.BoxDomain(2, (1.0, 1.0), (8, 8))
+        data = M.make_model("singular-drift", dom, 1.0, c=0.1)
+        if not velocity:
+            data = replace(data, drift=replace(data.drift, velocity=None))
+        op = TruncatedOperator(data, 0.0, drift_mode="none")
+        w = rand_gf(dom, np.random.default_rng(3)).values
+        for call in (
+            lambda: op.explicit_drift(w),
+            lambda: op.drift_energy(w),
+            lambda: op.drift_divergence(),
+        ):
+            with pytest.raises(ValueError, match='drift_mode "none"'):
+                call()
+
+
+# (alpha, beta) pairs of a coefficient slice: moderate, wide, and small gamma
+COEFFICIENT_RANGES = ((0.5, 1.5), (0.1, 10.0), (0.01, 1.0))
+
+
+def rough_coefficient(alpha, beta):
+    """A coefficient in [alpha, beta] that oscillates on the grid scale."""
+
+    def coefficient(coords, t):
+        phase = sum((17.0 + 6.0 * a) * x for a, x in enumerate(coords))
+        return alpha + (beta - alpha) * (0.5 + 0.5 * np.sin(phase + t))
+
+    return M.DiffusionFlux(coefficient=coefficient, alpha=alpha, beta=beta)
+
+
+@st.composite
+def coefficient_slices(draw):
+    """A slice whose diffusion declares a coefficient -- smooth, rough or
+    alpha throughout -- on an anisotropic box of dimension 1-3, with a
+    state w: the lowest mode plus noise, spread evenly or gathered where
+    the coefficient is small.
+
+    Returns the operator and w.
+    """
+    dim = draw(st.integers(1, 3))
+    lengths = tuple(draw(st.floats(0.25, 4.0)) for _ in range(dim))
+    top = (24, 12, 7)[dim - 1]
+    dom = G.BoxDomain(dim, lengths, tuple(draw(st.integers(2, top)) for _ in range(dim)))
+    alpha, beta = draw(st.sampled_from(COEFFICIENT_RANGES))
+    data = M.make_model("variable-diffusion", dom, 1.0, alpha=alpha, beta=beta)
+    kind = draw(st.sampled_from(("smooth", "rough", "alpha")))
+    if kind != "smooth":
+        # a == alpha everywhere is where K overrates the diffusion most
+        flux = rough_coefficient(alpha, beta if kind == "rough" else alpha)
+        data = replace(data, diffusion=replace(flux, beta=beta))
+    op = TruncatedOperator(data, draw(st.floats(0.0, 3.0)), drift_mode="none")
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    lowest = G.sample(dom, lambda c: M._eigen_profile(c, lengths)).values
+    noise = draw(st.sampled_from((0.0, 1e-3, 1.0))) * rng.standard_normal(dom.interior_shape)
+    if draw(st.booleans()):
+        a = data.diffusion.coefficient(G.node_coordinates(dom), op.t)
+        noise = noise * ((beta - a) / (beta - alpha)) ** 4
+    return op, G.GridFunction(dom, lowest + noise)
+
+
+def within(lo, hi):
+    """lo <= hi up to roundoff relative to the terms' sizes."""
+    return lo <= hi + 1e-12 * (abs(lo) + abs(hi))
+
+
+class TestConjugatedPreconditioner:
+    """P = sigma K sigma on a coefficient slice: its equivalence to K, the
+    damping floor's premise in the P geometry, and where sigma lives."""
+
+    @given(case=coefficient_slices(), lam=st.sampled_from((1e-3, 0.1, 1.0)))
+    @settings(max_examples=80, deadline=None)
+    def test_floor_premise(self, case, lam):
+        op, w = case
+        dom, gamma = op.domain, op.precondition_scale()
+        A_w = op.apply(w)
+
+        def check(inverse, lower, upper):
+            sigma_w = G.GridFunction(dom, w.values / inverse)
+            forms = (
+                # shift, Laplacian weight, B w, constants of the geometry
+                (1.0, lam * gamma, w + A_w * lam, op.contraction_constants(lam)),
+                (0.0, gamma, A_w, op.stationary_constants()),
+            )
+            for shift, scale, B_w, (m, M_) in forms:
+                K_ww = shift * G.inner(w, w) + scale * G.gradient_sq(w)
+                P_ww = shift * G.inner(sigma_w, sigma_w) + scale * G.gradient_sq(sigma_w)
+                assert lower > 0
+                assert within(lower * K_ww, P_ww)
+                assert within(P_ww, upper * K_ww)
+                assert within(m * P_ww, G.inner(B_w, w))
+                z = G.GridFunction(dom, op._preconditioner(shift, scale)(B_w.values))
+                assert within(G.inner(z, B_w), M_**2 * P_ww)
+
+        check(*astuple(op._conjugation()))
+        # the constants of the K geometry, which the P ones are carried from
+        with mock.patch.object(TruncatedOperator, "_conjugation", lambda self: None):
+            check(1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("drift", [None, "t-dependent"])
+    def test_moved_slices_share_sigma(self, drift):
+        # the coefficient carries cos t, and the drift grows with t
+        data = M.make_model("variable-diffusion", DOM, 1.0)
+        if drift:
+            data = replace(data, drift=t_dependent_drift(2))
+        op = TruncatedOperator(data, 0.1, drift_mode="full" if drift else "none")
+        moved = op.at(0.9)
+        # whichever slice asks first builds sigma for the lineage
+        conj = moved._conjugation()
+        assert conj is not None
+        assert op._conjugation() is conj
+        assert op.at(2.0).at(0.5)._conjugation() is conj
+        # and it is sigma of the first slice that asked, not sampled again
+        for t, same in ((0.9, True), (0.1, False)):
+            fresh = TruncatedOperator(data, t, drift_mode=op.drift_mode)
+            assert np.array_equal(fresh._conjugation().inverse, conj.inverse) == same
+
+    @pytest.mark.parametrize(
+        "name, level, mode",
+        [
+            ("heat", None, "none"),
+            ("manufactured", None, "none"),
+            ("singular-drift", 1.0, "remainder"),
+        ],
+    )
+    def test_identity_diffusion_resolves_as_with_K(self, name, level, mode):
+        params = {"c": 0.1} if name == "singular-drift" else {}
+        data = M.make_model(name, DOM, 0.5, **params)
+        op = TruncatedOperator(data, 0.2, level=level, drift_mode=mode)
+        assert op._conjugation() is None
+        g = rand_gf(DOM, np.random.default_rng(4))
+        lam, dom = 0.1, DOM
+        cfg = ResolventConfig(lam=lam, tol=1e-12)
+        u, diag = op.resolve_detailed(g, cfg)
+        m, M_ = op.contraction_constants(lam)
+        scale = lam * op.precondition_scale()
+        ref, ref_diag = O._monotone_iteration(
+            lambda v: v + lam * op._apply_values(v) - g.values,
+            lambda r: G.helmholtz_solve(dom, r, 1.0, scale),
+            lambda r: math.sqrt(max(dom.node_weight * float(np.vdot(r, r)), 0.0)),
+            g.values.copy(),
+            domain=dom,
+            tol=cfg.tol * (1.0 + G.norm_l2(g)),
+            max_iter=cfg.max_iter,
+            rho_floor=max(1e-4, 0.9 * m / M_**2),
+            solver="damped Picard",
+        )
+        assert same_bits(u.values, ref)
+        assert diag.as_dict() == ref_diag.as_dict()
+
+    def test_fewer_iterations_than_with_K(self):
+        dom = G.BoxDomain(2, (1.0, 1.0), (32, 32))
+        data = M.make_model("variable-diffusion", dom, 0.5)
+        g = rand_gf(dom, np.random.default_rng(5))
+
+        def iterations():
+            op = TruncatedOperator(data, 0.25, drift_mode="none")
+            out = [
+                op.resolve_detailed(g, ResolventConfig(lam=lam, tol=1e-12))[1]
+                for lam in (1e-3, 1.0)
+            ]
+            out.append(stationary_solve(op, g, tol=1e-11)[1])
+            assert all(d.converged for d in out)
+            return [d.iterations for d in out]
+
+        ours = iterations()
+        with mock.patch.object(TruncatedOperator, "_conjugation", lambda self: None):
+            with_K = iterations()
+        assert all(a < b for a, b in zip(ours, with_K)), (ours, with_K)
+
+    def test_coefficient_outside_its_range_gives_spd_P(self):
+        dom = G.BoxDomain(2, (1.0, 2.0), (5, 6))
+
+        def coefficient(coords, t):
+            # -3 .. 7 against [alpha, beta] = [0.5, 1.5]
+            return 2.0 + 5.0 * np.sin(7.0 * coords[0] + 3.0 * coords[1])
+
+        data = replace(
+            M.make_model("heat", dom, 1.0),
+            diffusion=M.DiffusionFlux(coefficient=coefficient, alpha=0.5, beta=1.5),
+        )
+        op = TruncatedOperator(data, 0.0, drift_mode="none")
+        conj = op._conjugation()
+        assert np.all(np.isfinite(conj.inverse)) and np.all(conj.inverse > 0)
+        assert 0 < conj.lower <= conj.upper < math.inf
+        n = dom.interior_count
+        for shift, scale in ((1.0, 0.1), (0.0, 1.0)):
+            precondition = op._preconditioner(shift, scale)
+            P_inv = np.stack(
+                [precondition(e.reshape(dom.interior_shape)).ravel() for e in np.eye(n)], axis=1
+            )
+            assert np.allclose(P_inv, P_inv.T, rtol=0, atol=1e-13 * np.max(np.abs(P_inv)))
+            assert np.min(np.linalg.eigvalsh(0.5 * (P_inv + P_inv.T))) > 0
