@@ -20,7 +20,6 @@ from .grid import (
     gradient,
     inner,
     inner_vec,
-    laplacian,
     load_grid_function,
     norm_h1,
     norm_l2,
@@ -36,7 +35,6 @@ from .lorentz import (
     distribution,
     lorentz_norm,
     sobolev_constant,
-    truncate,
 )
 from .models import (
     DiffusionFlux,
@@ -48,7 +46,6 @@ from .models import (
     certify_truncation,
     make_model,
     make_truncation_plan,
-    truncation_weight,
     verify_hypotheses,
 )
 from .operators import ResolventConfig, SolverDiagnostics, TruncatedOperator
@@ -97,7 +94,6 @@ __all__ = [
     "gradient",
     "inner",
     "inner_vec",
-    "laplacian",
     "load_grid_function",
     "lorentz_norm",
     "make_model",
@@ -109,8 +105,6 @@ __all__ = [
     "sobolev_constant",
     "solve_steady",
     "step",
-    "truncate",
-    "truncation_weight",
     "uniqueness_harness",
     "verify_hypotheses",
     "weak_residual",

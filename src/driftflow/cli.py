@@ -187,7 +187,10 @@ def _model_params(cfg: dict[str, str]) -> dict:
         if key.startswith(_MODEL_PREFIX):
             name = key[len(_MODEL_PREFIX):]
             if name == "drift_file":
-                params["drift_field"] = grid.load_grid_function(value)
+                try:
+                    params["drift_field"] = grid.load_grid_function(value)
+                except (OSError, ValueError) as err:
+                    raise ConfigError(f"bad value for {key!r}: {err}") from None
             elif name == "direction":
                 params["direction"] = _read(cfg, key, None, _floats)
             else:
@@ -469,12 +472,13 @@ def _run_lorentz_report(cfg, outdir: Path, seed: int, manifest: RunManifest) -> 
     levels = [bmax * f for f in (0.1, 0.25, 0.5, 0.75, 1.0)] if bmax > 0 else []
     payload = {
         "model": data.name,
-        "weak_norm": lorentz.lorentz_norm(b, lorentz.LorentzExponents(max(N, 2), math.inf)),
+        # weak-L^N, the space of the certificates, in every dimension
+        "weak_norm": lorentz.weak_norm_of_values(b.values, data.domain.node_weight, N),
         "max_value": bmax,
         "distance_ladder": (
             {
                 "levels": levels,
-                "weak_norms": lorentz.dist_to_bounded(b, max(N, 2), levels),
+                "weak_norms": lorentz.dist_to_bounded(b, N, levels),
             }
             if levels
             else None

@@ -61,7 +61,7 @@ from .grid import (
     inner_vec,
     norm_l2,
 )
-from .models import ProblemData, TruncationPlan, drift_bound_max
+from .models import ProblemData, TruncationPlan
 from .operators import ResolventConfig, SolverDiagnostics, TruncatedOperator
 
 # Slack of the per-step energy inequality: the solver tolerance and roundoff.
@@ -497,8 +497,10 @@ def uniqueness_harness(
 
     The two marches advance in lockstep, so only their current states are
     held.  C is the measured growth constant of the step's drift coupling,
-    b_max^2 / (2 alpha) corrected for the finite step; it is zero without
-    drift, in which case the scheme must contract monotonically.
+    b_max^2 / (2 alpha) corrected for the finite step, with b_max the step
+    operator's `drift_face_max` (clamped at the level when semi-implicit);
+    it is zero without drift, in which case the scheme must contract
+    monotonically.
     """
     if level is None:
         level = _default_level(cfg)
@@ -511,13 +513,9 @@ def uniqueness_harness(
         dists.append(norm_l2(u - v))
     d0 = dists[0]
     alpha = data.diffusion.alpha
-    if data.has_drift:
-        clamp = level if cfg.splitting == "semi-implicit" else None
-        b_eff = drift_bound_max(data, cfg.horizon, clamp)
-        C0 = b_eff**2 / (2 * alpha)
-        C = C0 / (1.0 - cfg.dt * C0) if cfg.dt * C0 < 1 else math.inf
-    else:
-        C = 0.0
+    b_eff = _step_operator(data, cfg.horizon, cfg, level).drift_face_max()
+    C0 = b_eff**2 / (2 * alpha)
+    C = C0 / (1.0 - cfg.dt * C0) if cfg.dt * C0 < 1 else math.inf
     tol_rel = 1e-8
     ok = all(
         d <= math.exp(C * t) * d0 * (1 + tol_rel) + 4 * cfg.resolvent.tol

@@ -305,12 +305,6 @@ def norm_h1(u: GridFunction) -> float:
     return float(np.sqrt(max(gradient_sq(u), 0.0)))
 
 
-def laplacian(u: GridFunction) -> GridFunction:
-    """Positive Dirichlet Laplacian, -div(grad u)."""
-    g = gradient(u)
-    return GridFunction(u.domain, -divergence(g).values)
-
-
 @lru_cache(maxsize=64)
 def laplacian_symbol(domain: BoxDomain) -> np.ndarray:
     """Eigenvalues of the discrete Dirichlet Laplacian on the sine basis, read-only."""
@@ -447,28 +441,36 @@ def save_grid_function(path, u: GridFunction) -> Path:
 
 
 def load_grid_function(path) -> GridFunction:
-    """Read a grid function written by `save_grid_function`."""
+    """Read a grid function written by `save_grid_function`.
+
+    A file that holds no grid function, or one cut short or padded, raises
+    ValueError naming the path and what is wrong with it.
+    """
     path = Path(path)
-    with open(path, "rb") as f:
-        magic = f.read(4)
-    if magic == _BINARY_MAGIC:
-        with open(path, "rb") as f:
-            f.read(4)
-            (dim,) = struct.unpack("<q", f.read(8))
-            cells = struct.unpack(f"<{dim}q", f.read(8 * dim))
-            lengths = struct.unpack(f"<{dim}d", f.read(8 * dim))
-            domain = BoxDomain(dim, lengths, cells)
-            count = domain.interior_count
-            vals = np.frombuffer(f.read(8 * count), dtype="<f8", count=count)
-        return GridFunction(domain, vals.reshape(domain.interior_shape))
-    lines = path.read_text(encoding="utf-8").splitlines()
-    header = {}
-    for line in lines[:3]:
-        key, _, rest = line.partition(",")
-        header[key] = rest.split(",")
-    dim = int(header["dim"][0])
-    cells = tuple(int(x) for x in header["cells"])
-    lengths = tuple(float(x) for x in header["lengths"])
-    domain = BoxDomain(dim, lengths, cells)
-    vals = np.array([float(x) for x in lines[3:] if x.strip()], dtype=float)
+    raw = path.read_bytes()
+    try:
+        if raw[:4] == _BINARY_MAGIC:
+            dim = struct.unpack_from("<q", raw, 4)[0] if len(raw) >= 12 else 0
+            start = 12 + 16 * dim
+            if dim < 1 or len(raw) < start or (len(raw) - start) % 8:
+                raise ValueError("its binary header or values are cut short")
+            cells = struct.unpack_from(f"<{dim}q", raw, 12)
+            lengths = struct.unpack_from(f"<{dim}d", raw, 12 + 8 * dim)
+            vals = np.frombuffer(raw, dtype="<f8", offset=start)
+        else:
+            lines = raw.decode("utf-8").splitlines()
+            head = [line.split(",") for line in lines[:3]]
+            if [h[0] for h in head] != ["dim", "cells", "lengths"] or len(head[0]) != 2:
+                raise ValueError("its first lines are not the dim, cells, lengths header")
+            dim, cells = int(head[0][1]), tuple(int(x) for x in head[1][1:])
+            lengths = tuple(float(x) for x in head[2][1:])
+            vals = np.array([float(x) for x in lines[3:] if x.strip()], dtype=float)
+        domain = BoxDomain(dim, lengths, cells)
+        if vals.size != domain.interior_count:
+            raise ValueError(
+                f"it holds {vals.size} values, but cells {domain.cells} "
+                f"have {domain.interior_count} interior nodes"
+            )
+    except ValueError as err:
+        raise ValueError(f"{str(path)!r} is not a grid function file: {err}") from None
     return GridFunction(domain, vals.reshape(domain.interior_shape))

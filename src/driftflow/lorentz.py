@@ -99,13 +99,6 @@ def weak_norm_of_values(values: np.ndarray, weight: float, p: float) -> float:
     return _norm_from_distribution(_distribution_of(values, weight), p, math.inf)
 
 
-def truncate(u: GridFunction, n: float) -> GridFunction:
-    """Pointwise clamp to [-n, n]."""
-    if n <= 0:
-        raise ValueError("truncation level must be positive")
-    return GridFunction(u.domain, np.clip(u.values, -n, n))
-
-
 def dist_to_bounded(u: GridFunction, p: float, levels) -> list[float]:
     """Weak-L^p norms of the unbounded remainders u - T_n u.
 

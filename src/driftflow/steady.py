@@ -14,8 +14,9 @@ alpha / (2 C_P) and the box bound C_P <= diam^2 / pi^2 are reported
 alongside for reference.  The rate certificate additionally needs the
 drift to be small: both the truncation remainder and the truncated part
 must stay below alpha / (4 S) in the weak-L^N metric (S the
-gradient-embedding constant); the literal product level * S < alpha / 4
-is recorded for comparison but not enforced.
+gradient-embedding constant).  `models` decides that
+(`models.small_data_check`, from the truncation certificates); this
+module only reports its answer.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import grid, lorentz
+from . import grid
 from .grid import GridFunction, divergence, norm_l2, poincare_constant
-from .models import ProblemData, certificate_times, remainder_weak_norm
+from .models import ProblemData, small_data_check
 from .operators import TruncatedOperator, stationary_solve
 from .evolution import EvolutionConfig, EvolutionTrace, evolve
 
@@ -119,68 +120,6 @@ class DecayReport:
                 f.write(f"{t!r},{y!r}\n")
 
 
-def _split_at_level(data: ProblemData, level: float, times) -> tuple[float, float]:
-    """Weak-L^N norms of the remainder and the truncated part at one level."""
-    rest = remainder_weak_norm(data, level, times)
-    trunc = 0.0
-    N = data.domain.dim
-    for t in times:
-        b = data.drift_bound_grid(t)
-        clipped = np.minimum(b.values, level)
-        trunc = max(
-            trunc,
-            lorentz.weak_norm_of_values(clipped, data.domain.node_weight, N),
-        )
-    return rest, trunc
-
-
-def _small_data_check(data: ProblemData, levels) -> tuple[bool, dict]:
-    """Drift smallness needed for the contraction toward the steady state.
-
-    The condition is existential: some truncation level must split the
-    coefficient so that both the remainder and the truncated part stay
-    below alpha / (4 S) in the weak-L^N metric, making the total drift
-    pairing lose less than alpha/2 of the coercivity.  Both halves are
-    measured honestly; the cruder product level * S is recorded for
-    reference but not used, since it ignores the domain volume carried by
-    the weak norm.
-    """
-    if not data.has_drift:
-        return True, {"drift": 0.0}
-    N = data.domain.dim
-    alpha = data.diffusion.alpha
-    if N < 3:
-        return False, {"reason": "embedding constant undefined below dimension 3"}
-    S = lorentz.sobolev_constant(N, 2)
-    bound = alpha / (4 * S)
-    times = certificate_times(data)
-    candidates = [lv for lv in levels if lv is not None]
-    if not candidates:
-        candidates = [float(np.max(data.drift_bound_grid(0.0).values))]
-    best = None
-    for lv in sorted(set(candidates)):
-        rest, trunc = _split_at_level(data, lv, times)
-        worst = max(rest, trunc)
-        if best is None or worst < best["worst"]:
-            best = {
-                "level": lv,
-                "remainder_weak_norm": rest,
-                "truncated_weak_norm": trunc,
-                "worst": worst,
-            }
-        if worst <= bound:
-            break
-    detail = {
-        "level": best["level"],
-        "remainder_weak_norm": best["remainder_weak_norm"],
-        "truncated_weak_norm": best["truncated_weak_norm"],
-        "bound": bound,
-        "literal_level_product": best["level"] * S,
-        "literal_bound": alpha / 4,
-    }
-    return best["worst"] <= bound, detail
-
-
 def fit_decay_rate(times, y_values, window: tuple[float, float]) -> float:
     """Least-squares slope of log y on the window; returns the rate of sqrt(y)."""
     ts, ys = [], []
@@ -220,10 +159,7 @@ def decay_experiment(
     alpha = data.diffusion.alpha
     omega = alpha / (4 * cp)
     intro = alpha / (2 * cp)
-    candidate_levels = [level]
-    if evo_cfg.truncation is not None:
-        candidate_levels.extend(evo_cfg.truncation.levels)
-    ok, detail = _small_data_check(data, candidate_levels)
+    ok, detail = small_data_check(data, evo_cfg.truncation, level)
 
     T = evo_cfg.horizon
     window = (0.5 * T, T)

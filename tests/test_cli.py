@@ -223,6 +223,28 @@ class TestRun:
         assert report["weak_norm"] > 0
         assert report["certificates"]
 
+    def test_lorentz_report_norm_does_not_grow_under_refinement_in_1d(self, tmp_path):
+        # the report measures b in weak-L^N, the certificates' space: in 1D
+        # the weak-L^2 norm it used to print doubled at every 4x refinement
+        reports = []
+        for cells in (64, 256, 1024):
+            path = write_cfg(
+                tmp_path,
+                "experiment = lorentz-report\nmodel = singular-drift\nmodel.c = 0.1\n"
+                f"domain.dim = 1\ndomain.lengths = 1\ndomain.cells = {cells}\n",
+            )
+            out = tmp_path / f"out{cells}"
+            cli.run(path, output_dir=out)
+            reports.append(json.loads((out / "lorentz_report.json").read_text()))
+        coarse = reports[0]
+        assert coarse["weak_norm"] > 0
+        for fine in reports[1:]:
+            assert fine["max_value"] > 3 * coarse["max_value"]
+            assert fine["weak_norm"] == pytest.approx(coarse["weak_norm"], rel=1e-9)
+            assert fine["distance_ladder"]["weak_norms"] == pytest.approx(
+                coarse["distance_ladder"]["weak_norms"], rel=1e-9, abs=1e-12
+            )
+
     def test_continuation_experiment(self, tmp_path):
         path = write_cfg(
             tmp_path,
@@ -411,6 +433,44 @@ class TestMain:
         err = capsys.readouterr().err
         assert "model.drift_file" in err
         assert {"other_grid": "lives on", "negative": "negative", "nan": "non-finite"}[case] in err
+
+    @pytest.mark.parametrize(
+        "case, fault",
+        [
+            ("no_header", "dim, cells, lengths header"),
+            ("two_values", "holds 2 values"),
+            ("cut_binary", "holds 7 values"),
+            ("trailing_comma", "could not convert"),
+        ],
+    )
+    def test_exit_two_on_malformed_drift_file(self, tmp_path, capsys, case, fault):
+        # each used to escape as a traceback or as an error naming no key
+        from driftflow import grid as G
+
+        b = G.sample(G.BoxDomain(2, (1.0, 1.0), (8, 8)), lambda c: 0.4 + 0.2 * c[0])
+        suffix = ".gfb" if case == "cut_binary" else ".csv"
+        field_path = G.save_grid_function(tmp_path / f"drift{suffix}", b)
+        lines = field_path.read_bytes().splitlines() if suffix == ".csv" else []
+        if case == "no_header":
+            field_path.write_bytes(b"\n".join(lines[3:]))
+        elif case == "two_values":
+            field_path.write_bytes(b"\n".join(lines[:5]))
+        elif case == "cut_binary":
+            field_path.write_bytes(field_path.read_bytes()[:100])
+        else:
+            lines[5] += b","
+            field_path.write_bytes(b"\n".join(lines))
+        text = (
+            "experiment = evolve\nmodel = singular-drift\n"
+            f"model.drift_file = {field_path}\n"
+            "domain.cells = 8,8\ntime.dt = 0.01\ntime.T = 0.05\n"
+        )
+        path = write_cfg(tmp_path, text)
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "'model.drift_file'" in err
+        assert str(field_path) in err
+        assert fault in err
 
     def test_exit_two_on_missing_file(self):
         assert cli.main(["run", "/nonexistent/x.cfg"]) == 2

@@ -454,6 +454,27 @@ class TestUniqueness:
         assert rep.tightest_exponent <= 0.0
         assert rep.bound_satisfied
 
+    @pytest.mark.parametrize("splitting", ["fully-implicit", "semi-implicit"])
+    @pytest.mark.parametrize("model", ["heat", "singular-drift"])
+    def test_growth_constant_is_the_clamped_drift_formula(self, model, splitting):
+        dom = G.BoxDomain(2, (1.0, 1.0), (8, 8))
+        data = M.make_model(model, dom, 0.02)
+        c = cfg(5e-3, 0.02, splitting=splitting)
+        level = 1.0
+        v0 = G.GridFunction(dom, 0.5 * data.initial.values)
+        rep = E.uniqueness_harness(data, c, data.initial, v0, level=level)
+        if data.has_drift:
+            clamp = level if splitting == "semi-implicit" else None
+            b_eff = M.drift_bound_max(data, c.horizon, clamp)
+            # the clamp is active on this grid
+            assert (b_eff == level) == (splitting == "semi-implicit")
+            C0 = b_eff**2 / (2 * data.diffusion.alpha)
+            expected = C0 / (1.0 - c.dt * C0) if c.dt * C0 < 1 else math.inf
+            assert expected > 0.0
+        else:
+            expected = 0.0
+        assert rep.growth_constant == expected
+
     def test_drift_growth_envelope(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (16, 16))
         data = M.make_model("singular-drift", dom, 0.1, c=0.08)

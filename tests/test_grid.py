@@ -14,7 +14,7 @@ from driftflow import grid as G
 from driftflow import models as M
 from driftflow.operators import TruncatedOperator
 
-from _oracles import laplacian_matrix
+from _oracles import laplacian, laplacian_matrix
 
 
 def rand_gf(dom, rng, scale=1.0):
@@ -335,7 +335,7 @@ class TestLinearAlgebra:
         u = rand_gf(dom, rng)
         A = laplacian_matrix(dom)
         assert np.allclose(
-            A @ u.values.ravel(), G.laplacian(u).values.ravel(), rtol=1e-13, atol=1e-13
+            A @ u.values.ravel(), laplacian(u).values.ravel(), rtol=1e-13, atol=1e-13
         )
 
     def test_helmholtz_solve_exact(self):
@@ -344,7 +344,7 @@ class TestLinearAlgebra:
         b = rng.standard_normal(dom.interior_shape)
         x = G.helmholtz_solve(dom, b, shift=0.3, scale=2.0)
         xg = G.GridFunction(dom, x)
-        resid = 0.3 * x + 2.0 * G.laplacian(xg).values - b
+        resid = 0.3 * x + 2.0 * laplacian(xg).values - b
         assert np.max(np.abs(resid)) < 1e-11
 
 
@@ -482,3 +482,37 @@ class TestSerialization:
         w = G.load_grid_function(path)
         assert w.domain == dom
         assert np.array_equal(w.values, u.values)
+
+    @pytest.mark.parametrize(
+        "case, fault",
+        [
+            ("no_header", "dim, cells, lengths header"),
+            ("bad_header", "invalid literal for int"),
+            ("two_values", "holds 2 values"),
+            ("extra_value", "holds 21 values"),
+            ("trailing_comma", "could not convert"),
+            ("cut_binary_values", "cut short"),
+            ("cut_binary_header", "cut short"),
+        ],
+    )
+    def test_malformed_file_names_path_and_fault(self, tmp_path, case, fault):
+        dom = G.BoxDomain(2, (1.0, 1.0), (5, 6))
+        u = rand_gf(dom, np.random.default_rng(2))
+        binary = case.startswith("cut_binary")
+        path = G.save_grid_function(tmp_path / ("u.gfb" if binary else "u.csv"), u)
+        raw = path.read_bytes()
+        lines = raw.splitlines()
+        broken = {
+            "no_header": lambda: b"\n".join(lines[3:]),
+            "bad_header": lambda: b"\n".join([b"dim,2", b"cells,5,x", *lines[2:]]),
+            "two_values": lambda: b"\n".join(lines[:5]),
+            "extra_value": lambda: raw + b"1.0\n",
+            "trailing_comma": lambda: b"\n".join([*lines[:5], lines[5] + b",", *lines[6:]]),
+            "cut_binary_values": lambda: raw[:-3],
+            "cut_binary_header": lambda: raw[:20],
+        }
+        path.write_bytes(broken[case]())
+        with pytest.raises(ValueError) as err:
+            G.load_grid_function(path)
+        assert str(path) in str(err.value)
+        assert fault in str(err.value)

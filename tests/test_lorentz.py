@@ -149,29 +149,6 @@ class TestAgainstBruteForce:
             assert got == pytest.approx(rearrangement_norm(u.values, w, p, q), rel=1e-10, abs=0.0)
 
 
-class TestTruncate:
-    def test_no_op_above_max(self):
-        u = gf([-0.5, 0.25, 0.75])
-        v = L.truncate(u, 1.0)
-        assert np.array_equal(u.values, v.values)
-
-    def test_clamp_values(self):
-        u = gf([-3.0, 0.5, 7.0])
-        v = L.truncate(u, 1.0)
-        assert v.values == pytest.approx([-1.0, 0.5, 1.0])
-
-    @given(n=st.floats(0.01, 10), seed=st.integers(0, 2**16))
-    @settings(max_examples=40, deadline=None)
-    def test_bound_holds(self, n, seed):
-        rng = np.random.default_rng(seed)
-        u = gf(5 * rng.standard_normal(19))
-        assert L.truncate(u, n).max_abs() <= n
-
-    def test_positive_level_required(self):
-        with pytest.raises(ValueError):
-            L.truncate(gf([1.0]), 0.0)
-
-
 class TestDistToBounded:
     def test_bounded_function_hits_zero(self):
         u = gf([0.3, -0.8, 0.5])

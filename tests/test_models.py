@@ -3,11 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from driftflow import grid as G
 from driftflow import lorentz as L
 from driftflow import models as M
 from driftflow.operators import TruncatedOperator
+
+from _oracles import small_data_reference, t_dependent_drift
 
 DOM2 = G.BoxDomain(2, (1.0, 1.0), (16, 16))
 DOM3 = G.BoxDomain(3, (1.0, 1.0, 1.0), (12, 12, 12))
@@ -108,31 +112,29 @@ class TestDriftFlux:
 class TestTruncationWeight:
     def test_all_ones_when_bounded(self):
         b = G.sample(DOM2, lambda c: 0.3 + 0.1 * c[0])
-        theta = M.truncation_weight(b, 1.0)
-        assert np.all(theta.values == 1.0)
+        theta = M.clamp_weight(b.values, 1.0)
+        assert np.all(theta == 1.0)
 
     def test_point_value(self):
-        dom = G.BoxDomain(1, (1.0,), (3,))
-        b = G.GridFunction(dom, np.array([10.0, 2.0]))
-        theta = M.truncation_weight(b, 4.0)
-        assert theta.values == pytest.approx([0.4, 1.0])
+        theta = M.clamp_weight(np.array([10.0, 2.0]), 4.0)
+        assert theta == pytest.approx([0.4, 1.0])
 
     def test_weight_times_b_is_clamp(self):
         rng = np.random.default_rng(2)
-        b = G.GridFunction(DOM2, np.abs(rng.lognormal(0, 1, DOM2.interior_shape)))
+        b = np.abs(rng.lognormal(0, 1, DOM2.interior_shape))
         for level in (0.2, 1.0, 5.0):
-            theta = M.truncation_weight(b, level)
-            clamp = L.truncate(b, level)
-            assert np.allclose(theta.values * b.values, clamp.values, atol=1e-15)
-            rest = (1.0 - theta.values) * b.values
-            assert np.allclose(rest, b.values - clamp.values, atol=1e-15)
+            theta = M.clamp_weight(b, level)
+            clamp = np.minimum(b, level)
+            assert np.allclose(theta * b, clamp, atol=1e-15)
+            rest = (1.0 - theta) * b
+            assert np.allclose(rest, b - clamp, atol=1e-15)
 
     def test_rejects_bad_input(self):
         b = G.sample(DOM2, lambda c: c[0])
         with pytest.raises(ValueError):
-            M.truncation_weight(b, 0.0)
+            M.clamp_weight(b.values, 0.0)
         with pytest.raises(ValueError):
-            M.truncation_weight(G.GridFunction(DOM2, -np.ones(DOM2.interior_shape)), 1.0)
+            M.clamp_weight(-np.ones(DOM2.interior_shape), 1.0)
 
 
 class TestCertification:
@@ -192,6 +194,120 @@ class TestCertification:
         data = M.make_model("singular-drift", DOM2, 0.5, c=0.1)
         with pytest.raises(ValueError):
             M.TruncationPlan((2.0, 1.0), tuple(M.certify_truncation(data, m) for m in (2.0, 1.0)))
+
+
+@st.composite
+def small_data_cases(draw):
+    """(data, plan or None, level or None) over every way the check is asked."""
+    dim = draw(st.integers(1, 3))
+    lengths = tuple(draw(st.sampled_from((0.5, 1.0, 2.0))) for _ in range(dim))
+    cells = tuple(draw(st.integers(4, 8 if dim == 3 else 14)) for _ in range(dim))
+    dom = G.BoxDomain(dim, lengths, cells)
+    kind = draw(st.sampled_from(("none", "autonomous", "time-dependent", "drift_field")))
+    if kind == "none":
+        data = M.make_model("heat", dom, 0.5)
+    elif kind == "autonomous":
+        data = M.make_model("singular-drift", dom, 0.5, c=draw(st.floats(0.0, 0.6)))
+    elif kind == "time-dependent":
+        data = replace(M.make_model("heat", dom, 0.5), drift=t_dependent_drift(dim))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        scale = draw(st.floats(0.0, 3.0))
+        field = G.GridFunction(dom, scale * rng.random(dom.interior_shape))
+        data = M.make_model("singular-drift", dom, 0.5, drift_field=field)
+    alpha = draw(st.floats(0.2, 1.0))
+    data = replace(
+        data,
+        diffusion=M.DiffusionFlux(coefficient=lambda c, t: 1.0, alpha=alpha, beta=1.0),
+    )
+    plan = None
+    if draw(st.booleans()):
+        plan = M.make_truncation_plan(
+            data,
+            m0=draw(st.sampled_from((None, 0.05, 0.3, 20.0))),
+            count=draw(st.integers(1, 5)),
+            factor=draw(st.sampled_from((1.5, 2.0, 4.0))),
+        )
+    where = draw(st.sampled_from(("none", "in plan", "outside")))
+    level = None
+    if where == "in plan" and plan is not None:
+        level = draw(st.sampled_from(plan.levels))
+    elif where == "outside":
+        level = draw(st.floats(0.01, 10.0))
+        assume(plan is None or level not in plan.levels)
+    return data, plan, level
+
+
+class TestSmallDataCheck:
+    @given(case=small_data_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_both_parts_measured_at_every_level(self, case):
+        data, plan, level = case
+        levels = [level, *(plan.levels if plan is not None else ())]
+        assert M.small_data_check(data, plan, level) == small_data_reference(data, levels)
+
+    def test_decay_preset_samples_b_three_times(self, monkeypatch):
+        # the singular_drift_decay_3d preset's data and plan
+        dom = G.BoxDomain(3, (1.0, 1.0, 1.0), (16, 16, 16))
+        data = M.make_model("singular-drift", dom, 0.5, c=0.1)
+        plan = M.make_truncation_plan(data, factor=2.0)
+        counts = {"samples": 0, "weak_norms": 0}
+        sample, weak_norm = M.ProblemData.drift_bound_grid, L.weak_norm_of_values
+
+        def counting_sample(self, t):
+            counts["samples"] += 1
+            return sample(self, t)
+
+        def counting_weak_norm(*args):
+            counts["weak_norms"] += 1
+            return weak_norm(*args)
+
+        monkeypatch.setattr(M.ProblemData, "drift_bound_grid", counting_sample)
+        monkeypatch.setattr(L, "weak_norm_of_values", counting_weak_norm)
+        got = M.small_data_check(data, plan)
+        assert got[0]
+        # the remainder comes from the plan's certificate, so only min(b, M) is measured
+        assert counts == {"samples": 3, "weak_norms": 3}
+        counts.update(samples=0, weak_norms=0)
+        assert small_data_reference(data, plan.levels) == got
+        assert counts == {"samples": 6, "weak_norms": 6}
+
+    @pytest.mark.parametrize("c, ok, level", [(0.1, True, 0.2), (0.14, False, 0.4)])
+    def test_search_goes_past_failing_levels(self, c, ok, level):
+        # on 10^3 the levels 0.05 and 0.1 fail; for c = 0.1 the third passes,
+        # for c = 0.14 none does and the least failing one is reported
+        dom = G.BoxDomain(3, (1.0, 1.0, 1.0), (10, 10, 10))
+        data = M.make_model("singular-drift", dom, 0.5, c=c)
+        plan = M.make_truncation_plan(data, m0=0.05, factor=2.0, count=6)
+        got = M.small_data_check(data, plan)
+        assert got == small_data_reference(data, plan.levels)
+        assert got[0] == ok
+        assert got[1]["level"] == pytest.approx(level)
+
+    @pytest.mark.parametrize("growing", [False, True])
+    def test_coefficient_vanishing_at_the_nodes_at_t0_without_plan(self, growing):
+        # the fallback level, the node maximum at t = 0, is then 0
+        dom = G.BoxDomain(3, (1.0, 1.0, 1.0), (6, 6, 6))
+        data = M.make_model("singular-drift", dom, 0.5, c=0.0)
+        if growing:
+            drift = M.DriftFlux(
+                bound=lambda c, t: 0.2 * t + 0.0 * c[0],
+                velocity=lambda c, t: tuple(0.2 * t + 0.0 * x for x in c),
+            )
+            data = replace(data, drift=drift)
+        got = M.small_data_check(data, None)
+        assert got == small_data_reference(data, [None])
+        assert got[1]["level"] == 0.0
+        assert (got[1]["remainder_weak_norm"] > 0) == growing
+
+    def test_level_outside_the_plan_is_certified_after_the_early_returns(self, monkeypatch):
+        data = M.make_model("singular-drift", DOM2, 0.5, c=0.1)
+        plan = M.make_truncation_plan(data)
+        calls = []
+        monkeypatch.setattr(M, "_certificate", lambda *a: calls.append(a))
+        ok, detail = M.small_data_check(data, plan, level=0.123)
+        assert not ok and "dimension 3" in detail["reason"]
+        assert calls == []
 
 
 class TestManufactured:

@@ -1,6 +1,7 @@
-"""The comparison logic of tools/preset_fidelity.py, on synthetic CSVs."""
+"""The comparison logic of tools/preset_fidelity.py, on synthetic CSVs and JSON reports."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -71,3 +72,73 @@ class TestCompare:
         write_csv(tmp_path / "after", "trace.csv", ["1,0.5,a"])
         out = fidelity.compare(tmp_path / "before", tmp_path / "after")
         assert out["trace.csv"] == "rows 2 -> 1"
+
+
+def write_json(folder: Path, name: str, value) -> None:
+    folder.mkdir(parents=True, exist_ok=True)
+    (folder / name).write_text(json.dumps(value), encoding="utf-8")
+
+
+REPORT = {
+    "small_data_pass": True,
+    "small_data_detail": {"level": 0.5, "bound": 0.2, "note": "ok"},
+    "fitted_rate": float("nan"),
+    "certificates": [{"measured": 0.1, "note": ""}, {"measured": 0.0, "note": "x"}],
+    "times": [],
+}
+
+
+class TestCompareJson:
+    def test_identical(self):
+        out = fidelity.compare_json(REPORT, json.loads(json.dumps(REPORT)))
+        assert set(out) == {
+            "small_data_pass", "small_data_detail.level", "small_data_detail.bound",
+            "small_data_detail.note", "fitted_rate", "certificates[].measured",
+            "certificates[].note", "times[]",
+        }
+        assert all(d == 0.0 for d in out.values())
+
+    def test_worst_difference_over_list_entries(self):
+        after = json.loads(json.dumps(REPORT))
+        after["certificates"][0]["measured"] = 0.125
+        after["certificates"][1]["measured"] = 0.5
+        after["small_data_detail"]["level"] = 0.75
+        out = fidelity.compare_json(REPORT, after)
+        assert out["certificates[].measured"] == 0.5
+        assert out["small_data_detail.level"] == 0.25
+        assert out["small_data_detail.bound"] == 0.0
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("fitted_rate", 1.0),
+            ("small_data_pass", False),
+            ("small_data_pass", 1),
+            ("times", [1.0]),
+            ("certificates", [{"measured": 0.1, "note": ""}]),
+        ],
+    )
+    def test_nan_flag_and_length_differences_are_inf(self, key, value):
+        after = {**REPORT, key: value}
+        out = fidelity.compare_json(REPORT, after)
+        assert math.inf in out.values()
+        assert all(d in (0.0, math.inf) for d in out.values())
+
+    def test_key_only_one_run_wrote(self):
+        after = {**REPORT, "extra": 1.0}
+        del after["fitted_rate"]
+        out = fidelity.compare_json(REPORT, after)
+        assert out["extra"] == math.inf and out["fitted_rate"] == math.inf
+
+    def test_compare_reads_reports_but_not_the_manifest(self, tmp_path):
+        write_json(tmp_path / "before", "decay_report.json", REPORT)
+        write_json(tmp_path / "after", "decay_report.json", {**REPORT, "fitted_rate": 0.5})
+        write_json(tmp_path / "before", "run_manifest.json", {"wall_time_s": 1.0})
+        write_json(tmp_path / "after", "run_manifest.json", {"wall_time_s": 2.0})
+        write_json(tmp_path / "before", "continuation.json", {"a": 1})
+        write_json(tmp_path / "after", "evolve_summary.json", {"a": 1})
+        out = fidelity.compare(tmp_path / "before", tmp_path / "after")
+        assert set(out) == {"decay_report.json", "continuation.json", "evolve_summary.json"}
+        assert out["decay_report.json"]["fitted_rate"] == math.inf
+        assert out["continuation.json"] == "missing after"
+        assert out["evolve_summary.json"] == "missing before"

@@ -13,6 +13,13 @@ one after another.  For each preset the report gives:
   counts as equal, NaN against a number as inf, a column only one run
   wrote as inf, a differing row count is reported instead), and every CSV
   that only one run wrote;
+- for every JSON report both runs wrote except `run_manifest.json`, whose
+  timings vary from run to run (`decay_report.json`, `continuation.json`,
+  `evolve_summary.json`, ...), the worst difference of each key, with the
+  same NaN rules.  A key is a path such as `certificates[].measured`,
+  taken over every entry of a list; a differing string, flag or null, a
+  list of another length or a key only one run wrote counts as inf.  JSON
+  reports only one run wrote are listed as for CSVs;
 - the summed `resolvent_iters` of each side over its trace CSVs.
 
 The last line is one JSON object with the same content.  The exit status
@@ -58,27 +65,89 @@ def read_columns(path: Path) -> dict[str, list[str]]:
     return {name: [row[name] for row in rows] for name in (rows[0] if rows else {})}
 
 
-def worst_difference(a: list[str], b: list[str]) -> float | None:
-    """max |a_i - b_i| over the rows; None for a column that is not numeric.
+def number_difference(x: float, y: float) -> float:
+    """|x - y|; NaN against NaN is 0 and NaN against a number inf.
 
-    NaN against NaN is equal and NaN against a number is inf (`max` would
-    drop the NaN difference and report the cell as equal).
+    A NaN difference is made inf because `max` would drop it and report
+    the cell as equal.
     """
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    diff = abs(x - y)
+    return math.inf if math.isnan(diff) else diff
+
+
+def worst_difference(a: list[str], b: list[str]) -> float | None:
+    """max |a_i - b_i| over the rows; None for a column that is not numeric."""
     worst = 0.0
     for x, y in zip(a, b):
         try:
             x, y = float(x), float(y)
         except ValueError:
             return None
-        if x == y or (math.isnan(x) and math.isnan(y)):
-            continue
-        diff = abs(x - y)
-        worst = math.inf if math.isnan(diff) else max(worst, diff)
+        worst = max(worst, number_difference(x, y))
     return worst
+
+
+_ABSENT = object()
+
+
+def json_leaves(value, path: str, out: dict[str, list]) -> dict[str, list]:
+    """Every leaf of a JSON value under its key path, lists collapsed to `[]`."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            json_leaves(item, f"{path}.{key}" if path else key, out)
+    elif isinstance(value, list):
+        if not value:
+            out.setdefault(f"{path}[]", [])
+        for item in value:
+            json_leaves(item, f"{path}[]", out)
+    else:
+        out.setdefault(path, []).append(value)
+    return out
+
+
+def leaf_difference(x, y) -> float:
+    """`number_difference` of two numbers; else 0 if equal, inf if not."""
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
+        return number_difference(float(x), float(y))
+    return 0.0 if type(x) is type(y) and x == y else math.inf
+
+
+def compare_json(a, b) -> dict[str, float]:
+    """Worst difference of each key path of two JSON values."""
+    leaves_a, leaves_b = json_leaves(a, "", {}), json_leaves(b, "", {})
+    out = {}
+    for path in sorted(set(leaves_a) | set(leaves_b)):
+        xs, ys = leaves_a.get(path, [_ABSENT]), leaves_b.get(path, [_ABSENT])
+        if len(xs) != len(ys):
+            out[path] = math.inf
+            continue
+        out[path] = max(
+            (leaf_difference(x, y) for x, y in zip(xs, ys)), default=0.0
+        )
+    return out
+
+
+def _read_json(path: Path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def json_reports(folder: Path) -> set[str]:
+    return {p.name for p in folder.glob("*.json") if p.name != "run_manifest.json"}
 
 
 def compare(before: Path, after: Path) -> dict:
     out = {}
+    for name in sorted(json_reports(before) | json_reports(after)):
+        if not (after / name).exists():
+            out[name] = "missing after"
+        elif not (before / name).exists():
+            out[name] = "missing before"
+        else:
+            out[name] = compare_json(
+                _read_json(before / name), _read_json(after / name)
+            )
     for name in sorted(p.name for p in before.glob("*.csv")):
         if not (after / name).exists():
             out[name] = "missing after"
