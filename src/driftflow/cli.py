@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__, grid, lorentz, models
 from .evolution import (
     EvolutionConfig,
+    EvolutionTrace,
     continuation,
     evolve,
     uniqueness_harness,
@@ -154,6 +155,9 @@ class RunManifest:
     # wall seconds per phase of the evolve, continuation and decay
     # experiments (`_Laps`); they vary run to run, so no CSV carries them
     timings: dict[str, float] = field(default_factory=dict)
+    # each counter column of the traces (`EvolutionTrace.counter_totals`),
+    # summed over every trace CSV the evolve, continuation or decay run wrote
+    solver_totals: dict[str, int] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -331,6 +335,7 @@ def _run_evolve(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
         summary["refinement_errors"] = [r[2] for r in rows]
     laps.lap("march_s")
     trace.write_csv(outdir / "trace.csv")
+    manifest.solver_totals = EvolutionTrace.counter_totals([trace])
     if rows:
         with open(outdir / "convergence.csv", "w", encoding="utf-8") as f:
             f.write("tau,h,error\n")
@@ -350,6 +355,9 @@ def _run_continuation(cfg, outdir: Path, seed: int, manifest: RunManifest) -> No
     laps.lap("march_s")
     for lev in result.levels:
         lev.trace.write_csv(outdir / f"trace_M{lev.level:.6g}.csv")
+    manifest.solver_totals = EvolutionTrace.counter_totals(
+        [lev.trace for lev in result.levels]
+    )
     payload = {
         "levels": [lev.level for lev in result.levels],
         "certified": [lev.certified for lev in result.levels],
@@ -418,6 +426,7 @@ def _run_decay(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
     _write_json(outdir / "decay_report.json", payload)
     report.write_series(outdir / "y_series.csv")
     report.trace.write_csv(outdir / "trace.csv")
+    manifest.solver_totals = EvolutionTrace.counter_totals([report.trace])
     laps.lap("write_s")
     manifest.checks["energy_inequality"] = report.trace.violations == 0
     if not report.small_data_pass:
@@ -575,13 +584,12 @@ def emit_plot_data(trace_path, kind: str, out_path=None) -> Path:
         else trace_path.with_name(trace_path.stem + f"_{kind}_plot.csv")
     )
     sidecar: dict = {"kind": kind, "source": trace_path.name}
+    cols = {name: i for i, name in enumerate(header)}
     if kind == "energy":
-        cols = {name: i for i, name in enumerate(header)}
         xy = [(r[cols["t"]], 0.5 * r[cols["l2_norm"]] ** 2) for r in rows]
         sidecar["final_cumulative_dissipation"] = rows[-1][cols["cumulative_dissipation"]]
         sidecar["max_l2"] = max(r[cols["l2_norm"]] for r in rows)
     elif kind == "decay":
-        cols = {name: i for i, name in enumerate(header)}
         if "y" not in cols:
             raise ValueError("decay plots need a y-series trace with columns t,y")
         xy = [
@@ -596,7 +604,6 @@ def emit_plot_data(trace_path, kind: str, out_path=None) -> Path:
             sidecar["fitted_rate"] = rep["fitted_rate"]
             sidecar["theoretical_omega"] = rep["theoretical_omega"]
     else:
-        cols = {name: i for i, name in enumerate(header)}
         xy = [
             (math.log(r[cols["tau"]]), math.log(r[cols["error"]]))
             for r in rows

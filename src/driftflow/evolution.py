@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -107,6 +107,14 @@ class EvolutionConfig:
         return round(self.horizon / self.dt)
 
 
+def _column(csv: str, counter: bool = False):
+    """A per-step field of `EvolutionTrace`, its CSV column headed `csv`.
+
+    `EvolutionTrace.counter_totals` sums the counter columns.
+    """
+    return field(default_factory=list, metadata={"csv": csv, "counter": counter})
+
+
 @dataclass
 class EvolutionTrace:
     """Per-step norms, energies and solver effort; the states go to `observe`.
@@ -115,39 +123,24 @@ class EvolutionTrace:
     step order by the march from the source it samples once per step.  The
     last five columns are the step's `SolverDiagnostics`: the residual the
     resolve stopped at, its damping halvings, its accepted and its rejected
-    Anderson iterates, and its final damping factor.
+    Anderson iterates, and its final damping factor.  `CSV_COLUMNS` is the
+    step index followed by the `_column` fields in declaration order.
     """
 
-    times: list[float] = field(default_factory=list)
-    l2_norms: list[float] = field(default_factory=list)
-    h1_seminorms: list[float] = field(default_factory=list)
-    cumulative_dissipation: list[float] = field(default_factory=list)
-    truncation_level: list[float] = field(default_factory=list)
-    solver_iterations: list[int] = field(default_factory=list)
-    energy_violation: list[float] = field(default_factory=list)
-    final_residual: list[float] = field(default_factory=list)
-    backtracks: list[int] = field(default_factory=list)
-    mixed_steps: list[int] = field(default_factory=list)
-    rejected_mixes: list[int] = field(default_factory=list)
-    damping: list[float] = field(default_factory=list)
+    times: list[float] = _column("t")
+    l2_norms: list[float] = _column("l2_norm")
+    h1_seminorms: list[float] = _column("h1_seminorm")
+    cumulative_dissipation: list[float] = _column("cumulative_dissipation")
+    truncation_level: list[float] = _column("M_level")
+    solver_iterations: list[int] = _column("resolvent_iters", counter=True)
+    energy_violation: list[float] = _column("energy_violation")
+    final_residual: list[float] = _column("final_residual")
+    backtracks: list[int] = _column("backtracks", counter=True)
+    mixed_steps: list[int] = _column("mixed_steps", counter=True)
+    rejected_mixes: list[int] = _column("rejected_mixes", counter=True)
+    damping: list[float] = _column("damping")
     initial_l2: float = 0.0
     source_sum: float = 0.0
-
-    CSV_COLUMNS = (
-        "step",
-        "t",
-        "l2_norm",
-        "h1_seminorm",
-        "cumulative_dissipation",
-        "M_level",
-        "resolvent_iters",
-        "energy_violation",
-        "final_residual",
-        "backtracks",
-        "mixed_steps",
-        "rejected_mixes",
-        "damping",
-    )
 
     def append(self, t, l2, h1, dissip, level, violation, diag: SolverDiagnostics):
         self.times.append(t)
@@ -170,19 +163,17 @@ class EvolutionTrace:
     def rows(self):
         return zip(
             range(1, len(self.times) + 1),
-            self.times,
-            self.l2_norms,
-            self.h1_seminorms,
-            self.cumulative_dissipation,
-            self.truncation_level,
-            self.solver_iterations,
-            self.energy_violation,
-            self.final_residual,
-            self.backtracks,
-            self.mixed_steps,
-            self.rejected_mixes,
-            self.damping,
+            *(getattr(self, f.name) for f in _TRACE_COLUMNS),
         )
+
+    @staticmethod
+    def counter_totals(traces: Sequence[EvolutionTrace]) -> dict[str, int]:
+        """Each counter column's sum over every step of `traces`, by header."""
+        return {
+            f.metadata["csv"]: sum(sum(getattr(tr, f.name)) for tr in traces)
+            for f in _TRACE_COLUMNS
+            if f.metadata["counter"]
+        }
 
     def write_csv(self, path) -> None:
         """One line per step: floats as repr, everything else as str."""
@@ -200,6 +191,10 @@ class EvolutionTrace:
             return 0.0
         lhs = max(x**2 for x in self.l2_norms) + self.cumulative_dissipation[-1]
         return lhs / (self.initial_l2**2 + self.times[-1] + self.source_sum)
+
+
+_TRACE_COLUMNS = tuple(f for f in fields(EvolutionTrace) if "csv" in f.metadata)
+EvolutionTrace.CSV_COLUMNS = ("step",) + tuple(f.metadata["csv"] for f in _TRACE_COLUMNS)
 
 
 @dataclass
@@ -465,25 +460,33 @@ def continuation(data: ProblemData, cfg: EvolutionConfig) -> ContinuationResult:
     return ContinuationResult(levels=levels, differences=diffs, warnings=notes)
 
 
+# metadata of a report field that its JSON leaves out (the per-step series)
+_NOT_IN_JSON = {"json": False}
+
+
+def _json_fields(report) -> dict:
+    """A report dataclass's fields by name, all but those marked `_NOT_IN_JSON`."""
+    return {
+        f.name: getattr(report, f.name)
+        for f in fields(report)
+        if f.metadata.get("json", True)
+    }
+
+
 @dataclass
 class UniquenessReport:
     """Two-trajectory separation against the discrete Gronwall envelope."""
 
-    times: list[float]
-    distances: list[float]
+    times: list[float] = field(metadata=_NOT_IN_JSON)
+    distances: list[float] = field(metadata=_NOT_IN_JSON)
     growth_constant: float
     tightest_exponent: float
     bound_satisfied: bool
     contraction_monotone: bool
 
     def as_dict(self) -> dict:
-        return {
-            "growth_constant": self.growth_constant,
-            "tightest_exponent": self.tightest_exponent,
-            "bound_satisfied": self.bound_satisfied,
-            "contraction_monotone": self.contraction_monotone,
-            "final_distance": self.distances[-1] if self.distances else 0.0,
-        }
+        final = self.distances[-1] if self.distances else 0.0
+        return {**_json_fields(self), "final_distance": final}
 
 
 def uniqueness_harness(

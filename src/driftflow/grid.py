@@ -62,8 +62,8 @@ class BoxDomain:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if len(self.lengths) != self.dim or len(self.cells) != self.dim:
             raise ValueError("lengths and cells must match dim")
-        if any(L <= 0 for L in self.lengths):
-            raise ValueError("lengths must be positive")
+        if not all(math.isfinite(L) and L > 0 for L in self.lengths):
+            raise ValueError(f"lengths must be finite and positive, got {self.lengths!r}")
         if any(n < 2 for n in self.cells):
             raise ValueError("need at least 2 cells per axis")
 
@@ -456,7 +456,8 @@ def load_grid_function(path) -> GridFunction:
                 raise ValueError("its binary header or values are cut short")
             cells = struct.unpack_from(f"<{dim}q", raw, 12)
             lengths = struct.unpack_from(f"<{dim}d", raw, 12 + 8 * dim)
-            vals = np.frombuffer(raw, dtype="<f8", offset=start)
+            # a copy: a view of the file's bytes would be read-only
+            vals = np.frombuffer(raw, dtype="<f8", offset=start).astype(float)
         else:
             lines = raw.decode("utf-8").splitlines()
             head = [line.split(",") for line in lines[:3]]

@@ -150,8 +150,8 @@ class ProblemData:
     exact: Callable[[Coords, float], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon!r}")
         if self.initial.domain != self.domain:
             raise ValueError("initial state lives on a different domain")
 
@@ -190,14 +190,22 @@ class ProblemData:
         )
 
 
+def _check_level(M: float, name: str = "truncation level") -> None:
+    """The rule for every truncation level: finite and > 0, else ValueError.
+
+    `_certificate` alone skips it, for the decay check's fallback level.
+    """
+    if not (math.isfinite(M) and M > 0):
+        raise ValueError(f"{name} must be finite and positive, got {M!r}")
+
+
 def clamp_weight(b: np.ndarray, M: float) -> np.ndarray:
     """Weight T_M(b)/b of sampled coefficients, 1 where b vanishes.
 
     Equals 1 exactly on {b <= M} and M/b above, so multiplying it by b
     reproduces the clamp T_M(b) identically.
     """
-    if M <= 0:
-        raise ValueError("truncation level must be positive")
+    _check_level(M)
     if np.any(b < 0):
         raise ValueError("drift coefficient must be nonnegative")
     out = np.ones_like(b)
@@ -233,6 +241,8 @@ def drift_bound_max(
     closer to the singular point than any node, so saturation of a
     truncation schedule must be judged against the face samples.
     """
+    if level is not None:
+        _check_level(level)
     if data.drift is None:
         return 0.0
     worst = float(np.max(data.drift_bound_grid(t).values))
@@ -278,13 +288,12 @@ def certify_truncation(
     refined grids at t = 0; if it plateaus above the bound the failure is
     flagged as a distance-to-bounded obstruction (no level can ever pass).
     """
-    if M <= 0:
-        raise ValueError("truncation level must be positive")
+    _check_level(M)
     return _certificate(data, M, refinement_cells)
 
 
 def _certificate(data, M, refinement_cells=None) -> TruncationCertificate:
-    """`certify_truncation` without the check that M is positive.
+    """`certify_truncation` without `_check_level`.
 
     The decay check certifies its fallback level, the sampled node maximum,
     through here: that maximum is 0 for a coefficient vanishing at the nodes.
@@ -344,6 +353,8 @@ class TruncationPlan:
     certificates: tuple[TruncationCertificate, ...]
 
     def __post_init__(self):
+        for M in self.levels:
+            _check_level(M)
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("levels must be strictly increasing")
         if len(self.levels) != len(self.certificates):
@@ -368,18 +379,23 @@ def make_truncation_plan(
 ) -> TruncationPlan:
     """Build a truncation schedule, by default M_k = M_0 * factor^k.
 
-    M_0 defaults to the 0.9-quantile of the sampled coefficient and the
-    schedule stops one step after it covers the sampled maximum (levels
-    beyond that are saturated on the fixed grid).
+    M_0 defaults to the 0.9-quantile of the positive sampled coefficient
+    (1 if there is none) and the schedule stops one step after it covers
+    the sampled maximum (levels beyond that are saturated on the fixed
+    grid).  m0 must be a level, factor finite and > 1, count an int >= 1.
     """
+    if m0 is not None:
+        _check_level(m0, "m0")
+    if not (math.isfinite(factor) and factor > 1):
+        raise ValueError(f"factor must be finite and > 1, got {factor!r}")
+    if count is not None and not (isinstance(count, (int, np.integer)) and count >= 1):
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
     if levels is None:
         b0 = data.drift_bound_grid(0.0).values
         bmax = drift_bound_max(data, 0.0)
         if m0 is None:
             positive = b0[b0 > 0]
             m0 = float(np.quantile(positive, 0.9)) if positive.size else 1.0
-        if m0 <= 0:
-            m0 = 1.0
         levels = [m0]
         if count is None:
             while levels[-1] < bmax and len(levels) < 40:
@@ -411,6 +427,8 @@ def small_data_check(
     """
     if not data.has_drift:
         return True, {"drift": 0.0}
+    if level is not None:
+        _check_level(level)
     N = data.domain.dim
     S = _embedding_constant(N)
     if S is None:

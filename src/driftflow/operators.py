@@ -37,13 +37,13 @@ sigma == 1, P is K and the iteration is exactly the K one.  The
 stationary solve's `dual_norm` stays the (-Laplacian)^{-1} norm, which
 defines its tolerance.
 
-The damping floor max(1e-4, 0.9 m / M^2) is the classical safe step of a
-preconditioned map with monotonicity m and Lipschitz constant M measured in
-the preconditioner's geometry.  `contraction_constants` (and
-`stationary_constants`) bound them in the K geometry and carry them to P
-by c_lo K <= P <= c_hi K: m_P = m / c_hi, M_P = M / c_lo.  For
-K = s I + k (-Lap) with any s >= 0, k > 0, c_hi follows from the discrete
-product rule on each face,
+The damping floor max(1e-4, 0.9 m / M^2) (`_damping_floor`) is the
+classical safe step of a preconditioned map with monotonicity m and
+Lipschitz constant M measured in the preconditioner's geometry.
+`contraction_constants` (and `stationary_constants`) bound them in the K
+geometry and carry them to P by c_lo K <= P <= c_hi K: m_P = m / c_hi,
+M_P = M / c_lo.  For K = s I + k (-Lap) with any s >= 0, k > 0, c_hi
+follows from the discrete product rule on each face,
 
     (sigma w)_{k+1} - (sigma w)_k = avg(sigma) (w_{k+1} - w_k)
                                     + avg(w) (sigma_{k+1} - sigma_k),
@@ -165,7 +165,7 @@ from .grid import (
     inner_vec,
     norm_l2,
 )
-from .models import ProblemData, clamp_weight, drift_bound_max
+from .models import ProblemData, _check_level, clamp_weight, drift_bound_max
 
 
 @dataclass(frozen=True)
@@ -181,8 +181,8 @@ class ResolventConfig:
             raise ValueError(f"lam must be finite and strictly positive, got {self.lam!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
+        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass
@@ -361,6 +361,9 @@ class TruncatedOperator:
             raise ValueError(f"unknown drift_mode {drift_mode!r}")
         if drift_mode == "remainder" and data.has_drift and level is None:
             raise ValueError("remainder mode needs a truncation level")
+        if level is not None and data.has_drift:
+            # without a drift no level enters the operator
+            _check_level(level)
         self.data = data
         self.domain: BoxDomain = data.domain
         self.t = float(t)
@@ -740,7 +743,7 @@ class TruncatedOperator:
         if lam not in self._resolve_constants:
             m, M = self.contraction_constants(lam)
             self._resolve_constants[lam] = (
-                max(1e-4, 0.9 * m / M**2), lam * self.precondition_scale()
+                _damping_floor(m, M), lam * self.precondition_scale()
             )
         rho_floor, scale = self._resolve_constants[lam]
         gv, weight = g.values, dom.node_weight
@@ -824,6 +827,11 @@ class _AndersonHistory:
         c = (gamma[:, None] * (1.0, -beta)).ravel()
         out = self.u - beta * self.z
         return np.subtract(out, c @ self.H[:k].reshape(2 * k, -1), out=out)
+
+
+def _damping_floor(m: float, M: float) -> float:
+    """max(1e-4, 0.9 m / M^2), the kernel's smallest damping factor."""
+    return max(1e-4, 0.9 * m / M**2)
 
 
 def _monotone_iteration(
@@ -960,7 +968,7 @@ def stationary_solve(
         domain=dom,
         tol=tol * (1.0 + dual_norm(rv)),
         max_iter=max_iter,
-        rho_floor=max(1e-4, 0.9 * m / M**2),
+        rho_floor=_damping_floor(m, M),
         solver="stationary solve",
     )
     return GridFunction(dom, u), diag

@@ -31,6 +31,7 @@ from .grid import GridFunction, divergence, norm_l2, poincare_constant
 from .models import ProblemData, small_data_check
 from .operators import TruncatedOperator, stationary_solve
 from .evolution import EvolutionConfig, EvolutionTrace, evolve
+from .evolution import _NOT_IN_JSON, _json_fields
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,8 @@ class SteadyConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
+        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.time != "final" and (
             isinstance(self.time, str) or not math.isfinite(self.time)
         ):
@@ -93,25 +94,13 @@ class DecayReport:
     poincare_constant: float
     poincare_upper_bound: float
     small_data_detail: dict = field(default_factory=dict)
-    times: list[float] = field(default_factory=list)
-    y_values: list[float] = field(default_factory=list)
+    times: list[float] = field(default_factory=list, metadata=_NOT_IN_JSON)
+    y_values: list[float] = field(default_factory=list, metadata=_NOT_IN_JSON)
     # the marched trajectory's per-step record
-    trace: EvolutionTrace | None = None
+    trace: EvolutionTrace | None = field(default=None, metadata=_NOT_IN_JSON)
 
     def as_dict(self) -> dict:
-        return {
-            "theoretical_omega": self.theoretical_omega,
-            "intro_omega": self.intro_omega,
-            "fitted_rate": self.fitted_rate,
-            "margin": self.margin,
-            "small_data_pass": self.small_data_pass,
-            "window": list(self.window),
-            "saturated": self.saturated,
-            "lyapunov_monotone": self.lyapunov_monotone,
-            "poincare_constant": self.poincare_constant,
-            "poincare_upper_bound": self.poincare_upper_bound,
-            "small_data_detail": self.small_data_detail,
-        }
+        return _json_fields(self)
 
     def write_series(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:

@@ -151,6 +151,38 @@ class TestRun:
             header = path.read_text(encoding="utf-8").splitlines()[0]
             assert not any(key in header for key in timings), path.name
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            FAST_DECAY,
+            "experiment = evolve\nmodel = manufactured\ndomain.cells = 8,8\n"
+            "time.dt = 0.01\ntime.T = 0.05\nevolve.refine = 1\n",
+            "experiment = continuation\nmodel = singular-drift\nmodel.c = 0.08\n"
+            "domain.cells = 8,8\ntime.dt = 0.01\ntime.T = 0.05\n",
+        ],
+        ids=["decay", "evolve", "continuation"],
+    )
+    def test_manifest_solver_totals_are_the_trace_csv_sums(self, tmp_path, text):
+        outdir = tmp_path / "out"
+        manifest = cli.run(write_cfg(tmp_path, text), output_dir=outdir)
+        totals = json.loads((outdir / "run_manifest.json").read_text())["solver_totals"]
+        assert totals == manifest.solver_totals
+        sums = dict.fromkeys(
+            ("resolvent_iters", "backtracks", "mixed_steps", "rejected_mixes"), 0
+        )
+        traces = sorted(outdir.glob("trace*.csv"))
+        if "continuation" in text:
+            levels = json.loads((outdir / "continuation.json").read_text())["levels"]
+            assert len(traces) == len(levels) > 1
+        else:
+            assert [p.name for p in traces] == ["trace.csv"]
+        for path in traces:
+            header, rows = cli._read_csv(path)
+            for name in sums:
+                sums[name] += sum(int(row[header.index(name)]) for row in rows)
+        assert totals == sums
+        assert totals["resolvent_iters"] > 0
+
     def test_override(self, tmp_path):
         path = write_cfg(tmp_path, FAST_DECAY)
         manifest = cli.run(

@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -286,6 +286,30 @@ class TestEvolve:
             for row in trace.rows()
         ]
 
+    def test_csv_columns_are_declared_on_the_fields(self):
+        assert E.EvolutionTrace.CSV_COLUMNS == (
+            "step", "t", "l2_norm", "h1_seminorm", "cumulative_dissipation",
+            "M_level", "resolvent_iters", "energy_violation", "final_residual",
+            "backtracks", "mixed_steps", "rejected_mixes", "damping",
+        )
+        # after the step index, one column per list field, in field order
+        lists = [f.name for f in fields(E.EvolutionTrace) if f.type.startswith("list")]
+        trace = E.EvolutionTrace(**{name: [k] for k, name in enumerate(lists)})
+        assert list(trace.rows()) == [(1, *range(len(lists)))]
+
+    def test_counter_totals_sum_the_counter_columns_over_traces(self):
+        dom = G.BoxDomain(2, (1.0, 1.0), (12, 12))
+        data = M.make_model("variable-diffusion", dom, 0.05)
+        traces = [E.evolve(data, cfg(dt, 0.05))[1] for dt in (5e-3, 1e-2)]
+        totals = E.EvolutionTrace.counter_totals(traces)
+        assert totals == {
+            "resolvent_iters": sum(sum(t.solver_iterations) for t in traces),
+            "backtracks": sum(sum(t.backtracks) for t in traces),
+            "mixed_steps": sum(sum(t.mixed_steps) for t in traces),
+            "rejected_mixes": sum(sum(t.rejected_mixes) for t in traces),
+        }
+        assert totals["resolvent_iters"] > 0 and totals["mixed_steps"] > 0
+
     def test_telemetry_columns_are_the_step_diagnostics(self, monkeypatch):
         # rough data on a stiff nonlinearity backtracks and rejects mixes,
         # variable diffusion mixes, heat sweeps once at full damping
@@ -436,6 +460,20 @@ class TestContinuation:
 
 
 class TestUniqueness:
+    def test_report_json_leaves_out_the_series(self):
+        rep = E.UniquenessReport(
+            times=[0.0, 0.1], distances=[1.0, 0.5], growth_constant=0.0,
+            tightest_exponent=-6.9, bound_satisfied=True, contraction_monotone=True,
+        )
+        assert rep.as_dict() == {
+            "growth_constant": 0.0,
+            "tightest_exponent": -6.9,
+            "bound_satisfied": True,
+            "contraction_monotone": True,
+            "final_distance": 0.5,
+        }
+        assert replace(rep, times=[], distances=[]).as_dict()["final_distance"] == 0.0
+
     def test_identical_states_stay_identical(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (12, 12))
         data = M.make_model("heat", dom, 0.1)

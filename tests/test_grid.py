@@ -48,6 +48,11 @@ class TestBoxDomain:
         with pytest.raises(ValueError):
             G.BoxDomain(dim, lengths, cells)
 
+    @pytest.mark.parametrize("length", [math.nan, math.inf])
+    def test_non_finite_length_names_lengths(self, length):
+        with pytest.raises(ValueError, match="^lengths must be finite"):
+            G.BoxDomain(2, (1.0, length), (4, 4))
+
     def test_equal_domains_stay_equal_after_geometry_is_read(self):
         a = G.BoxDomain(3, (1.0, 2.0, 0.5), (4, 6, 8))
         b = G.BoxDomain(3, [1, 2, 0.5], [4, 6, 8])
@@ -482,6 +487,9 @@ class TestSerialization:
         w = G.load_grid_function(path)
         assert w.domain == dom
         assert np.array_equal(w.values, u.values)
+        # both formats hand back values the caller owns
+        w.values[0, 0] = 2.0
+        assert w.values[0, 0] == 2.0
 
     @pytest.mark.parametrize(
         "case, fault",

@@ -136,6 +136,13 @@ class TestTruncationWeight:
         with pytest.raises(ValueError):
             M.clamp_weight(-np.ones(DOM2.interior_shape), 1.0)
 
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -1.0])
+    def test_rejects_non_finite_level(self, level):
+        # a NaN level used to give all ones: nothing clamped
+        b = G.sample(DOM2, lambda c: c[0])
+        with pytest.raises(ValueError, match="^truncation level must be finite"):
+            M.clamp_weight(b.values, level)
+
 
 class TestCertification:
     def test_bounded_drift_passes_trivially(self):
@@ -194,6 +201,42 @@ class TestCertification:
         data = M.make_model("singular-drift", DOM2, 0.5, c=0.1)
         with pytest.raises(ValueError):
             M.TruncationPlan((2.0, 1.0), tuple(M.certify_truncation(data, m) for m in (2.0, 1.0)))
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_level_is_rejected(self, level):
+        # a NaN level used to be certified as accretive, and a plan of NaN
+        # levels passed the increasing check
+        data = M.make_model("singular-drift", DOM2, 0.5, c=0.1)
+        cert = M.certify_truncation(data, 1.0)
+        with pytest.raises(ValueError, match="^truncation level must be finite"):
+            M.certify_truncation(data, level)
+        with pytest.raises(ValueError, match="^truncation level must be finite"):
+            M.TruncationPlan((level, level), (cert, cert))
+        # -1 used to come back as the clamped maximum, NaN as the unclamped one
+        with pytest.raises(ValueError, match="^truncation level must be finite"):
+            M.drift_bound_max(data, 0.0, level)
+
+    @pytest.mark.parametrize(
+        "name, kw",
+        [
+            ("m0", dict(m0=-3.0)),
+            ("m0", dict(m0=0.0)),
+            ("m0", dict(m0=math.nan)),
+            ("factor", dict(factor=1.0)),
+            ("factor", dict(factor=0.5)),
+            ("factor", dict(factor=math.nan)),
+            ("factor", dict(factor=math.inf)),
+            ("count", dict(count=0)),
+            ("count", dict(count=-2)),
+            ("count", dict(count=2.5)),
+        ],
+    )
+    def test_plan_parameters_name_what_they_reject(self, name, kw):
+        # these used to give a schedule from m0 = 1, a single level, a
+        # "strictly increasing" complaint or NaN levels
+        data = M.make_model("singular-drift", DOM2, 0.5, c=0.1)
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            M.make_truncation_plan(data, **kw)
 
 
 @st.composite
@@ -300,6 +343,13 @@ class TestSmallDataCheck:
         assert got[1]["level"] == 0.0
         assert (got[1]["remainder_weak_norm"] > 0) == growing
 
+    @pytest.mark.parametrize("level", [math.nan, -1.0])
+    def test_given_level_must_be_finite_and_positive(self, level):
+        # a NaN level used to pass the check with both weak norms 0
+        data = M.make_model("singular-drift", DOM3, 0.5, c=0.1)
+        with pytest.raises(ValueError, match="^truncation level must be finite"):
+            M.small_data_check(data, None, level=level)
+
     def test_level_outside_the_plan_is_certified_after_the_early_returns(self, monkeypatch):
         data = M.make_model("singular-drift", DOM2, 0.5, c=0.1)
         plan = M.make_truncation_plan(data)
@@ -326,6 +376,11 @@ class TestManufactured:
     def test_initial_state_is_exact_solution_at_zero(self):
         data = M.make_model("manufactured", DOM2, 0.5)
         assert np.allclose(data.initial.values, data.exact_grid(0.0).values)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_non_finite_horizon_is_rejected(self, horizon):
+        with pytest.raises(ValueError, match="^horizon must be finite"):
+            M.make_model("heat", DOM2, horizon)
 
     def test_exact_unavailable_elsewhere(self):
         data = M.make_model("heat", DOM2, 0.5)

@@ -193,6 +193,19 @@ class TestResolve:
         with pytest.raises(ValueError, match=rf"^{field} must be finite"):
             ResolventConfig(**{field: value})
 
+    def test_fractional_max_iter_names_its_field(self):
+        # used to fail inside the solve with a TypeError from range()
+        with pytest.raises(ValueError, match="^max_iter must be an integer"):
+            ResolventConfig(max_iter=2.5)
+
+    @pytest.mark.parametrize("level", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("mode", ["full", "remainder"])
+    def test_bad_level_is_rejected_with_a_drift(self, level, mode):
+        # level -1 gave drift_face_max() == -1, and NaN skipped the clamp
+        data = M.make_model("singular-drift", DOM, 0.5, c=0.1)
+        with pytest.raises(ValueError, match="^truncation level must be finite"):
+            TruncatedOperator(data, 0.1, level=level, drift_mode=mode)
+
     def test_nonconvergence_reports_history(self):
         data = M.make_model("variable-diffusion", DOM, 0.5)
         op = TruncatedOperator(data, 0.0, drift_mode="none")

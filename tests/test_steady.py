@@ -29,6 +29,7 @@ class TestSteadyConfig:
             ("time", dict(time=math.nan)),
             ("time", dict(time=math.inf)),
             ("time", dict(time="start")),
+            ("max_iter", dict(max_iter=2.5)),
         ],
     )
     def test_bad_setting_names_its_field(self, field, kw):
@@ -176,6 +177,16 @@ class TestDecay:
         # diam^2 / pi^2 upper bound for the unit square
         assert rep.poincare_upper_bound == pytest.approx(2.0 / math.pi**2)
         assert rep.poincare_constant <= rep.poincare_upper_bound
+
+    def test_report_json_leaves_out_the_series(self):
+        data = M.make_model("heat", DOM, 0.3)
+        rep = decay_experiment(data, evo(5e-3, 0.3), SteadyConfig(tol=1e-12))
+        assert set(rep.as_dict()) == {
+            "theoretical_omega", "intro_omega", "fitted_rate", "margin",
+            "small_data_pass", "window", "saturated", "lyapunov_monotone",
+            "poincare_constant", "poincare_upper_bound", "small_data_detail",
+        }
+        assert rep.as_dict()["window"] == (0.15, 0.3)
 
     def test_series_written(self, tmp_path):
         data = M.make_model("heat", DOM, 0.3)
