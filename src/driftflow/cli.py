@@ -152,11 +152,12 @@ class RunManifest:
     # checks the experiment did not run, each with the reason; `passed`
     # reads `checks` alone
     skipped: dict[str, str] = field(default_factory=dict)
-    # wall seconds per phase of the evolve, continuation and decay
-    # experiments (`_Laps`); they vary run to run, so no CSV carries them
+    # wall seconds per phase of the evolve, continuation, uniqueness and
+    # decay experiments (`_Laps`); they vary run to run, so no CSV carries them
     timings: dict[str, float] = field(default_factory=dict)
     # each counter column of the traces (`EvolutionTrace.counter_totals`),
-    # summed over every trace CSV the evolve, continuation or decay run wrote
+    # summed over every march of those experiments (a uniqueness run
+    # marches twice and writes no trace)
     solver_totals: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -376,6 +377,7 @@ def _run_continuation(cfg, outdir: Path, seed: int, manifest: RunManifest) -> No
 
 
 def _run_uniqueness(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
+    laps = _Laps(manifest)
     data = _build_problem(cfg)
     evo = _build_evolution(cfg, data)
     rng = np.random.default_rng(seed)
@@ -385,8 +387,12 @@ def _run_uniqueness(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None
         data.domain,
         u0.values + amp * rng.standard_normal(data.domain.interior_shape),
     )
+    laps.lap("setup_s")
     report = uniqueness_harness(data, evo, u0, v0)
+    laps.lap("march_s")
+    manifest.solver_totals = EvolutionTrace.counter_totals(report.traces)
     _write_json(outdir / "uniqueness_report.json", report.as_dict())
+    laps.lap("write_s")
     manifest.checks["gronwall_bound"] = report.bound_satisfied
     if data.has_drift:
         manifest.skipped["contraction_monotone"] = (

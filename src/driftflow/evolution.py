@@ -35,17 +35,18 @@ extrapolation of the last q + 1 states,
 
 the degree-q polynomial through them evaluated one step on, with q the
 smaller of `_EXTRAPOLATION_ORDER` and the number of earlier steps (step 1
-starts from u_0, step 2 linearly, and so on).  Only the starting point
-moves: the solver still converges to tolerance and the energy check reads
-the converged state.  Each march starts a fresh history; the public `step`
-starts from u_prev.
+starts from u_0, step 2 linearly, and so on).  The march copies each state
+into a ring of q + 1 slots and forms the guess as one product, the
+weights rotated to the slots' order times the ring.  Only the starting
+point moves: the solver still converges to tolerance and the energy check
+reads the converged state.  Each march starts a fresh ring; the public
+`step` starts from u_prev.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterator, Sequence
 
@@ -71,10 +72,25 @@ _ENERGY_TOL = 1e-10
 # of a march.  On the drift presets the summed iterations fall with the
 # order up to 5 (singular_drift_decay_3d: 1115 cold, 374 at 5, 385 at 6).
 _EXTRAPOLATION_ORDER = 5
-# (-1)^k C(q+1, k+1) for k = 0..q, the weights of order q at index q
-_EXTRAPOLATION_WEIGHTS = tuple(
-    tuple((-1) ** k * math.comb(q + 1, k + 1) for k in range(q + 1))
-    for q in range(_EXTRAPOLATION_ORDER + 1)
+
+
+def _ring_weights(n: int) -> np.ndarray:
+    """The guess's weights after state n, by ring slot: u_i in slot i % (q + 1).
+
+    u_{n-k} weighs (-1)^k C(m+1, k+1) for k = 0..m, m = min(n, q), with
+    q = `_EXTRAPOLATION_ORDER`; an empty slot weighs 0.
+    """
+    slots = _EXTRAPOLATION_ORDER + 1
+    m = min(n, _EXTRAPOLATION_ORDER)
+    row = np.zeros(slots)
+    for k in range(m + 1):
+        row[(n - k) % slots] = (-1) ** k * math.comb(m + 1, k + 1)
+    return row
+
+
+# from n = q on a row depends only on n % (q + 1): rows n < 2(q + 1) serve all n
+_RING_WEIGHTS = np.array(
+    [_ring_weights(n) for n in range(2 * _EXTRAPOLATION_ORDER + 2)]
 )
 
 
@@ -253,11 +269,8 @@ def _step_detailed(
         rhs = rhs - tau * divergence(F).values
     x0 = u_prev if guess is None else guess
     u_new, diag = op.resolve_detailed(GridFunction(dom, rhs), rescfg, x0=x0)
-    if F is None:
-        pair, h1_sq = 0.0, gradient_sq(u_new)
-    else:
-        gu = gradient(u_new)
-        pair, h1_sq = inner_vec(F, gu), inner_vec(gu, gu)
+    h1_sq = gradient_sq(u_new)
+    pair = 0.0 if F is None else inner_vec(F, gradient(u_new))
     # the drift's part of <f_j, u_j> (see the module docstring)
     if explicit is not None:
         pair -= dom.node_weight * float(np.vdot(explicit, u_new.values))
@@ -289,24 +302,6 @@ def step(
     return _step_detailed(u_prev, cfg, _step_operator(data, t, cfg, level)).state
 
 
-def _extrapolate(
-    history: deque[GridFunction], out: np.ndarray, term: np.ndarray
-) -> np.ndarray:
-    """sum_k (-1)^k C(q+1, k+1) u_{j-1-k} over the states held, newest first.
-
-    The degree-q polynomial through the q + 1 states, evaluated one step
-    past the newest; with one state it is that state.  Written into `out`
-    with `term` as scratch, by the same products and sums in the same order
-    as the plain expression, so the result is bit for bit the same.
-    """
-    weights = _EXTRAPOLATION_WEIGHTS[len(history) - 1]
-    np.multiply(history[0].values, weights[0], out=out)
-    for k in range(1, len(weights)):
-        np.multiply(weights[k], history[k].values, out=term)
-        np.add(out, term, out=out)
-    return out
-
-
 def _default_level(cfg: EvolutionConfig) -> float | None:
     if cfg.truncation is None:
         return None
@@ -320,8 +315,8 @@ def _march(
     """The one loop that advances a march: yield (t_j, u_j) for j = 0..steps.
 
     Starts from a copy of u0 (data.initial if None), appends each step to
-    `trace` and holds only the last `_EXTRAPOLATION_ORDER + 1` states, the
-    history that starts each resolve (see the module docstring).
+    `trace` and holds copies of only the last `_EXTRAPOLATION_ORDER + 1`
+    states, the ring that starts each resolve (see the module docstring).
     """
     if level is None:
         level = _default_level(cfg)
@@ -343,10 +338,10 @@ def _march(
     u = (u0 if u0 is not None else data.initial).copy()
     u_sq = inner(u, u)
     trace.initial_l2 = _root(u_sq)
-    history = deque([u], maxlen=_EXTRAPOLATION_ORDER + 1)
-    # the guess and its scratch term, reused by every step: the resolve
-    # starts from a copy, so no state aliases them
-    guess, term = np.empty_like(u.values), np.empty_like(u.values)
+    # the last q + 1 states, copied in: no yielded state aliases a slot
+    slots = _EXTRAPOLATION_ORDER + 1
+    ring = np.zeros((slots, u.values.size))
+    ring[0] = u.values.ravel()
     yield 0.0, u
     dissip = 0.0
     tau = cfg.dt
@@ -357,15 +352,17 @@ def _march(
     for j in range(1, cfg.steps + 1):
         t = j * tau
         op = op.at(t)
+        n = j - 1
+        weights = _RING_WEIGHTS[n if n < slots else slots + n % slots]
         try:
-            x0 = GridFunction(u.domain, _extrapolate(history, guess, term))
+            x0 = GridFunction(u.domain, (weights @ ring).reshape(u.values.shape))
             res = _step_detailed(u, cfg, op, u_sq, guess=x0, rescfg=rescfg)
         except grid.ConvergenceError as err:
             err.args = (f"step {j} (t={t:.6g}) failed: {err.args[0]}",)
             err.step, err.t, err.trace = j, t, trace
             raise
         u, u_sq = res.state, res.l2_sq
-        history.appendleft(u)
+        ring[j % slots] = u.values.ravel()
         h1 = _root(res.h1_sq)
         dissip += tau * h1**2
         trace.source_sum += tau * res.source_sq
@@ -483,6 +480,8 @@ class UniquenessReport:
     tightest_exponent: float
     bound_satisfied: bool
     contraction_monotone: bool
+    # the traces of the two marches, for their solver totals
+    traces: tuple[EvolutionTrace, ...] = field(default=(), metadata=_NOT_IN_JSON)
 
     def as_dict(self) -> dict:
         final = self.distances[-1] if self.distances else 0.0
@@ -508,9 +507,10 @@ def uniqueness_harness(
     if level is None:
         level = _default_level(cfg)
     times, dists = [], []
+    traces = (EvolutionTrace(), EvolutionTrace())
     for (t, u), (_, v) in zip(
-        _march(data, cfg, level, u0, EvolutionTrace()),
-        _march(data, cfg, level, v0, EvolutionTrace()),
+        _march(data, cfg, level, u0, traces[0]),
+        _march(data, cfg, level, v0, traces[1]),
     ):
         times.append(t)
         dists.append(norm_l2(u - v))
@@ -538,6 +538,7 @@ def uniqueness_harness(
         tightest_exponent=tightest,
         bound_satisfied=ok,
         contraction_monotone=monotone,
+        traces=traces,
     )
 
 

@@ -233,6 +233,45 @@ class TestRun:
         manifest = cli.run(path, output_dir=tmp_path / "out")
         assert manifest.passed
 
+    def test_uniqueness_manifest_says_how_much_work_both_marches_did(
+        self, tmp_path, monkeypatch
+    ):
+        reports = []
+        harness = cli.uniqueness_harness
+
+        def kept(*args, **kw):
+            reports.append(harness(*args, **kw))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "uniqueness_harness", kept)
+        path = write_cfg(
+            tmp_path,
+            "experiment = uniqueness\nmodel = singular-drift\nmodel.c = 0.08\n"
+            "domain.cells = 8,8\ntime.dt = 0.01\ntime.T = 0.05\n",
+        )
+        outdir = tmp_path / "out"
+        manifest = cli.run(path, output_dir=outdir)
+        data = json.loads((outdir / "run_manifest.json").read_text())
+        assert set(data["timings"]) == {"setup_s", "march_s", "write_s"}
+        (report,) = reports
+        assert len(report.traces) == 2
+        assert all(len(tr.times) == 5 for tr in report.traces)
+        columns = {
+            "resolvent_iters": "solver_iterations", "backtracks": "backtracks",
+            "mixed_steps": "mixed_steps", "rejected_mixes": "rejected_mixes",
+        }
+        sums = {
+            csv: sum(sum(getattr(tr, name)) for tr in report.traces)
+            for csv, name in columns.items()
+        }
+        assert data["solver_totals"] == manifest.solver_totals == sums
+        assert sums["resolvent_iters"] > 0
+        # the traces stay out of the report's JSON
+        assert json.loads((outdir / "uniqueness_report.json").read_text()) == json.loads(
+            json.dumps(report.as_dict())
+        )
+        assert "traces" not in report.as_dict()
+
     def test_steady_experiment(self, tmp_path):
         path = write_cfg(
             tmp_path,

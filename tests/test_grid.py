@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftflow import grid as G
@@ -319,19 +319,25 @@ class TestPoincare:
 
 
 class TestGradientSq:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         dim=st.integers(1, 3),
+        cells=st.lists(st.integers(2, 12), min_size=3, max_size=3),
         seed=st.integers(0, 2**16),
         lengths=st.lists(st.floats(0.3, 3.0), min_size=3, max_size=3),
     )
-    def test_is_inner_vec_of_the_gradient(self, dim, seed, lengths):
+    @example(dim=3, cells=[2, 9, 2], seed=0, lengths=[0.3, 2.0, 3.0])
+    @example(dim=2, cells=[11, 2], seed=1, lengths=[1.0, 0.4])
+    def test_is_inner_vec_of_the_gradient(self, dim, cells, seed, lengths):
+        # summed by parts, within the docstring's bound c eps w sum_a 4 S/h_a^2
         rng = np.random.default_rng(seed)
-        dom = G.BoxDomain(dim, lengths[:dim], tuple(rng.integers(2, 12, size=dim)))
-        u = rand_gf(dom, rng)
+        dom = G.BoxDomain(dim, lengths[:dim], cells[:dim])
+        u = rand_gf(dom, rng, scale=10.0 ** rng.integers(-3, 4))
         g = G.gradient(u)
-        assert G.gradient_sq(u) == G.inner_vec(g, g)
-
+        S = float(np.vdot(u.values, u.values))
+        scale = dom.node_weight * sum(4 * S / h**2 for h in dom.spacing)
+        eps = np.finfo(float).eps
+        assert abs(G.gradient_sq(u) - G.inner_vec(g, g)) <= 16 * eps * scale
 
 class TestLinearAlgebra:
     def test_laplacian_matrix_matches_matrix_free(self):

@@ -37,6 +37,21 @@ class TestWorstDifference:
     def test_non_numeric_column(self):
         assert fidelity.worst_difference(["a"], ["a"]) is None
 
+    def test_relative(self):
+        # |a - b| / max(|a|, |b|), worst over the rows
+        got = fidelity.worst_difference(["1.0", "-4.0"], ["1.5", "-3.0"], relative=True)
+        assert got == pytest.approx(1 / 3)
+        assert fidelity.worst_difference(["2e-12"], ["-2e-12"], relative=True) == 2.0
+
+    def test_relative_zero_against_zero_is_zero(self):
+        assert fidelity.worst_difference(["0.0", "-0.0"], ["0.0", "0.0"], relative=True) == 0.0
+        assert fidelity.worst_difference(["0.0"], ["1e-300"], relative=True) == 1.0
+
+    @pytest.mark.parametrize("a, b", [(["2.0"], ["nan"]), (["inf"], ["2.0"])])
+    def test_relative_nan_or_inf_against_a_number_is_inf(self, a, b):
+        assert fidelity.worst_difference(a, b, relative=True) == math.inf
+        assert fidelity.worst_difference(["nan"], ["nan"], relative=True) == 0.0
+
 
 class TestCompare:
     def test_identical_and_differing_columns(self, tmp_path):
@@ -124,6 +139,25 @@ class TestCompareJson:
         assert math.inf in out.values()
         assert all(d in (0.0, math.inf) for d in out.values())
 
+    def test_relative_difference_per_key(self):
+        after = json.loads(json.dumps(REPORT))
+        after["certificates"][0]["measured"] = 0.125
+        after["small_data_detail"]["bound"] = -0.2
+        out = fidelity.compare_json(REPORT, after, relative=True)
+        assert out["certificates[].measured"] == pytest.approx(0.2)
+        assert out["small_data_detail.bound"] == 2.0
+        assert out["small_data_detail.level"] == 0.0
+        assert out["fitted_rate"] == 0.0  # NaN against NaN
+
+    def test_compare_reports_relative_differences(self, tmp_path):
+        write_csv(tmp_path / "before", "trace.csv", ["1,0.5,a", "2,0.0,b"])
+        write_csv(tmp_path / "after", "trace.csv", ["1,0.4,a", "2,0.0,b"])
+        write_json(tmp_path / "before", "decay_report.json", {"rate": 4.0})
+        write_json(tmp_path / "after", "decay_report.json", {"rate": 5.0})
+        out = fidelity.compare(tmp_path / "before", tmp_path / "after", relative=True)
+        assert out["trace.csv"] == {"step": 0.0, "x": pytest.approx(0.2)}
+        assert out["decay_report.json"] == {"rate": 0.2}
+
     def test_key_only_one_run_wrote(self):
         after = {**REPORT, "extra": 1.0}
         del after["fitted_rate"]
@@ -142,3 +176,56 @@ class TestCompareJson:
         assert out["decay_report.json"]["fitted_rate"] == math.inf
         assert out["continuation.json"] == "missing after"
         assert out["evolve_summary.json"] == "missing before"
+
+
+_BENCH_PATH = Path(__file__).resolve().parents[1] / "tools" / "paired_bench.py"
+_bench_spec = importlib.util.spec_from_file_location("paired_bench", _BENCH_PATH)
+paired = importlib.util.module_from_spec(_bench_spec)
+_bench_spec.loader.exec_module(paired)
+
+# A stand-in bench/run.py: its run_s is 1.0 when the library's bytecode is
+# current when it starts and 9.0 when the process would compile the library.
+STUB_RUN = """
+import importlib.util, json, os
+src = os.path.join("src", "stublib", "__init__.py")
+pyc = importlib.util.cache_from_source(src)
+fresh = os.path.exists(pyc) and os.path.getmtime(pyc) >= os.path.getmtime(src)
+metrics = {name: {"value": 1.0 if fresh else 9.0} for name in ("run_s", "setup_s")}
+print(json.dumps({"failed": 0, "metrics": metrics}))
+"""
+
+STUB_SPEC = {
+    "run_seconds": 1,
+    "workloads": [{"name": "w"}],
+    "end_to_end": [
+        {"name": "run_s", "better": "lower"},
+        {"name": "setup_s", "better": "lower"},
+    ],
+}
+
+
+def stub_checkout(folder: Path) -> Path:
+    (folder / "bench").mkdir(parents=True)
+    (folder / "src" / "stublib").mkdir(parents=True)
+    (folder / "src" / "stublib" / "__init__.py").write_text("X = 1\n", encoding="utf-8")
+    (folder / "bench" / "run.py").write_text(STUB_RUN, encoding="utf-8")
+    (folder / "BENCHMARK.json").write_text(json.dumps(STUB_SPEC), encoding="utf-8")
+    return folder
+
+
+class TestPairedBench:
+    def test_both_checkouts_are_byte_compiled_before_the_first_pair(
+        self, tmp_path, monkeypatch
+    ):
+        # neither stub has bytecode; every run of either side must find it
+        before, after = stub_checkout(tmp_path / "a"), stub_checkout(tmp_path / "b")
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+        monkeypatch.chdir(tmp_path)
+        args = [str(before), str(after), "--workload", "w", "--pairs", "2",
+                "--seeds", "1-2", "--label", "stub"]
+        assert paired.main(args) == 0
+        report = json.loads((tmp_path / "BENCH_stub.json").read_text(encoding="utf-8"))
+        assert "compileall" in report["bytecode"]
+        pairs = report["final_runs"]["w"]["pairs"]
+        assert [p["seed"] for p in pairs] == [1, 2]
+        assert all(p["parent_run_s"] == p["change_run_s"] == 1.0 for p in pairs)

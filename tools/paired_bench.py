@@ -9,7 +9,10 @@ in each checkout, one after the other, with X the `run_seconds` of
 AFTER's `BENCHMARK.json`.  BEFORE runs first in even pairs and AFTER in
 odd ones, so a drift of the host's speed does not favour one side.
 Every end-to-end metric of `BENCHMARK.json` is read from the last stdout
-line of each run.
+line of each run.  Before the first pair both checkouts' `src` is
+byte-compiled (`python -m compileall -q src`), so neither side's runs
+compile the library when the other's load it from bytecode: a stale or
+missing `__pycache__` costs `setup_s` and memory in every bench process.
 
 For each metric the report prints both sides' q1 / median / q3 (inclusive
 quartiles over the pairs), how many pairs the change won (by the metric's
@@ -51,6 +54,21 @@ def seed_label(seeds: list[int]) -> str:
     if contiguous and len(seeds) > 1:
         return f"{seeds[0]}-{seeds[-1]}"
     return ",".join(str(s) for s in seeds)
+
+
+COMPILE = ("-m", "compileall", "-q", "src")
+
+
+def compile_sources(checkout: Path) -> None:
+    """Byte-compile the checkout's `src`, so its bench processes load bytecode."""
+    proc = subprocess.run(
+        [sys.executable, *COMPILE], cwd=checkout, capture_output=True, text=True
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(
+            f"{checkout}: compileall exited {proc.returncode}:\n"
+            f"{proc.stdout}{proc.stderr}"
+        )
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -130,6 +148,8 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
 
     sides = {"parent": args.before, "change": args.after}
+    for checkout in sides.values():
+        compile_sources(checkout)
     pairs, failed = [], {"parent": 0, "change": 0}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -165,6 +185,9 @@ def main(argv=None) -> int:
         "--trace 0 on the parent commit and on the change, each from its own "
         "checkout, alternating which side runs first (tools/paired_bench.py); "
         "medians with [q1, q3]"
+    )
+    report["bytecode"] = (
+        f"python {' '.join(COMPILE)} in both checkouts before the first pair"
     )
     runs = report.setdefault("final_runs", {})
     runs.setdefault("seeds", {})[args.workload] = seed_label(seeds)

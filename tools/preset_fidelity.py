@@ -9,20 +9,23 @@ one after another.  For each preset the report gives:
 
 - whether the two runs pass the same manifest checks with the same values;
 - for every CSV both runs wrote (the traces, `y_series.csv`, ...), the
-  worst absolute difference of each numeric column (NaN against NaN
-  counts as equal, NaN against a number as inf, a column only one run
-  wrote as inf, a differing row count is reported instead), and every CSV
-  that only one run wrote;
+  worst absolute difference |a - b| of each numeric column and, next to
+  it, the worst relative difference |a - b| / max(|a|, |b|) (0 against 0
+  counts as 0; NaN against NaN counts as equal, NaN against a number as
+  inf, a column only one run wrote as inf, a differing row count is
+  reported instead), and every CSV that only one run wrote;
 - for every JSON report both runs wrote except `run_manifest.json`, whose
   timings vary from run to run (`decay_report.json`, `continuation.json`,
-  `evolve_summary.json`, ...), the worst difference of each key, with the
-  same NaN rules.  A key is a path such as `certificates[].measured`,
-  taken over every entry of a list; a differing string, flag or null, a
-  list of another length or a key only one run wrote counts as inf.  JSON
-  reports only one run wrote are listed as for CSVs;
+  `evolve_summary.json`, ...), the worst absolute and relative difference
+  of each key, with the same NaN rules.  A key is a path such as
+  `certificates[].measured`, taken over every entry of a list; a
+  differing string, flag or null, a list of another length or a key only
+  one run wrote counts as inf.  JSON reports only one run wrote are
+  listed as for CSVs;
 - the summed `resolvent_iters` of each side over its trace CSVs.
 
-The last line is one JSON object with the same content.  The exit status
+The last line is one JSON object with the same content, the relative
+differences under "relative".  The exit status
 is 1 when any preset's manifest checks differ, else 0.  DIR defaults to a
 temporary directory that is deleted afterwards.
 """
@@ -65,27 +68,33 @@ def read_columns(path: Path) -> dict[str, list[str]]:
     return {name: [row[name] for row in rows] for name in (rows[0] if rows else {})}
 
 
-def number_difference(x: float, y: float) -> float:
-    """|x - y|; NaN against NaN is 0 and NaN against a number inf.
+def number_difference(x: float, y: float, relative: bool = False) -> float:
+    """|x - y|, or |x - y| / max(|x|, |y|) if `relative`.
 
-    A NaN difference is made inf because `max` would drop it and report
+    Equal numbers (0 against 0 too) and NaN against NaN give 0; NaN
+    against a number, and inf against anything else, give inf.  A NaN
+    difference is made inf because `max` would drop it and report
     the cell as equal.
     """
     if x == y or (math.isnan(x) and math.isnan(y)):
         return 0.0
     diff = abs(x - y)
-    return math.inf if math.isnan(diff) else diff
+    if not math.isfinite(diff):
+        return math.inf
+    return diff / max(abs(x), abs(y)) if relative else diff
 
 
-def worst_difference(a: list[str], b: list[str]) -> float | None:
-    """max |a_i - b_i| over the rows; None for a column that is not numeric."""
+def worst_difference(
+    a: list[str], b: list[str], relative: bool = False
+) -> float | None:
+    """max_i `number_difference`(a_i, b_i); None for a column that is not numeric."""
     worst = 0.0
     for x, y in zip(a, b):
         try:
             x, y = float(x), float(y)
         except ValueError:
             return None
-        worst = max(worst, number_difference(x, y))
+        worst = max(worst, number_difference(x, y, relative))
     return worst
 
 
@@ -107,15 +116,15 @@ def json_leaves(value, path: str, out: dict[str, list]) -> dict[str, list]:
     return out
 
 
-def leaf_difference(x, y) -> float:
+def leaf_difference(x, y, relative: bool = False) -> float:
     """`number_difference` of two numbers; else 0 if equal, inf if not."""
     if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
-        return number_difference(float(x), float(y))
+        return number_difference(float(x), float(y), relative)
     return 0.0 if type(x) is type(y) and x == y else math.inf
 
 
-def compare_json(a, b) -> dict[str, float]:
-    """Worst difference of each key path of two JSON values."""
+def compare_json(a, b, relative: bool = False) -> dict[str, float]:
+    """Worst difference (relative if `relative`) of each key path of two JSON values."""
     leaves_a, leaves_b = json_leaves(a, "", {}), json_leaves(b, "", {})
     out = {}
     for path in sorted(set(leaves_a) | set(leaves_b)):
@@ -124,7 +133,7 @@ def compare_json(a, b) -> dict[str, float]:
             out[path] = math.inf
             continue
         out[path] = max(
-            (leaf_difference(x, y) for x, y in zip(xs, ys)), default=0.0
+            (leaf_difference(x, y, relative) for x, y in zip(xs, ys)), default=0.0
         )
     return out
 
@@ -137,7 +146,8 @@ def json_reports(folder: Path) -> set[str]:
     return {p.name for p in folder.glob("*.json") if p.name != "run_manifest.json"}
 
 
-def compare(before: Path, after: Path) -> dict:
+def compare(before: Path, after: Path, relative: bool = False) -> dict:
+    """Each output file's worst difference per column or key, relative if asked."""
     out = {}
     for name in sorted(json_reports(before) | json_reports(after)):
         if not (after / name).exists():
@@ -146,7 +156,7 @@ def compare(before: Path, after: Path) -> dict:
             out[name] = "missing before"
         else:
             out[name] = compare_json(
-                _read_json(before / name), _read_json(after / name)
+                _read_json(before / name), _read_json(after / name), relative
             )
     for name in sorted(p.name for p in before.glob("*.csv")):
         if not (after / name).exists():
@@ -161,7 +171,7 @@ def compare(before: Path, after: Path) -> dict:
         diffs = {}
         for col in cols_a:
             if col in cols_b:
-                d = worst_difference(cols_a[col], cols_b[col])
+                d = worst_difference(cols_a[col], cols_b[col], relative)
                 if d is not None:
                     diffs[col] = d
         # a column only one run wrote differs everywhere
@@ -199,9 +209,11 @@ def main(argv=None) -> int:
             same = checks["before"] == checks["after"]
             differ |= not same
             csvs = compare(dirs["before"], dirs["after"])
+            rel = compare(dirs["before"], dirs["after"], relative=True)
             iters = [resolvent_iters(dirs["before"]), resolvent_iters(dirs["after"])]
             report[preset] = {
-                "checks_equal": same, "resolvent_iters": iters, "csv": csvs
+                "checks_equal": same, "resolvent_iters": iters, "csv": csvs,
+                "relative": rel,
             }
             print(f"{preset}: checks {'equal' if same else 'DIFFER'}, "
                   f"resolvent_iters {iters[0]} -> {iters[1]}")
@@ -210,7 +222,10 @@ def main(argv=None) -> int:
                     print(f"  {name}: {diffs}")
                     continue
                 worst = sorted(diffs.items(), key=lambda kv: -kv[1])
-                shown = ", ".join(f"{col} {d:.2g}" for col, d in worst if d > 0)
+                shown = ", ".join(
+                    f"{col} {d:.2g} (rel {rel[name][col]:.2g})"
+                    for col, d in worst if d > 0
+                )
                 print(f"  {name}: {shown or 'identical'}")
         print(json.dumps(report))
     return 1 if differ else 0
