@@ -327,7 +327,7 @@ class TestGradientSq:
         lengths=st.lists(st.floats(0.3, 3.0), min_size=3, max_size=3),
     )
     @example(dim=3, cells=[2, 9, 2], seed=0, lengths=[0.3, 2.0, 3.0])
-    @example(dim=2, cells=[11, 2], seed=1, lengths=[1.0, 0.4])
+    @example(dim=2, cells=[11, 2, 2], seed=1, lengths=[1.0, 0.4, 1.0])
     def test_is_inner_vec_of_the_gradient(self, dim, cells, seed, lengths):
         # summed by parts, within the docstring's bound c eps w sum_a 4 S/h_a^2
         rng = np.random.default_rng(seed)
@@ -338,6 +338,7 @@ class TestGradientSq:
         scale = dom.node_weight * sum(4 * S / h**2 for h in dom.spacing)
         eps = np.finfo(float).eps
         assert abs(G.gradient_sq(u) - G.inner_vec(g, g)) <= 16 * eps * scale
+
 
 class TestLinearAlgebra:
     def test_laplacian_matrix_matches_matrix_free(self):
