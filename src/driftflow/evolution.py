@@ -26,7 +26,12 @@ F = F(t_j) the source flux,
 and the drift's terms come from the operator (see `operators`):
 S_theta(w) = -div(theta_M B(w)) is its `explicit_drift`, which also moves
 the explicit drift to the right-hand side, and (B(u), grad u) its
-`drift_energy`.
+`drift_energy`.  The source term (F, grad u_j) is taken as -<div F, u_j>
+from the div F the right-hand side already holds: the grid's exact
+adjoint identity makes the two equal in exact arithmetic, and in floating
+point they differ by at most c eps w sum_a sum_faces |F_a| (|u_lo| +
+|u_hi|) / h_a over the two nodes of each face, c < 1 measured on random
+and smooth fields in 1-3 dimensions.
 
 Along a march the resolve of step j starts from the polynomial
 extrapolation of the last q + 1 states,
@@ -57,7 +62,6 @@ from .grid import (
     GridFunction,
     divergence,
     gradient,
-    gradient_sq,
     inner,
     inner_vec,
     norm_l2,
@@ -266,17 +270,19 @@ def _step_detailed(
         explicit = op.explicit_drift(u_prev.values)
         rhs = rhs - tau * explicit
     if F is not None:
-        rhs = rhs - tau * divergence(F).values
+        div_F = divergence(F).values
+        rhs = rhs - tau * div_F
     x0 = u_prev if guess is None else guess
     u_new, diag = op.resolve_detailed(GridFunction(dom, rhs), rescfg, x0=x0)
-    h1_sq = gradient_sq(u_new)
-    pair = 0.0 if F is None else inner_vec(F, gradient(u_new))
+    sq, h1_sq = grid._square_sums(u_new)
+    # (F, grad u_j) as -<div F, u_j> (see the module docstring)
+    pair = 0.0 if F is None else -dom.node_weight * float(np.vdot(div_F, u_new.values))
     # the drift's part of <f_j, u_j> (see the module docstring)
     if explicit is not None:
         pair -= dom.node_weight * float(np.vdot(explicit, u_new.values))
     elif data.has_drift:
         pair -= op.drift_energy(u_new.values)
-    l2_sq = inner(u_new, u_new)
+    l2_sq = dom.node_weight * sq
     if prev_sq is None:
         prev_sq = inner(u_prev, u_prev)
     alpha = data.diffusion.alpha

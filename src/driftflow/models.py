@@ -152,7 +152,7 @@ class ProblemData:
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError(f"horizon must be finite and positive, got {self.horizon!r}")
-        if self.initial.domain != self.domain:
+        if self.initial.domain is not self.domain and self.initial.domain != self.domain:
             raise ValueError("initial state lives on a different domain")
 
     @property

@@ -1,5 +1,7 @@
+import copy
 import math
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from driftflow import grid as G
 from driftflow import models as M
-from driftflow.operators import TruncatedOperator
+from driftflow.operators import ResolventConfig, TruncatedOperator
 
 from _oracles import laplacian, laplacian_matrix
 
@@ -89,15 +91,41 @@ class TestBoxDomain:
         G.inner_vec(G.gradient(u), G.gradient(v))
         G.helmholtz_solve(dom, u.values, 1.0, 0.5)
         assert calls == []
-        # an equal but distinct domain is still compared field by field
+        # an equal domain is the same object, so it is not compared either
         twin = G.GridFunction(G.BoxDomain(2, (1.0, 2.0), (5, 4)), v.values)
+        assert twin.domain is dom
         assert G.inner(u, twin) == G.inner(u, v)
         assert G.inner_vec(G.gradient(u), G.gradient(twin)) == G.inner_vec(
             G.gradient(u), G.gradient(v)
         )
-        assert len(calls) == 2
+        assert calls == []
         with pytest.raises(ValueError, match="different domains"):
             G.inner(u, G.zeros(G.BoxDomain(2, (1.0, 2.0), (5, 5))))
+
+    def test_an_equal_domain_after_warm_up_makes_no_comparison(self, monkeypatch):
+        def solve(dom):
+            data = M.make_model("variable-diffusion", dom, 0.5)
+            op = TruncatedOperator(data, 0.1, drift_mode="none")
+            u = op.resolve(data.initial, ResolventConfig(lam=0.1, tol=1e-10))
+            return G.inner(u, data.initial) + G.gradient_sq(u)
+
+        first = G.BoxDomain(2, (1.0, 2.0), (9, 7))
+        # the warm-up fills the grid caches, keyed on the first domain
+        expected = solve(first)
+        calls = []
+        field_eq = G.BoxDomain.__eq__
+
+        def counting_eq(self, other):
+            calls.append(1)
+            return field_eq(self, other)
+
+        monkeypatch.setattr(G.BoxDomain, "__eq__", counting_eq)
+        second = G.BoxDomain(2, [1, 2], np.array([9, 7]))
+        assert second is first
+        assert solve(second) == expected
+        assert calls == []
+        assert copy.copy(first) is first and pickle.loads(pickle.dumps(first)) is first
+        assert replace(first, cells=(9, 8)) is G.BoxDomain(2, (1.0, 2.0), (9, 8))
 
     def test_grid_function_shape_mismatch(self):
         dom = G.BoxDomain(1, (1.0,), (4,))
@@ -436,6 +464,40 @@ class TestSineTransform:
         inv = G._inverse_symbol(dom, shift, scale)
         loop = G._sine_transform(G._sine_transform(b) * inv)
         assert np.array_equal(G.helmholtz_solve(dom, b, shift, scale), loop)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        points=st.lists(st.integers(1, 16), min_size=3, max_size=3),
+        lengths=st.lists(st.floats(0.3, 3.0), min_size=3, max_size=3),
+        shift=st.floats(0.0, 2.0),
+        scale=st.floats(1e-3, 5.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_3d_chain_matches_the_per_axis_loop(self, points, lengths, shift, scale, seed):
+        self._assert_3d_chain_matches_loop(points, lengths, shift, scale, seed)
+
+    @pytest.mark.parametrize(
+        "points",
+        [(1, 1, 1), (1, 6, 1), (5, 1, 1), (1, 1, 4), (G._DENSE_SINE_MAX, 2, 3),
+         (2, G._DENSE_SINE_MAX, 1), (3, 2, G._DENSE_SINE_MAX),
+         # one axis past the threshold: the per-axis loop itself
+         (G._DENSE_SINE_MAX + 1, 2, 3), (2, 3, G._DENSE_SINE_MAX + 1)],
+    )
+    def test_3d_chain_at_the_ends_of_the_dense_range(self, points):
+        self._assert_3d_chain_matches_loop(list(points), (1.0, 0.6, 1.7), 1.0, 0.02, 5)
+
+    @staticmethod
+    def _assert_3d_chain_matches_loop(points, lengths, shift, scale, seed):
+        dom = G.BoxDomain(3, lengths, [m + 1 for m in points])
+        b = np.random.default_rng(seed).standard_normal(dom.interior_shape)
+        inv = G._inverse_symbol(dom, shift, scale)
+        loop = G._sine_transform(G._sine_transform(b) * inv)
+        x = G.helmholtz_solve(dom, b, shift, scale)
+        if max(points) > G._DENSE_SINE_MAX:
+            assert np.array_equal(x, loop)
+        else:
+            assert x.shape == loop.shape
+            assert np.max(np.abs(x - loop)) <= 1e-14 * np.max(np.abs(loop))
 
     @pytest.mark.parametrize(
         "cells", [(9,), (G._DENSE_SINE_MAX + 4,), (7, 12), (9, G._DENSE_SINE_MAX + 4), (5, 6, 4)]

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import math
 from dataclasses import astuple, replace
 from unittest import mock
@@ -891,6 +892,13 @@ class TestRawFaceApply:
         assert same_bits(op.apply(u).values, ours)
 
 
+def stencil_magnitude(op, u):
+    """sum over the 2d + 1 points of |w| |u| at every node, w the stencil weights."""
+    magnitude = copy.copy(op._linear_stencil())
+    magnitude.weights = np.abs(magnitude.weights)
+    return magnitude.apply(np.abs(u))
+
+
 def kernel_residuals(solve):
     """Run solve() and return the residual callables it handed the kernel."""
     with mock.patch.object(O, "_monotone_iteration", wraps=O._monotone_iteration) as kernel:
@@ -900,7 +908,8 @@ def kernel_residuals(solve):
 
 
 class TestInPlaceResiduals:
-    """Residuals are formed in the fresh array of `_apply_values`."""
+    """Every residual is a fresh array: on a nonlinear slice formed in the one
+    `_apply_values` returns, on a linear slice gathered from its stencil."""
 
     @given(case=raw_face_cases())
     @settings(max_examples=40, deadline=None)
@@ -924,16 +933,46 @@ class TestInPlaceResiduals:
         (resolvent,) = kernel_residuals(lambda: op.resolve_detailed(g1, cfg))
         # the stationary solve's residual, taken from one capped iteration
         (stationary,) = kernel_residuals(lambda: stationary_solve(op, g1, max_iter=1))
-        u = g2.values
+        u, g = g2.values, g1.values
         r = resolvent(u)
-        assert same_bits(r, u + lam * op._apply_values(u) - g1.values)
         s = stationary(u)
-        assert same_bits(s, op._apply_values(u) - g1.values)
+        if op._linear:
+            # one weighted sum over the stencil's points, in another order
+            size = stencil_magnitude(op, u)
+            eps = np.finfo(float).eps
+            assert np.all(np.abs(r - (u + lam * op._apply_values(u) - g))
+                          <= 8 * eps * (np.abs(u) + lam * size + np.abs(g)))
+            assert np.all(np.abs(s - (op._apply_values(u) - g)) <= 8 * eps * (size + np.abs(g)))
+        else:
+            assert same_bits(r, u + lam * op._apply_values(u) - g)
+            assert same_bits(s, op._apply_values(u) - g)
         kept = r.copy(), s.copy()
         op.resolve_detailed(g2, cfg, x0=G.GridFunction(g2.domain, r))
         resolvent(2.0 * u), stationary(2.0 * u)
         assert same_bits(r, kept[0]) and same_bits(s, kept[1])
         assert np.array_equal(u, g2.values)
+
+    @pytest.mark.parametrize("name", ["heat", "variable-diffusion", "singular-drift"])
+    def test_alternating_lams_solve_as_on_fresh_operators(self, name):
+        # a linear slice keeps the weights of one lam at a time
+        dom = DOM3 if name == "singular-drift" else DOM
+        data = M.make_model(name, dom, 0.5, **({"c": 0.1} if name == "singular-drift" else {}))
+        level = M.drift_bound_max(data) if data.has_drift else None
+
+        def make():
+            return TruncatedOperator(data, 0.2, level=level, drift_mode="remainder")
+
+        op = make()
+        assert op._linear
+        g = rand_gf(dom, np.random.default_rng(8))
+        for lam in (0.1, 1e-3, None, 0.1):
+            if lam is None:
+                ours, fresh = (stationary_solve(o, g) for o in (op, make()))
+            else:
+                cfg = ResolventConfig(lam=lam, tol=1e-12)
+                ours, fresh = (o.resolve_detailed(g, cfg) for o in (op, make()))
+            assert same_bits(ours[0].values, fresh[0].values)
+            assert ours[1].as_dict() == fresh[1].as_dict()
 
 
 def history_of(us, zs):
@@ -1141,7 +1180,8 @@ class TestConjugatedPreconditioner:
         m, M_ = op.contraction_constants(lam)
         scale = lam * op.precondition_scale()
         ref, ref_diag = O._monotone_iteration(
-            lambda v: v + lam * op._apply_values(v) - g.values,
+            # the resolve's own residual, with K as the preconditioner
+            op._residual(g.values, lam),
             lambda r: G.helmholtz_solve(dom, r, 1.0, scale),
             lambda r: math.sqrt(max(dom.node_weight * float(np.vdot(r, r)), 0.0)),
             g.values.copy(),
