@@ -5,6 +5,7 @@ import pytest
 
 from driftflow import grid as G
 from driftflow import models as M
+from driftflow import steady as S
 from driftflow.evolution import EvolutionConfig
 from driftflow.operators import ResolventConfig
 from driftflow.steady import SteadyConfig, decay_experiment, solve_steady, solve_steady_detailed
@@ -160,6 +161,25 @@ class TestDecay:
         assert detail["remainder_weak_norm"] <= detail["bound"]
         assert detail["truncated_weak_norm"] <= detail["bound"]
         assert "literal_level_product" in detail
+
+    def test_stationary_solve_applies_no_stencil(self, monkeypatch):
+        # no source: the zero start's exact residual -f = 0 ends the solve
+        solves = []
+
+        def recorded(op, rhs, **kw):
+            out = solve(op, rhs, **kw)
+            solves.append((op, out[1]))
+            return out
+
+        solve = S.stationary_solve
+        monkeypatch.setattr(S, "stationary_solve", recorded)
+        dom = G.BoxDomain(3, (1.0, 0.8, 1.2), (6, 5, 7))
+        data = M.make_model("singular-drift", dom, 0.02, c=0.1)
+        plan = M.make_truncation_plan(data)
+        decay_experiment(data, evo(2e-3, 0.02, truncation=plan), SteadyConfig(tol=1e-12))
+        (op, diag), = solves
+        assert diag.converged and diag.iterations == 0
+        assert op._stencil._gathered is None
 
     def test_two_dim_drift_has_no_certificate(self):
         data = M.make_model("singular-drift", DOM, 0.2, c=0.08)
