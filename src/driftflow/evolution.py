@@ -46,29 +46,6 @@ weights rotated to the slots' order times the ring.  Only the starting
 point moves: the solver still converges to tolerance and the energy check
 reads the converged state.  Each march starts a fresh ring; the public
 `step` starts from u_prev.
-
-On a linear slice each slot also holds the state's image
-y_i = u_i + tau A(u_i) = g_i + r_i, taken from the right-hand side and the
-final residual its resolve hands back, and the same product over the ring
-gives the guess and sum w_k y_k.  Where B = I + tau A is one fixed linear
-map, B u_j^(0) = sum w_k y_k, so step j starts from the residual
-r_0 = sum w_k y_k - g_j without applying B.  That holds only while every
-image in use came from one stencil object, which `at(t)` keeps for a
-linear slice whose coefficient does not change with t and whose drift is
-absent or autonomous; a nonlinear slice, a time-dependent coefficient or a
-non-autonomous drift evaluates each starting residual directly.  u_0's
-image costs one apply at step 2, in place of that step's direct residual,
-so step 1 is the cold step.  r_0 is a prediction: at each node it differs
-from the directly evaluated residual by at most
-
-  c eps (sum_k |w_k| (|B| |u_k| + |g_k|) + |g_j|),
-
-|B| |u| = |u| + tau sum |a| |u_n| over the stencil's weights a and points n
-of a node, with sum |w_k| = 63 at order 5; for smooth states |B| |u_k|
-is about |y_k|, which makes it about c eps 63 max |y|.  c stayed below 1
-on 300 random linear marches of 12 steps in 1-3 dimensions.  A predicted
-residual at or below the tolerance is evaluated afresh before the resolve
-ends.
 """
 
 from __future__ import annotations
@@ -272,14 +249,12 @@ def _step_detailed(
     prev_sq: float | None = None,
     guess: GridFunction | None = None,
     rescfg: ResolventConfig | None = None,
-    images: tuple[np.ndarray | None, np.ndarray] | None = None,
 ) -> StepResult:
     """One step landing on op.t, solved with the step's operator `op`.
 
     prev_sq is |u_prev|^2 if the caller already has it; the resolve starts
     from `guess`, or from u_prev if None.  rescfg is cfg.resolvent at
-    lam = dt, built here if None.  `images` goes to the resolve as its
-    `_images` (see `TruncatedOperator.resolve_detailed`).
+    lam = dt, built here if None.
     """
     tau = cfg.dt
     t, data = op.t, op.data
@@ -298,7 +273,7 @@ def _step_detailed(
         div_F = divergence(F).values
         rhs = rhs - tau * div_F
     x0 = u_prev if guess is None else guess
-    u_new, diag = op.resolve_detailed(GridFunction(dom, rhs), rescfg, x0=x0, _images=images)
+    u_new, diag = op.resolve_detailed(GridFunction(dom, rhs), rescfg, x0=x0)
     sq, h1_sq = grid._square_sums(u_new)
     # (F, grad u_j) as -<div F, u_j> (see the module docstring)
     pair = 0.0 if F is None else -dom.node_weight * float(np.vdot(div_F, u_new.values))
@@ -369,11 +344,10 @@ def _march(
     u = (u0 if u0 is not None else data.initial).copy()
     u_sq = inner(u, u)
     trace.initial_l2 = _root(u_sq)
-    # slot i % (q + 1) holds u_i and its image y_i = u_i + tau A(u_i), copied
-    # in: no yielded state aliases a slot
-    slots, size, shape = _EXTRAPOLATION_ORDER + 1, u.values.size, u.values.shape
-    ring = np.zeros((slots, 2, size))
-    ring[0, 0] = u.values.ravel()
+    # the last q + 1 states, copied in: no yielded state aliases a slot
+    slots = _EXTRAPOLATION_ORDER + 1
+    ring = np.zeros((slots, u.values.size))
+    ring[0] = u.values.ravel()
     yield 0.0, u
     dissip = 0.0
     tau = cfg.dt
@@ -381,39 +355,20 @@ def _march(
     # one operator per march; each step moves it to its own time, which
     # re-samples nothing for autonomous data
     op = _step_operator(data, tau, cfg, level)
-    # the stencil that imaged the newest `imaged` states, at the march's one
-    # lam = tau; None while the slice is not linear
-    source, imaged = None, 0
     for j in range(1, cfg.steps + 1):
         t = j * tau
         op = op.at(t)
-        stencil = op._image_stencil()
-        if stencil is not source:
-            source, imaged = stencil, 0
-        elif source is not None and j == 2:
-            # no resolve imaged u_0: this apply replaces step 2's direct residual
-            ring[0, 1] = source.image(ring[0, 0].reshape(shape), tau).ravel()
-            imaged += 1
         n = j - 1
         weights = _RING_WEIGHTS[n if n < slots else slots + n % slots]
-        if source is not None and imaged > min(n, _EXTRAPOLATION_ORDER):
-            guess, predicted = (weights @ ring.reshape(slots, 2 * size)).reshape(2, *shape)
-        else:
-            guess, predicted = (weights @ ring[:, 0]).reshape(shape), None
-        images = None if source is None else (predicted, ring[j % slots, 1].reshape(shape))
         try:
-            x0 = GridFunction(u.domain, guess)
-            res = _step_detailed(
-                u, cfg, op, u_sq, guess=x0, rescfg=rescfg, images=images
-            )
+            x0 = GridFunction(u.domain, (weights @ ring).reshape(u.values.shape))
+            res = _step_detailed(u, cfg, op, u_sq, guess=x0, rescfg=rescfg)
         except grid.ConvergenceError as err:
             err.args = (f"step {j} (t={t:.6g}) failed: {err.args[0]}",)
             err.step, err.t, err.trace = j, t, trace
             raise
         u, u_sq = res.state, res.l2_sq
-        ring[j % slots, 0] = u.values.ravel()
-        if source is not None:
-            imaged += 1
+        ring[j % slots] = u.values.ravel()
         h1 = _root(res.h1_sq)
         dissip += tau * h1**2
         trace.source_sum += tau * res.source_sq

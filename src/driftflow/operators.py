@@ -148,20 +148,19 @@ use and kept by `at(t)` exactly when the drift caches are.
 
 A resolve without a starting guess starts from 0, not from g (the mild
 solution is a limit of resolvent products, Crandall & Liggett, Amer. J.
-Math. 93, 1971).  The resolvent is nonexpansive and maps 0 to 0, so 0 is
-within |g| of the solution, while g's error lam |A g| grows with lam / h^2:
-on 64^2 random right-hand sides at lam in {1e-3, 1e-2, 0.1, 1} the zero
-start takes 614 iterations where g took 768.  On a linear slice the
-stencil maps 0 to 0, so the starting residual is exactly -g (-f for the
-stationary solve) and costs no apply; a nonlinear slice evaluates it, as
-its flux need not vanish at 0.  Smooth g at small lam is nearly its own
-resolvent, and there the zero start costs one or two iterations more.
-
-The kernel takes its starting residual from the caller when the caller
-has it, exact (the zero start) or predicted (a march's combination of
-images, see `evolution`), and hands back the residual it stopped at.  A
-predicted residual that already meets the tolerance is evaluated afresh
-before the solve may end on it.
+Math. 93, 1971).  Where A_M is monotone and A_M(0) = 0 -- a diffusion
+flux that vanishes at 0 with no drift, or a linear slice under a certified
+truncation level -- the resolvent is nonexpansive and maps 0 to 0, so 0 is
+within |g| of the solution, while g misses it by lam |A_M g|, which grows
+with lam / h^2.  Elsewhere (a flux with A(0) != 0, the "full" drift mode,
+an uncertified level) no such bound holds, and the zero start is a choice
+made on measurement: on 64^2 random right-hand sides at lam in
+{1e-3, 1e-2, 0.1, 1} it takes 614 iterations where g took 768.  On a
+linear slice the stencil maps 0 to 0, so the starting residual is exactly
+-g (-f for the stationary solve), handed to the kernel with no apply; a
+nonlinear slice evaluates it, as its flux need not vanish at 0.  Smooth g
+at small lam is nearly its own resolvent, and there the zero start costs
+one or two iterations more.
 
 The kernel works on raw arrays: residuals, preconditioned updates, trial
 and mixed iterates are ndarrays of the interior shape, and the operator
@@ -370,17 +369,17 @@ class _Stencil:
             out[s:] += w[2 * a + 2, s:] * flat[:-s]
         return out.reshape(v.shape)
 
-    def image(self, v: np.ndarray, lam: float | None) -> np.ndarray:
-        """v + lam apply(v), or apply(v) with lam None, as a fresh array.
+    def residual(self, v: np.ndarray, g: np.ndarray, lam: float | None) -> np.ndarray:
+        """v + lam apply(v) - g, or apply(v) - g with lam None, as a fresh array.
 
         One weighted sum over the 2d + 1 points: W_lam = lam * weights with
         1 added to the diagonal (weights itself for lam None) is built on
         the first call at a lam and kept until a call at another, and each
         call copies v's 2d + 1 shifted windows into one zero-initialised
         scratch array (the parts no window reaches stay 0, as their weights
-        are), so the image is one sum over its rows.  The sum runs in
-        another order than `apply`'s, so the two agree to roundoff.  The
-        kept buffers make a stencil serve one image at a time.
+        are), so the residual is one sum over its rows, less g.  The sum
+        runs in another order than `apply`'s, so the two agree to roundoff.
+        The kept buffers make a stencil serve one residual at a time.
         """
         if self._gathered is None:
             self._gathered = (_UNBUILT, np.empty_like(self.weights), np.zeros_like(self.weights))
@@ -397,12 +396,8 @@ class _Stencil:
         for a, s in enumerate(self.strides):
             X[2 * a + 1, :-s] = flat[s:]
             X[2 * a + 2, s:] = flat[:-s]
-        return np.einsum("ij,ij->j", W, X).reshape(v.shape)
-
-    def residual(self, v: np.ndarray, g: np.ndarray, lam: float | None) -> np.ndarray:
-        """image(v, lam) - g, as a fresh array."""
-        r = self.image(v, lam)
-        return np.subtract(r, g, out=r)
+        r = np.einsum("ij,ij->j", W, X)
+        return np.subtract(r, g.ravel(), out=r).reshape(v.shape)
 
 
 class TruncatedOperator:
@@ -622,15 +617,6 @@ class TruncatedOperator:
 
         return residual
 
-    def _image_stencil(self) -> _Stencil | None:
-        """The stencil whose images u + lam apply(u) a march may combine.
-
-        None on a slice that is not linear, whose residual has no fixed
-        linear map to combine.  Two slices of one `at(t)` lineage return
-        the same object exactly when `at` kept the stencil.
-        """
-        return self._linear_stencil() if self._linear else None
-
     def _start(
         self, x0: GridFunction | None, g: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -845,12 +831,7 @@ class TruncatedOperator:
         return u
 
     def resolve_detailed(
-        self,
-        g: GridFunction,
-        cfg: ResolventConfig,
-        x0: GridFunction | None = None,
-        *,
-        _images: tuple[np.ndarray | None, np.ndarray] | None = None,
+        self, g: GridFunction, cfg: ResolventConfig, x0: GridFunction | None = None
     ) -> tuple[GridFunction, SolverDiagnostics]:
         """Solve u + lam * A_M(t) u = g to residual tol * (1 + |g|).
 
@@ -859,22 +840,17 @@ class TruncatedOperator:
         depend on the slice and lam alone; they are computed on the first
         resolve at a lam and kept.
 
-        Without x0 the solve starts from 0, within |g| of the solution (the
-        resolvent is nonexpansive and maps 0 to 0), where starting from g
-        costs lam |A g|, which grows with lam / h^2; on a linear slice the
-        starting residual is then -g, known without an apply.  Smooth g at
-        small lam is the exception: there g is nearly the solution and the
-        zero start can take one or two more iterations (g = sin(pi x)
-        sin(pi y) on 64^2, lam = 1e-3: 11 against 9 for variable diffusion,
-        11 against 10 for the Lipschitz model).  A caller with a better
-        guess passes it as x0.
-
-        `_images` is the march's (see `evolution`), on a linear slice only:
-        a pair (y0, out), y0 a prediction of x0 + lam A(x0) or None to
-        evaluate the starting residual, and out an array that receives the
-        solution's image u + lam A(u) = g + r, r its final residual.  The
-        solve then starts from the predicted residual y0 - g; the kernel
-        evaluates it afresh if it already meets tol.
+        Without x0 the solve starts from 0.  Where A_M is monotone and
+        A_M(0) = 0 (see the module docstring for which slices), 0 is within
+        |g| of the solution, while g misses it by lam |A_M g|, which grows
+        with lam / h^2; elsewhere the zero start is a choice that measured
+        fewer iterations on random right-hand sides, not a bound.  On a
+        linear slice the starting residual is -g, known without an apply.
+        Smooth g at small lam is the exception: there g is nearly the
+        solution and the zero start can take one or two more iterations
+        (g = sin(pi x) sin(pi y) on 64^2, lam = 1e-3: 11 against 9 for
+        variable diffusion, 11 against 10 for the Lipschitz model).  A
+        caller with a better guess passes it as x0, as the march does.
         """
         lam, dom = cfg.lam, self.domain
         if lam not in self._resolve_constants:
@@ -884,26 +860,18 @@ class TruncatedOperator:
             )
         rho_floor, scale = self._resolve_constants[lam]
         weight = dom.node_weight
-        u, r = self._start(x0, g.values)
-        predicted = _images is not None and _images[0] is not None
-        if predicted:
-            r = np.subtract(_images[0], g.values)
-        u, r, diag = _monotone_iteration(
+        u, diag = _monotone_iteration(
             self._residual(g.values, lam),
             self._preconditioner(1.0, scale),
             # norm_l2 on the values
             lambda r: math.sqrt(max(weight * float(np.vdot(r, r)), 0.0)),
-            u,
-            r,
-            predicted=predicted,
+            *self._start(x0, g.values),
             domain=dom,
             tol=cfg.tol * (1.0 + norm_l2(g)),
             max_iter=cfg.max_iter,
             rho_floor=rho_floor,
             solver="damped Picard",
         )
-        if _images is not None:
-            np.add(g.values, r, out=_images[1])
         return GridFunction(dom, u), diag
 
 
@@ -978,25 +946,18 @@ def _monotone_iteration(
     u: np.ndarray,
     r: np.ndarray | None = None,
     *,
-    predicted: bool = False,
     domain: BoxDomain,
     tol: float,
     max_iter: int,
     rho_floor: float,
     solver: str,
-) -> tuple[np.ndarray, np.ndarray, SolverDiagnostics]:
+) -> tuple[np.ndarray, SolverDiagnostics]:
     """Drive norm(residual(u)) below tol by preconditioned, damped steps.
 
     Iterates, residuals and updates are node-value arrays; the solution is
-    returned as one, with the residual the solve stopped at, and a failure
-    wraps the last iterate as a GridFunction on `domain`.  Neither u nor r
-    is ever written to.
-
-    r is residual(u) when the caller already has it, else None.  With
-    `predicted` it is a prediction, not an evaluation: one that already
-    meets tol is evaluated afresh before the solve may end on it, so every
-    converged result rests on a residual evaluated at the returned iterate,
-    or on an exact one the caller passed.
+    returned as one, and a failure wraps the last iterate as a
+    GridFunction on `domain`.  Neither u nor r is ever written to.  r is
+    residual(u), exactly, when the caller already has it, else None.
 
     Each iteration takes z = precondition(r) and steps u - rho z.  The
     damping rho starts at 1 and is halved down to rho_floor until the
@@ -1011,9 +972,6 @@ def _monotone_iteration(
     if r is None:
         r = residual(u)
     rn = norm(r)
-    if predicted and rn <= tol:
-        r = residual(u)
-        rn = norm(r)
     streak = 0
     mixing = None
     for it in range(1, max_iter + 1):
@@ -1023,7 +981,7 @@ def _monotone_iteration(
             diag.iterations = it - 1
             diag.converged = True
             diag.relaxation = rho
-            return u, r, diag
+            return u, diag
         z = precondition(r)
         if mixing is not None:
             mixing.push(u, z)
@@ -1073,7 +1031,7 @@ def _monotone_iteration(
     diag.residuals.append(rn)
     if rn <= tol:
         diag.converged = True
-        return u, r, diag
+        return u, diag
     raise ConvergenceError(
         f"{solver} did not reach tol in {max_iter} iterations "
         f"(residual {rn:.3e})",
@@ -1106,7 +1064,7 @@ def stationary_solve(
 
     m, M = op.stationary_constants()
     rv = rhs.values
-    u, _, diag = _monotone_iteration(
+    u, diag = _monotone_iteration(
         op._residual(rv, None),
         op._preconditioner(0.0, op.precondition_scale()),
         dual_norm,

@@ -1,4 +1,3 @@
-import copy
 import math
 import tracemalloc
 import warnings
@@ -326,8 +325,8 @@ class TestEvolve:
         resolve = E.TruncatedOperator.resolve_detailed
         diags = []
 
-        def recorded(self, g, rescfg, x0=None, **private):
-            out = resolve(self, g, rescfg, x0=x0, **private)
+        def recorded(self, g, rescfg, x0=None):
+            out = resolve(self, g, rescfg, x0=x0)
             diags.append(out[1])
             return out
 
@@ -837,7 +836,7 @@ class TestBufferedExtrapolation:
         data = M.make_model("heat", dom, 0.01 * steps)
         guesses = []
 
-        def stand_in(u_prev, c, op, prev_sq=None, guess=None, rescfg=None, images=None):
+        def stand_in(u_prev, c, op, prev_sq=None, guess=None, rescfg=None):
             guesses.append(guess.values.copy())
             mag = 10.0 ** rng.integers(-3, 4)
             state = G.GridFunction(dom, mag * rng.standard_normal(dom.interior_shape))
@@ -880,155 +879,6 @@ class TestBufferedExtrapolation:
         E.uniqueness_harness(data, c, data.initial, v0)
         assert len(seen) == 3 * (c.steps + 1)
         assert all(np.array_equal(u.values, copy) for u, copy in seen)
-
-
-def recorded_resolves(monkeypatch):
-    """Record every march resolve as [op, g, x0, predicted image or None, diag, n].
-
-    n counts the resolve's direct residual evaluations, through a wrapped
-    `_residual`.
-    """
-    calls = []
-    make, resolve = E.TruncatedOperator._residual, E.TruncatedOperator.resolve_detailed
-
-    def counting(self, g, lam):
-        residual = make(self, g, lam)
-
-        def evaluate(u):
-            calls[-1][-1] += 1
-            return residual(u)
-
-        return evaluate
-
-    def recorded(self, g, rescfg, x0=None, **private):
-        images = private.get("_images")
-        predicted = None if images is None or images[0] is None else images[0].copy()
-        calls.append([self, g.values.copy(), x0.values.copy(), predicted, None, 0])
-        out = resolve(self, g, rescfg, x0=x0, **private)
-        calls[-1][4] = out[1]
-        return out
-
-    monkeypatch.setattr(E.TruncatedOperator, "_residual", counting)
-    monkeypatch.setattr(E.TruncatedOperator, "resolve_detailed", recorded)
-    return calls
-
-
-def evaluations_after_the_start(diag):
-    """Residuals a resolve evaluates after its starting one."""
-    return diag.iterations + diag.backtracks + diag.rejected_mixes
-
-
-def stencil_bound_magnitude(op, u, lam):
-    """|B| |u| = |u| + lam sum |a| |u_n| at every node, over the stencil's weights a."""
-    magnitude = copy.copy(op._linear_stencil())
-    magnitude.weights = np.abs(magnitude.weights)
-    return np.abs(u) + lam * magnitude.apply(np.abs(u))
-
-
-@st.composite
-def linear_march_cases(draw):
-    """A linear, autonomous march on an anisotropic box of dimension 1-3:
-    heat, the manufactured solution (a time-dependent source) or the
-    singular drift under either splitting."""
-    dim = draw(st.integers(1, 3))
-    lengths = tuple(draw(st.floats(0.5, 2.0)) for _ in range(dim))
-    top = (20, 10, 6)[dim - 1]
-    dom = G.BoxDomain(dim, lengths, tuple(draw(st.integers(3, top)) for _ in range(dim)))
-    model = draw(st.sampled_from(("heat", "manufactured", "singular-drift")))
-    params = {"c": draw(st.floats(0.01, 0.5))} if model == "singular-drift" else {}
-    splitting = draw(st.sampled_from(("fully-implicit", "semi-implicit")))
-    steps = 2 * (E._EXTRAPOLATION_ORDER + 1)
-    dt = draw(st.sampled_from((1e-3, 5e-3, 2e-2)))
-    data = M.make_model(model, dom, steps * dt, **params)
-    level = draw(st.floats(0.5, 5.0)) if data.has_drift and splitting == "semi-implicit" else None
-    return data, cfg(dt, steps * dt, splitting=splitting), level
-
-
-def march_in_contraction_regime(case):
-    """`in_contraction_regime` for a `linear_march_cases` march; without a
-    level its steps are implicit, whatever the splitting."""
-    data, c, level = case
-    op = E._step_operator(data, c.horizon, c, level)
-    if level is None:
-        return op.contraction_constants(c.dt)[0] > 1e-6
-    return in_contraction_regime((data, c, op, None, None))
-
-
-class TestRingOfImages:
-    """A linear autonomous march starts each resolve after the first from the
-    residual its ring of images predicts; every other march evaluates it."""
-
-    @given(case=linear_march_cases().filter(march_in_contraction_regime))
-    @settings(max_examples=30, deadline=None)
-    def test_predicted_residual_is_within_its_bound(self, case):
-        data, c, level = case
-        with pytest.MonkeyPatch.context() as mp:
-            calls = recorded_resolves(mp)
-            states = observed(data, c, level=level)
-        assert len(calls) == c.steps
-        assert calls[0][3] is None
-        eps, slots = np.finfo(float).eps, E._EXTRAPOLATION_ORDER + 1
-        # the right-hand side of the step that produced each state; u_0 has none
-        rhs = [np.zeros_like(states[0].values)] + [g for _, g, *_ in calls]
-        for j, (op, g, x0, predicted, diag, _) in enumerate(calls, start=1):
-            assert diag.converged
-            if j == 1:
-                continue
-            assert predicted is not None
-            direct = op._residual(g, c.dt)(x0)
-            m = min(j - 1, slots - 1)
-            size = np.abs(g)
-            for k in range(m + 1):
-                w = math.comb(m + 1, k + 1)
-                u = states[j - 1 - k].values
-                size = size + w * (stencil_bound_magnitude(op, u, c.dt) + np.abs(rhs[j - 1 - k]))
-            assert np.all(np.abs((predicted - g) - direct) <= 4 * eps * size)
-
-    @pytest.mark.parametrize(
-        "model, splitting, level",
-        [
-            ("heat", "fully-implicit", None),
-            ("manufactured", "fully-implicit", None),
-            ("singular-drift", "fully-implicit", None),
-            ("singular-drift", "semi-implicit", 1.0),
-        ],
-    )
-    def test_linear_autonomous_marches_use_the_ring(self, monkeypatch, model, splitting, level):
-        dom = G.BoxDomain(2, (1.0, 0.7), (10, 7))
-        data = M.make_model(model, dom, 0.05)
-        calls = recorded_resolves(monkeypatch)
-        E.evolve(data, cfg(5e-3, 0.05, splitting=splitting), level=level)
-        assert len(calls) == 10
-        # step 1 evaluates its starting residual, the later steps predict it
-        starts = [n - evaluations_after_the_start(diag) for *_, diag, n in calls]
-        assert starts == [1] + [0] * 9
-
-    @pytest.mark.parametrize("kind", ["nonlinear", "t-dependent coefficient", "t-dependent drift"])
-    def test_other_marches_never_use_the_ring(self, monkeypatch, kind):
-        dom = G.BoxDomain(2, (1.0, 0.7), (10, 7))
-        if kind == "nonlinear":
-            data = M.make_model("lipschitz-nonlinear", dom, 0.05)
-        elif kind == "t-dependent coefficient":
-            data = M.make_model("variable-diffusion", dom, 0.05)
-        else:
-            data = replace(M.make_model("heat", dom, 0.05), drift=t_dependent_drift(2))
-        calls = recorded_resolves(monkeypatch)
-        E.evolve(data, cfg(5e-3, 0.05, splitting="fully-implicit"))
-        assert len(calls) == 10
-        assert all(predicted is None for _, _, _, predicted, _, _ in calls)
-        starts = [n - evaluations_after_the_start(diag) for *_, diag, n in calls]
-        assert starts == [1] * 10
-
-    def test_predicted_residual_within_tol_is_evaluated(self, monkeypatch):
-        # a march at rest: every image and right-hand side is 0, so every
-        # prediction is 0, below tol, and each resolve evaluates it once
-        dom = G.BoxDomain(2, (1.0, 1.0), (8, 8))
-        data = replace(M.make_model("heat", dom, 0.05), initial=G.zeros(dom))
-        calls = recorded_resolves(monkeypatch)
-        E.evolve(data, cfg(5e-3, 0.05))
-        assert all(predicted is not None for *_, predicted, _, _ in calls[1:])
-        assert [n for *_, n in calls] == [1] * 10
-        assert all(diag.converged and diag.iterations == 0 for *_, diag, _ in calls)
 
 
 class TestKnownStalls:
