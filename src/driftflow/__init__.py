@@ -52,12 +52,11 @@ from .operators import ResolventConfig, SolverDiagnostics, TruncatedOperator
 from .evolution import (
     EvolutionConfig,
     EvolutionTrace,
+    WeakResidual,
     continuation,
-    default_test_battery,
     evolve,
     step,
     uniqueness_harness,
-    weak_residual,
 )
 from .steady import DecayReport, SteadyConfig, decay_experiment, solve_steady
 
@@ -81,12 +80,12 @@ __all__ = [
     "TruncationCertificate",
     "TruncationPlan",
     "VectorField",
+    "WeakResidual",
     "builtin_models",
     "certify_truncation",
     "check_holder",
     "continuation",
     "decay_experiment",
-    "default_test_battery",
     "dist_to_bounded",
     "distribution",
     "divergence",
@@ -107,5 +106,4 @@ __all__ = [
     "step",
     "uniqueness_harness",
     "verify_hypotheses",
-    "weak_residual",
 ]

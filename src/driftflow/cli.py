@@ -110,6 +110,10 @@ def _positive(x) -> bool:
     return x > 0
 
 
+def _nonnegative(x) -> bool:
+    return x >= 0
+
+
 def _finite(x) -> bool:
     """False for a NaN or infinite float, alone or in a tuple."""
     return all(
@@ -309,7 +313,11 @@ def _run_evolve(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
     laps = _Laps(manifest)
     data = _build_problem(cfg)
     evo = _build_evolution(cfg, data)
-    refine = _read(cfg, "evolve.refine", "0", int)
+    refine = _read(cfg, "evolve.refine", "0", int, _nonnegative)
+    if refine > 0 and data.exact is None:
+        raise ConfigError(
+            f"'evolve.refine' needs a model with an exact solution; {data.name!r} has none"
+        )
     laps.lap("setup_s")
     final, trace = evolve(data, evo)
     summary = {
@@ -320,7 +328,7 @@ def _run_evolve(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
     if data.exact is not None:
         summary["final_error_l2"] = norm_l2(final - data.exact_grid(evo.horizon))
     rows = []
-    if refine > 0 and data.exact is not None:
+    if refine > 0:
         dt, cells = evo.dt, data.domain.cells
         for k in range(refine + 1):
             dom_k = BoxDomain(data.domain.dim, data.domain.lengths, cells)
@@ -381,7 +389,7 @@ def _run_uniqueness(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None
     data = _build_problem(cfg)
     evo = _build_evolution(cfg, data)
     rng = np.random.default_rng(seed)
-    amp = _read(cfg, "uniqueness.amplitude", "0.5")
+    amp = _read(cfg, "uniqueness.amplitude", "0.5", float, _positive)
     u0 = data.initial
     v0 = GridFunction(
         data.domain,
@@ -551,7 +559,9 @@ def run(
     if experiment not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
     if seed is None:
-        seed = _read(cfg, "seed", "0", int)
+        seed = _read(cfg, "seed", "0", int, _nonnegative)
+    elif not _nonnegative(seed):
+        raise ConfigError(f"bad value {seed!r} for 'seed'")
     outdir = Path(output_dir if output_dir is not None else cfg.get("output.dir", "out"))
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(

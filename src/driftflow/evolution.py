@@ -548,58 +548,6 @@ def uniqueness_harness(
     )
 
 
-@dataclass(frozen=True)
-class SpaceTimeTest:
-    """Separable test function E(x) psi(t) vanishing at the final time."""
-
-    name: str
-    value: Callable[[grid.BoxDomain, float], GridFunction]
-    dt: Callable[[grid.BoxDomain, float], GridFunction]
-
-
-def default_test_battery(domain: grid.BoxDomain, T: float) -> list[SpaceTimeTest]:
-    """Smooth space profiles (zero trace) times polynomials with psi(T) = 0."""
-    lengths = domain.lengths
-
-    def eigen(coords, ks):
-        out = 1.0
-        for x, L, k in zip(coords, lengths, ks):
-            out = out * np.sin(k * np.pi * x / L)
-        return out
-
-    def bump(coords):
-        out = 1.0
-        for x, L in zip(coords, lengths):
-            out = out * (x * (L - x) / (L / 2) ** 2) ** 2
-        return out
-
-    spatial = [
-        ("mode1", lambda c: eigen(c, (1,) * domain.dim)),
-        ("mode2", lambda c: eigen(c, (2,) + (1,) * (domain.dim - 1))),
-        ("bump", bump),
-    ]
-    temporal = [
-        ("lin", lambda t: 1.0 - t / T, lambda t: -1.0 / T),
-        ("quad", lambda t: (1.0 - t / T) ** 2, lambda t: -2.0 * (1.0 - t / T) / T),
-        ("arch", lambda t: (t / T) * (1.0 - t / T), lambda t: (1.0 - 2.0 * t / T) / T),
-    ]
-    battery = []
-    for sname, profile in spatial:
-        for tname, psi, dpsi in temporal:
-            battery.append(
-                SpaceTimeTest(
-                    name=f"{sname}*{tname}",
-                    value=lambda dom, t, profile=profile, psi=psi: grid.sample(
-                        dom, lambda c: psi(t) * profile(c)
-                    ),
-                    dt=lambda dom, t, profile=profile, dpsi=dpsi: grid.sample(
-                        dom, lambda c: dpsi(t) * profile(c)
-                    ),
-                )
-            )
-    return battery
-
-
 @dataclass
 class WeakResidualEntry:
     name: str
@@ -607,68 +555,104 @@ class WeakResidualEntry:
     normalized: float
 
 
-def weak_residual(
-    states: Sequence[GridFunction],
-    data: ProblemData,
-    dt: float,
-    tests: Sequence[SpaceTimeTest] | None = None,
-) -> list[WeakResidualEntry]:
-    """Residual of the space-time weak identity on a discrete trajectory.
+def _space_profiles(domain: grid.BoxDomain) -> list[GridFunction]:
+    """The battery's space profiles, zero on the boundary: mode1, mode2, bump."""
+    axes = list(zip(grid.node_coordinates(domain), domain.lengths))
+    ones = (1,) * (domain.dim - 1)
+    values = [
+        math.prod(np.sin(k * np.pi * x / L) for (x, L), k in zip(axes, (1,) + ones)),
+        math.prod(np.sin(k * np.pi * x / L) for (x, L), k in zip(axes, (2,) + ones)),
+        math.prod((x * (L - x) / (L / 2) ** 2) ** 2 for x, L in axes),
+    ]
+    return [GridFunction(domain, v) for v in values]
 
-    states[0] is the initial value and states[j] the state at t_j = j dt.
-    The identity tested, with right-endpoint time quadrature, is
+
+def _time_factors(t: float, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """psi and dpsi/dt at t of the battery's factors lin, quad, arch; psi(T) = 0."""
+    s = t / T
+    psi = np.array([1.0 - s, (1.0 - s) ** 2, s * (1.0 - s)])
+    dpsi = np.array([-1.0, -2.0 * (1.0 - s), 1.0 - 2.0 * s]) / T
+    return psi, dpsi
+
+
+_BATTERY = tuple(
+    f"{p}*{q}" for p in ("mode1", "mode2", "bump") for q in ("lin", "quad", "arch")
+)
+
+
+class WeakResidual:
+    """The space-time weak identity of a march, summed as the march runs.
+
+    Pass it to `evolve` as `observe`: it sees u_0 at t = 0 first, then u_j
+    at t_j = j dt, and keeps only its sums.  With right-endpoint time
+    quadrature the identity is
 
       - sum_j tau <u_j, dphi/dt(t_j)> + sum_j tau (flux(u_j), grad phi_j)
           = sum_j tau (F(t_j), grad phi_j) + <u_0, phi(0)>
 
     with the full A + B flux; the marching schemes satisfy it up to
-    O(tau + h^2) plus solver tolerance.
+    O(tau + h^2) plus solver tolerance.  The battery is separable,
+    phi = psi(t) p(x): the three profiles of `_space_profiles`, sampled
+    with their gradients once, times the three `_time_factors`.  Each
+    slice pairs u_j, its flux and F(t_j) with every profile once, and psi
+    and dpsi/dt scale those pairings.
     """
-    if len(states) < 2:
-        raise ValueError(f"states needs u_0 and at least one step, got {len(states)}")
-    dom = data.domain
-    T = dt * (len(states) - 1)
-    if tests is None:
-        tests = default_test_battery(dom, T)
-    op = TruncatedOperator(data, dt, drift_mode="full")
-    # one accumulator pair per test, summed over the slices in the same j
-    # order as a per-test loop; each slice's flux and source are assembled once
-    acc = [0.0] * len(tests)
-    scale = [0.0] * len(tests)
-    for j in range(1, len(states)):
-        t = j * dt
-        u = states[j]
-        op = op.at(t)
-        flux = op.flux(u)
-        src = data.source_field(t)
+
+    def __init__(self, data: ProblemData, cfg: EvolutionConfig):
+        self.data, self.dt, self.horizon = data, cfg.dt, cfg.horizon
+        self.states = 0
+        self._w = data.domain.node_weight
+        self._op = TruncatedOperator(data, cfg.dt, drift_mode="full")
+        profiles = _space_profiles(data.domain)
+        grads = [gradient(p) for p in profiles]
+        self._values = np.array([p.values.ravel() for p in profiles])
+        # per axis, the profiles' face gradients as rows
+        self._grads = [
+            np.array([c.ravel() for c in comps]) for comps in zip(*(g.components for g in grads))
+        ]
+        self._norms = np.array([norm_l2(p) for p in profiles])
+        self._grad_norms = np.array([_root(inner_vec(g, g)) for g in grads])
+        # profile by factor, in the order of `_BATTERY`
+        self._acc = np.zeros((len(profiles), 3))
+        self._scale = np.zeros((len(profiles), 3))
+
+    def _pair(self, field: grid.VectorField) -> np.ndarray:
+        """(field, grad p) for each profile p."""
+        return self._w * sum(g @ c.ravel() for g, c in zip(self._grads, field.components))
+
+    def __call__(self, t: float, u: GridFunction) -> None:
+        psi, dpsi = _time_factors(t, self.horizon)
+        paired = self._w * (self._values @ u.values.ravel())
         u_n = norm_l2(u)
-        flux_n = math.sqrt(max(inner_vec(flux, flux), 0.0))
-        src_n = math.sqrt(max(inner_vec(src, src), 0.0)) if src is not None else 0.0
-        for i, test in enumerate(tests):
-            phi = test.value(dom, t)
-            dphi = test.dt(dom, t)
-            gphi = gradient(phi)
-            src_pair = inner_vec(src, gphi) if src is not None else 0.0
-            acc[i] += dt * (-inner(u, dphi) + inner_vec(flux, gphi) - src_pair)
-            # Cauchy-Schwarz size of the terms; immune to cancellation, so the
-            # normalized residual stays meaningful for test functions nearly
-            # orthogonal to the trajectory.
-            gphi_n = math.sqrt(max(inner_vec(gphi, gphi), 0.0))
-            scale[i] += dt * (
-                u_n * norm_l2(dphi)
-                + flux_n * gphi_n
-                + (src_n * gphi_n if src is not None else 0.0)
-            )
-    out = []
-    for i, test in enumerate(tests):
-        phi0 = test.value(dom, 0.0)
-        total = acc[i] - inner(states[0], phi0)
-        size = scale[i] + norm_l2(states[0]) * norm_l2(phi0)
-        out.append(
-            WeakResidualEntry(
-                name=test.name,
-                residual=abs(total),
-                normalized=abs(total) / max(size, 1e-300),
-            )
+        self.states += 1
+        if self.states == 1:
+            self._acc -= np.outer(paired, psi)
+            self._scale += u_n * np.outer(self._norms, np.abs(psi))
+            return
+        self._op = self._op.at(t)
+        flux = self._op.flux(u)
+        src = self.data.source_field(t)
+        # Cauchy-Schwarz size of the terms; immune to cancellation, so the
+        # normalized residual stays meaningful for test functions nearly
+        # orthogonal to the trajectory.
+        size = _root(inner_vec(flux, flux))
+        spatial = self._pair(flux)
+        if src is not None:
+            size += _root(inner_vec(src, src))
+            spatial -= self._pair(src)
+        self._acc += self.dt * (np.outer(spatial, psi) - np.outer(paired, dpsi))
+        self._scale += self.dt * (
+            u_n * np.outer(self._norms, np.abs(dpsi))
+            + size * np.outer(self._grad_norms, np.abs(psi))
         )
-    return out
+
+    def entries(self) -> list[WeakResidualEntry]:
+        """|residual| and |residual| / size for each test phi, by name."""
+        if self.states < 2:
+            raise ValueError(
+                f"the weak residual needs u_0 and one step, got {self.states} states"
+            )
+        return [
+            WeakResidualEntry(name=name, residual=float(r), normalized=float(r / max(s, 1e-300)))
+            for name, r, s in zip(_BATTERY, np.abs(self._acc).ravel(), self._scale.ravel())
+        ]

@@ -974,14 +974,19 @@ def _monotone_iteration(
     rn = norm(r)
     streak = 0
     mixing = None
-    for it in range(1, max_iter + 1):
+    it = 0  # steps taken
+    # the one convergence exit: every iterate, the max_iter-th too, is tested here
+    while True:
         diag.residuals.append(rn)
-        _require_finite(rn, solver, it - 1, domain, u, diag.residuals)
+        _require_finite(rn, solver, it, domain, u, diag.residuals)
         if rn <= tol:
-            diag.iterations = it - 1
+            diag.iterations = it
             diag.converged = True
             diag.relaxation = rho
             return u, diag
+        if it == max_iter:
+            break
+        it += 1
         z = precondition(r)
         if mixing is not None:
             mixing.push(u, z)
@@ -1028,10 +1033,6 @@ def _monotone_iteration(
             streak = 0
     diag.iterations = max_iter
     diag.relaxation = rho
-    diag.residuals.append(rn)
-    if rn <= tol:
-        diag.converged = True
-        return u, diag
     raise ConvergenceError(
         f"{solver} did not reach tol in {max_iter} iterations "
         f"(residual {rn:.3e})",

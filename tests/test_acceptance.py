@@ -318,6 +318,18 @@ def test_criterion_10_lorentz_suite():
             lambda c: c[0] * (1 - c[0]) * c[1] * (1 - c[1]) * c[2] * (1 - c[2]),
         )
     )
+    # near-extremals concentrate like |x - x0|^{-(N-2)/2} (Alvino 1977): the
+    # truncated (|x - x0|^{-1/2} - R^{-1/2})_+, R = 1/2 - h, with x0 at a cell
+    # centre and a quarter cell off a node, is the regime the certificates use
+    h = dom3.spacing[0]
+    R = 0.5 - h
+    for x0 in (0.5 + h / 2, 0.5 + h / 4):
+
+        def spike(c, x0=x0):
+            r = np.sqrt((c[0] - x0) ** 2 + (c[1] - x0) ** 2 + (c[2] - x0) ** 2)
+            return np.maximum(r**-0.5 - R**-0.5, 0.0)
+
+        battery.append(G.sample(dom3, spike))
     for _ in range(10):
         coef = rng.standard_normal((2, 2, 2))
 

@@ -22,12 +22,12 @@ PUBLIC = [
     "TruncationCertificate",
     "TruncationPlan",
     "VectorField",
+    "WeakResidual",
     "builtin_models",
     "certify_truncation",
     "check_holder",
     "continuation",
     "decay_experiment",
-    "default_test_battery",
     "dist_to_bounded",
     "distribution",
     "divergence",
@@ -48,7 +48,6 @@ PUBLIC = [
     "step",
     "uniqueness_harness",
     "verify_hypotheses",
-    "weak_residual",
 ]
 
 

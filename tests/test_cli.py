@@ -411,18 +411,33 @@ class TestMain:
             ("uniqueness.amplitude", "big"),
             ("truncation.factor", "0.5"),
             ("truncation.m0", "-3"),
+            ("seed", "-3"),
+            ("evolve.refine", "-4"),
+            ("evolve.refine", "2"),
+            ("uniqueness.amplitude", "0"),
         ],
     )
     def test_exit_two_on_malformed_value(self, tmp_path, capsys, key, value):
         # each used to escape as a traceback with exit code 1, except a
-        # nonpositive m0, which the plan silently replaced by 1
-        experiment = "uniqueness" if key.startswith("uniqueness") else "decay"
+        # nonpositive m0, which the plan silently replaced by 1, a negative
+        # refine or a refine on heat (no exact solution), which wrote no
+        # convergence.csv, and a zero amplitude, which passed both uniqueness
+        # checks vacuously
+        prefix = key.partition(".")[0]
+        experiment = prefix if prefix in ("uniqueness", "evolve") else "decay"
         base = SMALL_DRIFT_DECAY if key.startswith("truncation") else FAST_DECAY
         text = base.replace("experiment = decay", f"experiment = {experiment}")
         path = write_cfg(tmp_path, text)
         argv = ["run", str(path), "--output-dir", str(tmp_path / "out")]
         assert cli.main(argv + ["--override", f"{key}={value}"]) == 2
         assert f"'{key}'" in capsys.readouterr().err
+
+    def test_exit_two_on_negative_seed_option(self, tmp_path, capsys):
+        # used to end in numpy's "expected non-negative integer" traceback
+        text = FAST_DECAY.replace("experiment = decay", "experiment = uniqueness")
+        argv = ["run", str(write_cfg(tmp_path, text)), "--output-dir", str(tmp_path / "out")]
+        assert cli.main(argv + ["--seed", "-1"]) == 2
+        assert "'seed'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "key, value",

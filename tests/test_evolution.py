@@ -525,19 +525,15 @@ class TestUniqueness:
         assert rep.tightest_exponent <= rep.growth_constant
 
 
-class TestWeakResidual:
-    def test_zero_test_function(self):
-        dom = G.BoxDomain(2, (1.0, 1.0), (8, 8))
-        data = M.make_model("heat", dom, 0.1)
-        states = observed(data, cfg(0.01, 0.1))
-        zero = E.SpaceTimeTest(
-            name="zero",
-            value=lambda dom_, t: G.zeros(dom_),
-            dt=lambda dom_, t: G.zeros(dom_),
-        )
-        out = E.weak_residual(states, data, 0.01, tests=[zero])
-        assert out[0].residual == 0.0
+def weak_entries(data, c, states):
+    """The observer's entries for states fed as u_0, u_1, ... at t_j = j dt."""
+    wr = E.WeakResidual(data, c)
+    for j, u in enumerate(states):
+        wr(j * c.dt, u)
+    return wr.entries()
 
+
+class TestWeakResidual:
     def test_exact_trace_residual_is_quadrature_error(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (24, 24))
         data = M.make_model("manufactured", dom, 0.1)
@@ -545,7 +541,7 @@ class TestWeakResidual:
         for tau in (4e-3, 2e-3):
             n = round(0.1 / tau)
             states = [data.exact_grid(j * tau) for j in range(n + 1)]
-            entries = E.weak_residual(states, data, tau)
+            entries = weak_entries(data, cfg(tau, 0.1), states)
             errs.append(max(e.normalized for e in entries))
         assert errs[0] < 0.05
         assert errs[1] < 0.7 * errs[0]
@@ -555,36 +551,73 @@ class TestWeakResidual:
         for n, tau in ((12, 4e-3), (24, 2e-3)):
             dom = G.BoxDomain(2, (1.0, 1.0), (n, n))
             data = M.make_model("manufactured", dom, 0.1)
-            states = observed(data, cfg(tau, 0.1))
-            entries = E.weak_residual(states, data, tau)
-            vals.append(max(e.normalized for e in entries))
+            c = cfg(tau, 0.1)
+            wr = E.WeakResidual(data, c)
+            E.evolve(data, c, observe=wr)
+            vals.append(max(e.normalized for e in wr.entries()))
         assert vals[1] < 0.65 * vals[0]
-
 
     def test_needs_initial_value_and_one_step(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (8, 8))
         data = M.make_model("heat", dom, 0.1)
         for states in ([data.initial], []):
             with pytest.raises(ValueError, match="states"):
-                E.weak_residual(states, data, 0.01)
+                weak_entries(data, cfg(0.01, 0.1), states)
 
 
-def _weak_residual_per_test(states, data, dt, tests):
-    """Reference: the test-outer loop, re-assembling flux and source per test."""
+def _test_battery(dom, T):
+    """The stored-trajectory oracle's 9 space-time tests (name, phi, dphi/dt)."""
+    lengths = dom.lengths
+
+    def eigen(coords, ks):
+        out = 1.0
+        for x, L, k in zip(coords, lengths, ks):
+            out = out * np.sin(k * np.pi * x / L)
+        return out
+
+    def bump(coords):
+        out = 1.0
+        for x, L in zip(coords, lengths):
+            out = out * (x * (L - x) / (L / 2) ** 2) ** 2
+        return out
+
+    spatial = [
+        ("mode1", lambda c: eigen(c, (1,) * dom.dim)),
+        ("mode2", lambda c: eigen(c, (2,) + (1,) * (dom.dim - 1))),
+        ("bump", bump),
+    ]
+    temporal = [
+        ("lin", lambda t: 1.0 - t / T, lambda t: -1.0 / T),
+        ("quad", lambda t: (1.0 - t / T) ** 2, lambda t: -2.0 * (1.0 - t / T) / T),
+        ("arch", lambda t: (t / T) * (1.0 - t / T), lambda t: (1.0 - 2.0 * t / T) / T),
+    ]
+    return [
+        (
+            f"{sname}*{tname}",
+            lambda t, p=profile, f=psi: G.sample(dom, lambda c: f(t) * p(c)),
+            lambda t, p=profile, f=dpsi: G.sample(dom, lambda c: f(t) * p(c)),
+        )
+        for sname, profile in spatial
+        for tname, psi, dpsi in temporal
+    ]
+
+
+def _weak_residual_per_test(states, data, dt):
+    """Reference: the test-outer loop on a stored trajectory, re-sampling each
+    test and re-assembling flux and source per test and slice."""
     from driftflow.grid import gradient, inner, inner_vec, norm_l2
     from driftflow.operators import TruncatedOperator
 
-    dom = data.domain
     out = []
-    op = TruncatedOperator(data, dt, drift_mode="full" if data.has_drift else "none")
-    for test in tests:
+    op = TruncatedOperator(data, dt, drift_mode="full")
+    for name, value, dvalue in _test_battery(data.domain, dt * (len(states) - 1)):
         acc = 0.0
         scale = 0.0
         for j in range(1, len(states)):
             t = j * dt
             u = states[j]
-            phi = test.value(dom, t)
-            dphi = test.dt(dom, t)
+            phi = value(t)
+            dphi = dvalue(t)
             op = op.at(t)
             flux = op.flux(u)
             gphi = gradient(phi)
@@ -597,47 +630,62 @@ def _weak_residual_per_test(states, data, dt, tests):
                 + math.sqrt(max(inner_vec(flux, flux), 0.0)) * gphi_n
                 + (math.sqrt(max(inner_vec(src, src), 0.0)) * gphi_n if src is not None else 0.0)
             )
-        phi0 = test.value(dom, 0.0)
+        phi0 = value(0.0)
         acc -= inner(states[0], phi0)
         scale += norm_l2(states[0]) * norm_l2(phi0)
-        out.append((test.name, abs(acc), abs(acc) / max(scale, 1e-300)))
+        out.append((name, abs(acc), abs(acc) / max(scale, 1e-300)))
     return out
+
+
+@pytest.fixture
+def flux_calls(monkeypatch):
+    """The time of every `TruncatedOperator.flux` call, in call order."""
+    from driftflow.operators import TruncatedOperator
+
+    calls = []
+    original = TruncatedOperator.flux
+
+    def counting_flux(self, u):
+        calls.append(self.t)
+        return original(self, u)
+
+    monkeypatch.setattr(TruncatedOperator, "flux", counting_flux)
+    return calls
 
 
 class TestWeakResidualAssembly:
     @pytest.mark.parametrize(
-        "name, cells", [("manufactured", (10, 12)), ("singular-drift", (9, 8)), ("heat", (5, 6, 7))]
+        "name, lengths, cells",
+        [
+            pytest.param("heat", (1.0,), (50,), id="heat-1d"),
+            pytest.param("manufactured", (1.0, 1.3), (10, 12), id="manufactured-2d"),
+            pytest.param("lipschitz-nonlinear", (1.0, 1.3), (12, 9), id="lipschitz-nonlinear-2d"),
+            pytest.param("singular-drift", (1.0, 1.3), (9, 8), id="singular-drift-2d"),
+            pytest.param("heat", (1.0, 1.3, 0.8), (5, 6, 7), id="heat-3d"),
+            pytest.param("singular-drift", (1.0, 1.0, 1.0), (6, 6, 6), id="singular-drift-3d"),
+        ],
     )
-    def test_bit_identical_to_per_test_loop(self, name, cells):
-        dom = G.BoxDomain(len(cells), (1.0, 1.3, 0.8)[: len(cells)], cells)
+    def test_matches_stored_oracle(self, name, lengths, cells, flux_calls):
+        dom = G.BoxDomain(len(cells), lengths, cells)
         data = M.make_model(name, dom, 0.05)
-        tau = 0.01
-        states = observed(data, cfg(tau, 0.05))
-        tests = E.default_test_battery(dom, 0.05)
-        got = [
-            (e.name, e.residual, e.normalized)
-            for e in E.weak_residual(states, data, tau, tests)
-        ]
-        assert got == _weak_residual_per_test(states, data, tau, tests)
+        c = cfg(0.01, 0.05)
+        states = observed(data, c)
+        wr = E.WeakResidual(data, c)
+        E.evolve(data, c, observe=wr)
+        # one flux assembly per slice, none for u_0
+        assert flux_calls == pytest.approx([0.01 * j for j in range(1, 6)])
+        got = wr.entries()
+        want = _weak_residual_per_test(states, data, c.dt)
+        assert [e.name for e in got] == [w[0] for w in want]
+        for e, (_, _, normalized) in zip(got, want):
+            assert abs(e.normalized - normalized) <= 1e-14
 
-    def test_one_flux_assembly_per_slice(self, monkeypatch):
-        from driftflow.operators import TruncatedOperator
-
-        calls = []
-        original = TruncatedOperator.flux
-
-        def counting_flux(self, u):
-            calls.append(self.t)
-            return original(self, u)
-
-        monkeypatch.setattr(TruncatedOperator, "flux", counting_flux)
+    def test_one_flux_assembly_per_slice(self, flux_calls):
         dom = G.BoxDomain(2, (1.0, 1.0), (8, 8))
         data = M.make_model("singular-drift", dom, 0.05)
         states = [data.initial * (1.0 - 0.1 * j) for j in range(6)]
-        tests = E.default_test_battery(dom, 0.05)
-        assert len(tests) > 1
-        E.weak_residual(states, data, 0.01, tests)
-        assert calls == pytest.approx([0.01 * j for j in range(1, 6)])
+        assert len(weak_entries(data, cfg(0.01, 0.05), states)) == 9
+        assert flux_calls == pytest.approx([0.01 * j for j in range(1, 6)])
 
 
 class TestStreamedTrajectories:

@@ -229,3 +229,57 @@ class TestPairedBench:
         pairs = report["final_runs"]["w"]["pairs"]
         assert [p["seed"] for p in pairs] == [1, 2]
         assert all(p["parent_run_s"] == p["change_run_s"] == 1.0 for p in pairs)
+
+
+_LINES_PATH = Path(__file__).resolve().parents[1] / "tools" / "source_lines.py"
+_lines_spec = importlib.util.spec_from_file_location("source_lines", _LINES_PATH)
+source_lines = importlib.util.module_from_spec(_lines_spec)
+_lines_spec.loader.exec_module(source_lines)
+
+MODULE = '''"""Module docstring,
+over two lines."""
+
+import math  # a trailing comment
+
+
+# a comment line
+def f(x):
+    """One-line docstring."""
+    text = """a string
+    that is code"""
+    return math.sqrt(
+        x,
+    )
+
+
+class C:
+    """Class docstring."""
+
+    y = 1
+'''
+
+
+def write_package(checkout: Path, modules: dict[str, str]) -> None:
+    package = checkout / "src" / "driftflow"
+    package.mkdir(parents=True)
+    for name, text in modules.items():
+        (package / name).write_text(text, encoding="utf-8")
+
+
+class TestSourceLines:
+    def test_code_lines_skip_blanks_comments_and_docstrings(self):
+        # import, def, the string (two lines), return, x, ), class, y
+        assert source_lines.code_lines(MODULE) == 9
+
+    def test_net_per_module_and_json_last_line(self, tmp_path, capsys):
+        write_package(tmp_path / "before", {"a.py": MODULE, "gone.py": "x = 1\n"})
+        write_package(tmp_path / "after", {"a.py": MODULE + "z = 2\n", "new.py": "y = 2\ny += 1\n"})
+        assert source_lines.main([str(tmp_path / "before"), str(tmp_path / "after")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        report = json.loads(out[-1])
+        assert report["modules"] == {
+            "a.py": {"before": 9, "after": 10, "net": 1},
+            "gone.py": {"before": 1, "after": 0, "net": -1},
+            "new.py": {"before": 0, "after": 2, "net": 2},
+        }
+        assert (report["before"], report["after"], report["net"]) == (10, 12, 2)
