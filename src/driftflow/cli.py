@@ -5,7 +5,7 @@ Config files are flat ``key = value`` text.  Keys may be written with dots
 prefix the keys which follow.  ``#`` starts a comment.  Unknown keys are
 rejected so typos fail loudly at parse time, and a value that does not
 convert or lies out of range is rejected, naming its key, before anything
-is solved.
+is solved, whether or not the experiment reads the key.
 
 Exit codes: 0 all assertions passed, 1 an assertion failed, 2 config parse
 error, 3 solver failure.
@@ -45,27 +45,6 @@ class ConfigError(ValueError):
         self.line_no = line_no
 
 
-_KNOWN_KEYS = {
-    "experiment",
-    "model",
-    "seed",
-    "domain.dim",
-    "domain.lengths",
-    "domain.cells",
-    "time.dt",
-    "time.T",
-    "time.splitting",
-    "truncation.m0",
-    "truncation.factor",
-    "truncation.levels",
-    "solver.tol",
-    "solver.max_iter",
-    "steady.tol",
-    "steady.time",
-    "evolve.refine",
-    "uniqueness.amplitude",
-    "output.dir",
-}
 _MODEL_PREFIX = "model."
 
 
@@ -90,7 +69,7 @@ def parse_config(text: str) -> dict[str, str]:
         if not key or not value:
             raise ConfigError(f"empty key or value in {line!r}", line_no)
         full = f"{section}.{key}" if section else key
-        if full not in _KNOWN_KEYS and not full.startswith(_MODEL_PREFIX):
+        if full not in _KEYS and not full.startswith(_MODEL_PREFIX):
             raise ConfigError(f"unknown key {full!r}", line_no)
         out[full] = value
     if "experiment" not in out:
@@ -122,22 +101,60 @@ def _finite(x) -> bool:
     )
 
 
-def _read(
-    cfg: dict[str, str], key: str, default: str | None, convert=float, valid=None
-):
-    """cfg[key] (default if absent) through convert; a bad value names its key.
+# Every config key: (default, conversion of its text, range or None).  A
+# None default leaves an absent key None, or its reader passes a default
+# that depends on the run (`steady.tol`, `domain.lengths`, `domain.cells`).
+_KEYS = {
+    "experiment": (None, str, lambda s: s in _EXPERIMENTS),
+    "model": ("heat", str, lambda s: s in models.builtin_models()),
+    "seed": ("0", int, _nonnegative),
+    "domain.dim": ("2", int, _positive),
+    "domain.lengths": (None, _floats, None),
+    "domain.cells": (None, _ints, None),
+    "time.dt": ("0.002", float, _positive),
+    "time.T": ("0.5", float, _positive),
+    "time.splitting": (
+        "fully-implicit", str, lambda s: s in ("fully-implicit", "semi-implicit")
+    ),
+    "truncation.m0": (
+        "auto", lambda s: None if s == "auto" else float(s),
+        lambda m: m is None or m > 0,
+    ),
+    "truncation.factor": ("2", float, lambda f: f > 1),
+    "truncation.levels": (None, int, _positive),
+    "solver.tol": ("1e-12", float, _positive),
+    "solver.max_iter": ("400", int, _positive),
+    "steady.tol": (None, float, _positive),
+    "steady.time": ("final", lambda s: s if s == "final" else float(s), None),
+    "evolve.refine": ("0", int, _nonnegative),
+    "uniqueness.amplitude": ("0.5", float, _positive),
+    "output.dir": ("out", str, lambda s: s != ""),
+}
 
+
+def _read(cfg: dict[str, str], key: str, default: str | None = None):
+    """cfg[key] (default, else its entry's, if absent) through its `_KEYS` entry.
+
+    An absent key with no default reads None, and a bad value names its key.
     A NaN or infinite number is a bad value for every config key; a model
-    parameter reaches its builder, which names what it rejects.
+    parameter (a float, or floats for `model.direction`) reaches its builder,
+    which names what it rejects.
     """
-    value = cfg.get(key, default)
+    model = key.startswith(_MODEL_PREFIX)
+    if model:
+        entry_default, valid = None, None
+        convert = _floats if key == "model.direction" else float
+    else:
+        entry_default, convert, valid = _KEYS[key]
+    value = cfg.get(key, entry_default if default is None else default)
+    if value is None:
+        return None
     try:
         x = convert(value)
     except ValueError:
         pass
     else:
-        finite = key.startswith(_MODEL_PREFIX) or _finite(x)
-        if finite and (valid is None or valid(x)):
+        if (model or _finite(x)) and (valid is None or valid(x)):
             return x
     raise ConfigError(f"bad value {value!r} for {key!r}")
 
@@ -181,9 +198,9 @@ class RunManifest:
 
 
 def _build_domain(cfg: dict[str, str]) -> BoxDomain:
-    dim = _read(cfg, "domain.dim", "2", int, _positive)
-    lengths = _read(cfg, "domain.lengths", ",".join(["1"] * dim), _floats)
-    cells = _read(cfg, "domain.cells", ",".join(["32"] * dim), _ints)
+    dim = _read(cfg, "domain.dim")
+    lengths = _read(cfg, "domain.lengths", ",".join(["1"] * dim))
+    cells = _read(cfg, "domain.cells", ",".join(["32"] * dim))
     try:
         return BoxDomain(dim, lengths, cells)
     except ValueError as err:
@@ -200,17 +217,14 @@ def _model_params(cfg: dict[str, str]) -> dict:
                     params["drift_field"] = grid.load_grid_function(value)
                 except (OSError, ValueError) as err:
                     raise ConfigError(f"bad value for {key!r}: {err}") from None
-            elif name == "direction":
-                params["direction"] = _read(cfg, key, None, _floats)
             else:
-                params[name] = _read(cfg, key, None)
+                params[name] = _read(cfg, key)
     return params
 
 
 def _build_problem(cfg: dict[str, str]) -> models.ProblemData:
     domain = _build_domain(cfg)
-    horizon = _read(cfg, "time.T", "0.5", float, _positive)
-    name = cfg.get("model", "heat")
+    name, horizon = _read(cfg, "model"), _read(cfg, "time.T")
     try:
         return models.make_model(name, domain, horizon, **_model_params(cfg))
     except ValueError as err:
@@ -226,34 +240,21 @@ def _build_problem(cfg: dict[str, str]) -> models.ProblemData:
 
 def _build_evolution(cfg: dict[str, str], data: models.ProblemData) -> EvolutionConfig:
     resolvent = ResolventConfig(
-        tol=_read(cfg, "solver.tol", "1e-12", float, _positive),
-        max_iter=_read(cfg, "solver.max_iter", "400", int, _positive),
+        tol=_read(cfg, "solver.tol"), max_iter=_read(cfg, "solver.max_iter")
     )
-    splitting = _read(
-        cfg, "time.splitting", "fully-implicit", str,
-        lambda s: s in ("fully-implicit", "semi-implicit"),
-    )
-    dt = _read(cfg, "time.dt", "0.002", float, _positive)
-    horizon = _read(cfg, "time.T", "0.5", float, _positive)
+    splitting = _read(cfg, "time.splitting")
+    dt = _read(cfg, "time.dt")
     plan = None
     if data.has_drift:
         plan = models.make_truncation_plan(
             data,
-            m0=_read(
-                cfg, "truncation.m0", "auto",
-                lambda s: None if s == "auto" else float(s),
-                lambda m: m is None or m > 0,
-            ),
-            factor=_read(cfg, "truncation.factor", "2", float, lambda f: f > 1),
-            count=(
-                _read(cfg, "truncation.levels", None, int, _positive)
-                if "truncation.levels" in cfg
-                else None
-            ),
+            m0=_read(cfg, "truncation.m0"),
+            factor=_read(cfg, "truncation.factor"),
+            count=_read(cfg, "truncation.levels"),
         )
     try:
         return EvolutionConfig(
-            dt=dt, horizon=horizon, splitting=splitting, truncation=plan, resolvent=resolvent
+            dt=dt, horizon=data.horizon, splitting=splitting, truncation=plan, resolvent=resolvent
         )
     except ValueError as err:
         raise ConfigError(f"bad 'time.dt' or 'time.T': {err}") from None
@@ -261,8 +262,7 @@ def _build_evolution(cfg: dict[str, str], data: models.ProblemData) -> Evolution
 
 def _steady_config(cfg: dict[str, str], default_tol: str) -> SteadyConfig:
     return SteadyConfig(
-        tol=_read(cfg, "steady.tol", default_tol, float, _positive),
-        time=_read(cfg, "steady.time", "final", lambda s: s if s == "final" else float(s)),
+        tol=_read(cfg, "steady.tol", default_tol), time=_read(cfg, "steady.time")
     )
 
 
@@ -313,7 +313,7 @@ def _run_evolve(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
     laps = _Laps(manifest)
     data = _build_problem(cfg)
     evo = _build_evolution(cfg, data)
-    refine = _read(cfg, "evolve.refine", "0", int, _nonnegative)
+    refine = _read(cfg, "evolve.refine")
     if refine > 0 and data.exact is None:
         raise ConfigError(
             f"'evolve.refine' needs a model with an exact solution; {data.name!r} has none"
@@ -389,7 +389,7 @@ def _run_uniqueness(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None
     data = _build_problem(cfg)
     evo = _build_evolution(cfg, data)
     rng = np.random.default_rng(seed)
-    amp = _read(cfg, "uniqueness.amplitude", "0.5", float, _positive)
+    amp = _read(cfg, "uniqueness.amplitude")
     u0 = data.initial
     v0 = GridFunction(
         data.domain,
@@ -477,11 +477,11 @@ def _run_verify_hypotheses(cfg, outdir: Path, seed: int, manifest: RunManifest) 
         if key.startswith(_MODEL_PREFIX):
             raise ConfigError(f"verify-hypotheses takes no model parameters, got {key!r}")
     domain = _build_domain(cfg)
-    horizon = _read(cfg, "time.T", "0.5", float, _positive)
+    horizon = _read(cfg, "time.T")
     reports = {}
     for name in models.builtin_models():
         data = models.make_model(name, domain, horizon)
-        reports[name] = models.verify_hypotheses(data, samples=1000, seed=seed).as_dict()
+        reports[name] = models.verify_hypotheses(data, seed=seed).as_dict()
     _write_json(outdir / "hypotheses.json", reports)
     for name, rep in reports.items():
         manifest.checks[f"hypotheses_{name}"] = rep["passed"]
@@ -552,17 +552,17 @@ def run(
     cfg = parse_config(path.read_text(encoding="utf-8"))
     if overrides:
         for key, value in overrides.items():
-            if key not in _KNOWN_KEYS and not key.startswith(_MODEL_PREFIX):
+            if key not in _KEYS and not key.startswith(_MODEL_PREFIX):
                 raise ConfigError(f"unknown override key {key!r}")
             cfg[key] = value
+    # every key present, read by the experiment or not, before any solve
+    for key in cfg:
+        if not key.startswith(_MODEL_PREFIX):
+            _read(cfg, key)
     experiment = cfg["experiment"]
-    if experiment not in _EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}")
-    if seed is None:
-        seed = _read(cfg, "seed", "0", int, _nonnegative)
-    elif not _nonnegative(seed):
-        raise ConfigError(f"bad value {seed!r} for 'seed'")
-    outdir = Path(output_dir if output_dir is not None else cfg.get("output.dir", "out"))
+    # a --seed takes the place of the config's seed
+    seed = _read(cfg if seed is None else {"seed": str(seed)}, "seed")
+    outdir = Path(output_dir if output_dir is not None else _read(cfg, "output.dir"))
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         experiment=experiment, config=dict(cfg), seed=seed, version=__version__
@@ -588,12 +588,23 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[float]]]:
     return header, rows
 
 
+# the columns each plot kind reads from its file
+_PLOT_COLUMNS = {
+    "energy": ("t", "l2_norm", "cumulative_dissipation"),
+    "decay": ("t", "y"),
+    "convergence": ("tau", "error"),
+}
+
+
 def emit_plot_data(trace_path, kind: str, out_path=None) -> Path:
     """Write two-column (x, y) plot data plus a JSON sidecar of references."""
     trace_path = Path(trace_path)
-    if kind not in ("energy", "decay", "convergence"):
+    if kind not in _PLOT_COLUMNS:
         raise ValueError(f"unknown plot kind {kind!r}")
     header, rows = _read_csv(trace_path)
+    for name in _PLOT_COLUMNS[kind]:
+        if name not in header:
+            raise ValueError(f"{kind} plots need the column {name!r}; {trace_path} has none")
     out = (
         Path(out_path)
         if out_path is not None
@@ -606,8 +617,6 @@ def emit_plot_data(trace_path, kind: str, out_path=None) -> Path:
         sidecar["final_cumulative_dissipation"] = rows[-1][cols["cumulative_dissipation"]]
         sidecar["max_l2"] = max(r[cols["l2_norm"]] for r in rows)
     elif kind == "decay":
-        if "y" not in cols:
-            raise ValueError("decay plots need a y-series trace with columns t,y")
         xy = [
             (r[cols["t"]], math.log(r[cols["y"]]))
             for r in rows
@@ -662,7 +671,7 @@ def main(argv=None) -> int:
 
     p_plot = sub.add_parser("plot", help="emit plot-ready data from a trace")
     p_plot.add_argument("trace")
-    p_plot.add_argument("--kind", required=True, choices=("energy", "decay", "convergence"))
+    p_plot.add_argument("--kind", required=True, choices=tuple(_PLOT_COLUMNS))
     p_plot.add_argument("--out", default=None)
 
     sub.add_parser("presets", help="list bundled experiment presets")

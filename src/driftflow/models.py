@@ -505,6 +505,10 @@ def build_variable_diffusion(
     for name, value in (("alpha", alpha), ("beta", beta)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+    if not 0 < alpha <= beta:
+        raise ValueError(
+            f"alpha must satisfy 0 < alpha <= beta, got {alpha!r} with beta {beta!r}"
+        )
     mid = 0.5 * (alpha + beta)
     amp = 0.5 * (beta - alpha)
     lengths = domain.lengths
@@ -754,6 +758,10 @@ def make_model(name: str, domain: BoxDomain, horizon: float, **params) -> Proble
 # ---------------------------------------------------------------------------
 
 
+# random points each `verify_hypotheses` call checks
+HYPOTHESIS_SAMPLES = 1000
+
+
 @dataclass
 class HypothesisReport:
     """Randomized verification of the structural flux assumptions."""
@@ -780,10 +788,9 @@ class HypothesisReport:
         return {**asdict(self), "passed": self.passed}
 
 
-def verify_hypotheses(
-    data: ProblemData, samples: int = 1000, seed: int = 0
-) -> HypothesisReport:
+def verify_hypotheses(data: ProblemData, seed: int = 0) -> HypothesisReport:
     """Spot-check growth, monotonicity, and drift bounds on random points."""
+    samples = HYPOTHESIS_SAMPLES
     rng = np.random.default_rng(seed)
     dom = data.domain
     rtol = 1e-9

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +54,15 @@ tol = 1e-12
 tol = 1e-12
 """
 
+CONTINUATION = """
+experiment = continuation
+model = singular-drift
+model.c = 0.08
+domain.cells = 8,8
+time.dt = 0.01
+time.T = 0.05
+"""
+
 
 class TestParse:
     def test_sections_and_dots_are_equivalent(self):
@@ -76,6 +86,13 @@ class TestParse:
     def test_empty_config_rejected(self):
         with pytest.raises(cli.ConfigError):
             cli.parse_config("")
+
+    def test_readme_config_reference_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config format", 1)[1]
+        block = section.split("```\n", 2)[1]
+        keys = {k for k in cli.parse_config(block) if not k.startswith("model.")}
+        assert keys == set(cli._KEYS)
 
     def test_model_params_pass_through(self):
         cfg = cli.parse_config("experiment = evolve\nmodel.c = 0.1\n")
@@ -439,6 +456,48 @@ class TestMain:
         assert cli.main(argv + ["--seed", "-1"]) == 2
         assert "'seed'" in capsys.readouterr().err
 
+    # a value each key rejects, on an experiment that reads the key only
+    # where every experiment does (experiment, domain.*, time.T)
+    BAD_UNREAD = {
+        "experiment": ("decay", "nope"),
+        "model": ("verify-hypotheses", "nope"),
+        "seed": ("decay", "-3"),
+        "domain.dim": ("decay", "0"),
+        "domain.lengths": ("decay", "1,x"),
+        "domain.cells": ("decay", "8,x"),
+        "time.dt": ("steady", "-1"),
+        "time.T": ("decay", "0"),
+        "time.splitting": ("steady", "sideways"),
+        "truncation.m0": ("decay", "-3"),
+        "truncation.factor": ("decay", "1"),
+        "truncation.levels": ("decay", "0"),
+        "solver.tol": ("steady", "-1"),
+        "solver.max_iter": ("steady", "2.5"),
+        "steady.tol": ("continuation", "-1"),
+        "steady.time": ("continuation", "soon"),
+        "evolve.refine": ("decay", "-4"),
+        "uniqueness.amplitude": ("decay", "0"),
+        "output.dir": ("decay", ""),
+    }
+
+    def test_bad_unread_cases_cover_every_key(self):
+        assert set(self.BAD_UNREAD) == set(cli._KEYS)
+
+    @pytest.mark.parametrize("key", sorted(BAD_UNREAD))
+    def test_exit_two_on_bad_value_the_experiment_does_not_read(self, tmp_path, capsys, key):
+        # a decay run used to end "decay: pass" with truncation.m0 = -3,
+        # evolve.refine = -4 or uniqueness.amplitude = 0, and a continuation
+        # run with steady.tol = -1; --seed keeps the seed key unread
+        experiment, value = self.BAD_UNREAD[key]
+        base = CONTINUATION if experiment == "continuation" else FAST_DECAY
+        text = base.replace("experiment = decay", f"experiment = {experiment}")
+        outdir = tmp_path / "out"
+        argv = ["run", str(write_cfg(tmp_path, text)), "--output-dir", str(outdir)]
+        assert cli.main(argv + ["--seed", "0", "--override", f"{key}={value}"]) == 2
+        assert f"bad value {value!r} for '{key}'" in capsys.readouterr().err
+        # rejected before the run made its output directory
+        assert not outdir.exists()
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -482,6 +541,14 @@ class TestMain:
         argv = ["run", str(path), "--output-dir", str(tmp_path / "out")]
         assert cli.main(argv + ["--override", f"model.{name}={value}"]) == 2
         assert f"model.{name} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["2", "0", "-1"])
+    def test_exit_two_on_variable_diffusion_alpha_out_of_range(self, tmp_path, capsys, alpha):
+        # alpha = 2 > beta = 1.5 used to exit 2 naming no key
+        text = FAST_DECAY.replace("model = heat", "model = variable-diffusion")
+        argv = ["run", str(write_cfg(tmp_path, text)), "--output-dir", str(tmp_path / "out")]
+        assert cli.main(argv + ["--override", f"model.alpha={alpha}"]) == 2
+        assert "model.alpha must satisfy 0 < alpha <= beta" in capsys.readouterr().err
 
     @pytest.mark.parametrize("c", ["-5", "nan", "inf"])
     def test_exit_two_on_bad_drift_coefficient(self, tmp_path, capsys, c):
@@ -620,6 +687,20 @@ solver.tol = 1e-12
         outdir = self._decay_outputs(tmp_path)
         with pytest.raises(ValueError):
             cli.emit_plot_data(outdir / "trace.csv", "spectrum")
+
+    @pytest.mark.parametrize(
+        "name, kind, column",
+        [("y_series.csv", "energy", "l2_norm"), ("trace.csv", "convergence", "tau")],
+    )
+    def test_exit_two_on_file_without_the_kinds_columns(
+        self, tmp_path, capsys, name, kind, column
+    ):
+        # each used to end in a KeyError traceback with exit 1
+        outdir = self._decay_outputs(tmp_path)
+        assert cli.main(["plot", str(outdir / name), "--kind", kind]) == 2
+        err = capsys.readouterr().err
+        assert f"{kind} plots need the column {column!r}" in err
+        assert not list(outdir.glob(f"*_{kind}_plot.*"))
 
     def test_empty_trace_rejected(self, tmp_path):
         empty = tmp_path / "empty.csv"

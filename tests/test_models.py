@@ -21,7 +21,7 @@ class TestHypotheses:
     @pytest.mark.parametrize("name", sorted(M.builtin_models()))
     def test_builtin_models_satisfy_flux_assumptions(self, name):
         data = M.make_model(name, DOM2, 0.5)
-        report = M.verify_hypotheses(data, samples=1000, seed=3)
+        report = M.verify_hypotheses(data, seed=3)
         assert report.passed, report.as_dict()
 
     def test_singular_drift_lipschitz_is_equality(self):
