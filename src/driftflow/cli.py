@@ -33,7 +33,6 @@ from .evolution import (
     uniqueness_harness,
 )
 from .grid import BoxDomain, ConvergenceError, GridFunction, norm_l2
-from .operators import ResolventConfig
 from .steady import SteadyConfig, decay_experiment, solve_steady_detailed
 
 
@@ -239,11 +238,6 @@ def _build_problem(cfg: dict[str, str]) -> models.ProblemData:
 
 
 def _build_evolution(cfg: dict[str, str], data: models.ProblemData) -> EvolutionConfig:
-    resolvent = ResolventConfig(
-        tol=_read(cfg, "solver.tol"), max_iter=_read(cfg, "solver.max_iter")
-    )
-    splitting = _read(cfg, "time.splitting")
-    dt = _read(cfg, "time.dt")
     plan = None
     if data.has_drift:
         plan = models.make_truncation_plan(
@@ -253,17 +247,24 @@ def _build_evolution(cfg: dict[str, str], data: models.ProblemData) -> Evolution
             count=_read(cfg, "truncation.levels"),
         )
     try:
-        return EvolutionConfig(
-            dt=dt, horizon=data.horizon, splitting=splitting, truncation=plan, resolvent=resolvent
+        evo = EvolutionConfig(
+            dt=_read(cfg, "time.dt"), splitting=_read(cfg, "time.splitting"), truncation=plan,
+            tol=_read(cfg, "solver.tol"), max_iter=_read(cfg, "solver.max_iter"),
         )
+        evo.steps(data)
     except ValueError as err:
         raise ConfigError(f"bad 'time.dt' or 'time.T': {err}") from None
+    return evo
 
 
-def _steady_config(cfg: dict[str, str], default_tol: str) -> SteadyConfig:
-    return SteadyConfig(
-        tol=_read(cfg, "steady.tol", default_tol), time=_read(cfg, "steady.time")
-    )
+def _steady_config(cfg, default_tol: str, data: models.ProblemData) -> SteadyConfig:
+    """The steady settings, with `steady.time` checked against the horizon."""
+    scfg = SteadyConfig(tol=_read(cfg, "steady.tol", default_tol), time=_read(cfg, "steady.time"))
+    try:
+        scfg.frozen_time(data)
+    except ValueError as err:
+        raise ConfigError(f"bad 'steady.time': {err}") from None
+    return scfg
 
 
 def _json_default(obj):
@@ -326,18 +327,18 @@ def _run_evolve(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
         "measured_bound_constant": trace.measured_bound_constant(),
     }
     if data.exact is not None:
-        summary["final_error_l2"] = norm_l2(final - data.exact_grid(evo.horizon))
+        summary["final_error_l2"] = norm_l2(final - data.exact_grid(data.horizon))
     rows = []
     if refine > 0:
         dt, cells = evo.dt, data.domain.cells
         for k in range(refine + 1):
             dom_k = BoxDomain(data.domain.dim, data.domain.lengths, cells)
             data_k = models.make_model(
-                data.name, dom_k, evo.horizon, **_model_params(cfg)
+                data.name, dom_k, data.horizon, **_model_params(cfg)
             )
             evo_k = replace(evo, dt=dt, truncation=None)
             final_k, _ = evolve(data_k, evo_k)
-            err = norm_l2(final_k - data_k.exact_grid(evo.horizon))
+            err = norm_l2(final_k - data_k.exact_grid(data.horizon))
             rows.append((dt, dom_k.spacing[0], err))
             dt /= 2
             cells = tuple(2 * n for n in cells)
@@ -411,8 +412,8 @@ def _run_uniqueness(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None
 
 
 def _run_steady(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
-    scfg = _steady_config(cfg, "1e-11")
     data = _build_problem(cfg)
+    scfg = _steady_config(cfg, "1e-11", data)
     u_inf, diag = solve_steady_detailed(data, scfg)
     grid.save_grid_function(outdir / "steady_state.csv", u_inf)
     _write_json(
@@ -428,8 +429,8 @@ def _run_steady(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
 
 def _run_decay(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
     laps = _Laps(manifest)
-    scfg = _steady_config(cfg, "1e-12")
     data = _build_problem(cfg)
+    scfg = _steady_config(cfg, "1e-12", data)
     evo = _build_evolution(cfg, data)
     laps.lap("setup_s")
     # the stationary solve, the march and the rate fit

@@ -100,31 +100,34 @@ _RING_WEIGHTS = np.array(
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Time-marching settings."""
+    """Time-marching settings.
+
+    A march runs to its problem's horizon, `ProblemData.horizon`, in
+    `steps(data)` steps of dt.  Each step solves its resolvent at lam = dt
+    to `tol` within `max_iter` iterations: `resolvent`, derived, not set.
+    """
 
     dt: float
-    horizon: float
     splitting: str = "fully-implicit"
     truncation: TruncationPlan | None = None
-    resolvent: ResolventConfig = field(default_factory=lambda: ResolventConfig(tol=1e-12))
+    tol: float = 1e-12
+    max_iter: int = 400
+    resolvent: ResolventConfig = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("dt", "horizon"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.dt <= 0 or self.horizon <= 0:
-            raise ValueError("dt and horizon must be positive")
-        if self.dt >= 1.0:
-            raise ValueError("dt must be < 1")
-        n = round(self.horizon / self.dt)
-        if n < 1 or abs(n * self.dt - self.horizon) > 1e-9 * self.horizon:
-            raise ValueError("horizon must be an integer number of steps")
+        if not (math.isfinite(self.dt) and 0 < self.dt < 1):
+            raise ValueError(f"dt must be finite and in (0, 1), got {self.dt!r}")
         if self.splitting not in ("fully-implicit", "semi-implicit"):
             raise ValueError(f"unknown splitting {self.splitting!r}")
+        object.__setattr__(self, "resolvent", ResolventConfig(self.dt, self.tol, self.max_iter))
 
-    @property
-    def steps(self) -> int:
-        return round(self.horizon / self.dt)
+    def steps(self, data: ProblemData) -> int:
+        """The number of steps to data.horizon, which must be a whole number."""
+        T = data.horizon
+        n = round(T / self.dt)
+        if n < 1 or abs(n * self.dt - T) > 1e-9 * T:
+            raise ValueError(f"horizon {T!r} is not an integer number of steps of dt {self.dt!r}")
+        return n
 
 
 def _column(csv: str, counter: bool = False):
@@ -248,19 +251,15 @@ def _step_detailed(
     op: TruncatedOperator,
     prev_sq: float | None = None,
     guess: GridFunction | None = None,
-    rescfg: ResolventConfig | None = None,
 ) -> StepResult:
     """One step landing on op.t, solved with the step's operator `op`.
 
     prev_sq is |u_prev|^2 if the caller already has it; the resolve starts
-    from `guess`, or from u_prev if None.  rescfg is cfg.resolvent at
-    lam = dt, built here if None.
+    from `guess`, or from u_prev if None.
     """
     tau = cfg.dt
     t, data = op.t, op.data
     dom = data.domain
-    if rescfg is None:
-        rescfg = replace(cfg.resolvent, lam=tau)
     implicit = cfg.splitting == "fully-implicit"
     F = data.source_field(t)
     rhs = u_prev.values
@@ -273,7 +272,7 @@ def _step_detailed(
         div_F = divergence(F).values
         rhs = rhs - tau * div_F
     x0 = u_prev if guess is None else guess
-    u_new, diag = op.resolve_detailed(GridFunction(dom, rhs), rescfg, x0=x0)
+    u_new, diag = op.resolve_detailed(GridFunction(dom, rhs), cfg.resolvent, x0=x0)
     sq, h1_sq = grid._square_sums(u_new)
     # (F, grad u_j) as -<div F, u_j> (see the module docstring)
     pair = 0.0 if F is None else -dom.node_weight * float(np.vdot(div_F, u_new.values))
@@ -320,10 +319,13 @@ def _march(
 ) -> Iterator[tuple[float, GridFunction]]:
     """The one loop that advances a march: yield (t_j, u_j) for j = 0..steps.
 
-    Starts from a copy of u0 (data.initial if None), appends each step to
-    `trace` and holds copies of only the last `_EXTRAPOLATION_ORDER + 1`
-    states, the ring that starts each resolve (see the module docstring).
+    t_steps is data.horizon (`EvolutionConfig.steps`, checked before any
+    solve).  Starts from a copy of u0 (data.initial if None), appends each
+    step to `trace` and holds copies of only the last
+    `_EXTRAPOLATION_ORDER + 1` states, the ring that starts each resolve
+    (see the module docstring).
     """
+    steps = cfg.steps(data)
     if level is None:
         level = _default_level(cfg)
     if data.has_drift and cfg.splitting == "semi-implicit" and level is None:
@@ -351,18 +353,17 @@ def _march(
     yield 0.0, u
     dissip = 0.0
     tau = cfg.dt
-    rescfg = replace(cfg.resolvent, lam=tau)
     # one operator per march; each step moves it to its own time, which
     # re-samples nothing for autonomous data
     op = _step_operator(data, tau, cfg, level)
-    for j in range(1, cfg.steps + 1):
+    for j in range(1, steps + 1):
         t = j * tau
         op = op.at(t)
         n = j - 1
         weights = _RING_WEIGHTS[n if n < slots else slots + n % slots]
         try:
             x0 = GridFunction(u.domain, (weights @ ring).reshape(u.values.shape))
-            res = _step_detailed(u, cfg, op, u_sq, guess=x0, rescfg=rescfg)
+            res = _step_detailed(u, cfg, op, u_sq, guess=x0)
         except grid.ConvergenceError as err:
             err.args = (f"step {j} (t={t:.6g}) failed: {err.args[0]}",)
             err.step, err.t, err.trace = j, t, trace
@@ -391,7 +392,7 @@ def evolve(
     u0: GridFunction | None = None,
     observe: Callable[[float, GridFunction], None] | None = None,
 ) -> tuple[GridFunction, EvolutionTrace]:
-    """March to the horizon, recording norms and energy slack per step.
+    """March to data.horizon, recording norms and energy slack per step.
 
     `observe(t, u)`, if given, sees the initial state at t = 0 and then each
     new state; nothing keeps the trajectory.  Step failures raise
@@ -522,16 +523,16 @@ def uniqueness_harness(
         dists.append(norm_l2(u - v))
     d0 = dists[0]
     alpha = data.diffusion.alpha
-    b_eff = _step_operator(data, cfg.horizon, cfg, level).drift_face_max()
+    b_eff = _step_operator(data, data.horizon, cfg, level).drift_face_max()
     C0 = b_eff**2 / (2 * alpha)
     C = C0 / (1.0 - cfg.dt * C0) if cfg.dt * C0 < 1 else math.inf
     tol_rel = 1e-8
     ok = all(
-        d <= math.exp(C * t) * d0 * (1 + tol_rel) + 4 * cfg.resolvent.tol
+        d <= math.exp(C * t) * d0 * (1 + tol_rel) + 4 * cfg.tol
         for t, d in zip(times, dists)
     )
     monotone = all(
-        b <= a * (1 + tol_rel) + 4 * cfg.resolvent.tol for a, b in zip(dists, dists[1:])
+        b <= a * (1 + tol_rel) + 4 * cfg.tol for a, b in zip(dists, dists[1:])
     )
     exponents = [
         math.log(d / d0) / t for t, d in zip(times[1:], dists[1:]) if d > 0 and d0 > 0
@@ -599,7 +600,7 @@ class WeakResidual:
     """
 
     def __init__(self, data: ProblemData, cfg: EvolutionConfig):
-        self.data, self.dt, self.horizon = data, cfg.dt, cfg.horizon
+        self.data, self.dt, self.horizon = data, cfg.dt, data.horizon
         self.states = 0
         self._w = data.domain.node_weight
         self._op = TruncatedOperator(data, cfg.dt, drift_mode="full")

@@ -408,36 +408,32 @@ def make_truncation_plan(
     return TruncationPlan(tuple(float(M) for M in levels), certs)
 
 
-def small_data_check(
-    data: ProblemData, plan: TruncationPlan | None, level: float | None = None
-) -> tuple[bool, dict]:
+def small_data_check(data: ProblemData, plan: TruncationPlan | None) -> tuple[bool, dict]:
     """Drift smallness needed for the contraction toward the steady state.
 
     The condition is existential: some truncation level must split the
     coefficient so that both the remainder and the truncated part stay
     below alpha / (4 S) in the weak-L^N metric, making the total drift
     pairing lose less than alpha/2 of the coercivity.  The candidates are
-    the plan's levels and `level`, or the sampled node maximum when there
-    is neither; each is read from its certificate, which holds the
-    remainder and the bound, so only the truncated part min(b, M) is
-    measured here, at the `certificate_times`.  So the plan must be one
+    the plan's levels, or the sampled node maximum when there is no plan;
+    each is read from its certificate, which holds the remainder and the
+    bound, so only the truncated part min(b, M) is measured here, at the
+    `certificate_times`.  So the plan must be one
     certified for `data`, as `make_truncation_plan(data)` builds it.  The
     cruder product level * S is recorded for reference but not used, since
     it ignores the domain volume carried by the weak norm.
     """
     if not data.has_drift:
         return True, {"drift": 0.0}
-    if level is not None:
-        _check_level(level)
     N = data.domain.dim
     S = _embedding_constant(N)
     if S is None:
         return False, {"reason": _NO_EMBEDDING}
-    certs = dict(zip(plan.levels, plan.certificates)) if plan is not None else {}
-    if level is None and not certs:
+    if plan is not None:
+        certs = dict(zip(plan.levels, plan.certificates))
+    else:
         level = float(np.max(data.drift_bound_grid(0.0).values))
-    if level is not None and level not in certs:
-        certs[level] = _certificate(data, level)
+        certs = {level: _certificate(data, level)}
     weight = data.domain.node_weight
     best = None
     for lv in sorted(certs):

@@ -217,7 +217,6 @@ class SolverDiagnostics:
     `relaxation` is the damping factor in force when the solve ended.
     """
 
-    method: str
     iterations: int = 0
     converged: bool = False
     residuals: list[float] = field(default_factory=list)
@@ -967,7 +966,7 @@ def _monotone_iteration(
     (see the module docstring).  Every failure raises ConvergenceError
     carrying the last iterate and the residual history.
     """
-    diag = SolverDiagnostics(method="damped-picard")
+    diag = SolverDiagnostics()
     rho = 1.0
     if r is None:
         r = residual(u)

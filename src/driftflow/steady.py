@@ -36,7 +36,11 @@ from .evolution import _NOT_IN_JSON, _json_fields
 
 @dataclass(frozen=True)
 class SteadyConfig:
-    """Stationary solve settings; `time` freezes nonautonomous data."""
+    """Stationary solve settings; `time` freezes nonautonomous data.
+
+    `time` is "final" (the problem's horizon) or a time in [0, horizon],
+    checked against the problem by `frozen_time`.
+    """
 
     tol: float = 1e-11
     max_iter: int = 500
@@ -56,6 +60,8 @@ class SteadyConfig:
     def frozen_time(self, data: ProblemData) -> float:
         if self.time == "final":
             return data.horizon
+        if not 0 <= self.time <= data.horizon:
+            raise ValueError(f"time must lie in [0, {data.horizon!r}], got {self.time!r}")
         return float(self.time)
 
 
@@ -126,31 +132,31 @@ def decay_experiment(
     data: ProblemData,
     evo_cfg: EvolutionConfig,
     steady_cfg: SteadyConfig,
-    level: float | None = None,
 ) -> DecayReport:
     """Evolve toward the stationary state and fit the exponential rate.
 
-    The fit window is the second half of the horizon; early transients decay
-    faster than the certified rate and would bias the fit upward.  If y sits
-    at the numerical floor over the whole window the report flags saturation
-    instead of quoting a rate.  y is taken from the streamed states, and the
+    The march runs at the plan's last level, and the small-data verdict
+    takes the best of the plan's levels.  The fit window is the second half
+    of the horizon; early transients decay faster than the certified rate
+    and would bias the fit upward.  If y sits at the numerical floor over
+    the whole window the report flags saturation instead of quoting a
+    rate.  y is taken from the streamed states, and the
     report carries the march's EvolutionTrace, so nothing is marched twice.
     """
     dom = data.domain
+    evo_cfg.steps(data)  # a bad step count raises before the stationary solve
     u_inf = solve_steady(data, steady_cfg)
     y = []
-    _, trace = evolve(
-        data, evo_cfg, level=level, observe=lambda t, u: y.append(norm_l2(u - u_inf) ** 2)
-    )
+    _, trace = evolve(data, evo_cfg, observe=lambda t, u: y.append(norm_l2(u - u_inf) ** 2))
     times = [0.0] + trace.times
     cp = poincare_constant(dom)
     cp_bound = sum(L**2 for L in dom.lengths) / math.pi**2
     alpha = data.diffusion.alpha
     omega = alpha / (4 * cp)
     intro = alpha / (2 * cp)
-    ok, detail = small_data_check(data, evo_cfg.truncation, level)
+    ok, detail = small_data_check(data, evo_cfg.truncation)
 
-    T = evo_cfg.horizon
+    T = data.horizon
     window = (0.5 * T, T)
     floor = 100.0 * np.finfo(float).eps * max(1.0, y[0])
     in_window = [yy for t, yy in zip(times, y) if window[0] <= t <= window[1]]

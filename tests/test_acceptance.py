@@ -87,10 +87,10 @@ def test_criterion_03_exact_eigen_decay():
     dom = G.BoxDomain(2, (1.0, 1.0), (128, 128))
     data = M.make_model("heat", dom, 0.3)
     tau = 1e-3
-    cfg = EvolutionConfig(dt=tau, horizon=0.3, resolvent=ResolventConfig(tol=1e-14))
+    cfg = EvolutionConfig(dt=tau, tol=1e-14)
     final, trace = evolve(data, cfg)
     lam = G.smallest_eigenvalue_exact(dom)
-    expected = (1.0 + tau * lam) ** (-cfg.steps) * G.norm_l2(data.initial)
+    expected = (1.0 + tau * lam) ** (-cfg.steps(data)) * G.norm_l2(data.initial)
     rel = abs(G.norm_l2(final) - expected) / expected
     assert rel <= 1e-12
     slope = np.polyfit(trace.times, np.log(trace.l2_norms), 1)[0]
@@ -109,7 +109,7 @@ def test_criterion_04_manufactured_convergence():
     errs_t = []
     for tau in (0.04, 0.02):
         data = M.make_model("manufactured", dom_t, 0.2)
-        cfg = EvolutionConfig(dt=tau, horizon=0.2, resolvent=ResolventConfig(tol=1e-12))
+        cfg = EvolutionConfig(dt=tau, tol=1e-12)
         final, _ = evolve(data, cfg)
         errs_t.append(G.norm_l2(final - data.exact_grid(0.2)))
     order_t = math.log2(errs_t[0] / errs_t[1])
@@ -119,7 +119,7 @@ def test_criterion_04_manufactured_convergence():
     for n in (8, 16):
         dom = G.BoxDomain(2, (1.0, 1.0), (n, n))
         data = M.make_model("manufactured", dom, 0.1)
-        cfg = EvolutionConfig(dt=1e-4, horizon=0.1, resolvent=ResolventConfig(tol=1e-12))
+        cfg = EvolutionConfig(dt=1e-4, tol=1e-12)
         final, _ = evolve(data, cfg)
         errs_h.append(G.norm_l2(final - data.exact_grid(0.1)))
     order_h = math.log2(errs_h[0] / errs_h[1])
@@ -156,9 +156,7 @@ def test_manifest_checks_are_plain_bools(preset_runs):
 def test_criterion_06_truncation_continuation():
     data = M.make_model("singular-drift", DOM32, 0.1, c=0.08)
     plan = M.make_truncation_plan(data)
-    cfg = EvolutionConfig(
-        dt=1e-3, horizon=0.1, truncation=plan, resolvent=ResolventConfig(tol=1e-12)
-    )
+    cfg = EvolutionConfig(dt=1e-3, truncation=plan, tol=1e-12)
     result = continuation(data, cfg)
     assert result.differences_nonincreasing
     assert result.differences[-1] <= 1e-9
@@ -173,7 +171,7 @@ def test_criterion_07_uniqueness_harness():
     rng = np.random.default_rng(7)
     # contraction without drift
     data = M.make_model("manufactured", DOM32, 0.1)
-    cfg = EvolutionConfig(dt=2e-3, horizon=0.1, resolvent=ResolventConfig(tol=1e-12))
+    cfg = EvolutionConfig(dt=2e-3, tol=1e-12)
     u0 = data.initial
     v0 = G.GridFunction(DOM32, u0.values + 0.5 * rng.standard_normal(DOM32.interior_shape))
     rep = uniqueness_harness(data, cfg, u0, v0)
@@ -183,7 +181,7 @@ def test_criterion_07_uniqueness_harness():
     drift = M.make_model("singular-drift", DOM3, 0.1, c=0.1)
     cert = M.certify_truncation(drift, 0.5)
     assert cert.passes_evolution
-    cfg3 = EvolutionConfig(dt=2e-3, horizon=0.1, resolvent=ResolventConfig(tol=1e-12))
+    cfg3 = EvolutionConfig(dt=2e-3, tol=1e-12)
     w0 = drift.initial
     z0 = G.GridFunction(DOM3, w0.values + 0.5 * rng.standard_normal(DOM3.interior_shape))
     rep3 = uniqueness_harness(drift, cfg3, w0, z0, level=0.5)

@@ -94,6 +94,11 @@ class TestParse:
         keys = {k for k in cli.parse_config(block) if not k.startswith("model.")}
         assert keys == set(cli._KEYS)
 
+    def test_readme_python_example_runs(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```python\n", 1)[1].split("```\n", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+
     def test_model_params_pass_through(self):
         cfg = cli.parse_config("experiment = evolve\nmodel.c = 0.1\n")
         assert cfg["model.c"] == "0.1"
@@ -111,17 +116,39 @@ class TestRun:
         assert data["skipped"] == {}
 
     def test_manifest_names_skipped_checks(self, tmp_path):
-        # below dimension 3 the small-data certificate cannot hold, so the
-        # two checks resting on it do not run; the manifest says so and why
+        # below dimension 3 the small-data certificate cannot hold, and with
+        # c = 0.3 on 8^3 the drift is too large at every level, so the two
+        # checks resting on it do not run; a heat decay whose y reaches the
+        # numerical floor before the fit window has no rate to fit.  The
+        # manifest says which check did not run and why.
         text = SMALL_DRIFT_DECAY.replace("dim = 3", "dim = 2")
         text = text.replace("lengths = 1,1,1", "lengths = 1,1").replace("cells = 8,8,8", "cells = 12,12")
-        outdir = tmp_path / "out"
-        manifest = cli.run(write_cfg(tmp_path, text), output_dir=outdir)
-        data = json.loads((outdir / "run_manifest.json").read_text())
-        assert set(data["skipped"]) == {"lyapunov_monotone", "rate_at_least_certified"}
-        assert all("dimension 3" in reason for reason in data["skipped"].values())
-        assert data["checks"] == {"energy_inequality": True}
-        assert data["passed"] is manifest.passed is True
+        small_data = {"lyapunov_monotone", "rate_at_least_certified"}
+        cases = [
+            (text, small_data, "dimension 3", {"energy_inequality": True}),
+            (
+                SMALL_DRIFT_DECAY.replace("model.c = 0.1", "model.c = 0.3"),
+                small_data,
+                "at every level",
+                {"energy_inequality": True},
+            ),
+            (
+                FAST_DECAY.replace("cells = 12,12", "cells = 8,8")
+                .replace("dt = 0.005", "dt = 0.05")
+                .replace("T = 0.2", "T = 2.5"),
+                {"rate_at_least_certified"},
+                "numerical floor",
+                {"energy_inequality": True, "lyapunov_monotone": True},
+            ),
+        ]
+        for k, (config, skipped, reason, checks) in enumerate(cases):
+            outdir = tmp_path / f"out{k}"
+            manifest = cli.run(write_cfg(tmp_path, config), output_dir=outdir)
+            data = json.loads((outdir / "run_manifest.json").read_text())
+            assert set(data["skipped"]) == skipped
+            assert all(reason in why for why in data["skipped"].values())
+            assert data["checks"] == checks
+            assert data["passed"] is manifest.passed is True
 
     def test_manifest_lists_every_file(self, tmp_path):
         path = write_cfg(tmp_path, FAST_DECAY)
@@ -298,6 +325,11 @@ class TestRun:
         manifest = cli.run(path, output_dir=tmp_path / "out")
         assert manifest.passed
         assert (tmp_path / "out" / "steady_state.csv").exists()
+        # a time inside the horizon freezes the data there
+        at = cli.run(path, output_dir=tmp_path / "at", overrides={"steady.time": "0.1"})
+        assert at.passed
+        frozen = (tmp_path / "at" / "steady_state.csv").read_bytes()
+        assert frozen != (tmp_path / "out" / "steady_state.csv").read_bytes()
 
     def test_lorentz_report_experiment(self, tmp_path):
         path = write_cfg(
@@ -448,6 +480,32 @@ class TestMain:
         argv = ["run", str(path), "--output-dir", str(tmp_path / "out")]
         assert cli.main(argv + ["--override", f"{key}={value}"]) == 2
         assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-7", "50"])
+    @pytest.mark.parametrize("experiment", ["steady", "decay"])
+    def test_exit_two_on_steady_time_outside_the_horizon(
+        self, tmp_path, capsys, experiment, value
+    ):
+        # each used to solve the slice frozen at that time, with no error
+        text = (
+            f"experiment = {experiment}\nmodel = manufactured\ndomain.cells = 8,8\n"
+            f"time.dt = 0.01\ntime.T = 0.3\nsteady.time = {value}\n"
+        )
+        outdir = tmp_path / "out"
+        argv = ["run", str(write_cfg(tmp_path, text)), "--output-dir", str(outdir)]
+        assert cli.main(argv) == 2
+        assert "bad 'steady.time': time must lie in [0, 0.3]" in capsys.readouterr().err
+        # rejected before any solve wrote a file
+        assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize("experiment", ["evolve", "decay", "uniqueness", "continuation"])
+    def test_exit_two_on_non_integer_step_count(self, tmp_path, capsys, experiment):
+        text = CONTINUATION.replace("experiment = continuation", f"experiment = {experiment}")
+        outdir = tmp_path / "out"
+        argv = ["run", str(write_cfg(tmp_path, text)), "--output-dir", str(outdir)]
+        assert cli.main(argv + ["--override", "time.dt=0.03"]) == 2
+        assert "integer number of steps" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
 
     def test_exit_two_on_negative_seed_option(self, tmp_path, capsys):
         # used to end in numpy's "expected non-negative integer" traceback

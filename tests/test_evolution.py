@@ -17,12 +17,11 @@ from driftflow.steady import SteadyConfig, decay_experiment, solve_steady
 
 from _oracles import assembled_pairing, t_dependent_drift
 
-TIGHT = ResolventConfig(tol=1e-13)
 
-
-def cfg(dt, T, **kw):
-    kw.setdefault("resolvent", TIGHT)
-    return E.EvolutionConfig(dt=dt, horizon=T, **kw)
+def cfg(dt, **kw):
+    """A march of step dt, its resolves solved to 1e-13 unless `tol` says otherwise."""
+    kw.setdefault("tol", 1e-13)
+    return E.EvolutionConfig(dt=dt, **kw)
 
 
 def observed(data, c, **kw):
@@ -32,24 +31,26 @@ def observed(data, c, **kw):
     return states
 
 
+def heat_1d(T):
+    return M.make_model("heat", G.BoxDomain(1, (1.0,), (4,)), T)
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            E.EvolutionConfig(dt=0.0, horizon=1.0)
+            E.EvolutionConfig(dt=0.0)
         with pytest.raises(ValueError):
-            E.EvolutionConfig(dt=1.5, horizon=3.0)
+            E.EvolutionConfig(dt=1.5)
         with pytest.raises(ValueError):
-            E.EvolutionConfig(dt=0.3, horizon=1.0)  # not an integer step count
+            E.EvolutionConfig(dt=0.3).steps(heat_1d(1.0))  # not an integer step count
         with pytest.raises(ValueError):
-            E.EvolutionConfig(dt=0.1, horizon=0.5, splitting="imex")
+            E.EvolutionConfig(dt=0.1, splitting="imex")
 
     @pytest.mark.parametrize(
         "field, kw",
         [
-            ("dt", dict(dt=math.nan, horizon=1.0)),
-            ("dt", dict(dt=-math.inf, horizon=1.0)),
-            ("horizon", dict(dt=0.1, horizon=math.nan)),
-            ("horizon", dict(dt=0.1, horizon=math.inf)),
+            ("dt", dict(dt=math.nan)),
+            ("dt", dict(dt=-math.inf)),
         ],
     )
     def test_non_finite_setting_names_its_field(self, field, kw):
@@ -58,7 +59,39 @@ class TestConfig:
             E.EvolutionConfig(**kw)
 
     def test_steps(self):
-        assert cfg(0.1, 0.5).steps == 5
+        assert cfg(0.1).steps(heat_1d(0.5)) == 5
+
+    def test_resolvent_is_the_step_at_lam_dt(self):
+        settable = [f.name for f in fields(E.EvolutionConfig) if f.init]
+        assert settable == ["dt", "splitting", "truncation", "tol", "max_iter"]
+        c = E.EvolutionConfig(dt=0.02, tol=1e-9, max_iter=7)
+        assert c.resolvent == ResolventConfig(lam=0.02, tol=1e-9, max_iter=7)
+        assert replace(c, dt=0.05).resolvent == ResolventConfig(lam=0.05, tol=1e-9, max_iter=7)
+        assert E.EvolutionConfig(dt=0.1).resolvent == ResolventConfig(lam=0.1, tol=1e-12)
+        with pytest.raises(TypeError):
+            E.EvolutionConfig(dt=0.1, resolvent=ResolventConfig(lam=0.5))
+        for bad in (dict(tol=0.0), dict(tol=math.nan), dict(max_iter=0)):
+            with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
+                E.EvolutionConfig(dt=0.1, **bad)
+
+    def test_non_integer_step_count_raises_before_any_solve(self, monkeypatch):
+        data = M.make_model("heat", G.BoxDomain(2, (1.0, 1.0), (8, 8)), 0.1)
+        c = cfg(0.03, truncation=M.make_truncation_plan(data, levels=[1.0, 2.0]))
+        solves = []
+        monkeypatch.setattr(
+            E.TruncatedOperator, "resolve_detailed", lambda *a, **k: solves.append(a)
+        )
+        monkeypatch.setattr("driftflow.steady.stationary_solve", lambda *a, **k: solves.append(a))
+        runs = (
+            lambda: E.evolve(data, c),
+            lambda: E.continuation(data, c),
+            lambda: E.uniqueness_harness(data, c, data.initial, 0.5 * data.initial),
+            lambda: decay_experiment(data, c, SteadyConfig()),
+        )
+        for run in runs:
+            with pytest.raises(ValueError, match="integer number of steps"):
+                run()
+        assert solves == []
 
 
 class TestStep:
@@ -68,14 +101,14 @@ class TestStep:
         data = M.make_model("heat", dom, 0.5)
         tau = 0.01
         lam = G.smallest_eigenvalue_exact(dom)
-        u1 = E.step(data.initial, tau, cfg(tau, 0.5), data)
+        u1 = E.step(data.initial, tau, cfg(tau), data)
         expect = data.initial.values / (1.0 + tau * lam)
         assert np.max(np.abs(u1.values - expect)) < 1e-13
 
     def test_zero_stays_zero(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (8, 8))
         data = M.make_model("heat", dom, 0.5)
-        u1 = E.step(G.zeros(dom), 0.01, cfg(0.01, 0.5), data)
+        u1 = E.step(G.zeros(dom), 0.01, cfg(0.01), data)
         assert np.max(np.abs(u1.values)) == 0.0
 
     def test_splitting_modes_agree_to_second_order_per_step(self):
@@ -102,7 +135,7 @@ class TestStep:
         )
         diffs = []
         for tau in (1e-3, 5e-4):
-            c = cfg(tau, tau * 10)
+            c = cfg(tau)
             a = E.step(data.initial, tau, c, data, level=1.0)
             b = E.step(
                 data.initial, tau, replace(c, splitting="semi-implicit"), data, level=1.0
@@ -117,10 +150,10 @@ class TestEvolve:
         dom = G.BoxDomain(2, (1.0, 1.0), (32, 32))
         data = M.make_model("heat", dom, 0.3)
         tau = 2e-3
-        c = cfg(tau, 0.3, resolvent=ResolventConfig(tol=1e-14))
+        c = cfg(tau, tol=1e-14)
         final, trace = E.evolve(data, c)
         lam = G.smallest_eigenvalue_exact(dom)
-        expect = (1.0 + tau * lam) ** (-c.steps) * G.norm_l2(data.initial)
+        expect = (1.0 + tau * lam) ** (-c.steps(data)) * G.norm_l2(data.initial)
         assert G.norm_l2(final) == pytest.approx(expect, rel=1e-12)
         assert trace.violations == 0
 
@@ -136,13 +169,13 @@ class TestEvolve:
             initial=G.zeros(dom),
             horizon=0.1,
         )
-        final, _ = E.evolve(data, cfg(0.01, 0.1))
+        final, _ = E.evolve(data, cfg(0.01))
         assert G.norm_l2(final) == 0.0
 
     def test_manufactured_error_small(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (32, 32))
         data = M.make_model("manufactured", dom, 0.1)
-        final, trace = E.evolve(data, cfg(1e-3, 0.1))
+        final, trace = E.evolve(data, cfg(1e-3))
         err = G.norm_l2(final - data.exact_grid(0.1))
         assert err < 5e-3
         assert trace.violations == 0
@@ -151,7 +184,7 @@ class TestEvolve:
         dom = G.BoxDomain(2, (1.0, 1.0), (16, 16))
         data = M.make_model("manufactured", dom, 0.1)
         rng = np.random.default_rng(0)
-        c = cfg(5e-3, 0.1)
+        c = cfg(5e-3)
         u0 = data.initial
         v0 = G.GridFunction(dom, u0.values + rng.standard_normal(dom.interior_shape))
         us = observed(data, c, u0=u0)
@@ -165,7 +198,7 @@ class TestEvolve:
         data = M.make_model("manufactured", dom, 0.1)
         seen = []
         final, trace = E.evolve(
-            data, cfg(0.01, 0.1), observe=lambda t, u: seen.append((t, u))
+            data, cfg(0.01), observe=lambda t, u: seen.append((t, u))
         )
         assert [t for t, _ in seen] == [0.0] + trace.times
         assert seen[0][1] is not data.initial
@@ -176,7 +209,7 @@ class TestEvolve:
     def test_initial_state_on_another_domain_rejected(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (8, 8))
         data = M.make_model("heat", dom, 0.05)
-        c = cfg(0.01, 0.05)
+        c = cfg(0.01)
         stretched = G.BoxDomain(2, (2.0, 1.0), (8, 8))  # same cells, other lengths
         finer = G.BoxDomain(2, (1.0, 1.0), (10, 10))
         for other in (stretched, finer):
@@ -192,7 +225,7 @@ class TestEvolve:
         level = 1.0
         diffs = []
         for tau in (0.01, 0.005):
-            c = cfg(tau, 0.2)
+            c = cfg(tau)
             a, _ = E.evolve(data, c, level=level)
             b, _ = E.evolve(data, replace(c, splitting="semi-implicit"), level=level)
             diffs.append(G.norm_l2(a - b))
@@ -201,14 +234,14 @@ class TestEvolve:
     def test_trace_bound_constant(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (16, 16))
         data = M.make_model("manufactured", dom, 0.2)
-        _, trace = E.evolve(data, cfg(5e-3, 0.2))
+        _, trace = E.evolve(data, cfg(5e-3))
         C = trace.measured_bound_constant()
         assert 0 < C < 10
 
     def test_bound_constant_matches_resampled_source(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (16, 16))
         data = M.make_model("manufactured", dom, 0.2)
-        c = cfg(5e-3, 0.2)
+        c = cfg(5e-3)
         _, trace = E.evolve(data, c)
         f2 = 0.0
         for t in trace.times:
@@ -230,7 +263,7 @@ class TestEvolve:
             return sample(self, t)
 
         monkeypatch.setattr(M.ProblemData, "source_field", counted)
-        c = cfg(0.01, 0.1, splitting=splitting)
+        c = cfg(0.01, splitting=splitting)
         _, trace = E.evolve(data, c)
         trace.measured_bound_constant()
         assert calls == trace.times
@@ -240,7 +273,7 @@ class TestEvolve:
         # the march reuses the energy check's norms; they must be the norms
         dom = G.BoxDomain(2, (1.0, 1.0), (12, 12))
         data = M.make_model("singular-drift", dom, 0.05, c=0.08)
-        c = cfg(0.01, 0.05, splitting=splitting)
+        c = cfg(0.01, splitting=splitting)
         seen = []
         _, trace = E.evolve(data, c, level=1.0, observe=lambda t, u: seen.append(u))
         assert trace.initial_l2 == G.norm_l2(seen[0])
@@ -250,7 +283,7 @@ class TestEvolve:
     def test_step_failure_attaches_partial_trace(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (10, 10))
         data = M.make_model("lipschitz-nonlinear", dom, 0.1)
-        bad = cfg(0.01, 0.1, resolvent=ResolventConfig(tol=1e-14, max_iter=1))
+        bad = cfg(0.01, tol=1e-14, max_iter=1)
         with pytest.raises(G.ConvergenceError) as info:
             E.evolve(data, bad)
         assert isinstance(info.value.trace, E.EvolutionTrace)
@@ -263,14 +296,14 @@ class TestEvolve:
         data = M.make_model("singular-drift", dom, 0.05, c=0.2)
         plan = M.make_truncation_plan(data, levels=[0.3])
         assert not plan.certified(0)
-        c = cfg(0.01, 0.05, truncation=plan, splitting="semi-implicit")
+        c = cfg(0.01, truncation=plan, splitting="semi-implicit")
         with pytest.warns(RuntimeWarning):
             E.evolve(data, c)
 
     def test_trace_csv(self, tmp_path):
         dom = G.BoxDomain(1, (1.0,), (8,))
         data = M.make_model("heat", dom, 0.1)
-        _, trace = E.evolve(data, cfg(0.01, 0.1))
+        _, trace = E.evolve(data, cfg(0.01))
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
         lines = path.read_text().splitlines()
@@ -300,7 +333,7 @@ class TestEvolve:
     def test_counter_totals_sum_the_counter_columns_over_traces(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (12, 12))
         data = M.make_model("variable-diffusion", dom, 0.05)
-        traces = [E.evolve(data, cfg(dt, 0.05))[1] for dt in (5e-3, 1e-2)]
+        traces = [E.evolve(data, cfg(dt))[1] for dt in (5e-3, 1e-2)]
         totals = E.EvolutionTrace.counter_totals(traces)
         assert totals == {
             "resolvent_iters": sum(sum(t.solver_iterations) for t in traces),
@@ -316,11 +349,11 @@ class TestEvolve:
         dom = G.BoxDomain(2, (1.0, 1.0), (16, 16))
         stiff = M.make_model("lipschitz-nonlinear", dom, 0.5, beta=20.0)
         runs = {
-            "stiff": (stiff, cfg(0.05, 0.5), 30.0 * stiff.initial),
+            "stiff": (stiff, cfg(0.05), 30.0 * stiff.initial),
             "variable-diffusion": (
-                M.make_model("variable-diffusion", dom, 0.05), cfg(5e-3, 0.05), None
+                M.make_model("variable-diffusion", dom, 0.05), cfg(5e-3), None
             ),
-            "heat": (M.make_model("heat", dom, 0.05), cfg(5e-3, 0.05), None),
+            "heat": (M.make_model("heat", dom, 0.05), cfg(5e-3), None),
         }
         resolve = E.TruncatedOperator.resolve_detailed
         diags = []
@@ -355,7 +388,7 @@ class TestEvolve:
 def cold_march(data, c, level=None):
     """u_1..u_n and the iteration counts of a loop of cold `step` calls."""
     u, states, iters = data.initial, [], []
-    for j in range(1, c.steps + 1):
+    for j in range(1, c.steps(data) + 1):
         op = E._step_operator(data, j * c.dt, c, level)
         res = E._step_detailed(u, c, op)
         assert np.array_equal(res.state.values, E.step(u, j * c.dt, c, data, level).values)
@@ -384,7 +417,7 @@ class TestWarmStart:
     @pytest.mark.parametrize("dom, model, splitting, level", WARM_CASES)
     def test_states_match_cold_steps(self, dom, model, splitting, level):
         data = M.make_model(model, dom, 0.06)
-        c = cfg(5e-3, 0.06, splitting=splitting)
+        c = cfg(5e-3, splitting=splitting)
         warm = observed(data, c, level=level)
         cold, _ = cold_march(data, c, level)
         # step 1 has no history to extrapolate from: it is the cold step
@@ -400,7 +433,7 @@ class TestWarmStart:
         seen = []
         E.evolve(
             data,
-            cfg(5e-3, 0.06, splitting=splitting),
+            cfg(5e-3, splitting=splitting),
             level=level,
             observe=lambda t, u: seen.append((u, u.values.copy())),
         )
@@ -422,7 +455,7 @@ class TestWarmStart:
         dom = G.BoxDomain(2, (1.0, 1.0), (12, 12))
         data = M.make_model("singular-drift", dom, 0.02, c=0.08)
         plan = M.make_truncation_plan(data, levels=[0.5, 1.0, 2.0])
-        c = cfg(2e-3, 0.02, truncation=plan, splitting="semi-implicit")
+        c = cfg(2e-3, truncation=plan, splitting="semi-implicit")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             res = E.continuation(data, c)
@@ -440,14 +473,14 @@ class TestContinuation:
         data = M.make_model("singular-drift", dom, 0.1, c=0.08)
         bmax = data.drift_bound_grid(0.0).max_abs()
         plan = M.make_truncation_plan(data, levels=[2 * bmax, 4 * bmax])
-        res = E.continuation(data, cfg(2e-3, 0.1, truncation=plan))
+        res = E.continuation(data, cfg(2e-3, truncation=plan))
         assert res.differences[0] <= 1e-10
 
     def test_singular_drift_saturation(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (16, 16))
         data = M.make_model("singular-drift", dom, 0.1, c=0.08)
         plan = M.make_truncation_plan(data)
-        res = E.continuation(data, cfg(2e-3, 0.1, truncation=plan))
+        res = E.continuation(data, cfg(2e-3, truncation=plan))
         assert res.differences_nonincreasing
         assert res.differences[-1] <= 1e-9
         assert res.warnings  # 2D drift levels carry no embedding certificate
@@ -456,7 +489,7 @@ class TestContinuation:
         dom = G.BoxDomain(2, (1.0, 1.0), (8, 8))
         data = M.make_model("singular-drift", dom, 0.1, c=0.08)
         with pytest.raises(ValueError):
-            E.continuation(data, cfg(2e-3, 0.1))
+            E.continuation(data, cfg(2e-3))
 
 
 class TestUniqueness:
@@ -476,17 +509,17 @@ class TestUniqueness:
 
     def test_identical_states_stay_identical(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (12, 12))
-        data = M.make_model("heat", dom, 0.1)
-        rep = E.uniqueness_harness(data, cfg(5e-3, 0.05), data.initial, data.initial)
+        data = M.make_model("heat", dom, 0.05)
+        rep = E.uniqueness_harness(data, cfg(5e-3), data.initial, data.initial)
         assert max(rep.distances) <= 1e-12
 
     def test_pure_contraction_without_drift(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (12, 12))
-        data = M.make_model("variable-diffusion", dom, 0.1)
+        data = M.make_model("variable-diffusion", dom, 0.05)
         rng = np.random.default_rng(1)
         u0 = data.initial
         v0 = G.GridFunction(dom, u0.values + 0.5 * rng.standard_normal(dom.interior_shape))
-        rep = E.uniqueness_harness(data, cfg(5e-3, 0.05), u0, v0)
+        rep = E.uniqueness_harness(data, cfg(5e-3), u0, v0)
         assert rep.growth_constant == 0.0
         assert rep.contraction_monotone
         assert rep.tightest_exponent <= 0.0
@@ -497,13 +530,13 @@ class TestUniqueness:
     def test_growth_constant_is_the_clamped_drift_formula(self, model, splitting):
         dom = G.BoxDomain(2, (1.0, 1.0), (8, 8))
         data = M.make_model(model, dom, 0.02)
-        c = cfg(5e-3, 0.02, splitting=splitting)
+        c = cfg(5e-3, splitting=splitting)
         level = 1.0
         v0 = G.GridFunction(dom, 0.5 * data.initial.values)
         rep = E.uniqueness_harness(data, c, data.initial, v0, level=level)
         if data.has_drift:
             clamp = level if splitting == "semi-implicit" else None
-            b_eff = M.drift_bound_max(data, c.horizon, clamp)
+            b_eff = M.drift_bound_max(data, data.horizon, clamp)
             # the clamp is active on this grid
             assert (b_eff == level) == (splitting == "semi-implicit")
             C0 = b_eff**2 / (2 * data.diffusion.alpha)
@@ -515,11 +548,11 @@ class TestUniqueness:
 
     def test_drift_growth_envelope(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (16, 16))
-        data = M.make_model("singular-drift", dom, 0.1, c=0.08)
+        data = M.make_model("singular-drift", dom, 0.05, c=0.08)
         rng = np.random.default_rng(2)
         u0 = data.initial
         v0 = G.GridFunction(dom, u0.values + 0.5 * rng.standard_normal(dom.interior_shape))
-        rep = E.uniqueness_harness(data, cfg(2e-3, 0.05), u0, v0, level=1.0)
+        rep = E.uniqueness_harness(data, cfg(2e-3), u0, v0, level=1.0)
         assert rep.growth_constant > 0.0
         assert rep.bound_satisfied
         assert rep.tightest_exponent <= rep.growth_constant
@@ -541,7 +574,7 @@ class TestWeakResidual:
         for tau in (4e-3, 2e-3):
             n = round(0.1 / tau)
             states = [data.exact_grid(j * tau) for j in range(n + 1)]
-            entries = weak_entries(data, cfg(tau, 0.1), states)
+            entries = weak_entries(data, cfg(tau), states)
             errs.append(max(e.normalized for e in entries))
         assert errs[0] < 0.05
         assert errs[1] < 0.7 * errs[0]
@@ -551,7 +584,7 @@ class TestWeakResidual:
         for n, tau in ((12, 4e-3), (24, 2e-3)):
             dom = G.BoxDomain(2, (1.0, 1.0), (n, n))
             data = M.make_model("manufactured", dom, 0.1)
-            c = cfg(tau, 0.1)
+            c = cfg(tau)
             wr = E.WeakResidual(data, c)
             E.evolve(data, c, observe=wr)
             vals.append(max(e.normalized for e in wr.entries()))
@@ -562,7 +595,7 @@ class TestWeakResidual:
         data = M.make_model("heat", dom, 0.1)
         for states in ([data.initial], []):
             with pytest.raises(ValueError, match="states"):
-                weak_entries(data, cfg(0.01, 0.1), states)
+                weak_entries(data, cfg(0.01), states)
 
 
 def _test_battery(dom, T):
@@ -668,7 +701,7 @@ class TestWeakResidualAssembly:
     def test_matches_stored_oracle(self, name, lengths, cells, flux_calls):
         dom = G.BoxDomain(len(cells), lengths, cells)
         data = M.make_model(name, dom, 0.05)
-        c = cfg(0.01, 0.05)
+        c = cfg(0.01)
         states = observed(data, c)
         wr = E.WeakResidual(data, c)
         E.evolve(data, c, observe=wr)
@@ -684,7 +717,7 @@ class TestWeakResidualAssembly:
         dom = G.BoxDomain(2, (1.0, 1.0), (8, 8))
         data = M.make_model("singular-drift", dom, 0.05)
         states = [data.initial * (1.0 - 0.1 * j) for j in range(6)]
-        assert len(weak_entries(data, cfg(0.01, 0.05), states)) == 9
+        assert len(weak_entries(data, cfg(0.01), states)) == 9
         assert flux_calls == pytest.approx([0.01 * j for j in range(1, 6)])
 
 
@@ -695,7 +728,7 @@ class TestStreamedTrajectories:
     def test_decay_series_matches_stored_trajectory(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (12, 12))
         data = M.make_model("lipschitz-nonlinear", dom, 0.1)
-        c, scfg = cfg(5e-3, 0.1), SteadyConfig(tol=1e-12)
+        c, scfg = cfg(5e-3), SteadyConfig(tol=1e-12)
         rep = decay_experiment(data, c, scfg)
         u_inf = solve_steady(data, scfg)
         assert rep.y_values == [G.norm_l2(s - u_inf) ** 2 for s in observed(data, c)]
@@ -709,7 +742,7 @@ class TestStreamedTrajectories:
         rng = np.random.default_rng(3)
         u0 = data.initial
         v0 = G.GridFunction(dom, u0.values + 0.5 * rng.standard_normal(dom.interior_shape))
-        c = cfg(5e-3, 0.05)
+        c = cfg(5e-3)
         rep = E.uniqueness_harness(data, c, u0, v0, level=level)
         us = observed(data, c, u0=u0, level=level)
         vs = observed(data, c, u0=v0, level=level)
@@ -719,7 +752,7 @@ class TestStreamedTrajectories:
     def test_step_failure_keeps_step_time_and_partial_trace(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (10, 10))
         data = M.make_model("lipschitz-nonlinear", dom, 0.1)
-        bad = cfg(0.01, 0.1, resolvent=ResolventConfig(tol=1e-14, max_iter=1))
+        bad = cfg(0.01, tol=1e-14, max_iter=1)
         runs = (
             lambda: decay_experiment(data, bad, SteadyConfig(tol=1e-12)),
             lambda: E.uniqueness_harness(data, bad, data.initial, 0.5 * data.initial),
@@ -743,21 +776,22 @@ class TestStreamedTrajectories:
         v0 = G.GridFunction(dom, rng.standard_normal(dom.interior_shape))
         scfg = SteadyConfig(tol=1e-12)
         runs = {
-            "decay": lambda c: decay_experiment(data, c, scfg),
-            "uniqueness": lambda c: E.uniqueness_harness(data, c, data.initial, v0),
+            "decay": lambda d: decay_experiment(d, cfg(1e-3), scfg),
+            "uniqueness": lambda d: E.uniqueness_harness(d, cfg(1e-3), d.initial, v0),
         }
 
         def peak(run, steps):
-            c = cfg(1e-3, steps * 1e-3)
+            marched = replace(data, horizon=steps * 1e-3)
             tracemalloc.start()
             try:
-                run(c)
+                run(marched)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         for name, run in runs.items():
-            run(cfg(1e-3, 0.01))  # fill the grid caches outside the measurement
+            # fill the grid caches outside the measurement
+            run(replace(data, horizon=0.01))
             growth = peak(run, 400) - peak(run, 100)
             assert growth < 20 * state_bytes, (name, growth / state_bytes)
 
@@ -787,7 +821,7 @@ def pairing_cases(draw):
         )
     splitting = draw(st.sampled_from(("fully-implicit", "semi-implicit")))
     dt = 1.0 / draw(st.integers(10, 1000))
-    c = cfg(dt, 1.0, splitting=splitting)
+    c = cfg(dt, splitting=splitting)
     t = draw(st.floats(0.0, 1.0))
     level = draw(st.floats(0.05, 20.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -884,16 +918,16 @@ class TestBufferedExtrapolation:
         data = M.make_model("heat", dom, 0.01 * steps)
         guesses = []
 
-        def stand_in(u_prev, c, op, prev_sq=None, guess=None, rescfg=None):
+        def stand_in(u_prev, c, op, prev_sq=None, guess=None):
             guesses.append(guess.values.copy())
             mag = 10.0 ** rng.integers(-3, 4)
             state = G.GridFunction(dom, mag * rng.standard_normal(dom.interior_shape))
-            diag = SolverDiagnostics("stand-in", residuals=[0.0])
+            diag = SolverDiagnostics(residuals=[0.0])
             return E.StepResult(state, diag, 0.0, G.inner(state, state), 0.0, 0.0)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(E, "_step_detailed", stand_in)
-            states = observed(data, cfg(0.01, 0.01 * steps))
+            states = observed(data, cfg(0.01))
         assert len(guesses) == steps
         eps = np.finfo(float).eps
         for j, got in enumerate(guesses, start=1):
@@ -910,11 +944,11 @@ class TestBufferedExtrapolation:
         # the values they had when yielded, after the ring has wrapped
         dom = G.BoxDomain(2, (1.0, 1.0), (10, 10))
         data = M.make_model("singular-drift", dom, 0.1, c=0.08)
-        c = cfg(0.01, 0.1)
-        assert c.steps > E._EXTRAPOLATION_ORDER + 1
+        c = cfg(0.01)
+        assert c.steps(data) > E._EXTRAPOLATION_ORDER + 1
         seen = []
         E.evolve(data, c, observe=lambda t, u: seen.append((u, u.values.copy())))
-        assert len(seen) == c.steps + 1
+        assert len(seen) == c.steps(data) + 1
         march = E._march
 
         def recording(*args):
@@ -925,7 +959,7 @@ class TestBufferedExtrapolation:
         monkeypatch.setattr(E, "_march", recording)
         v0 = data.initial * 0.5
         E.uniqueness_harness(data, c, data.initial, v0)
-        assert len(seen) == 3 * (c.steps + 1)
+        assert len(seen) == 3 * (c.steps(data) + 1)
         assert all(np.array_equal(u.values, copy) for u, copy in seen)
 
 
@@ -946,7 +980,7 @@ class TestKnownStalls:
     def test_stiff_lipschitz_march_completes(self, dt, failing_step):
         dom = G.BoxDomain(2, (1.0, 1.0), (16, 16))
         data = M.make_model("lipschitz-nonlinear", dom, 10 * dt, beta=100)
-        c = cfg(dt, 10 * dt)
+        c = cfg(dt)
         try:
             _, trace = E.evolve(data, c, u0=30 * data.initial)
         except G.ConvergenceError as err:
@@ -960,7 +994,7 @@ class TestKnownStalls:
         # clipped to its floor, so the kernel has no contraction guarantee
         dom = G.BoxDomain(1, (1.0,), (3,))
         data = M.make_model("singular-drift", dom, 1.0, c=2.0)
-        c = cfg(0.1, 1.0, splitting="fully-implicit")
+        c = cfg(0.1, splitting="fully-implicit")
         op = E._step_operator(data, 0.5, c, 1.0)
         assert op.contraction_constants(c.dt)[0] == 1e-6
         u_prev = G.GridFunction(dom, np.random.default_rng(1).standard_normal(dom.interior_shape))

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftflow import grid as G
@@ -196,6 +196,12 @@ class TestCertification:
         assert len(plan.levels) >= 2
         assert plan.levels[-1] >= bmax
         assert all(b > a for a, b in zip(plan.levels, plan.levels[1:]))
+        # in 2D only a saturated level, with no remainder, is certified
+        assert [plan.certified(k) for k in range(len(plan.levels))] == [
+            level >= bmax for level in plan.levels
+        ]
+        assert not plan.all_certified
+        assert M.make_truncation_plan(data, levels=plan.levels[-1:]).all_certified
 
     def test_plan_validation(self):
         data = M.make_model("singular-drift", DOM2, 0.5, c=0.1)
@@ -241,7 +247,8 @@ class TestCertification:
 
 @st.composite
 def small_data_cases(draw):
-    """(data, plan or None, level or None) over every way the check is asked."""
+    """(data, plan or None) over every way the check is asked: no plan, a
+    scheduled plan, or a plan of arbitrary levels."""
     dim = draw(st.integers(1, 3))
     lengths = tuple(draw(st.sampled_from((0.5, 1.0, 2.0))) for _ in range(dim))
     cells = tuple(draw(st.integers(4, 8 if dim == 3 else 14)) for _ in range(dim))
@@ -263,31 +270,28 @@ def small_data_cases(draw):
         data,
         diffusion=M.DiffusionFlux(coefficient=lambda c, t: 1.0, alpha=alpha, beta=1.0),
     )
+    how = draw(st.sampled_from(("none", "schedule", "levels")))
     plan = None
-    if draw(st.booleans()):
+    if how == "schedule":
         plan = M.make_truncation_plan(
             data,
             m0=draw(st.sampled_from((None, 0.05, 0.3, 20.0))),
             count=draw(st.integers(1, 5)),
             factor=draw(st.sampled_from((1.5, 2.0, 4.0))),
         )
-    where = draw(st.sampled_from(("none", "in plan", "outside")))
-    level = None
-    if where == "in plan" and plan is not None:
-        level = draw(st.sampled_from(plan.levels))
-    elif where == "outside":
-        level = draw(st.floats(0.01, 10.0))
-        assume(plan is None or level not in plan.levels)
-    return data, plan, level
+    elif how == "levels":
+        levels = draw(st.lists(st.floats(0.01, 10.0), min_size=1, max_size=3, unique=True))
+        plan = M.make_truncation_plan(data, levels=sorted(levels))
+    return data, plan
 
 
 class TestSmallDataCheck:
     @given(case=small_data_cases())
     @settings(max_examples=80, deadline=None)
     def test_matches_both_parts_measured_at_every_level(self, case):
-        data, plan, level = case
-        levels = [level, *(plan.levels if plan is not None else ())]
-        assert M.small_data_check(data, plan, level) == small_data_reference(data, levels)
+        data, plan = case
+        levels = plan.levels if plan is not None else [None]
+        assert M.small_data_check(data, plan) == small_data_reference(data, levels)
 
     def test_decay_preset_samples_b_three_times(self, monkeypatch):
         # the singular_drift_decay_3d preset's data and plan
@@ -345,17 +349,20 @@ class TestSmallDataCheck:
 
     @pytest.mark.parametrize("level", [math.nan, -1.0])
     def test_given_level_must_be_finite_and_positive(self, level):
-        # a NaN level used to pass the check with both weak norms 0
+        # a NaN level used to pass the check with both weak norms 0; a level
+        # reaches the check only inside a plan, and no plan holds one
         data = M.make_model("singular-drift", DOM3, 0.5, c=0.1)
+        cert = M.certify_truncation(data, 1.0)
         with pytest.raises(ValueError, match="^truncation level must be finite"):
-            M.small_data_check(data, None, level=level)
+            M.small_data_check(data, M.TruncationPlan((level,), (cert,)))
 
     def test_level_outside_the_plan_is_certified_after_the_early_returns(self, monkeypatch):
+        # without a plan the one candidate, the sampled node maximum, is
+        # certified by the check itself, after the below-dimension-3 return
         data = M.make_model("singular-drift", DOM2, 0.5, c=0.1)
-        plan = M.make_truncation_plan(data)
         calls = []
         monkeypatch.setattr(M, "_certificate", lambda *a: calls.append(a))
-        ok, detail = M.small_data_check(data, plan, level=0.123)
+        ok, detail = M.small_data_check(data, None)
         assert not ok and "dimension 3" in detail["reason"]
         assert calls == []
 

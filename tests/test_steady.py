@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,15 +8,14 @@ from driftflow import grid as G
 from driftflow import models as M
 from driftflow import steady as S
 from driftflow.evolution import EvolutionConfig
-from driftflow.operators import ResolventConfig
 from driftflow.steady import SteadyConfig, decay_experiment, solve_steady, solve_steady_detailed
 
 DOM = G.BoxDomain(2, (1.0, 1.0), (24, 24))
 
 
-def evo(dt, T, **kw):
-    kw.setdefault("resolvent", ResolventConfig(tol=1e-13))
-    return EvolutionConfig(dt=dt, horizon=T, **kw)
+def evo(dt, **kw):
+    kw.setdefault("tol", 1e-13)
+    return EvolutionConfig(dt=dt, **kw)
 
 
 class TestSteadyConfig:
@@ -39,6 +39,21 @@ class TestSteadyConfig:
         # time = inf returned u = 0 marked converged
         with pytest.raises(ValueError, match=rf"^{field} must"):
             SteadyConfig(**kw)
+
+    def test_frozen_time_lies_in_the_horizon(self):
+        # manufactured data carries e^{-t} in its source, so the slice moves
+        data = M.make_model("manufactured", DOM, 0.3)
+        assert [SteadyConfig(time=t).frozen_time(data) for t in (0, 0.1, 0.3)] == [0.0, 0.1, 0.3]
+        assert SteadyConfig().frozen_time(data) == 0.3
+        # a time inside the horizon solves the slice the final time of a
+        # shorter horizon solves
+        u = solve_steady(data, SteadyConfig(time=0.1, tol=1e-12))
+        final = solve_steady(replace(data, horizon=0.1), SteadyConfig(tol=1e-12))
+        assert np.array_equal(u.values, final.values)
+        assert G.norm_l2(u - solve_steady(data, SteadyConfig(tol=1e-12))) > 1e-3
+        for t in (-7.0, 50.0, -1e-12):
+            with pytest.raises(ValueError, match=r"^time must lie in \[0, 0.3\]"):
+                solve_steady(data, SteadyConfig(time=t))
 
 
 class TestSolveSteady:
@@ -109,7 +124,7 @@ class TestSolveSteady:
 class TestDecay:
     def test_heat_rate_beats_certificate(self):
         data = M.make_model("heat", DOM, 0.5)
-        rep = decay_experiment(data, evo(2e-3, 0.5), SteadyConfig(tol=1e-12))
+        rep = decay_experiment(data, evo(2e-3), SteadyConfig(tol=1e-12))
         lam = G.smallest_eigenvalue_exact(DOM)
         assert rep.small_data_pass
         assert rep.lyapunov_monotone
@@ -124,7 +139,7 @@ class TestDecay:
         # |u_{j+1} - u_inf|^2 <= |u_j - u_inf|^2 / (1 + tau alpha / (2 C_P))
         data = M.make_model("heat", DOM, 0.3)
         tau = 5e-3
-        rep = decay_experiment(data, evo(tau, 0.3), SteadyConfig(tol=1e-12))
+        rep = decay_experiment(data, evo(tau), SteadyConfig(tol=1e-12))
         cp = rep.poincare_constant
         factor = 1.0 + tau * data.diffusion.alpha / (2 * cp)
         ys = rep.y_values
@@ -143,7 +158,7 @@ class TestDecay:
             initial=G.zeros(DOM),
             horizon=0.3,
         )
-        rep = decay_experiment(zero_data, evo(5e-3, 0.3), SteadyConfig(tol=1e-12))
+        rep = decay_experiment(zero_data, evo(5e-3), SteadyConfig(tol=1e-12))
         assert rep.saturated
         assert math.isnan(rep.fitted_rate)
 
@@ -152,7 +167,7 @@ class TestDecay:
         data = M.make_model("singular-drift", dom, 0.4, c=0.1)
         plan = M.make_truncation_plan(data)
         rep = decay_experiment(
-            data, evo(2e-3, 0.4, truncation=plan), SteadyConfig(tol=1e-12)
+            data, evo(2e-3, truncation=plan), SteadyConfig(tol=1e-12)
         )
         assert rep.small_data_pass, rep.small_data_detail
         assert rep.lyapunov_monotone
@@ -176,7 +191,7 @@ class TestDecay:
         dom = G.BoxDomain(3, (1.0, 0.8, 1.2), (6, 5, 7))
         data = M.make_model("singular-drift", dom, 0.02, c=0.1)
         plan = M.make_truncation_plan(data)
-        decay_experiment(data, evo(2e-3, 0.02, truncation=plan), SteadyConfig(tol=1e-12))
+        decay_experiment(data, evo(2e-3, truncation=plan), SteadyConfig(tol=1e-12))
         (op, diag), = solves
         assert diag.converged and diag.iterations == 0
         assert op._stencil._gathered is None
@@ -185,14 +200,14 @@ class TestDecay:
         data = M.make_model("singular-drift", DOM, 0.2, c=0.08)
         plan = M.make_truncation_plan(data)
         rep = decay_experiment(
-            data, evo(2e-3, 0.2, truncation=plan), SteadyConfig(tol=1e-12)
+            data, evo(2e-3, truncation=plan), SteadyConfig(tol=1e-12)
         )
         assert not rep.small_data_pass
         assert "reason" in rep.small_data_detail
 
     def test_intro_omega_and_poincare_bound_reported(self):
         data = M.make_model("heat", DOM, 0.3)
-        rep = decay_experiment(data, evo(5e-3, 0.3), SteadyConfig(tol=1e-12))
+        rep = decay_experiment(data, evo(5e-3), SteadyConfig(tol=1e-12))
         assert rep.intro_omega == pytest.approx(2 * rep.theoretical_omega)
         # diam^2 / pi^2 upper bound for the unit square
         assert rep.poincare_upper_bound == pytest.approx(2.0 / math.pi**2)
@@ -200,7 +215,7 @@ class TestDecay:
 
     def test_report_json_leaves_out_the_series(self):
         data = M.make_model("heat", DOM, 0.3)
-        rep = decay_experiment(data, evo(5e-3, 0.3), SteadyConfig(tol=1e-12))
+        rep = decay_experiment(data, evo(5e-3), SteadyConfig(tol=1e-12))
         assert set(rep.as_dict()) == {
             "theoretical_omega", "intro_omega", "fitted_rate", "margin",
             "small_data_pass", "window", "saturated", "lyapunov_monotone",
@@ -210,7 +225,7 @@ class TestDecay:
 
     def test_series_written(self, tmp_path):
         data = M.make_model("heat", DOM, 0.3)
-        rep = decay_experiment(data, evo(5e-3, 0.3), SteadyConfig(tol=1e-12))
+        rep = decay_experiment(data, evo(5e-3), SteadyConfig(tol=1e-12))
         path = tmp_path / "y.csv"
         rep.write_series(path)
         lines = path.read_text().splitlines()
