@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -177,7 +178,8 @@ class RunManifest:
     timings: dict[str, float] = field(default_factory=dict)
     # each counter column of the traces (`EvolutionTrace.counter_totals`),
     # summed over every march of those experiments (a uniqueness run
-    # marches twice and writes no trace)
+    # marches twice and writes no trace; a continuation level that reuses
+    # another's march adds none)
     solver_totals: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -366,11 +368,12 @@ def _run_continuation(cfg, outdir: Path, seed: int, manifest: RunManifest) -> No
     for lev in result.levels:
         lev.trace.write_csv(outdir / f"trace_M{lev.level:.6g}.csv")
     manifest.solver_totals = EvolutionTrace.counter_totals(
-        [lev.trace for lev in result.levels]
+        [lev.trace for lev in result.levels if lev.reuses is None]
     )
     payload = {
         "levels": [lev.level for lev in result.levels],
         "certified": [lev.certified for lev in result.levels],
+        "reuses_march_of": [lev.reuses for lev in result.levels],
         "differences": result.differences,
         "nonincreasing": result.differences_nonincreasing,
         "warnings": result.warnings,
@@ -564,12 +567,20 @@ def run(
     # a --seed takes the place of the config's seed
     seed = _read(cfg if seed is None else {"seed": str(seed)}, "seed")
     outdir = Path(output_dir if output_dir is not None else _read(cfg, "output.dir"))
+    # the outermost directory this run makes, removed again if a check that
+    # needs the built problem refuses the run
+    made = next((p for p in (*reversed(outdir.parents), outdir) if not p.exists()), None)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         experiment=experiment, config=dict(cfg), seed=seed, version=__version__
     )
     start = time.monotonic()
-    _EXPERIMENTS[experiment](cfg, outdir, seed, manifest)
+    try:
+        _EXPERIMENTS[experiment](cfg, outdir, seed, manifest)
+    except ConfigError:
+        if made is not None:
+            shutil.rmtree(made)
+        raise
     manifest.wall_time_s = time.monotonic() - start
     manifest.write(outdir)
     return manifest

@@ -66,7 +66,7 @@ from .grid import (
     inner_vec,
     norm_l2,
 )
-from .models import ProblemData, TruncationPlan
+from .models import ProblemData, TruncationPlan, saturated
 from .operators import ResolventConfig, SolverDiagnostics, TruncatedOperator
 
 # Slack of the per-step energy inequality: the solver tolerance and roundoff.
@@ -411,6 +411,9 @@ class ContinuationLevel:
     certified: bool
     final_state: GridFunction
     trace: EvolutionTrace
+    # the level whose march this level's state and trace copy, None if it
+    # was marched itself (see `continuation`)
+    reuses: float | None = None
 
 
 @dataclass
@@ -434,12 +437,20 @@ def continuation(data: ProblemData, cfg: EvolutionConfig) -> ContinuationResult:
     implicit and the weighted drift explicit; the fully implicit scheme does
     not depend on the level, so a continuation under it would be vacuous.
     Uncertified levels produce a warning and the run continues.
+
+    Every level from the first `models.saturated` one on (at every time, so
+    only without a drift or with an autonomous one) truncates nothing: its
+    operator, and so its march, is bit for bit the first saturated level's.
+    That level is marched once; each later one gets a copy of its final
+    state and of its trace, with `truncation_level` set to its own M, and
+    names it in `reuses`.
     """
     if cfg.truncation is None or len(cfg.truncation.levels) < 2:
         raise ValueError("continuation needs a truncation plan with at least 2 levels")
     cfg = replace(cfg, splitting="semi-implicit")
     levels = []
     notes = []
+    shared = None  # the first saturated level, once marched
     for k, M in enumerate(cfg.truncation.levels):
         cert = cfg.truncation.certificates[k]
         if not cert.passes_evolution:
@@ -447,16 +458,25 @@ def continuation(data: ProblemData, cfg: EvolutionConfig) -> ContinuationResult:
                 f"level {M:.6g} lacks an accretivity certificate "
                 f"(measured {cert.measured:.3e}): {cert.note or 'bound exceeded'}"
             )
-        # the per-level warning is already collected above; silence the
-        # duplicate emitted by evolve
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            final, trace = evolve(data, cfg, level=M)
+        if shared is None:
+            # the per-level warning is already collected above; silence the
+            # duplicate emitted by evolve
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                final, trace = evolve(data, cfg, level=M)
+        else:
+            final = shared.final_state.copy()
+            columns = {f.name: list(getattr(shared.trace, f.name)) for f in _TRACE_COLUMNS}
+            columns["truncation_level"] = [M] * len(shared.trace.times)
+            trace = replace(shared.trace, **columns)
         levels.append(
             ContinuationLevel(
-                level=M, certified=cert.passes_evolution, final_state=final, trace=trace
+                level=M, certified=cert.passes_evolution, final_state=final, trace=trace,
+                reuses=None if shared is None else shared.level,
             )
         )
+        if shared is None and saturated(data, M):
+            shared = levels[-1]
     diffs = [
         norm_l2(levels[k + 1].final_state - levels[k].final_state)
         for k in range(len(levels) - 1)

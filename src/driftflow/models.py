@@ -255,6 +255,43 @@ def drift_bound_max(
     return worst if level is None else min(worst, float(level))
 
 
+def saturated(data: ProblemData, M: float, t: float | None = None) -> bool:
+    """Whether truncation at M clamps no sampled drift coefficient.
+
+    With t, at that time: M >= `drift_bound_max(data, t)`, nodes and faces.
+    Without t, at every time, which only an `autonomous` drift can promise.
+    Then `clamp_weight` is exactly 1 on every face and the remainder-mode
+    `drift_face_max` is the sampled maximum, so A_M is the same operator
+    for every such M and generates the same product trajectory.  Without a
+    drift every level is saturated.
+    """
+    if data.drift is None:
+        return True
+    if t is None and not data.drift.autonomous:
+        return False
+    return M >= drift_bound_max(data, 0.0 if t is None else t)
+
+
+def _upper_decile(x: np.ndarray) -> float:
+    """np.quantile(x, 0.9) bit for bit, for a nonempty x without NaN.
+
+    numpy's default is Hyndman & Fan's type 7: the virtual index
+    v = (n - 1) q, numpy's own rounding of it, lies between the order
+    statistics floor(v) and floor(v) + 1 (both the last one once
+    v >= n - 1), lerped as numpy's `_lerp` does.  One partition finds
+    them; np.quantile would import numpy.ma on its first call in a process.
+    """
+    q = 0.9
+    n = x.size
+    v = (n - 1) * q
+    k = math.floor(v)
+    lo, hi = (n - 1, n - 1) if v >= n - 1 else (k, k + 1)
+    s = np.partition(x, (lo, hi))
+    a, b = s[lo], s[hi]
+    t, d = v - k, b - a
+    return float(b - d * (1 - t) if t >= 0.5 else a + d * t)
+
+
 def certificate_times(data: ProblemData) -> tuple[float, float, float]:
     """The times (0, T/2, T) at which the drift certificates sample b."""
     return (0.0, 0.5 * data.horizon, data.horizon)
@@ -380,9 +417,10 @@ def make_truncation_plan(
     """Build a truncation schedule, by default M_k = M_0 * factor^k.
 
     M_0 defaults to the 0.9-quantile of the positive sampled coefficient
-    (1 if there is none) and the schedule stops one step after it covers
-    the sampled maximum (levels beyond that are saturated on the fixed
-    grid).  m0 must be a level, factor finite and > 1, count an int >= 1.
+    (1 if there is none) and the schedule stops one step after its first
+    level `saturated` at t = 0, so it ends with two saturated levels (for
+    an autonomous drift, one operator).  m0 must be a level, factor
+    finite and > 1, count an int >= 1.
     """
     if m0 is not None:
         _check_level(m0, "m0")
@@ -391,14 +429,13 @@ def make_truncation_plan(
     if count is not None and not (isinstance(count, (int, np.integer)) and count >= 1):
         raise ValueError(f"count must be an integer >= 1, got {count!r}")
     if levels is None:
-        b0 = data.drift_bound_grid(0.0).values
-        bmax = drift_bound_max(data, 0.0)
         if m0 is None:
+            b0 = data.drift_bound_grid(0.0).values
             positive = b0[b0 > 0]
-            m0 = float(np.quantile(positive, 0.9)) if positive.size else 1.0
+            m0 = _upper_decile(positive) if positive.size else 1.0
         levels = [m0]
         if count is None:
-            while levels[-1] < bmax and len(levels) < 40:
+            while not saturated(data, levels[-1], 0.0) and len(levels) < 40:
                 levels.append(levels[-1] * factor)
             levels.append(levels[-1] * factor)
         else:

@@ -1002,7 +1002,8 @@ def _monotone_iteration(
             mixing.count = 0  # clear the history
         accepted = False
         while True:
-            trial = u - rho * z
+            # 1.0 * z == z exactly: one pass fewer at full damping
+            trial = u - z if rho == 1.0 else u - rho * z
             r_trial = residual(trial)
             rn_trial = norm(r_trial)
             _require_finite(rn_trial, solver, it, domain, u, diag.residuals)

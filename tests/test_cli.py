@@ -216,8 +216,16 @@ class TestRun:
         )
         traces = sorted(outdir.glob("trace*.csv"))
         if "continuation" in text:
-            levels = json.loads((outdir / "continuation.json").read_text())["levels"]
-            assert len(traces) == len(levels) > 1
+            report = json.loads((outdir / "continuation.json").read_text())
+            assert len(traces) == len(report["levels"]) > 1
+            # a level that reuses another's march adds no solves
+            reused = {
+                f"trace_M{level:.6g}.csv"
+                for level, source in zip(report["levels"], report["reuses_march_of"])
+                if source is not None
+            }
+            assert reused
+            traces = [p for p in traces if p.name not in reused]
         else:
             assert [p.name for p in traces] == ["trace.csv"]
         for path in traces:
@@ -495,8 +503,8 @@ class TestMain:
         argv = ["run", str(write_cfg(tmp_path, text)), "--output-dir", str(outdir)]
         assert cli.main(argv) == 2
         assert "bad 'steady.time': time must lie in [0, 0.3]" in capsys.readouterr().err
-        # rejected before any solve wrote a file
-        assert list(outdir.iterdir()) == []
+        # rejected before any solve, and the directory the run made is gone
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("experiment", ["evolve", "decay", "uniqueness", "continuation"])
     def test_exit_two_on_non_integer_step_count(self, tmp_path, capsys, experiment):
@@ -505,7 +513,26 @@ class TestMain:
         argv = ["run", str(write_cfg(tmp_path, text)), "--output-dir", str(outdir)]
         assert cli.main(argv + ["--override", "time.dt=0.03"]) == 2
         assert "integer number of steps" in capsys.readouterr().err
-        assert list(outdir.iterdir()) == []
+        assert not outdir.exists()
+
+    def test_exit_two_removes_only_the_directories_the_run_made(self, tmp_path):
+        text = CONTINUATION.replace("experiment = continuation", "experiment = evolve")
+        path = write_cfg(tmp_path, text)
+        overrides = {"time.dt": "0.03"}
+        made = tmp_path / "made"
+        with pytest.raises(cli.ConfigError):
+            cli.run(path, output_dir=made / "a" / "b", overrides=overrides)
+        assert not made.exists()
+        # a directory that was there before keeps what it held
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "note.txt").write_text("mine", encoding="utf-8")
+        with pytest.raises(cli.ConfigError):
+            cli.run(path, output_dir=kept, overrides=overrides)
+        assert [p.name for p in kept.iterdir()] == ["note.txt"]
+        with pytest.raises(cli.ConfigError):
+            cli.run(path, output_dir=kept / "new", overrides=overrides)
+        assert [p.name for p in kept.iterdir()] == ["note.txt"]
 
     def test_exit_two_on_negative_seed_option(self, tmp_path, capsys):
         # used to end in numpy's "expected non-negative integer" traceback

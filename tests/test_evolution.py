@@ -485,6 +485,55 @@ class TestContinuation:
         assert res.differences[-1] <= 1e-9
         assert res.warnings  # 2D drift levels carry no embedding certificate
 
+    def test_saturated_levels_share_one_march(self):
+        # the first saturated level is marched; each later one copies it
+        dom = G.BoxDomain(2, (1.0, 1.0), (12, 12))
+        data = M.make_model("singular-drift", dom, 0.05, c=0.08)
+        bmax = M.drift_bound_max(data)
+        plan = M.make_truncation_plan(data, levels=[0.5 * bmax, bmax, 2 * bmax, 4 * bmax])
+        c = cfg(1e-2, truncation=plan)
+        res = E.continuation(data, c)
+        assert [lev.reuses for lev in res.levels] == [None, None, bmax, bmax]
+        source = res.levels[1]
+        semi = replace(c, splitting="semi-implicit")
+        for lev in res.levels[1:]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                final, trace = E.evolve(data, semi, level=lev.level)
+            assert final.values.tobytes() == lev.final_state.values.tobytes()
+            assert trace == lev.trace
+            assert lev.trace.truncation_level == [lev.level] * len(trace.times)
+        for lev in res.levels[2:]:
+            # copies, not aliases of the marched level's state and lists
+            assert lev.final_state.values is not source.final_state.values
+            for f in E._TRACE_COLUMNS:
+                assert getattr(lev.trace, f.name) is not getattr(source.trace, f.name)
+        assert res.differences[1:] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("autonomous", [True, False])
+    def test_levels_below_saturation_and_moving_drifts_are_marched(
+        self, monkeypatch, autonomous
+    ):
+        dom = G.BoxDomain(2, (1.0, 1.0), (10, 10))
+        data = M.make_model("singular-drift", dom, 0.03, c=0.08)
+        data = replace(data, drift=replace(data.drift, autonomous=autonomous))
+        bmax = M.drift_bound_max(data)
+        levels = [np.nextafter(bmax, 0.0), bmax, 2 * bmax]
+        plan = M.make_truncation_plan(data, levels=levels)
+        marched = []
+        evolve = E.evolve
+
+        def counting(data, cfg, level=None, **kw):
+            marched.append(level)
+            return evolve(data, cfg, level=level, **kw)
+
+        monkeypatch.setattr(E, "evolve", counting)
+        res = E.continuation(data, cfg(1e-2, truncation=plan))
+        # a level just below the maximum clamps one face, so it is marched;
+        # a drift that depends on t is never saturated at every time
+        assert marched == (levels[:2] if autonomous else levels)
+        assert [lev.reuses for lev in res.levels] == [None, None, bmax if autonomous else None]
+
     def test_requires_plan(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (8, 8))
         data = M.make_model("singular-drift", dom, 0.1, c=0.08)

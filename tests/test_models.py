@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +206,40 @@ class TestCertification:
         ]
         assert not plan.all_certified
         assert M.make_truncation_plan(data, levels=plan.levels[-1:]).all_certified
+
+    def test_saturation_is_one_predicate(self):
+        data = M.make_model("singular-drift", DOM2, 0.5, c=0.1)
+        bmax = M.drift_bound_max(data)
+        below = np.nextafter(bmax, 0.0)
+        assert M.saturated(data, bmax) and M.saturated(data, 2 * bmax)
+        assert not M.saturated(data, below)
+        # the auto schedule stops one step after its first saturated level
+        plan = M.make_truncation_plan(data)
+        flags = [M.saturated(data, level) for level in plan.levels]
+        assert flags == [False] * (len(flags) - 2) + [True, True]
+        # a drift that depends on t saturates at a time, never at every time
+        moving = replace(data, drift=replace(data.drift, autonomous=False))
+        assert M.saturated(moving, bmax, 0.0) and not M.saturated(moving, bmax)
+        assert M.make_truncation_plan(moving).levels == plan.levels
+        # without a drift every level is saturated
+        assert M.saturated(M.make_model("heat", DOM2, 0.5), 1e-9)
+
+    def test_saturated_levels_build_one_operator(self):
+        data = M.make_model("singular-drift", DOM2, 0.5, c=0.1)
+        bmax = M.drift_bound_max(data)
+        ops = [
+            TruncatedOperator(data, 0.25, level=level, drift_mode="remainder")
+            for level in (bmax, 3.0 * bmax)
+        ]
+        w = data.initial.values
+        for op in ops:
+            for a in range(DOM2.dim):
+                assert np.all(M.clamp_weight(op._face_bound(a), op.level) == 1.0)
+            op.explicit_drift(w)  # builds the explicit stencil
+        first, other = ops
+        assert first._linear_stencil().weights.tobytes() == other._linear_stencil().weights.tobytes()
+        assert first._explicit_stencil.weights.tobytes() == other._explicit_stencil.weights.tobytes()
+        assert first.drift_face_max() == other.drift_face_max() == bmax
 
     def test_plan_validation(self):
         data = M.make_model("singular-drift", DOM2, 0.5, c=0.1)
@@ -522,3 +560,37 @@ class TestLipschitzNonlinear:
                 assert np.array_equal(A, ref, equal_nan=True)
                 assert np.array_equal(np.signbit(A), np.signbit(ref))
         assert not any(np.shares_memory(A, e) for A, e in zip(got, eta))
+
+
+class TestAutoLevel:
+    @given(
+        values=st.lists(
+            st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=300,
+        ),
+        repeats=st.integers(1, 3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_upper_decile_is_numpys_quantile_bit_for_bit(self, values, repeats):
+        x = np.array(values * repeats)
+        kept = x.copy()
+        got = M._upper_decile(x)
+        assert got.hex() == float(np.quantile(x, 0.9)).hex()
+        assert np.array_equal(x, kept)
+
+    def test_building_a_plan_leaves_numpy_ma_unimported(self):
+        # numpy imports numpy.ma on a process's first np.quantile, ~10 ms
+        code = (
+            "import sys\n"
+            "from driftflow import cli, grid as G, models as M\n"
+            "dom = G.BoxDomain(2, (1.0, 1.0), (16, 16))\n"
+            "M.make_truncation_plan(M.make_model('singular-drift', dom, 0.5))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(M.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
