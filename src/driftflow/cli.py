@@ -5,7 +5,9 @@ Config files are flat ``key = value`` text.  Keys may be written with dots
 prefix the keys which follow.  ``#`` starts a comment.  Unknown keys are
 rejected so typos fail loudly at parse time, and a value that does not
 convert or lies out of range is rejected, naming its key, before anything
-is solved, whether or not the experiment reads the key.
+is built or written, whether or not the experiment reads the key.  What the
+experiment needs (the problem, and its evolution or steady settings) is
+built and checked before the output directory is created.
 
 Exit codes: 0 all assertions passed, 1 an assertion failed, 2 config parse
 error, 3 solver failure.
@@ -16,12 +18,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import shutil
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -173,8 +175,9 @@ class RunManifest:
     # checks the experiment did not run, each with the reason; `passed`
     # reads `checks` alone
     skipped: dict[str, str] = field(default_factory=dict)
-    # wall seconds per phase of the evolve, continuation, uniqueness and
-    # decay experiments (`_Laps`); they vary run to run, so no CSV carries them
+    # wall seconds per phase (`_Laps`): `setup_s` in every experiment, and
+    # `march_s` and `write_s` in evolve, continuation, uniqueness and decay;
+    # they vary run to run, so no CSV carries them
     timings: dict[str, float] = field(default_factory=dict)
     # each counter column of the traces (`EvolutionTrace.counter_totals`),
     # summed over every march of those experiments (a uniqueness run
@@ -198,16 +201,6 @@ class RunManifest:
         return path
 
 
-def _build_domain(cfg: dict[str, str]) -> BoxDomain:
-    dim = _read(cfg, "domain.dim")
-    lengths = _read(cfg, "domain.lengths", ",".join(["1"] * dim))
-    cells = _read(cfg, "domain.cells", ",".join(["32"] * dim))
-    try:
-        return BoxDomain(dim, lengths, cells)
-    except ValueError as err:
-        raise ConfigError(f"bad 'domain' settings: {err}") from None
-
-
 def _model_params(cfg: dict[str, str]) -> dict:
     params = {}
     for key, value in cfg.items():
@@ -224,7 +217,13 @@ def _model_params(cfg: dict[str, str]) -> dict:
 
 
 def _build_problem(cfg: dict[str, str]) -> models.ProblemData:
-    domain = _build_domain(cfg)
+    dim = _read(cfg, "domain.dim")
+    lengths = _read(cfg, "domain.lengths", ",".join(["1"] * dim))
+    cells = _read(cfg, "domain.cells", ",".join(["32"] * dim))
+    try:
+        domain = BoxDomain(dim, lengths, cells)
+    except ValueError as err:
+        raise ConfigError(f"bad 'domain' settings: {err}") from None
     name, horizon = _read(cfg, "model"), _read(cfg, "time.T")
     try:
         return models.make_model(name, domain, horizon, **_model_params(cfg))
@@ -239,18 +238,23 @@ def _build_problem(cfg: dict[str, str]) -> models.ProblemData:
         raise ConfigError(msg) from err
 
 
+def _build_plan(cfg: dict[str, str], data: models.ProblemData) -> models.TruncationPlan | None:
+    """The `truncation.*` schedule with its certificates; None without a drift."""
+    if not data.has_drift:
+        return None
+    return models.make_truncation_plan(
+        data,
+        m0=_read(cfg, "truncation.m0"),
+        factor=_read(cfg, "truncation.factor"),
+        count=_read(cfg, "truncation.levels"),
+    )
+
+
 def _build_evolution(cfg: dict[str, str], data: models.ProblemData) -> EvolutionConfig:
-    plan = None
-    if data.has_drift:
-        plan = models.make_truncation_plan(
-            data,
-            m0=_read(cfg, "truncation.m0"),
-            factor=_read(cfg, "truncation.factor"),
-            count=_read(cfg, "truncation.levels"),
-        )
     try:
         evo = EvolutionConfig(
-            dt=_read(cfg, "time.dt"), splitting=_read(cfg, "time.splitting"), truncation=plan,
+            dt=_read(cfg, "time.dt"), splitting=_read(cfg, "time.splitting"),
+            truncation=_build_plan(cfg, data),
             tol=_read(cfg, "solver.tol"), max_iter=_read(cfg, "solver.max_iter"),
         )
         evo.steps(data)
@@ -297,14 +301,16 @@ class _Laps:
     """Wall time of consecutive phases, written into a manifest's timings.
 
     `lap(name)` records the seconds since the previous lap, or since the
-    stopwatch started.  The phases are `setup_s` (model, truncation plan
-    and its certificates), `march_s` (every solve of the experiment) and
-    `write_s` (its output files, not the manifest).
+    stopwatch started.  `run` starts it before the build and records
+    `setup_s` (model, truncation plan and its certificates, and the
+    evolution and steady settings); the marching experiments record
+    `march_s` (every solve of the experiment) and `write_s` (its output
+    files, not the manifest).
     """
 
     def __init__(self, manifest: RunManifest):
         self.timings = manifest.timings
-        self.last = time.monotonic()
+        self.start = self.last = time.monotonic()
 
     def lap(self, name: str) -> None:
         now = time.monotonic()
@@ -312,16 +318,7 @@ class _Laps:
         self.last = now
 
 
-def _run_evolve(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
-    laps = _Laps(manifest)
-    data = _build_problem(cfg)
-    evo = _build_evolution(cfg, data)
-    refine = _read(cfg, "evolve.refine")
-    if refine > 0 and data.exact is None:
-        raise ConfigError(
-            f"'evolve.refine' needs a model with an exact solution; {data.name!r} has none"
-        )
-    laps.lap("setup_s")
+def _run_evolve(cfg, outdir: Path, manifest: RunManifest, laps: _Laps, data, evo) -> None:
     final, trace = evolve(data, evo)
     summary = {
         "final_l2": norm_l2(final),
@@ -331,6 +328,7 @@ def _run_evolve(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
     if data.exact is not None:
         summary["final_error_l2"] = norm_l2(final - data.exact_grid(data.horizon))
     rows = []
+    refine = _read(cfg, "evolve.refine")
     if refine > 0:
         dt, cells = evo.dt, data.domain.cells
         for k in range(refine + 1):
@@ -358,11 +356,7 @@ def _run_evolve(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
     manifest.checks["energy_inequality"] = trace.violations == 0
 
 
-def _run_continuation(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
-    laps = _Laps(manifest)
-    data = _build_problem(cfg)
-    evo = _build_evolution(cfg, data)
-    laps.lap("setup_s")
+def _run_continuation(cfg, outdir: Path, manifest: RunManifest, laps: _Laps, data, evo) -> None:
     result = continuation(data, evo)
     laps.lap("march_s")
     for lev in result.levels:
@@ -388,18 +382,14 @@ def _run_continuation(cfg, outdir: Path, seed: int, manifest: RunManifest) -> No
     )
 
 
-def _run_uniqueness(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
-    laps = _Laps(manifest)
-    data = _build_problem(cfg)
-    evo = _build_evolution(cfg, data)
-    rng = np.random.default_rng(seed)
+def _run_uniqueness(cfg, outdir: Path, manifest: RunManifest, laps: _Laps, data, evo) -> None:
+    rng = np.random.default_rng(manifest.seed)
     amp = _read(cfg, "uniqueness.amplitude")
     u0 = data.initial
     v0 = GridFunction(
         data.domain,
         u0.values + amp * rng.standard_normal(data.domain.interior_shape),
     )
-    laps.lap("setup_s")
     report = uniqueness_harness(data, evo, u0, v0)
     laps.lap("march_s")
     manifest.solver_totals = EvolutionTrace.counter_totals(report.traces)
@@ -414,9 +404,7 @@ def _run_uniqueness(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None
         manifest.checks["contraction_monotone"] = report.contraction_monotone
 
 
-def _run_steady(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
-    data = _build_problem(cfg)
-    scfg = _steady_config(cfg, "1e-11", data)
+def _run_steady(cfg, outdir: Path, manifest: RunManifest, laps: _Laps, data, scfg) -> None:
     u_inf, diag = solve_steady_detailed(data, scfg)
     grid.save_grid_function(outdir / "steady_state.csv", u_inf)
     _write_json(
@@ -430,12 +418,7 @@ def _run_steady(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
     manifest.checks["steady_converged"] = diag.converged
 
 
-def _run_decay(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
-    laps = _Laps(manifest)
-    data = _build_problem(cfg)
-    scfg = _steady_config(cfg, "1e-12", data)
-    evo = _build_evolution(cfg, data)
-    laps.lap("setup_s")
+def _run_decay(cfg, outdir: Path, manifest: RunManifest, laps: _Laps, data, evo, scfg) -> None:
     # the stationary solve, the march and the rate fit
     report = decay_experiment(data, evo, scfg)
     laps.lap("march_s")
@@ -475,24 +458,18 @@ def _small_data_failure(detail: dict) -> str:
     )
 
 
-def _run_verify_hypotheses(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
-    # every catalog model is checked with its default parameters
-    for key in cfg:
-        if key.startswith(_MODEL_PREFIX):
-            raise ConfigError(f"verify-hypotheses takes no model parameters, got {key!r}")
-    domain = _build_domain(cfg)
-    horizon = _read(cfg, "time.T")
+def _run_verify_hypotheses(cfg, outdir: Path, manifest: RunManifest, laps: _Laps, data) -> None:
+    # every catalog model, with its default parameters, on the run's grid
     reports = {}
     for name in models.builtin_models():
-        data = models.make_model(name, domain, horizon)
-        reports[name] = models.verify_hypotheses(data, seed=seed).as_dict()
+        model = models.make_model(name, data.domain, data.horizon)
+        reports[name] = models.verify_hypotheses(model, seed=manifest.seed).as_dict()
     _write_json(outdir / "hypotheses.json", reports)
     for name, rep in reports.items():
         manifest.checks[f"hypotheses_{name}"] = rep["passed"]
 
 
-def _run_lorentz_report(cfg, outdir: Path, seed: int, manifest: RunManifest) -> None:
-    data = _build_problem(cfg)
+def _run_lorentz_report(cfg, outdir: Path, manifest: RunManifest, laps: _Laps, data, plan) -> None:
     b = data.drift_bound_grid(0.0)
     N = data.domain.dim
     bmax = b.max_abs()
@@ -511,21 +488,35 @@ def _run_lorentz_report(cfg, outdir: Path, seed: int, manifest: RunManifest) -> 
             else None
         ),
     }
-    if data.has_drift:
-        plan = models.make_truncation_plan(data)
+    if plan is not None:
         payload["certificates"] = [c.as_dict() for c in plan.certificates]
     _write_json(outdir / "lorentz_report.json", payload)
     manifest.checks["report_written"] = True
 
 
+class _Experiment(NamedTuple):
+    """An experiment and what `run` builds for it besides the problem.
+
+    `march` builds `evo`, the `EvolutionConfig` with its truncation plan
+    and checked step count; `plan` builds the plan alone; a `steady_tol`
+    builds `scfg`, the `SteadyConfig` with that default `steady.tol` and a
+    checked `steady.time`.  `run` passes each as a keyword of that name.
+    """
+
+    run: Callable[..., None]
+    march: bool = False
+    plan: bool = False
+    steady_tol: str | None = None
+
+
 _EXPERIMENTS = {
-    "evolve": _run_evolve,
-    "continuation": _run_continuation,
-    "uniqueness": _run_uniqueness,
-    "steady": _run_steady,
-    "decay": _run_decay,
-    "verify-hypotheses": _run_verify_hypotheses,
-    "lorentz-report": _run_lorentz_report,
+    "evolve": _Experiment(_run_evolve, march=True),
+    "continuation": _Experiment(_run_continuation, march=True),
+    "uniqueness": _Experiment(_run_uniqueness, march=True),
+    "steady": _Experiment(_run_steady, steady_tol="1e-11"),
+    "decay": _Experiment(_run_decay, march=True, steady_tol="1e-12"),
+    "verify-hypotheses": _Experiment(_run_verify_hypotheses),
+    "lorentz-report": _Experiment(_run_lorentz_report, plan=True),
 }
 
 
@@ -551,7 +542,11 @@ def run(
     seed: int | None = None,
     overrides: dict[str, str] | None = None,
 ) -> RunManifest:
-    """Execute the experiment named by a config file and write its outputs."""
+    """Execute the experiment named by a config file and write its outputs.
+
+    Everything the experiment needs is built and checked before the output
+    directory is created, so a run refused with a `ConfigError` writes nothing.
+    """
     path = resolve_config_path(str(config_path))
     cfg = parse_config(path.read_text(encoding="utf-8"))
     if overrides:
@@ -563,25 +558,34 @@ def run(
     for key in cfg:
         if not key.startswith(_MODEL_PREFIX):
             _read(cfg, key)
-    experiment = cfg["experiment"]
+    name = cfg["experiment"]
+    experiment = _EXPERIMENTS[name]
     # a --seed takes the place of the config's seed
     seed = _read(cfg if seed is None else {"seed": str(seed)}, "seed")
     outdir = Path(output_dir if output_dir is not None else _read(cfg, "output.dir"))
-    # the outermost directory this run makes, removed again if a check that
-    # needs the built problem refuses the run
-    made = next((p for p in (*reversed(outdir.parents), outdir) if not p.exists()), None)
+    manifest = RunManifest(experiment=name, config=dict(cfg), seed=seed, version=__version__)
+    laps = _Laps(manifest)
+    if name == "verify-hypotheses":
+        # it checks every catalog model with its default parameters
+        for key in cfg:
+            if key.startswith(_MODEL_PREFIX):
+                raise ConfigError(f"verify-hypotheses takes no model parameters, got {key!r}")
+    data = _build_problem(cfg)
+    if name == "evolve" and _read(cfg, "evolve.refine") > 0 and data.exact is None:
+        raise ConfigError(
+            f"'evolve.refine' needs a model with an exact solution; {data.name!r} has none"
+        )
+    built = {}
+    if experiment.steady_tol is not None:
+        built["scfg"] = _steady_config(cfg, experiment.steady_tol, data)
+    if experiment.march:
+        built["evo"] = _build_evolution(cfg, data)
+    if experiment.plan:
+        built["plan"] = _build_plan(cfg, data)
+    laps.lap("setup_s")
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        experiment=experiment, config=dict(cfg), seed=seed, version=__version__
-    )
-    start = time.monotonic()
-    try:
-        _EXPERIMENTS[experiment](cfg, outdir, seed, manifest)
-    except ConfigError:
-        if made is not None:
-            shutil.rmtree(made)
-        raise
-    manifest.wall_time_s = time.monotonic() - start
+    experiment.run(cfg, outdir, manifest, laps, data, **built)
+    manifest.wall_time_s = time.monotonic() - laps.start
     manifest.write(outdir)
     return manifest
 

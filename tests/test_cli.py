@@ -271,6 +271,8 @@ class TestRun:
         )
         manifest = cli.run(path, output_dir=tmp_path / "out")
         assert manifest.passed
+        # the build is timed in every experiment; only a march has more phases
+        assert set(manifest.timings) == {"setup_s"}
         report = json.loads((tmp_path / "out" / "hypotheses.json").read_text())
         assert set(report) == set(
             ["heat", "variable-diffusion", "lipschitz-nonlinear", "singular-drift", "manufactured"]
@@ -332,6 +334,8 @@ class TestRun:
         )
         manifest = cli.run(path, output_dir=tmp_path / "out")
         assert manifest.passed
+        assert set(manifest.timings) == {"setup_s"}
+        assert manifest.timings["setup_s"] <= manifest.wall_time_s
         assert (tmp_path / "out" / "steady_state.csv").exists()
         # a time inside the horizon freezes the data there
         at = cli.run(path, output_dir=tmp_path / "at", overrides={"steady.time": "0.1"})
@@ -347,9 +351,70 @@ class TestRun:
         )
         manifest = cli.run(path, output_dir=tmp_path / "out")
         assert manifest.passed
+        assert set(manifest.timings) == {"setup_s"}
         report = json.loads((tmp_path / "out" / "lorentz_report.json").read_text())
         assert report["weak_norm"] > 0
         assert report["certificates"]
+
+    def test_lorentz_report_reads_the_truncation_keys(self, tmp_path):
+        # the report used to certify the default schedule whatever the
+        # truncation.* keys said
+        path = write_cfg(
+            tmp_path,
+            "experiment = lorentz-report\nmodel = singular-drift\nmodel.c = 0.08\n"
+            "domain.cells = 12,12\ntime.T = 0.1\n",
+        )
+        levels = {}
+        for case, overrides in [
+            ("default", {}), ("levels", {"truncation.levels": "2"}),
+            ("m0", {"truncation.m0": "0.5"}),
+        ]:
+            cli.run(path, output_dir=tmp_path / case, overrides=overrides)
+            report = json.loads((tmp_path / case / "lorentz_report.json").read_text())
+            levels[case] = [c["level"] for c in report["certificates"]]
+        default = [0.4525, 0.9051, 1.8102, 3.6204, 7.2408]
+        assert levels["default"] == pytest.approx(default, abs=1e-4)
+        assert levels["levels"] == levels["default"][:2]
+        assert levels["m0"][0] == 0.5
+
+    EXPERIMENTS = {
+        "evolve": "experiment = evolve\nmodel = manufactured\ndomain.cells = 8,8\n"
+        "time.dt = 0.01\ntime.T = 0.05\nevolve.refine = 1\n",
+        "continuation": CONTINUATION,
+        "uniqueness": CONTINUATION.replace("= continuation", "= uniqueness"),
+        "steady": "experiment = steady\nmodel = manufactured\ndomain.cells = 8,8\ntime.T = 0.3\n",
+        "decay": SMALL_DRIFT_DECAY,
+        "verify-hypotheses": "experiment = verify-hypotheses\ndomain.cells = 8,8\n",
+        "lorentz-report": CONTINUATION.replace("= continuation", "= lorentz-report"),
+    }
+
+    def test_experiment_cases_cover_every_experiment(self):
+        assert set(self.EXPERIMENTS) == set(cli._EXPERIMENTS)
+
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_run_builds_the_problem_once_before_it_writes(
+        self, tmp_path, monkeypatch, experiment
+    ):
+        outdir = tmp_path / "out"
+        calls = {"problem": 0, "plan": 0}
+
+        def counted(name, build):
+            def wrapper(*args, **kw):
+                calls[name] += 1
+                # nothing is written until the experiment's inputs are built
+                assert not outdir.exists()
+                return build(*args, **kw)
+            return wrapper
+
+        monkeypatch.setattr(cli, "_build_problem", counted("problem", cli._build_problem))
+        monkeypatch.setattr(
+            cli.models, "make_truncation_plan", counted("plan", cli.models.make_truncation_plan)
+        )
+        path = write_cfg(tmp_path, self.EXPERIMENTS[experiment])
+        assert cli.run(path, output_dir=outdir).passed
+        # the drift runs that march or certify build one plan, the rest none
+        drift_plan = experiment in ("continuation", "uniqueness", "decay", "lorentz-report")
+        assert calls == {"problem": 1, "plan": int(drift_plan)}
 
     def test_lorentz_report_norm_does_not_grow_under_refinement_in_1d(self, tmp_path):
         # the report measures b in weak-L^N, the certificates' space: in 1D
@@ -488,6 +553,7 @@ class TestMain:
         argv = ["run", str(path), "--output-dir", str(tmp_path / "out")]
         assert cli.main(argv + ["--override", f"{key}={value}"]) == 2
         assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["-7", "50"])
     @pytest.mark.parametrize("experiment", ["steady", "decay"])
@@ -626,6 +692,7 @@ class TestMain:
         argv = ["run", str(path), "--output-dir", str(tmp_path / "out")]
         assert cli.main(argv + ["--override", f"model.{name}={value}"]) == 2
         assert f"model.{name} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("alpha", ["2", "0", "-1"])
     def test_exit_two_on_variable_diffusion_alpha_out_of_range(self, tmp_path, capsys, alpha):
@@ -634,6 +701,7 @@ class TestMain:
         argv = ["run", str(write_cfg(tmp_path, text)), "--output-dir", str(tmp_path / "out")]
         assert cli.main(argv + ["--override", f"model.alpha={alpha}"]) == 2
         assert "model.alpha must satisfy 0 < alpha <= beta" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("c", ["-5", "nan", "inf"])
     def test_exit_two_on_bad_drift_coefficient(self, tmp_path, capsys, c):
@@ -642,12 +710,16 @@ class TestMain:
         argv = ["run", str(path), "--output-dir", str(tmp_path / "out")]
         assert cli.main(argv + ["--override", f"model.c={c}"]) == 2
         assert "model.c must be finite and nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_exit_two_on_verify_hypotheses_model_parameter(self, tmp_path, capsys):
-        text = "experiment = verify-hypotheses\ndomain.cells = 8,8\nmodel.cc = 5\n"
-        path = write_cfg(tmp_path, text)
-        assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
-        assert "'model.cc'" in capsys.readouterr().err
+        # a parameter the named model takes is refused too
+        for model, key in [("heat", "model.cc = 5"), ("singular-drift", "model.c = 1")]:
+            text = f"experiment = verify-hypotheses\nmodel = {model}\ndomain.cells = 8,8\n{key}\n"
+            path = write_cfg(tmp_path, text)
+            assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+            assert f"'{key.split()[0]}'" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", ["other_grid", "negative", "nan"])
     def test_exit_two_on_bad_drift_file(self, tmp_path, capsys, case):
@@ -671,6 +743,7 @@ class TestMain:
         err = capsys.readouterr().err
         assert "model.drift_file" in err
         assert {"other_grid": "lives on", "negative": "negative", "nan": "non-finite"}[case] in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "case, fault",
@@ -679,6 +752,7 @@ class TestMain:
             ("two_values", "holds 2 values"),
             ("cut_binary", "holds 7 values"),
             ("trailing_comma", "could not convert"),
+            ("missing", "No such file"),
         ],
     )
     def test_exit_two_on_malformed_drift_file(self, tmp_path, capsys, case, fault):
@@ -695,6 +769,8 @@ class TestMain:
             field_path.write_bytes(b"\n".join(lines[:5]))
         elif case == "cut_binary":
             field_path.write_bytes(field_path.read_bytes()[:100])
+        elif case == "missing":
+            field_path.unlink()
         else:
             lines[5] += b","
             field_path.write_bytes(b"\n".join(lines))
@@ -709,6 +785,7 @@ class TestMain:
         assert "'model.drift_file'" in err
         assert str(field_path) in err
         assert fault in err
+        assert not (tmp_path / "out").exists()
 
     def test_exit_two_on_missing_file(self):
         assert cli.main(["run", "/nonexistent/x.cfg"]) == 2

@@ -178,6 +178,51 @@ class TestCompareJson:
         assert out["evolve_summary.json"] == "missing before"
 
 
+# A stand-in `driftflow.cli`: `run <preset> --output-dir DIR` writes one
+# trace and a manifest whose wall time and timings are WALL.
+STUB_CLI = """
+import json, sys
+from pathlib import Path
+out = Path(sys.argv[sys.argv.index("--output-dir") + 1])
+out.mkdir(parents=True)
+(out / "trace.csv").write_text("step,resolvent_iters\\n1,3\\n", encoding="utf-8")
+manifest = {"checks": {"ok": True}, "wall_time_s": WALL,
+            "timings": {"setup_s": WALL / 4, "march_s": WALL / 2}}
+(out / "run_manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+"""
+
+
+def stub_cli_checkout(folder: Path, wall: float) -> Path:
+    package = folder / "src" / "driftflow"
+    (package / "presets").mkdir(parents=True)
+    (package / "__init__.py").write_text("", encoding="utf-8")
+    (package / "cli.py").write_text(STUB_CLI.replace("WALL", repr(wall)), encoding="utf-8")
+    (package / "presets" / "p.cfg").write_text("experiment = evolve\n", encoding="utf-8")
+    return folder
+
+
+class TestPresetFidelityMain:
+    def test_reports_each_sides_wall_time_and_timings_outside_the_verdict(
+        self, tmp_path, capsys
+    ):
+        before = stub_cli_checkout(tmp_path / "a", 2.0)
+        after = stub_cli_checkout(tmp_path / "b", 1.0)
+        assert fidelity.main([str(before), str(after), "--workdir", str(tmp_path / "w")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            "p: checks equal, resolvent_iters 3 -> 3, wall_time_s 2.0000 -> 1.0000"
+        )
+        assert "  march_s: 1.0000 -> 0.5000" in lines
+        report = json.loads(lines[-1])["p"]
+        assert report["checks_equal"] is True
+        assert report["wall_time_s"] == [2.0, 1.0]
+        assert report["timings"] == [
+            {"setup_s": 0.5, "march_s": 1.0}, {"setup_s": 0.25, "march_s": 0.5}
+        ]
+        # the manifests differ, the outputs do not
+        assert report["csv"] == {"trace.csv": {"step": 0.0, "resolvent_iters": 0.0}}
+
+
 _BENCH_PATH = Path(__file__).resolve().parents[1] / "tools" / "paired_bench.py"
 _bench_spec = importlib.util.spec_from_file_location("paired_bench", _BENCH_PATH)
 paired = importlib.util.module_from_spec(_bench_spec)

@@ -22,7 +22,10 @@ one after another.  For each preset the report gives:
   differing string, flag or null, a list of another length or a key only
   one run wrote counts as inf.  JSON reports only one run wrote are
   listed as for CSVs;
-- the summed `resolvent_iters` of each side over its trace CSVs.
+- the summed `resolvent_iters` of each side over its trace CSVs;
+- each side's `wall_time_s` and phase `timings` from its manifest.  They
+  vary from run to run and are one run each, so they are reported but
+  neither compared nor counted in the exit status.
 
 The last line is one JSON object with the same content, the relative
 differences under "relative".  The exit status
@@ -49,6 +52,7 @@ def presets(checkout: Path) -> list[str]:
 
 
 def run_preset(checkout: Path, preset: str, outdir: Path) -> dict:
+    """Run one preset in a fresh process; its `run_manifest.json`."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     cmd = [sys.executable, "-m", "driftflow.cli", "run", preset]
     proc = subprocess.run(
@@ -58,8 +62,7 @@ def run_preset(checkout: Path, preset: str, outdir: Path) -> dict:
         raise RuntimeError(
             f"{checkout}: {preset} exited {proc.returncode}:\n{proc.stderr}"
         )
-    manifest = json.loads((outdir / "run_manifest.json").read_text(encoding="utf-8"))
-    return manifest["checks"]
+    return json.loads((outdir / "run_manifest.json").read_text(encoding="utf-8"))
 
 
 def read_columns(path: Path) -> dict[str, list[str]]:
@@ -202,21 +205,27 @@ def main(argv=None) -> int:
         report, differ = {}, False
         for preset in presets(args.before):
             dirs = {side: work / side / preset for side in ("before", "after")}
-            checks = {
-                side: run_preset(checkout, preset, dirs[side])
+            manifests = [
+                run_preset(checkout, preset, dirs[side])
                 for side, checkout in (("before", args.before), ("after", args.after))
-            }
-            same = checks["before"] == checks["after"]
+            ]
+            same = manifests[0]["checks"] == manifests[1]["checks"]
             differ |= not same
             csvs = compare(dirs["before"], dirs["after"])
             rel = compare(dirs["before"], dirs["after"], relative=True)
             iters = [resolvent_iters(dirs["before"]), resolvent_iters(dirs["after"])]
+            wall = [m["wall_time_s"] for m in manifests]
+            timings = [m["timings"] for m in manifests]
             report[preset] = {
                 "checks_equal": same, "resolvent_iters": iters, "csv": csvs,
-                "relative": rel,
+                "relative": rel, "wall_time_s": wall, "timings": timings,
             }
             print(f"{preset}: checks {'equal' if same else 'DIFFER'}, "
-                  f"resolvent_iters {iters[0]} -> {iters[1]}")
+                  f"resolvent_iters {iters[0]} -> {iters[1]}, "
+                  f"wall_time_s {wall[0]:.4f} -> {wall[1]:.4f}")
+            for phase in sorted(set(timings[0]) | set(timings[1])):
+                t = [f"{side.get(phase, math.nan):.4f}" for side in timings]
+                print(f"  {phase}: {t[0]} -> {t[1]}")
             for name, diffs in csvs.items():
                 if isinstance(diffs, str):
                     print(f"  {name}: {diffs}")
