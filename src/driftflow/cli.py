@@ -330,18 +330,19 @@ def _run_evolve(cfg, outdir: Path, manifest: RunManifest, laps: _Laps, data, evo
     rows = []
     refine = _read(cfg, "evolve.refine")
     if refine > 0:
+        # level 0 is the main march; each further level halves dt and h
         dt, cells = evo.dt, data.domain.cells
-        for k in range(refine + 1):
+        rows.append((dt, data.domain.spacing[0], summary["final_error_l2"]))
+        for _ in range(refine):
+            dt /= 2
+            cells = tuple(2 * n for n in cells)
             dom_k = BoxDomain(data.domain.dim, data.domain.lengths, cells)
             data_k = models.make_model(
                 data.name, dom_k, data.horizon, **_model_params(cfg)
             )
-            evo_k = replace(evo, dt=dt, truncation=None)
-            final_k, _ = evolve(data_k, evo_k)
+            final_k, _ = evolve(data_k, replace(evo, dt=dt, truncation=None))
             err = norm_l2(final_k - data_k.exact_grid(data.horizon))
             rows.append((dt, dom_k.spacing[0], err))
-            dt /= 2
-            cells = tuple(2 * n for n in cells)
         summary["refinement_errors"] = [r[2] for r in rows]
     laps.lap("march_s")
     trace.write_csv(outdir / "trace.csv")

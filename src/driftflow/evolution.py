@@ -237,11 +237,20 @@ def _root(sq: float) -> float:
     return float(np.sqrt(max(sq, 0.0)))
 
 
-def _step_operator(
-    data: ProblemData, t: float, cfg: EvolutionConfig, level: float | None
-) -> TruncatedOperator:
-    """The implicit part of a step: A + B fully implicit, else A_M."""
-    mode = "full" if cfg.splitting == "fully-implicit" else "remainder"
+def _step_operator(data: ProblemData, t: float, cfg: EvolutionConfig) -> TruncatedOperator:
+    """The implicit part of a step: A + B fully implicit, else A_M.
+
+    Its level is the last of `cfg.truncation`, or none without a plan,
+    which a drift's A_M cannot do without.
+    """
+    plan = cfg.truncation
+    if cfg.splitting == "fully-implicit":
+        mode = "full"
+    elif data.has_drift and plan is None:
+        raise ValueError("semi-implicit with drift needs a truncation plan")
+    else:
+        mode = "remainder"
+    level = None if plan is None else plan.levels[-1]
     return TruncatedOperator(data, t, level=level, drift_mode=mode)
 
 
@@ -297,52 +306,46 @@ def _step_detailed(
 
 
 def step(
-    u_prev: GridFunction,
-    t: float,
-    cfg: EvolutionConfig,
-    data: ProblemData,
-    level: float | None = None,
+    u_prev: GridFunction, t: float, cfg: EvolutionConfig, data: ProblemData
 ) -> GridFunction:
-    """One implicit step landing on time t (coefficients evaluated at t)."""
-    return _step_detailed(u_prev, cfg, _step_operator(data, t, cfg, level)).state
+    """One implicit step landing on time t (coefficients evaluated at t).
 
-
-def _default_level(cfg: EvolutionConfig) -> float | None:
-    if cfg.truncation is None:
-        return None
-    return cfg.truncation.levels[-1]
+    It runs at the plan's last level, as a march does.
+    """
+    return _step_detailed(u_prev, cfg, _step_operator(data, t, cfg)).state
 
 
 def _march(
-    data: ProblemData, cfg: EvolutionConfig, level: float | None,
-    u0: GridFunction | None, trace: EvolutionTrace,
+    data: ProblemData, cfg: EvolutionConfig, u0: GridFunction | None, trace: EvolutionTrace
 ) -> Iterator[tuple[float, GridFunction]]:
     """The one loop that advances a march: yield (t_j, u_j) for j = 0..steps.
 
     t_steps is data.horizon (`EvolutionConfig.steps`, checked before any
-    solve).  Starts from a copy of u0 (data.initial if None), appends each
-    step to `trace` and holds copies of only the last
-    `_EXTRAPOLATION_ORDER + 1` states, the ring that starts each resolve
-    (see the module docstring).
+    solve).  Every step runs at the last level of `cfg.truncation`, or at
+    none without a plan (see `_step_operator`); a plan whose last
+    certificate fails draws a RuntimeWarning and the march goes on.
+    Starts from a copy of u0 (data.initial if None), appends each step to
+    `trace` and holds copies of only the last `_EXTRAPOLATION_ORDER + 1`
+    states, the ring that starts each resolve (see the module docstring).
     """
     steps = cfg.steps(data)
-    if level is None:
-        level = _default_level(cfg)
-    if data.has_drift and cfg.splitting == "semi-implicit" and level is None:
-        raise ValueError("semi-implicit with drift needs a truncation level")
+    tau = cfg.dt
+    # one operator per march; each step moves it to its own time, which
+    # re-samples nothing for autonomous data
+    op = _step_operator(data, tau, cfg)
     if u0 is not None and u0.domain != data.domain:
         raise ValueError(f"u0 lives on {u0.domain}, the problem on {data.domain}")
-    if cfg.truncation is not None and level in cfg.truncation.levels:
-        k = cfg.truncation.levels.index(level)
-        if not cfg.truncation.certified(k):
-            # frames: this generator, the loop that drives it, its caller
-            warnings.warn(
-                f"truncation level {level:.6g} carries no accretivity "
-                "certificate; the run continues but the alpha/2 margin is "
-                "not guaranteed",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+    plan = cfg.truncation
+    if plan is not None and not plan.certified(-1):
+        # frames: this generator, the loop that drives it, its caller
+        warnings.warn(
+            f"truncation level {plan.levels[-1]:.6g} carries no accretivity "
+            "certificate; the run continues but the alpha/2 margin is "
+            "not guaranteed",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    level = float("nan") if op.level is None else op.level
     u = (u0 if u0 is not None else data.initial).copy()
     u_sq = inner(u, u)
     trace.initial_l2 = _root(u_sq)
@@ -352,10 +355,6 @@ def _march(
     ring[0] = u.values.ravel()
     yield 0.0, u
     dissip = 0.0
-    tau = cfg.dt
-    # one operator per march; each step moves it to its own time, which
-    # re-samples nothing for autonomous data
-    op = _step_operator(data, tau, cfg, level)
     for j in range(1, steps + 1):
         t = j * tau
         op = op.at(t)
@@ -378,7 +377,7 @@ def _march(
             _root(u_sq),
             h1,
             dissip,
-            float("nan") if level is None else level,
+            level,
             max(0.0, res.energy_slack - _ENERGY_TOL),
             res.diagnostics,
         )
@@ -388,18 +387,20 @@ def _march(
 def evolve(
     data: ProblemData,
     cfg: EvolutionConfig,
-    level: float | None = None,
+    *,
     u0: GridFunction | None = None,
     observe: Callable[[float, GridFunction], None] | None = None,
 ) -> tuple[GridFunction, EvolutionTrace]:
     """March to data.horizon, recording norms and energy slack per step.
+
+    The march runs at the last level of `cfg.truncation` (see `_march`).
 
     `observe(t, u)`, if given, sees the initial state at t = 0 and then each
     new state; nothing keeps the trajectory.  Step failures raise
     ConvergenceError with the step, its time and the partial trace attached.
     """
     trace = EvolutionTrace()
-    for t, u in _march(data, cfg, level, u0, trace):
+    for t, u in _march(data, cfg, u0, trace):
         if observe is not None:
             observe(t, u)
     return u, trace
@@ -436,6 +437,8 @@ def continuation(data: ProblemData, cfg: EvolutionConfig) -> ContinuationResult:
     Always marches with the splitting that keeps the truncated remainder
     implicit and the weighted drift explicit; the fully implicit scheme does
     not depend on the level, so a continuation under it would be vacuous.
+    Level k marches under the one-level plan of M_k and its certificate,
+    so it runs at M_k as any march runs at its plan's last level.
     Uncertified levels produce a warning and the run continues.
 
     Every level from the first `models.saturated` one on (at every time, so
@@ -448,11 +451,12 @@ def continuation(data: ProblemData, cfg: EvolutionConfig) -> ContinuationResult:
     if cfg.truncation is None or len(cfg.truncation.levels) < 2:
         raise ValueError("continuation needs a truncation plan with at least 2 levels")
     cfg = replace(cfg, splitting="semi-implicit")
+    plan = cfg.truncation
     levels = []
     notes = []
     shared = None  # the first saturated level, once marched
-    for k, M in enumerate(cfg.truncation.levels):
-        cert = cfg.truncation.certificates[k]
+    for k, M in enumerate(plan.levels):
+        cert = plan.certificates[k]
         if not cert.passes_evolution:
             notes.append(
                 f"level {M:.6g} lacks an accretivity certificate "
@@ -463,7 +467,8 @@ def continuation(data: ProblemData, cfg: EvolutionConfig) -> ContinuationResult:
             # duplicate emitted by evolve
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                final, trace = evolve(data, cfg, level=M)
+                one = TruncationPlan(plan.levels[k : k + 1], plan.certificates[k : k + 1])
+                final, trace = evolve(data, replace(cfg, truncation=one))
         else:
             final = shared.final_state.copy()
             columns = {f.name: list(getattr(shared.trace, f.name)) for f in _TRACE_COLUMNS}
@@ -516,34 +521,27 @@ class UniquenessReport:
 
 
 def uniqueness_harness(
-    data: ProblemData,
-    cfg: EvolutionConfig,
-    u0: GridFunction,
-    v0: GridFunction,
-    level: float | None = None,
+    data: ProblemData, cfg: EvolutionConfig, u0: GridFunction, v0: GridFunction
 ) -> UniquenessReport:
     """March two initial states and check |u_j - v_j| <= e^{C t_j} |u_0 - v_0|.
 
-    The two marches advance in lockstep, so only their current states are
-    held.  C is the measured growth constant of the step's drift coupling,
-    b_max^2 / (2 alpha) corrected for the finite step, with b_max the step
-    operator's `drift_face_max` (clamped at the level when semi-implicit);
-    it is zero without drift, in which case the scheme must contract
-    monotonically.
+    The two marches advance in lockstep at the plan's last level, as
+    `evolve` marches, so only their current states are held.  C is the
+    measured growth constant of the step's drift coupling, b_max^2 /
+    (2 alpha) corrected for the finite step, with b_max the step operator's
+    `drift_face_max` (clamped at the level when semi-implicit); it is zero
+    without drift, in which case the scheme must contract monotonically.
     """
-    if level is None:
-        level = _default_level(cfg)
     times, dists = [], []
     traces = (EvolutionTrace(), EvolutionTrace())
     for (t, u), (_, v) in zip(
-        _march(data, cfg, level, u0, traces[0]),
-        _march(data, cfg, level, v0, traces[1]),
+        _march(data, cfg, u0, traces[0]), _march(data, cfg, v0, traces[1])
     ):
         times.append(t)
         dists.append(norm_l2(u - v))
     d0 = dists[0]
     alpha = data.diffusion.alpha
-    b_eff = _step_operator(data, data.horizon, cfg, level).drift_face_max()
+    b_eff = _step_operator(data, data.horizon, cfg).drift_face_max()
     C0 = b_eff**2 / (2 * alpha)
     C = C0 / (1.0 - cfg.dt * C0) if cfg.dt * C0 < 1 else math.inf
     tol_rel = 1e-8

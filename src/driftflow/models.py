@@ -193,7 +193,8 @@ class ProblemData:
 def _check_level(M: float, name: str = "truncation level") -> None:
     """The rule for every truncation level: finite and > 0, else ValueError.
 
-    `_certificate` alone skips it, for the decay check's fallback level.
+    Checked wherever a level comes in: a plan's levels, the level
+    `certify_truncation` certifies, and the clamp's and operator's level.
     """
     if not (math.isfinite(M) and M > 0):
         raise ValueError(f"{name} must be finite and positive, got {M!r}")
@@ -326,15 +327,6 @@ def certify_truncation(
     flagged as a distance-to-bounded obstruction (no level can ever pass).
     """
     _check_level(M)
-    return _certificate(data, M, refinement_cells)
-
-
-def _certificate(data, M, refinement_cells=None) -> TruncationCertificate:
-    """`certify_truncation` without `_check_level`.
-
-    The decay check certifies its fallback level, the sampled node maximum,
-    through here: that maximum is 0 for a coefficient vanishing at the nodes.
-    """
     N, weight = data.domain.dim, data.domain.node_weight
     measured = max(
         lorentz.weak_norm_of_values(
@@ -452,9 +444,9 @@ def small_data_check(data: ProblemData, plan: TruncationPlan | None) -> tuple[bo
     coefficient so that both the remainder and the truncated part stay
     below alpha / (4 S) in the weak-L^N metric, making the total drift
     pairing lose less than alpha/2 of the coercivity.  The candidates are
-    the plan's levels, or the sampled node maximum when there is no plan;
-    each is read from its certificate, which holds the remainder and the
-    bound, so only the truncated part min(b, M) is measured here, at the
+    the plan's levels, so a drift without a plan raises ValueError; each is
+    read from its certificate, which holds the remainder and the bound, so
+    only the truncated part min(b, M) is measured here, at the
     `certificate_times`.  So the plan must be one
     certified for `data`, as `make_truncation_plan(data)` builds it.  The
     cruder product level * S is recorded for reference but not used, since
@@ -462,19 +454,16 @@ def small_data_check(data: ProblemData, plan: TruncationPlan | None) -> tuple[bo
     """
     if not data.has_drift:
         return True, {"drift": 0.0}
+    if plan is None:
+        raise ValueError("the small-data check of a drift needs a truncation plan")
     N = data.domain.dim
     S = _embedding_constant(N)
     if S is None:
         return False, {"reason": _NO_EMBEDDING}
-    if plan is not None:
-        certs = dict(zip(plan.levels, plan.certificates))
-    else:
-        level = float(np.max(data.drift_bound_grid(0.0).values))
-        certs = {level: _certificate(data, level)}
     weight = data.domain.node_weight
     best = None
-    for lv in sorted(certs):
-        cert = certs[lv]
+    # the plan's levels increase: the search stops at the least passing one
+    for lv, cert in zip(plan.levels, plan.certificates):
         trunc = max(
             lorentz.weak_norm_of_values(
                 np.minimum(data.drift_bound_grid(t).values, lv), weight, N

@@ -136,15 +136,17 @@ def decay_experiment(
     """Evolve toward the stationary state and fit the exponential rate.
 
     The march runs at the plan's last level, and the small-data verdict
-    takes the best of the plan's levels.  The fit window is the second half
-    of the horizon; early transients decay faster than the certified rate
-    and would bias the fit upward.  If y sits at the numerical floor over
-    the whole window the report flags saturation instead of quoting a
-    rate.  y is taken from the streamed states, and the
+    takes the best of the plan's levels; it is taken first, so a drift
+    without a plan raises ValueError before any solve.  The fit window is
+    the second half of the horizon; early transients decay faster than the
+    certified rate and would bias the fit upward.  If y sits at the
+    numerical floor over the whole window the report flags saturation
+    instead of quoting a rate.  y is taken from the streamed states, and the
     report carries the march's EvolutionTrace, so nothing is marched twice.
     """
     dom = data.domain
     evo_cfg.steps(data)  # a bad step count raises before the stationary solve
+    ok, detail = small_data_check(data, evo_cfg.truncation)
     u_inf = solve_steady(data, steady_cfg)
     y = []
     _, trace = evolve(data, evo_cfg, observe=lambda t, u: y.append(norm_l2(u - u_inf) ** 2))
@@ -154,7 +156,6 @@ def decay_experiment(
     alpha = data.diffusion.alpha
     omega = alpha / (4 * cp)
     intro = alpha / (2 * cp)
-    ok, detail = small_data_check(data, evo_cfg.truncation)
 
     T = data.horizon
     window = (0.5 * T, T)

@@ -89,8 +89,7 @@ def split_at_level(data, level, times):
 def small_data_reference(data, levels):
     """The decay small-data check, re-measuring both parts at every candidate.
 
-    `levels` are the candidate levels (None entries skipped); without any,
-    the sampled node maximum of b at t = 0 is the one candidate.
+    `levels` are the candidate levels, a plan's, which a drift needs.
     """
     if not data.has_drift:
         return True, {"drift": 0.0}
@@ -101,11 +100,8 @@ def small_data_reference(data, levels):
     S = L.sobolev_constant(N, 2)
     bound = alpha / (4 * S)
     times = M.certificate_times(data)
-    candidates = [lv for lv in levels if lv is not None]
-    if not candidates:
-        candidates = [float(np.max(data.drift_bound_grid(0.0).values))]
     best = None
-    for lv in sorted(set(candidates)):
+    for lv in sorted(set(levels)):
         rest, trunc = split_at_level(data, lv, times)
         worst = max(rest, trunc)
         if best is None or worst < best[0]:

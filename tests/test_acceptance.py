@@ -181,10 +181,12 @@ def test_criterion_07_uniqueness_harness():
     drift = M.make_model("singular-drift", DOM3, 0.1, c=0.1)
     cert = M.certify_truncation(drift, 0.5)
     assert cert.passes_evolution
-    cfg3 = EvolutionConfig(dt=2e-3, tol=1e-12)
+    cfg3 = EvolutionConfig(
+        dt=2e-3, truncation=M.make_truncation_plan(drift, levels=[0.5]), tol=1e-12
+    )
     w0 = drift.initial
     z0 = G.GridFunction(DOM3, w0.values + 0.5 * rng.standard_normal(DOM3.interior_shape))
-    rep3 = uniqueness_harness(drift, cfg3, w0, z0, level=0.5)
+    rep3 = uniqueness_harness(drift, cfg3, w0, z0)
     d0 = rep3.distances[0]
     for t, d in zip(rep3.times, rep3.distances):
         assert d <= math.exp(rep3.growth_constant * t) * d0 * (1 + 1e-8)

@@ -254,6 +254,28 @@ class TestRun:
             tmp_path / "standalone.csv"
         ).read_bytes()
 
+    def test_refinement_reuses_the_main_march_as_level_zero(self, tmp_path, monkeypatch):
+        # level 0 of the ladder is the main march's grid, dt and model, so
+        # only the finer levels march again: 2 marches at refine 1, not 3
+        marches = []
+
+        def counted(data, cfg, **kw):
+            marches.append((data.domain.cells, cfg.dt))
+            return evolve(data, cfg, **kw)
+
+        monkeypatch.setattr(cli, "evolve", counted)
+        text = (
+            "experiment = evolve\nmodel = manufactured\ndomain.cells = 8,8\n"
+            "time.dt = 0.01\ntime.T = 0.05\nevolve.refine = 1\n"
+        )
+        outdir = tmp_path / "out"
+        cli.run(write_cfg(tmp_path, text), output_dir=outdir)
+        assert marches == [((8, 8), 0.01), ((16, 16), 0.005)]
+        summary = json.loads((outdir / "evolve_summary.json").read_text())
+        assert summary["refinement_errors"][0] == summary["final_error_l2"]
+        rows = (outdir / "convergence.csv").read_text().splitlines()
+        assert rows[1] == f"0.01,0.125,{summary['final_error_l2']!r}"
+
     def test_unknown_model_parameter_rejected(self, tmp_path):
         path = write_cfg(tmp_path, SMALL_DRIFT_DECAY.replace("model.c =", "model.cc ="))
         with pytest.raises(cli.ConfigError, match="'cc'"):

@@ -24,6 +24,13 @@ def cfg(dt, **kw):
     return E.EvolutionConfig(dt=dt, **kw)
 
 
+def one_level(data, c, level):
+    """c under the one-level plan of `level` for data; c itself for None."""
+    if level is None:
+        return c
+    return replace(c, truncation=M.make_truncation_plan(data, levels=[level]))
+
+
 def observed(data, c, **kw):
     """The whole trajectory u_0..u_n, collected through evolve's observe."""
     states = []
@@ -93,6 +100,27 @@ class TestConfig:
                 run()
         assert solves == []
 
+    def test_drift_without_plan_raises_before_any_solve(self, monkeypatch):
+        # a level comes only from a plan: a semi-implicit drift step has none
+        # to clamp at, and a drift's small-data verdict no candidate
+        data = M.make_model("singular-drift", G.BoxDomain(2, (1.0, 1.0), (16, 16)), 0.1, c=0.08)
+        semi = cfg(0.01, splitting="semi-implicit")
+        solves = []
+        monkeypatch.setattr(
+            E.TruncatedOperator, "resolve_detailed", lambda *a, **k: solves.append(a)
+        )
+        monkeypatch.setattr("driftflow.steady.stationary_solve", lambda *a, **k: solves.append(a))
+        runs = (
+            lambda: E.evolve(data, semi),
+            lambda: E.uniqueness_harness(data, semi, data.initial, 0.5 * data.initial),
+            lambda: E.step(data.initial, semi.dt, semi, data),
+            lambda: decay_experiment(data, cfg(0.01), SteadyConfig()),
+        )
+        for run in runs:
+            with pytest.raises(ValueError, match="needs a truncation plan"):
+                run()
+        assert solves == []
+
 
 class TestStep:
     def test_eigenfunction_single_step(self):
@@ -135,11 +163,9 @@ class TestStep:
         )
         diffs = []
         for tau in (1e-3, 5e-4):
-            c = cfg(tau)
-            a = E.step(data.initial, tau, c, data, level=1.0)
-            b = E.step(
-                data.initial, tau, replace(c, splitting="semi-implicit"), data, level=1.0
-            )
+            c = one_level(data, cfg(tau), 1.0)
+            a = E.step(data.initial, tau, c, data)
+            b = E.step(data.initial, tau, replace(c, splitting="semi-implicit"), data)
             diffs.append(G.norm_l2(a - b))
         order = math.log2(diffs[0] / diffs[1])
         assert order > 1.8
@@ -225,9 +251,9 @@ class TestEvolve:
         level = 1.0
         diffs = []
         for tau in (0.01, 0.005):
-            c = cfg(tau)
-            a, _ = E.evolve(data, c, level=level)
-            b, _ = E.evolve(data, replace(c, splitting="semi-implicit"), level=level)
+            c = one_level(data, cfg(tau), level)
+            a, _ = E.evolve(data, c)
+            b, _ = E.evolve(data, replace(c, splitting="semi-implicit"))
             diffs.append(G.norm_l2(a - b))
         assert diffs[1] < 0.7 * diffs[0]  # first order in tau
 
@@ -273,9 +299,9 @@ class TestEvolve:
         # the march reuses the energy check's norms; they must be the norms
         dom = G.BoxDomain(2, (1.0, 1.0), (12, 12))
         data = M.make_model("singular-drift", dom, 0.05, c=0.08)
-        c = cfg(0.01, splitting=splitting)
+        c = one_level(data, cfg(0.01, splitting=splitting), 1.0)
         seen = []
-        _, trace = E.evolve(data, c, level=1.0, observe=lambda t, u: seen.append(u))
+        _, trace = E.evolve(data, c, observe=lambda t, u: seen.append(u))
         assert trace.initial_l2 == G.norm_l2(seen[0])
         assert trace.l2_norms == [G.norm_l2(u) for u in seen[1:]]
         assert trace.h1_seminorms == [G.norm_h1(u) for u in seen[1:]]
@@ -299,6 +325,28 @@ class TestEvolve:
         c = cfg(0.01, truncation=plan, splitting="semi-implicit")
         with pytest.warns(RuntimeWarning):
             E.evolve(data, c)
+
+    @pytest.mark.parametrize("run", ["evolve", "uniqueness_harness"])
+    def test_plan_warns_on_its_last_certificate(self, run):
+        # the level 0.5 clamps b on 16^2, where no nonzero remainder is
+        # certified; a plan ending at a saturated level marches silently
+        data = M.make_model("singular-drift", G.BoxDomain(2, (1.0, 1.0), (16, 16)), 0.02, c=0.08)
+        march = {
+            "evolve": lambda c: E.evolve(data, c),
+            "uniqueness_harness": lambda c: E.uniqueness_harness(
+                data, c, data.initial, 0.5 * data.initial
+            ),
+        }[run]
+        semi = cfg(0.01, splitting="semi-implicit")
+        ending = M.make_truncation_plan(data, levels=[0.5])
+        with pytest.warns(RuntimeWarning, match="truncation level 0.5 carries no"):
+            march(replace(semi, truncation=ending))
+        bmax = M.drift_bound_max(data)
+        certified_end = M.make_truncation_plan(data, levels=[0.5, bmax])
+        assert not certified_end.certified(0) and certified_end.certified(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            march(replace(semi, truncation=certified_end))
 
     def test_trace_csv(self, tmp_path):
         dom = G.BoxDomain(1, (1.0,), (8,))
@@ -385,13 +433,13 @@ class TestEvolve:
         assert set(heat.damping) == {1.0}
 
 
-def cold_march(data, c, level=None):
+def cold_march(data, c):
     """u_1..u_n and the iteration counts of a loop of cold `step` calls."""
     u, states, iters = data.initial, [], []
     for j in range(1, c.steps(data) + 1):
-        op = E._step_operator(data, j * c.dt, c, level)
+        op = E._step_operator(data, j * c.dt, c)
         res = E._step_detailed(u, c, op)
-        assert np.array_equal(res.state.values, E.step(u, j * c.dt, c, data, level).values)
+        assert np.array_equal(res.state.values, E.step(u, j * c.dt, c, data).values)
         u = res.state
         states.append(u)
         iters.append(res.diagnostics.iterations)
@@ -417,9 +465,9 @@ class TestWarmStart:
     @pytest.mark.parametrize("dom, model, splitting, level", WARM_CASES)
     def test_states_match_cold_steps(self, dom, model, splitting, level):
         data = M.make_model(model, dom, 0.06)
-        c = cfg(5e-3, splitting=splitting)
-        warm = observed(data, c, level=level)
-        cold, _ = cold_march(data, c, level)
+        c = one_level(data, cfg(5e-3, splitting=splitting), level)
+        warm = observed(data, c)
+        cold, _ = cold_march(data, c)
         # step 1 has no history to extrapolate from: it is the cold step
         assert np.array_equal(warm[1].values, cold[0].values)
         for a, b in zip(warm[1:], cold):
@@ -433,8 +481,7 @@ class TestWarmStart:
         seen = []
         E.evolve(
             data,
-            cfg(5e-3, splitting=splitting),
-            level=level,
+            one_level(data, cfg(5e-3, splitting=splitting), level),
             observe=lambda t, u: seen.append((u, u.values.copy())),
         )
         assert len(seen) == 13
@@ -447,7 +494,7 @@ class TestWarmStart:
         data = cli._build_problem(config)
         c = cli._build_evolution(config, data)
         _, trace = E.evolve(data, c)
-        _, cold = cold_march(data, c, E._default_level(c))
+        _, cold = cold_march(data, c)
         # measured: 374 warm against 1115 cold
         assert 2 * sum(trace.solver_iterations) <= sum(cold)
 
@@ -460,7 +507,7 @@ class TestWarmStart:
             warnings.simplefilter("ignore", RuntimeWarning)
             res = E.continuation(data, c)
         for lev in res.levels:
-            op = E._step_operator(data, c.dt, c, lev.level)
+            op = E._step_operator(data, c.dt, one_level(data, c, lev.level))
             first = E._step_detailed(data.initial, c, op)
             assert lev.trace.l2_norms[0] == G.norm_l2(first.state)
             assert lev.trace.h1_seminorms[0] == G.norm_h1(first.state)
@@ -499,7 +546,7 @@ class TestContinuation:
         for lev in res.levels[1:]:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                final, trace = E.evolve(data, semi, level=lev.level)
+                final, trace = E.evolve(data, one_level(data, semi, lev.level))
             assert final.values.tobytes() == lev.final_state.values.tobytes()
             assert trace == lev.trace
             assert lev.trace.truncation_level == [lev.level] * len(trace.times)
@@ -523,9 +570,9 @@ class TestContinuation:
         marched = []
         evolve = E.evolve
 
-        def counting(data, cfg, level=None, **kw):
-            marched.append(level)
-            return evolve(data, cfg, level=level, **kw)
+        def counting(data, cfg, **kw):
+            marched.append(cfg.truncation.levels[-1])
+            return evolve(data, cfg, **kw)
 
         monkeypatch.setattr(E, "evolve", counting)
         res = E.continuation(data, cfg(1e-2, truncation=plan))
@@ -579,10 +626,10 @@ class TestUniqueness:
     def test_growth_constant_is_the_clamped_drift_formula(self, model, splitting):
         dom = G.BoxDomain(2, (1.0, 1.0), (8, 8))
         data = M.make_model(model, dom, 0.02)
-        c = cfg(5e-3, splitting=splitting)
         level = 1.0
+        c = one_level(data, cfg(5e-3, splitting=splitting), level)
         v0 = G.GridFunction(dom, 0.5 * data.initial.values)
-        rep = E.uniqueness_harness(data, c, data.initial, v0, level=level)
+        rep = E.uniqueness_harness(data, c, data.initial, v0)
         if data.has_drift:
             clamp = level if splitting == "semi-implicit" else None
             b_eff = M.drift_bound_max(data, data.horizon, clamp)
@@ -601,7 +648,7 @@ class TestUniqueness:
         rng = np.random.default_rng(2)
         u0 = data.initial
         v0 = G.GridFunction(dom, u0.values + 0.5 * rng.standard_normal(dom.interior_shape))
-        rep = E.uniqueness_harness(data, cfg(2e-3), u0, v0, level=1.0)
+        rep = E.uniqueness_harness(data, one_level(data, cfg(2e-3), 1.0), u0, v0)
         assert rep.growth_constant > 0.0
         assert rep.bound_satisfied
         assert rep.tightest_exponent <= rep.growth_constant
@@ -791,10 +838,10 @@ class TestStreamedTrajectories:
         rng = np.random.default_rng(3)
         u0 = data.initial
         v0 = G.GridFunction(dom, u0.values + 0.5 * rng.standard_normal(dom.interior_shape))
-        c = cfg(5e-3)
-        rep = E.uniqueness_harness(data, c, u0, v0, level=level)
-        us = observed(data, c, u0=u0, level=level)
-        vs = observed(data, c, u0=v0, level=level)
+        c = one_level(data, cfg(5e-3), level)
+        rep = E.uniqueness_harness(data, c, u0, v0)
+        us = observed(data, c, u0=u0)
+        vs = observed(data, c, u0=v0)
         assert rep.distances == [G.norm_l2(a - b) for a, b in zip(us, vs)]
         assert rep.times == pytest.approx([j * 5e-3 for j in range(11)], abs=1e-15)
 
@@ -870,12 +917,11 @@ def pairing_cases(draw):
         )
     splitting = draw(st.sampled_from(("fully-implicit", "semi-implicit")))
     dt = 1.0 / draw(st.integers(10, 1000))
-    c = cfg(dt, splitting=splitting)
     t = draw(st.floats(0.0, 1.0))
-    level = draw(st.floats(0.05, 20.0))
+    c = one_level(data, cfg(dt, splitting=splitting), draw(st.floats(0.05, 20.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     u_prev, u = (G.GridFunction(dom, rng.standard_normal(dom.interior_shape)) for _ in "ab")
-    return data, c, E._step_operator(data, t, c, level), u_prev, u
+    return data, c, E._step_operator(data, t, c), u_prev, u
 
 
 def in_contraction_regime(case):
@@ -1043,8 +1089,8 @@ class TestKnownStalls:
         # clipped to its floor, so the kernel has no contraction guarantee
         dom = G.BoxDomain(1, (1.0,), (3,))
         data = M.make_model("singular-drift", dom, 1.0, c=2.0)
-        c = cfg(0.1, splitting="fully-implicit")
-        op = E._step_operator(data, 0.5, c, 1.0)
+        c = one_level(data, cfg(0.1, splitting="fully-implicit"), 1.0)
+        op = E._step_operator(data, 0.5, c)
         assert op.contraction_constants(c.dt)[0] == 1e-6
         u_prev = G.GridFunction(dom, np.random.default_rng(1).standard_normal(dom.interior_shape))
         try:

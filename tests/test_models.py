@@ -285,8 +285,8 @@ class TestCertification:
 
 @st.composite
 def small_data_cases(draw):
-    """(data, plan or None) over every way the check is asked: no plan, a
-    scheduled plan, or a plan of arbitrary levels."""
+    """(data, plan or None) over every way the check is asked: a scheduled
+    plan or a plan of arbitrary levels, and no plan only without a drift."""
     dim = draw(st.integers(1, 3))
     lengths = tuple(draw(st.sampled_from((0.5, 1.0, 2.0))) for _ in range(dim))
     cells = tuple(draw(st.integers(4, 8 if dim == 3 else 14)) for _ in range(dim))
@@ -308,7 +308,8 @@ def small_data_cases(draw):
         data,
         diffusion=M.DiffusionFlux(coefficient=lambda c, t: 1.0, alpha=alpha, beta=1.0),
     )
-    how = draw(st.sampled_from(("none", "schedule", "levels")))
+    ways = ("schedule", "levels") if data.has_drift else ("none", "schedule", "levels")
+    how = draw(st.sampled_from(ways))
     plan = None
     if how == "schedule":
         plan = M.make_truncation_plan(
@@ -328,7 +329,7 @@ class TestSmallDataCheck:
     @settings(max_examples=80, deadline=None)
     def test_matches_both_parts_measured_at_every_level(self, case):
         data, plan = case
-        levels = plan.levels if plan is not None else [None]
+        levels = plan.levels if plan is not None else []
         assert M.small_data_check(data, plan) == small_data_reference(data, levels)
 
     def test_decay_preset_samples_b_three_times(self, monkeypatch):
@@ -371,7 +372,8 @@ class TestSmallDataCheck:
 
     @pytest.mark.parametrize("growing", [False, True])
     def test_coefficient_vanishing_at_the_nodes_at_t0_without_plan(self, growing):
-        # the fallback level, the node maximum at t = 0, is then 0
+        # the plan-less fallback level was the node maximum at t = 0, here 0,
+        # certified outside any plan; without a plan the check now refuses
         dom = G.BoxDomain(3, (1.0, 1.0, 1.0), (6, 6, 6))
         data = M.make_model("singular-drift", dom, 0.5, c=0.0)
         if growing:
@@ -380,10 +382,10 @@ class TestSmallDataCheck:
                 velocity=lambda c, t: tuple(0.2 * t + 0.0 * x for x in c),
             )
             data = replace(data, drift=drift)
-        got = M.small_data_check(data, None)
-        assert got == small_data_reference(data, [None])
-        assert got[1]["level"] == 0.0
-        assert (got[1]["remainder_weak_norm"] > 0) == growing
+        with pytest.raises(ValueError, match="needs a truncation plan"):
+            M.small_data_check(data, None)
+        plan = M.make_truncation_plan(data)
+        assert M.small_data_check(data, plan) == small_data_reference(data, plan.levels)
 
     @pytest.mark.parametrize("level", [math.nan, -1.0])
     def test_given_level_must_be_finite_and_positive(self, level):
@@ -394,15 +396,15 @@ class TestSmallDataCheck:
         with pytest.raises(ValueError, match="^truncation level must be finite"):
             M.small_data_check(data, M.TruncationPlan((level,), (cert,)))
 
-    def test_level_outside_the_plan_is_certified_after_the_early_returns(self, monkeypatch):
-        # without a plan the one candidate, the sampled node maximum, is
-        # certified by the check itself, after the below-dimension-3 return
+    def test_drift_without_plan_raises_before_the_dimension_return(self):
+        # a drift reaches no verdict without a plan, not even the
+        # below-dimension-3 one; without a drift no plan is needed
         data = M.make_model("singular-drift", DOM2, 0.5, c=0.1)
-        calls = []
-        monkeypatch.setattr(M, "_certificate", lambda *a: calls.append(a))
-        ok, detail = M.small_data_check(data, None)
+        with pytest.raises(ValueError, match="needs a truncation plan"):
+            M.small_data_check(data, None)
+        ok, detail = M.small_data_check(data, M.make_truncation_plan(data))
         assert not ok and "dimension 3" in detail["reason"]
-        assert calls == []
+        assert M.small_data_check(replace(data, drift=None), None) == (True, {"drift": 0.0})
 
 
 class TestManufactured:
