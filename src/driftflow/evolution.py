@@ -240,8 +240,9 @@ def _root(sq: float) -> float:
 def _step_operator(data: ProblemData, t: float, cfg: EvolutionConfig) -> TruncatedOperator:
     """The implicit part of a step: A + B fully implicit, else A_M.
 
-    Its level is the last of `cfg.truncation`, or none without a plan,
-    which a drift's A_M cannot do without.
+    A_M's level is the last of `cfg.truncation`, or none without a plan,
+    which a drift's A_M cannot do without; A + B clamps nothing and has no
+    level.
     """
     plan = cfg.truncation
     if cfg.splitting == "fully-implicit":
@@ -263,17 +264,19 @@ def _step_detailed(
 ) -> StepResult:
     """One step landing on op.t, solved with the step's operator `op`.
 
-    prev_sq is |u_prev|^2 if the caller already has it; the resolve starts
-    from `guess`, or from u_prev if None.
+    The drift is split as `op` splits it: an operator with a level keeps
+    (1 - theta_M) B implicit and moves theta_M B to the right-hand side,
+    one without (A + B) keeps all of B implicit.  prev_sq is |u_prev|^2 if
+    the caller already has it; the resolve starts from `guess`, or from
+    u_prev if None.
     """
     tau = cfg.dt
     t, data = op.t, op.data
     dom = data.domain
-    implicit = cfg.splitting == "fully-implicit"
     F = data.source_field(t)
     rhs = u_prev.values
     explicit = None
-    if data.has_drift and not implicit:
+    if data.has_drift and op.level is not None:
         # the explicit drift moves to the right-hand side as S_theta(u_prev)
         explicit = op.explicit_drift(u_prev.values)
         rhs = rhs - tau * explicit
@@ -310,7 +313,7 @@ def step(
 ) -> GridFunction:
     """One implicit step landing on time t (coefficients evaluated at t).
 
-    It runs at the plan's last level, as a march does.
+    It runs at its operator's level (`_step_operator`), as a march does.
     """
     return _step_detailed(u_prev, cfg, _step_operator(data, t, cfg)).state
 
@@ -321,9 +324,10 @@ def _march(
     """The one loop that advances a march: yield (t_j, u_j) for j = 0..steps.
 
     t_steps is data.horizon (`EvolutionConfig.steps`, checked before any
-    solve).  Every step runs at the last level of `cfg.truncation`, or at
-    none without a plan (see `_step_operator`); a plan whose last
-    certificate fails draws a RuntimeWarning and the march goes on.
+    solve).  Every step runs at its operator's level (`_step_operator`):
+    the last of `cfg.truncation` semi-implicitly, none fully implicitly or
+    without a plan.  A level whose certificate fails draws a RuntimeWarning
+    and the march goes on; a march without a level writes `M_level` nan.
     Starts from a copy of u0 (data.initial if None), appends each step to
     `trace` and holds copies of only the last `_EXTRAPOLATION_ORDER + 1`
     states, the ring that starts each resolve (see the module docstring).
@@ -335,11 +339,10 @@ def _march(
     op = _step_operator(data, tau, cfg)
     if u0 is not None and u0.domain != data.domain:
         raise ValueError(f"u0 lives on {u0.domain}, the problem on {data.domain}")
-    plan = cfg.truncation
-    if plan is not None and not plan.certified(-1):
+    if op.level is not None and not cfg.truncation.certified(-1):
         # frames: this generator, the loop that drives it, its caller
         warnings.warn(
-            f"truncation level {plan.levels[-1]:.6g} carries no accretivity "
+            f"truncation level {op.level:.6g} carries no accretivity "
             "certificate; the run continues but the alpha/2 margin is "
             "not guaranteed",
             RuntimeWarning,
@@ -393,7 +396,8 @@ def evolve(
 ) -> tuple[GridFunction, EvolutionTrace]:
     """March to data.horizon, recording norms and energy slack per step.
 
-    The march runs at the last level of `cfg.truncation` (see `_march`).
+    A semi-implicit march runs at the last level of `cfg.truncation`, a
+    fully implicit one at none (see `_march`).
 
     `observe(t, u)`, if given, sees the initial state at t = 0 and then each
     new state; nothing keeps the trajectory.  Step failures raise
@@ -525,12 +529,12 @@ def uniqueness_harness(
 ) -> UniquenessReport:
     """March two initial states and check |u_j - v_j| <= e^{C t_j} |u_0 - v_0|.
 
-    The two marches advance in lockstep at the plan's last level, as
-    `evolve` marches, so only their current states are held.  C is the
-    measured growth constant of the step's drift coupling, b_max^2 /
-    (2 alpha) corrected for the finite step, with b_max the step operator's
-    `drift_face_max` (clamped at the level when semi-implicit); it is zero
-    without drift, in which case the scheme must contract monotonically.
+    The two marches advance in lockstep, each as `evolve` marches, so
+    only their current states are held.  C is the measured growth constant
+    of the step's drift coupling, b_max^2 / (2 alpha) corrected for the
+    finite step, with b_max the step operator's `drift_face_max` (clamped
+    at the level when semi-implicit); it is zero without drift, in which
+    case the scheme must contract monotonically.
     """
     times, dists = [], []
     traces = (EvolutionTrace(), EvolutionTrace())

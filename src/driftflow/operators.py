@@ -152,7 +152,7 @@ Math. 93, 1971).  Where A_M is monotone and A_M(0) = 0 -- a diffusion
 flux that vanishes at 0 with no drift, or a linear slice under a certified
 truncation level -- the resolvent is nonexpansive and maps 0 to 0, so 0 is
 within |g| of the solution, while g misses it by lam |A_M g|, which grows
-with lam / h^2.  Elsewhere (a flux with A(0) != 0, the "full" drift mode,
+with lam / h^2.  Elsewhere (a flux with A(0) != 0, the unclamped A + B,
 an uncertified level) no such bound holds, and the zero start is a choice
 made on measurement: on 64^2 random right-hand sides at lam in
 {1e-3, 1e-2, 0.1, 1} it takes 614 iterations where g took 768.  On a
@@ -228,18 +228,6 @@ class SolverDiagnostics:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-def _require_finite(
-    rn: float, solver: str, it: int, domain: BoxDomain, u: np.ndarray, residuals
-) -> None:
-    """Name a NaN or inf residual instead of backtracking to a false stall."""
-    if not math.isfinite(rn):
-        raise ConvergenceError(
-            f"{solver} residual is non-finite ({rn}) after {it} iterations",
-            last=GridFunction(domain, u),
-            residuals=residuals,
-        )
 
 
 def _to_faces(values: np.ndarray, axis: int) -> np.ndarray:
@@ -345,7 +333,7 @@ class _Stencil:
         self.strides = []
         for axis, (a, h) in enumerate(zip(coefficients, dom.spacing)):
             up = down = np.broadcast_to(a, dom.face_shape(axis)) / h
-            if op._drifts:
+            if op.data.has_drift:
                 half = 0.5 * op._face_drift(axis, explicit)
                 up, down = up + half, up - half
             head = (slice(None),) * axis
@@ -400,14 +388,17 @@ class _Stencil:
 
 
 class TruncatedOperator:
-    """Weak-form spatial operator at one time slice.
+    """Weak-form spatial operator at one time slice: its data, time t and level.
 
-    drift_mode selects what the implicit flux contains:
+    On data with a drift, drift_mode selects what the implicit flux contains:
       "remainder": A + (1 - theta_M) B, the truncated operator whose
-                   accretivity margin is certified;
+                   accretivity margin is certified; it needs a level M;
       "full":      A + B, used by the fully implicit time step and the
-                   steady solver;
-      "none":      A alone.
+                   steady solver; it clamps nothing, so it validates a
+                   level it is given and keeps none (`level` is None).
+    The constructor reads the mode and no method does: each reads `level`,
+    None for A + B.  On drift-free data the flux is A in every mode;
+    "none" names that case and raises on data with a drift.
     """
 
     def __init__(
@@ -419,17 +410,18 @@ class TruncatedOperator:
     ):
         if drift_mode not in ("remainder", "full", "none"):
             raise ValueError(f"unknown drift_mode {drift_mode!r}")
-        if drift_mode == "remainder" and data.has_drift and level is None:
-            raise ValueError("remainder mode needs a truncation level")
-        if level is not None and data.has_drift:
-            # without a drift no level enters the operator
-            _check_level(level)
+        # without a drift no level enters the operator
+        if data.has_drift:
+            if drift_mode == "none":
+                raise ValueError('drift_mode "none" is for drift-free data; this data has a drift')
+            if level is not None:
+                _check_level(level)
+            elif drift_mode == "remainder":
+                raise ValueError("remainder mode needs a truncation level")
         self.data = data
         self.domain: BoxDomain = data.domain
         self.t = float(t)
-        self.level = level
-        self.drift_mode = drift_mode
-        self._drifts = data.has_drift and drift_mode != "none"
+        self.level = None if drift_mode == "full" else level
         self._face_coords = tuple(
             grid.face_coordinates(self.domain, a) for a in range(self.domain.dim)
         )
@@ -439,7 +431,7 @@ class TruncatedOperator:
         # lam -> (damping floor, K's Laplacian weight lam * gamma) of resolve_detailed
         self._resolve_constants: dict[float, tuple[float, float]] = {}
         self._linear = data.diffusion.coefficient is not None and (
-            not self._drifts or data.drift.velocity is not None
+            not data.has_drift or data.drift.velocity is not None
         )
         self._stencil: _Stencil | None = None
         # the drift's explicit stencil S_theta and div(w V): see the module docstring
@@ -450,7 +442,7 @@ class TruncatedOperator:
         self._lineage: dict[str, _Conjugation | None] = {}
 
     def at(self, t: float) -> "TruncatedOperator":
-        """This slice at time t: the same data, level and drift mode.
+        """This slice at time t: the same data and level.
 
         Returns self when t is unchanged.  The copy shares every cache that
         does not depend on t, and the preconditioner's conjugation sigma
@@ -486,12 +478,14 @@ class TruncatedOperator:
     def _drift_weight(self, axis: int, explicit: bool) -> np.ndarray | None:
         """Multiplier applied to B on the faces of one axis; None stands for 1.
 
-        The implicit weight is the one this operator's flux carries: 1 in
-        "full" mode, 1 - theta_M in "remainder" mode.  The explicit weight
+        The implicit weight is the one this operator's flux carries: 1
+        without a level (A + B), 1 - theta_M with one.  The explicit weight
         is theta_M, the part a semi-implicit step moves to its source; it
         needs the truncation level.
         """
-        if self.drift_mode == "full" and not explicit:
+        if self.level is None:
+            if explicit:
+                raise ValueError("explicit_drift needs a truncation level")
             return None
         theta = clamp_weight(self._face_bound(axis), float(self.level))
         return theta if explicit else 1.0 - theta
@@ -555,7 +549,7 @@ class TruncatedOperator:
                 A = diffusion.evaluate(coords, self.t, (grad[axis],))[0]
             else:
                 A = diffusion.evaluate(coords, self.t, _full_gradient_at_faces(grad, axis))[axis]
-            if self._drifts:
+            if self.data.has_drift:
                 A = A + self.drift_flux(v, axis)
             elif np.shape(A) != grad[axis].shape:
                 A = np.broadcast_to(A, grad[axis].shape)
@@ -630,22 +624,14 @@ class TruncatedOperator:
             return x0.values.copy(), None
         return np.zeros(self.domain.interior_shape), np.negative(g) if self._linear else None
 
-    def _require_drift_terms(self) -> None:
-        """The drift terms of a step need a drift weight: none in "none" mode."""
-        if self.drift_mode == "none":
-            raise ValueError(
-                'drift_mode "none" has no drift terms: explicit_drift, drift_energy '
-                "and drift_divergence need \"full\" or \"remainder\""
-            )
-
     def explicit_drift(self, w: np.ndarray) -> np.ndarray:
         """S_theta(w) = -div(theta_M B(w)) on node values, for any drift.
 
         The negative divergence of `drift_flux(w, explicit=True)`; for a
         drift with `velocity` to roundoff, by the stencil with a = 0 and the
-        explicit face drift theta_M V, built once per slice.
+        explicit face drift theta_M V, built once per slice.  It needs the
+        truncation level.
         """
-        self._require_drift_terms()
         if self.data.drift.velocity is None:
             faces = [self.drift_flux(w, a, explicit=True) for a in range(self.domain.dim)]
             out = grid._divergence_values(self.domain, faces)
@@ -661,7 +647,6 @@ class TruncatedOperator:
         For a drift with `velocity` the closed form -1/2 inner(div(w V), u^2)
         of `drift_divergence`, else the assembled face sum.
         """
-        self._require_drift_terms()
         weight = self.domain.node_weight
         if self.data.drift.velocity is not None:
             return -0.5 * weight * float(np.vdot(self.drift_divergence(), u * u))
@@ -674,7 +659,6 @@ class TruncatedOperator:
         One node field per slice, with (w V avg(u), grad u) =
         -1/2 inner(div(w V), u^2) for every u.
         """
-        self._require_drift_terms()
         if self._drift_div is None:
             faces = tuple(self._face_drift(a, False) for a in range(self.domain.dim))
             self._drift_div = divergence(VectorField(self.domain, faces)).values
@@ -700,20 +684,19 @@ class TruncatedOperator:
     def monotonicity_margin_estimate(self) -> float:
         """A priori monotonicity coefficient in front of |grad w|^2."""
         alpha = self.data.diffusion.alpha
-        if not self.data.has_drift or self.drift_mode == "none":
+        if not self.data.has_drift:
             return alpha
-        # Certified remainder eats at most alpha/2; the full mode gives the
+        # Certified remainder eats at most alpha/2; the unclamped A + B gives the
         # same guarantee only after the zeroth-order Young absorption, which
         # the lam-dependent estimate below accounts for.
         return 0.5 * alpha
 
     def drift_face_max(self) -> float:
-        """Largest sampled drift coefficient, clamped at the level in remainder mode."""
-        if not self._drifts:
+        """Largest sampled drift coefficient, clamped at the level if there is one."""
+        if not self.data.has_drift:
             return 0.0
         if self._drift_max is None:
-            level = self.level if self.drift_mode == "remainder" else None
-            self._drift_max = drift_bound_max(self.data, self.t, level)
+            self._drift_max = drift_bound_max(self.data, self.t, self.level)
         return self._drift_max
 
     def contraction_constants(self, lam: float) -> tuple[float, float]:
@@ -732,7 +715,7 @@ class TruncatedOperator:
         mu = self.monotonicity_margin_estimate()
         b_eff = self.drift_face_max()
         m = min(1.0, mu / gamma)
-        if self.drift_mode == "full" and b_eff > 0:
+        if self.level is None and b_eff > 0:
             # zeroth-order loss from absorbing the bounded drift part
             m = max(1e-6, min(1.0, mu / gamma) - lam * b_eff**2 / (2 * alpha))
         M = max(1.0, (beta + (0.5 * alpha if self.data.has_drift else 0.0)) / gamma) + (
@@ -967,6 +950,10 @@ def _monotone_iteration(
     carrying the last iterate and the residual history.
     """
     diag = SolverDiagnostics()
+
+    def failure(message: str) -> ConvergenceError:
+        return ConvergenceError(message, last=GridFunction(domain, u), residuals=diag.residuals)
+
     rho = 1.0
     if r is None:
         r = residual(u)
@@ -974,17 +961,21 @@ def _monotone_iteration(
     streak = 0
     mixing = None
     it = 0  # steps taken
-    # the one convergence exit: every iterate, the max_iter-th too, is tested here
+    # the one convergence exit: every iterate, the max_iter-th too, is tested
+    # here; each failure raises where it is detected
     while True:
         diag.residuals.append(rn)
-        _require_finite(rn, solver, it, domain, u, diag.residuals)
+        if not math.isfinite(rn):
+            raise failure(f"{solver} residual is non-finite ({rn}) after {it} iterations")
         if rn <= tol:
             diag.iterations = it
             diag.converged = True
             diag.relaxation = rho
             return u, diag
         if it == max_iter:
-            break
+            raise failure(
+                f"{solver} did not reach tol in {max_iter} iterations (residual {rn:.3e})"
+            )
         it += 1
         z = precondition(r)
         if mixing is not None:
@@ -1000,30 +991,22 @@ def _monotone_iteration(
                     continue
                 diag.rejected_mixes += 1
             mixing.count = 0  # clear the history
-        accepted = False
         while True:
             # 1.0 * z == z exactly: one pass fewer at full damping
             trial = u - z if rho == 1.0 else u - rho * z
             r_trial = residual(trial)
             rn_trial = norm(r_trial)
-            _require_finite(rn_trial, solver, it, domain, u, diag.residuals)
+            if not math.isfinite(rn_trial):
+                raise failure(f"{solver} residual is non-finite ({rn_trial}) after {it} iterations")
             if rn_trial < rn or rn_trial <= tol:
-                accepted = True
                 break
             if rho <= rho_floor:
-                break
+                raise failure(
+                    f"{solver} stalled at residual {rn:.3e} (tol {tol:.3e}) after {it} iterations"
+                )
             rho = max(rho_floor, 0.5 * rho)
             streak = 0
             diag.backtracks += 1
-        if not accepted:
-            diag.iterations = it
-            diag.relaxation = rho
-            raise ConvergenceError(
-                f"{solver} stalled at residual {rn:.3e} "
-                f"(tol {tol:.3e}) after {it} iterations",
-                last=GridFunction(domain, u),
-                residuals=diag.residuals,
-            )
         if mixing is None and rn_trial > _SLOW_CONTRACTION * rn:
             mixing = _AndersonHistory(u, z)
         u, r, rn = trial, r_trial, rn_trial
@@ -1031,14 +1014,6 @@ def _monotone_iteration(
         if streak >= 3 and rho < 1.0:
             rho = min(1.0, 1.5 * rho)
             streak = 0
-    diag.iterations = max_iter
-    diag.relaxation = rho
-    raise ConvergenceError(
-        f"{solver} did not reach tol in {max_iter} iterations "
-        f"(residual {rn:.3e})",
-        last=GridFunction(domain, u),
-        residuals=diag.residuals,
-    )
 
 
 def stationary_solve(

@@ -348,6 +348,23 @@ class TestEvolve:
             warnings.simplefilter("error", RuntimeWarning)
             march(replace(semi, truncation=certified_end))
 
+    def test_fully_implicit_march_has_no_level(self):
+        # A + B clamps nothing: its march neither warns on the plan's last
+        # level nor records it, while the semi-implicit march does both
+        data = M.make_model("singular-drift", G.BoxDomain(2, (1.0, 1.0), (12, 12)), 0.05, c=0.08)
+        implicit = one_level(data, cfg(0.01, splitting="fully-implicit"), 1.0)
+        assert not implicit.truncation.certified(-1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, trace = E.evolve(data, implicit)
+            rep = E.uniqueness_harness(data, implicit, data.initial, 0.5 * data.initial)
+        for tr in (trace, *rep.traces):
+            assert len(tr.times) == 5
+            assert all(math.isnan(m) for m in tr.truncation_level)
+        with pytest.warns(RuntimeWarning, match="truncation level 1 carries no"):
+            _, trace = E.evolve(data, replace(implicit, splitting="semi-implicit"))
+        assert trace.truncation_level == [1.0] * 5
+
     def test_trace_csv(self, tmp_path):
         dom = G.BoxDomain(1, (1.0,), (8,))
         data = M.make_model("heat", dom, 0.1)

@@ -38,6 +38,11 @@ def heat_op(t=0.0):
     return TruncatedOperator(M.make_model("heat", DOM, 0.5), t, drift_mode="none")
 
 
+def modes_for(data, modes=("none", "full", "remainder")):
+    """The drift modes among `modes` that data takes: "none" only without a drift."""
+    return tuple(m for m in modes if not (m == "none" and data.has_drift))
+
+
 class TestApply:
     def test_heat_is_dirichlet_laplacian(self):
         rng = np.random.default_rng(0)
@@ -73,7 +78,8 @@ class TestApply:
         "name", ["heat", "lipschitz-nonlinear", "manufactured", "variable-diffusion"]
     )
     def test_drift_modes_agree_without_drift(self, name):
-        # with no drift there is no drift term for a mode to keep or drop
+        # with no drift there is no drift term for a mode to keep or drop;
+        # the resolvent benchmark's sweep builds its operators with "none"
         data = M.make_model(name, DOM, 0.5)
         rng = np.random.default_rng(2)
         u, g = rand_gf(DOM, rng), rand_gf(DOM, rng)
@@ -408,6 +414,67 @@ class TestNonFinite:
         assert np.all(np.isfinite(info.value.last.values))
 
 
+def _infinite_after_the_start(u):
+    """Finite at the zero start, infinite at every trial."""
+    return np.ones(4) if not np.any(u) else np.full(4, np.inf)
+
+
+class TestKernelExits:
+    """Each failure of `_monotone_iteration` raises where it is detected, one
+    ConvergenceError with its message, the last accepted iterate as `last`
+    and the residual history up to that iterate."""
+
+    @pytest.mark.parametrize(
+        "residual, settings, message, last, residuals",
+        [
+            # a residual no step lowers: rho halves once to its floor, then stops
+            (
+                lambda u: np.ones(4), dict(rho_floor=0.5),
+                "kernel stalled at residual 2.000e+00 (tol 1.000e-12) after 1 iterations",
+                0.0, [2.0],
+            ),
+            # u - 1 contracts by 0.05 per step, fast enough never to mix
+            (
+                lambda u: u - 1.0, dict(max_iter=2, precondition=lambda r: 0.95 * r),
+                "kernel did not reach tol in 2 iterations (residual 5.000e-03)",
+                0.9975, [2.0, 0.1, 0.005],
+            ),
+            (
+                lambda u: np.full(4, np.nan), {},
+                "kernel residual is non-finite (nan) after 0 iterations",
+                0.0, [np.nan],
+            ),
+            # no backtracking to a false stall
+            (
+                _infinite_after_the_start, {},
+                "kernel residual is non-finite (inf) after 1 iterations",
+                0.0, [2.0],
+            ),
+        ],
+        ids=["stall", "iteration-limit", "non-finite-start", "non-finite-trial"],
+    )
+    def test_failure_carries_message_last_iterate_and_history(
+        self, residual, settings, message, last, residuals
+    ):
+        kw = dict(precondition=lambda r: r, max_iter=10, rho_floor=1e-4) | settings
+        with pytest.raises(G.ConvergenceError) as info:
+            O._monotone_iteration(
+                residual,
+                kw.pop("precondition"),
+                lambda r: float(np.linalg.norm(r)),
+                np.zeros(4),
+                domain=G.BoxDomain(1, (1.0,), (5,)),
+                tol=1e-12,
+                solver="kernel",
+                **kw,
+            )
+        err = info.value
+        assert str(err) == message
+        assert np.allclose(err.last.values, last, rtol=1e-15, atol=0)
+        # u - 1 near 1 cancels: the history is exact to about eps / 0.0025
+        assert np.allclose(err.residuals, residuals, rtol=1e-12, atol=0, equal_nan=True)
+
+
 # -- flux assembly against the reference assembly ---------------------------
 
 
@@ -474,7 +541,7 @@ def flux_cases(draw):
             "direction": tuple(draw(st.floats(0.1, 1.0)) for _ in range(dim)),
         }
     data = M.make_model(name, dom, 1.0, **params)
-    mode = draw(st.sampled_from(("none", "full", "remainder")))
+    mode = draw(st.sampled_from(modes_for(data)))
     t = draw(st.floats(0.0, 1.0))
     level = draw(st.floats(0.05, 20.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -602,7 +669,7 @@ def time_slice_cases(
         data = M.make_model(kind, dom, 1.0)
     else:
         data = replace(M.make_model("heat", dom, 1.0), drift=t_dependent_drift(dim))
-    mode = draw(st.sampled_from(modes))
+    mode = draw(st.sampled_from(modes_for(data, modes)))
     t1, t2 = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
     level = draw(st.floats(0.05, 20.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -645,7 +712,7 @@ def stencil_face_weights(op):
     out = np.zeros(dom.interior_shape)
     for axis, (a, h) in enumerate(zip(op._face_coefficients(), dom.spacing)):
         up = down = np.broadcast_to(a, dom.face_shape(axis)) / h
-        if op._drifts:
+        if op.data.has_drift:
             half = 0.5 * op._face_drift(axis, False)
             up, down = up + half, up - half
         w = np.abs(up) + np.abs(down)
@@ -679,12 +746,12 @@ class TestStencil:
             assert moved._stencil is stencil
         elif data.name == "variable-diffusion" and math.cos(t1) != math.cos(t2):
             assert moved._stencil is not stencil
-        elif not time_free_drift and mode != "none" and t1 != t2:
+        elif not time_free_drift and t1 != t2:
             assert moved._stencil is not stencil
         # without a coefficient, or with a drift not declared linear, the
         # slice applies as -div(flux) itself
         general = [replace(data, diffusion=replace(data.diffusion, coefficient=None))]
-        if data.has_drift and mode != "none":
+        if data.has_drift:
             general.append(replace(data, drift=replace(data.drift, velocity=None)))
         for other in general:
             op = TruncatedOperator(other, t1, level=level, drift_mode=mode)
@@ -714,10 +781,14 @@ class TestStencil:
 drift_slice_cases = time_slice_cases(
     kinds=("singular-drift", "t-dependent"), modes=("full", "remainder")
 )
+# the same under a level, which the explicit drift theta_M B needs
+explicit_slice_cases = time_slice_cases(
+    kinds=("singular-drift", "t-dependent"), modes=("remainder",)
+)
 
 
 class TestDriftClosedForms:
-    @given(case=drift_slice_cases)
+    @given(case=explicit_slice_cases)
     @settings(max_examples=80, deadline=None)
     def test_explicit_stencil_matches_divergence_of_drift_flux(self, case):
         data, mode, t1, t2, level, u = case
@@ -785,8 +856,8 @@ class TestNoAliasing:
         u_vals = u.values.copy()
         op = TruncatedOperator(data, t1, level=level, drift_mode=mode)
         calls = [lambda op, w: op.apply(w).values]
-        # "none" mode has no drift terms (TestDriftModeNone)
-        if data.has_drift and data.drift.velocity is not None and mode != "none":
+        # the explicit drift theta_M B needs a level: remainder mode alone
+        if data.has_drift and data.drift.velocity is not None and mode == "remainder":
             calls.append(lambda op, w: op.explicit_drift(w.values))
         for call in calls:
             first = call(op, u)
@@ -873,7 +944,7 @@ def raw_face_cases(draw):
     coupled = draw(st.booleans())
     if coupled:
         data = replace(data, diffusion=coupled_diffusion(dim))
-    mode = draw(st.sampled_from(("none", "full", "remainder")))
+    mode = draw(st.sampled_from(modes_for(data)))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     u = rand_gf(dom, rng, scale=10.0 ** draw(st.integers(-3, 3)))
     return data, mode, draw(st.floats(0.0, 1.0)), draw(st.floats(0.05, 20.0)), u
@@ -1041,24 +1112,43 @@ class TestAndersonHistory:
             assert same_bits(hist.mix(beta), fresh.mix(beta))
 
 
-class TestDriftModeNone:
-    """"none" mode drops the drift from the flux, so it has no drift terms."""
+class TestDriftModes:
+    """An operator is its data, time and level: "none" names drift-free
+    data only, and A + B ("full") clamps nothing, so it keeps no level."""
 
     @pytest.mark.parametrize("velocity", [True, False])
-    def test_drift_terms_raise_naming_the_mode(self, velocity):
+    def test_none_with_a_drift_raises_naming_the_mode(self, velocity):
         dom = G.BoxDomain(2, (1.0, 1.0), (8, 8))
         data = M.make_model("singular-drift", dom, 1.0, c=0.1)
         if not velocity:
             data = replace(data, drift=replace(data.drift, velocity=None))
-        op = TruncatedOperator(data, 0.0, drift_mode="none")
-        w = rand_gf(dom, np.random.default_rng(3)).values
-        for call in (
-            lambda: op.explicit_drift(w),
-            lambda: op.drift_energy(w),
-            lambda: op.drift_divergence(),
-        ):
+        for level in (None, 1.0):
             with pytest.raises(ValueError, match='drift_mode "none"'):
-                call()
+                TruncatedOperator(data, 0.0, level=level, drift_mode="none")
+
+    def test_explicit_drift_needs_a_level(self):
+        data = M.make_model("singular-drift", DOM, 1.0, c=0.1)
+        w = rand_gf(DOM, np.random.default_rng(3)).values
+        for level in (None, 1.0):
+            op = TruncatedOperator(data, 0.0, level=level, drift_mode="full")
+            with pytest.raises(ValueError, match="needs a truncation level"):
+                op.explicit_drift(w)
+
+    def test_full_with_a_level_is_full_without_one(self):
+        # the decay benchmark builds A + B with its plan's last level
+        dom = G.BoxDomain(3, (1.0, 1.0, 1.0), (8, 8, 8))
+        data = M.make_model("singular-drift", dom, 0.5, c=0.3)
+        level = M.make_truncation_plan(data).levels[-1]
+        given_level = TruncatedOperator(data, 0.5, level=level, drift_mode="full")
+        plain = TruncatedOperator(data, 0.5, drift_mode="full")
+        assert given_level.level is None
+        bmax = M.drift_bound_max(data, 0.5)
+        assert given_level.drift_face_max() == plain.drift_face_max() == bmax
+        g = rand_gf(dom, np.random.default_rng(23))
+        cfg = ResolventConfig(lam=0.01, tol=1e-12)
+        (u, diag), (ref, ref_diag) = (op.resolve_detailed(g, cfg) for op in (given_level, plain))
+        assert same_bits(u.values, ref.values)
+        assert diag.as_dict() == ref_diag.as_dict()
 
 
 # (alpha, beta) pairs of a coefficient slice: moderate, wide, and small gamma
@@ -1149,7 +1239,8 @@ class TestConjugatedPreconditioner:
         data = M.make_model("variable-diffusion", DOM, 1.0)
         if drift:
             data = replace(data, drift=t_dependent_drift(2))
-        op = TruncatedOperator(data, 0.1, drift_mode="full" if drift else "none")
+        mode = "full" if drift else "none"
+        op = TruncatedOperator(data, 0.1, drift_mode=mode)
         moved = op.at(0.9)
         # whichever slice asks first builds sigma for the lineage
         conj = moved._conjugation()
@@ -1158,7 +1249,7 @@ class TestConjugatedPreconditioner:
         assert op.at(2.0).at(0.5)._conjugation() is conj
         # and it is sigma of the first slice that asked, not sampled again
         for t, same in ((0.9, True), (0.1, False)):
-            fresh = TruncatedOperator(data, t, drift_mode=op.drift_mode)
+            fresh = TruncatedOperator(data, t, drift_mode=mode)
             assert np.array_equal(fresh._conjugation().inverse, conj.inverse) == same
 
     @pytest.mark.parametrize(
