@@ -127,7 +127,6 @@ _KEYS = {
     "solver.tol": ("1e-12", float, _positive),
     "solver.max_iter": ("400", int, _positive),
     "steady.tol": (None, float, _positive),
-    "steady.time": ("final", lambda s: s if s == "final" else float(s), None),
     "evolve.refine": ("0", int, _nonnegative),
     "uniqueness.amplitude": ("0.5", float, _positive),
     "output.dir": ("out", str, lambda s: s != ""),
@@ -261,16 +260,6 @@ def _build_evolution(cfg: dict[str, str], data: models.ProblemData) -> Evolution
     except ValueError as err:
         raise ConfigError(f"bad 'time.dt' or 'time.T': {err}") from None
     return evo
-
-
-def _steady_config(cfg, default_tol: str, data: models.ProblemData) -> SteadyConfig:
-    """The steady settings, with `steady.time` checked against the horizon."""
-    scfg = SteadyConfig(tol=_read(cfg, "steady.tol", default_tol), time=_read(cfg, "steady.time"))
-    try:
-        scfg.frozen_time(data)
-    except ValueError as err:
-        raise ConfigError(f"bad 'steady.time': {err}") from None
-    return scfg
 
 
 def _json_default(obj):
@@ -500,8 +489,9 @@ class _Experiment(NamedTuple):
 
     `march` builds `evo`, the `EvolutionConfig` with its truncation plan
     and checked step count; `plan` builds the plan alone; a `steady_tol`
-    builds `scfg`, the `SteadyConfig` with that default `steady.tol` and a
-    checked `steady.time`.  `run` passes each as a keyword of that name.
+    builds `scfg`, the `SteadyConfig` with that default `steady.tol` (the
+    stationary problem is frozen at `time.T`, the problem's horizon).
+    `run` passes each as a keyword of that name.
     """
 
     run: Callable[..., None]
@@ -576,9 +566,14 @@ def run(
         raise ConfigError(
             f"'evolve.refine' needs a model with an exact solution; {data.name!r} has none"
         )
+    # a continuation compares two or more levels of a drift's plan
+    if name == "continuation" and not data.has_drift:
+        raise ConfigError(f"a continuation needs a 'model' with a drift; {data.name!r} has none")
+    if name == "continuation" and _read(cfg, "truncation.levels") == 1:
+        raise ConfigError("a continuation needs 'truncation.levels' >= 2, got 1")
     built = {}
     if experiment.steady_tol is not None:
-        built["scfg"] = _steady_config(cfg, experiment.steady_tol, data)
+        built["scfg"] = SteadyConfig(tol=_read(cfg, "steady.tol", experiment.steady_tol))
     if experiment.march:
         built["evo"] = _build_evolution(cfg, data)
     if experiment.plan:

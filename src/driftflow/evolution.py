@@ -240,9 +240,9 @@ def _root(sq: float) -> float:
 def _step_operator(data: ProblemData, t: float, cfg: EvolutionConfig) -> TruncatedOperator:
     """The implicit part of a step: A + B fully implicit, else A_M.
 
-    A_M's level is the last of `cfg.truncation`, or none without a plan,
-    which a drift's A_M cannot do without; A + B clamps nothing and has no
-    level.
+    A drift's A_M runs at the last level of `cfg.truncation`, which it
+    cannot do without; A + B clamps nothing, and neither it nor a
+    drift-free operator has a level.
     """
     plan = cfg.truncation
     if cfg.splitting == "fully-implicit":
@@ -276,7 +276,7 @@ def _step_detailed(
     F = data.source_field(t)
     rhs = u_prev.values
     explicit = None
-    if data.has_drift and op.level is not None:
+    if op.level is not None:
         # the explicit drift moves to the right-hand side as S_theta(u_prev)
         explicit = op.explicit_drift(u_prev.values)
         rhs = rhs - tau * explicit
@@ -319,7 +319,7 @@ def step(
 
 
 def _march(
-    data: ProblemData, cfg: EvolutionConfig, u0: GridFunction | None, trace: EvolutionTrace
+    data: ProblemData, cfg: EvolutionConfig, trace: EvolutionTrace
 ) -> Iterator[tuple[float, GridFunction]]:
     """The one loop that advances a march: yield (t_j, u_j) for j = 0..steps.
 
@@ -328,17 +328,15 @@ def _march(
     the last of `cfg.truncation` semi-implicitly, none fully implicitly or
     without a plan.  A level whose certificate fails draws a RuntimeWarning
     and the march goes on; a march without a level writes `M_level` nan.
-    Starts from a copy of u0 (data.initial if None), appends each step to
-    `trace` and holds copies of only the last `_EXTRAPOLATION_ORDER + 1`
-    states, the ring that starts each resolve (see the module docstring).
+    Starts from a copy of data.initial, appends each step to `trace` and
+    holds copies of only the last `_EXTRAPOLATION_ORDER + 1` states, the
+    ring that starts each resolve (see the module docstring).
     """
     steps = cfg.steps(data)
     tau = cfg.dt
     # one operator per march; each step moves it to its own time, which
     # re-samples nothing for autonomous data
     op = _step_operator(data, tau, cfg)
-    if u0 is not None and u0.domain != data.domain:
-        raise ValueError(f"u0 lives on {u0.domain}, the problem on {data.domain}")
     if op.level is not None and not cfg.truncation.certified(-1):
         # frames: this generator, the loop that drives it, its caller
         warnings.warn(
@@ -349,7 +347,7 @@ def _march(
             stacklevel=3,
         )
     level = float("nan") if op.level is None else op.level
-    u = (u0 if u0 is not None else data.initial).copy()
+    u = data.initial.copy()
     u_sq = inner(u, u)
     trace.initial_l2 = _root(u_sq)
     # the last q + 1 states, copied in: no yielded state aliases a slot
@@ -391,10 +389,9 @@ def evolve(
     data: ProblemData,
     cfg: EvolutionConfig,
     *,
-    u0: GridFunction | None = None,
     observe: Callable[[float, GridFunction], None] | None = None,
 ) -> tuple[GridFunction, EvolutionTrace]:
-    """March to data.horizon, recording norms and energy slack per step.
+    """March data.initial to data.horizon, recording norms and energy slack per step.
 
     A semi-implicit march runs at the last level of `cfg.truncation`, a
     fully implicit one at none (see `_march`).
@@ -404,7 +401,7 @@ def evolve(
     ConvergenceError with the step, its time and the partial trace attached.
     """
     trace = EvolutionTrace()
-    for t, u in _march(data, cfg, u0, trace):
+    for t, u in _march(data, cfg, trace):
         if observe is not None:
             observe(t, u)
     return u, trace
@@ -449,8 +446,9 @@ def continuation(data: ProblemData, cfg: EvolutionConfig) -> ContinuationResult:
     only without a drift or with an autonomous one) truncates nothing: its
     operator, and so its march, is bit for bit the first saturated level's.
     That level is marched once; each later one gets a copy of its final
-    state and of its trace, with `truncation_level` set to its own M, and
-    names it in `reuses`.
+    state and of its trace, with `truncation_level` set to its own M (left
+    nan without a drift, where no level enters the operator), and names it
+    in `reuses`.
     """
     if cfg.truncation is None or len(cfg.truncation.levels) < 2:
         raise ValueError("continuation needs a truncation plan with at least 2 levels")
@@ -476,7 +474,8 @@ def continuation(data: ProblemData, cfg: EvolutionConfig) -> ContinuationResult:
         else:
             final = shared.final_state.copy()
             columns = {f.name: list(getattr(shared.trace, f.name)) for f in _TRACE_COLUMNS}
-            columns["truncation_level"] = [M] * len(shared.trace.times)
+            if data.has_drift:
+                columns["truncation_level"] = [M] * len(shared.trace.times)
             trace = replace(shared.trace, **columns)
         levels.append(
             ContinuationLevel(
@@ -529,17 +528,20 @@ def uniqueness_harness(
 ) -> UniquenessReport:
     """March two initial states and check |u_j - v_j| <= e^{C t_j} |u_0 - v_0|.
 
-    The two marches advance in lockstep, each as `evolve` marches, so
-    only their current states are held.  C is the measured growth constant
-    of the step's drift coupling, b_max^2 / (2 alpha) corrected for the
-    finite step, with b_max the step operator's `drift_face_max` (clamped
-    at the level when semi-implicit); it is zero without drift, in which
-    case the scheme must contract monotonically.
+    The two marches advance in lockstep, each as `evolve` marches the
+    problem with u0 or v0 as its initial state (`ProblemData` refuses one
+    on another grid), so only their current states are held.  C is the
+    measured growth constant of the step's drift coupling, b_max^2 /
+    (2 alpha) corrected for the finite step, with b_max the step
+    operator's `drift_face_max` (clamped at the level when semi-implicit);
+    it is zero without drift, in which case the scheme must contract
+    monotonically.
     """
     times, dists = [], []
     traces = (EvolutionTrace(), EvolutionTrace())
     for (t, u), (_, v) in zip(
-        _march(data, cfg, u0, traces[0]), _march(data, cfg, v0, traces[1])
+        _march(replace(data, initial=u0), cfg, traces[0]),
+        _march(replace(data, initial=v0), cfg, traces[1]),
     ):
         times.append(t)
         dists.append(norm_l2(u - v))

@@ -153,7 +153,7 @@ class ProblemData:
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError(f"horizon must be finite and positive, got {self.horizon!r}")
         if self.initial.domain is not self.domain and self.initial.domain != self.domain:
-            raise ValueError("initial state lives on a different domain")
+            raise ValueError(f"initial state lives on {self.initial.domain}, not {self.domain}")
 
     @property
     def has_drift(self) -> bool:

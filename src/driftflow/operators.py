@@ -397,8 +397,9 @@ class TruncatedOperator:
                    steady solver; it clamps nothing, so it validates a
                    level it is given and keeps none (`level` is None).
     The constructor reads the mode and no method does: each reads `level`,
-    None for A + B.  On drift-free data the flux is A in every mode;
-    "none" names that case and raises on data with a drift.
+    None for A + B.  On drift-free data the flux is A in every mode and
+    `level` is None; "none" names that case and raises on data with a
+    drift.
     """
 
     def __init__(
@@ -421,11 +422,13 @@ class TruncatedOperator:
         self.data = data
         self.domain: BoxDomain = data.domain
         self.t = float(t)
-        self.level = None if drift_mode == "full" else level
+        self.level = level if data.has_drift and drift_mode != "full" else None
         self._face_coords = tuple(
             grid.face_coordinates(self.domain, a) for a in range(self.domain.dim)
         )
-        self._face_bounds: dict[int, np.ndarray] = {}
+        # axis -> (theta_M, 1 - theta_M) on its faces, the explicit and
+        # implicit drift weights of `_drift_weight`
+        self._weights: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._face_drifts: dict[tuple[int, bool], np.ndarray] = {}
         self._drift_max: float | None = None
         # lam -> (damping floor, K's Laplacian weight lam * gamma) of resolve_detailed
@@ -460,7 +463,7 @@ class TruncatedOperator:
         op.__dict__.update(self.__dict__)
         op.t = t
         if self.data.has_drift and not self.data.drift.autonomous:
-            op._face_bounds, op._face_drifts, op._drift_max = {}, {}, None
+            op._weights, op._face_drifts, op._drift_max = {}, {}, None
             op._resolve_constants = {}
             op._stencil = op._explicit_stencil = op._drift_div = None
         elif self._stencil is not None:
@@ -481,22 +484,21 @@ class TruncatedOperator:
         The implicit weight is the one this operator's flux carries: 1
         without a level (A + B), 1 - theta_M with one.  The explicit weight
         is theta_M, the part a semi-implicit step moves to its source; it
-        needs the truncation level.
+        needs the truncation level.  Both are computed once per axis and
+        slice, from the drift coefficient sampled on the faces.
         """
         if self.level is None:
             if explicit:
                 raise ValueError("explicit_drift needs a truncation level")
             return None
-        theta = clamp_weight(self._face_bound(axis), float(self.level))
-        return theta if explicit else 1.0 - theta
-
-    def _face_bound(self, axis: int) -> np.ndarray:
-        if axis not in self._face_bounds:
-            vals = self.data.drift.bound(self._face_coords[axis], self.t)
-            self._face_bounds[axis] = np.broadcast_to(
-                vals, self.domain.face_shape(axis)
-            ).copy()
-        return self._face_bounds[axis]
+        if axis not in self._weights:
+            b = np.broadcast_to(
+                self.data.drift.bound(self._face_coords[axis], self.t),
+                self.domain.face_shape(axis),
+            )
+            theta = clamp_weight(b, float(self.level))
+            self._weights[axis] = (theta, 1.0 - theta)
+        return self._weights[axis][0 if explicit else 1]
 
     def _face_drift(self, axis: int, explicit: bool) -> np.ndarray | None:
         """weight * V on the faces of one axis, computed once per operator.

@@ -36,33 +36,22 @@ from .evolution import _NOT_IN_JSON, _json_fields
 
 @dataclass(frozen=True)
 class SteadyConfig:
-    """Stationary solve settings; `time` freezes nonautonomous data.
+    """Stationary solve settings.
 
-    `time` is "final" (the problem's horizon) or a time in [0, horizon],
-    checked against the problem by `frozen_time`.
+    The solve freezes nonautonomous data at the problem's horizon,
+    `ProblemData.horizon`: to freeze it at s > 0, build the problem with
+    horizon s.
     """
 
     tol: float = 1e-11
     max_iter: int = 500
     initial_guess: GridFunction | None = None
-    time: float | str = "final"
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if self.time != "final" and (
-            isinstance(self.time, str) or not math.isfinite(self.time)
-        ):
-            raise ValueError(f"time must be 'final' or finite, got {self.time!r}")
-
-    def frozen_time(self, data: ProblemData) -> float:
-        if self.time == "final":
-            return data.horizon
-        if not 0 <= self.time <= data.horizon:
-            raise ValueError(f"time must lie in [0, {data.horizon!r}], got {self.time!r}")
-        return float(self.time)
 
 
 def solve_steady(data: ProblemData, cfg: SteadyConfig) -> GridFunction:
@@ -71,8 +60,8 @@ def solve_steady(data: ProblemData, cfg: SteadyConfig) -> GridFunction:
 
 
 def solve_steady_detailed(data: ProblemData, cfg: SteadyConfig):
-    """Stationary state with dual-norm residual below cfg.tol."""
-    t = cfg.frozen_time(data)
+    """Stationary state at data.horizon with dual-norm residual below cfg.tol."""
+    t = data.horizon
     op = TruncatedOperator(data, t, drift_mode="full")
     F = data.source_field(t)
     rhs = (

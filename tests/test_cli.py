@@ -359,8 +359,8 @@ class TestRun:
         assert set(manifest.timings) == {"setup_s"}
         assert manifest.timings["setup_s"] <= manifest.wall_time_s
         assert (tmp_path / "out" / "steady_state.csv").exists()
-        # a time inside the horizon freezes the data there
-        at = cli.run(path, output_dir=tmp_path / "at", overrides={"steady.time": "0.1"})
+        # the data is frozen at the horizon, so a shorter time.T moves it
+        at = cli.run(path, output_dir=tmp_path / "at", overrides={"time.T": "0.1"})
         assert at.passed
         frozen = (tmp_path / "at" / "steady_state.csv").read_bytes()
         assert frozen != (tmp_path / "out" / "steady_state.csv").read_bytes()
@@ -551,7 +551,6 @@ class TestMain:
             ("time.dt", "x"),
             ("time.splitting", "sideways"),
             ("domain.cells", "8,x"),
-            ("steady.time", "soon"),
             ("uniqueness.amplitude", "big"),
             ("truncation.factor", "0.5"),
             ("truncation.m0", "-3"),
@@ -582,7 +581,9 @@ class TestMain:
     def test_exit_two_on_steady_time_outside_the_horizon(
         self, tmp_path, capsys, experiment, value
     ):
-        # each used to solve the slice frozen at that time, with no error
+        # the stationary problem is frozen at time.T, the problem's horizon;
+        # a config that still sets its old second horizon is refused as an
+        # unknown key, in or out of [0, time.T], before the run writes
         text = (
             f"experiment = {experiment}\nmodel = manufactured\ndomain.cells = 8,8\n"
             f"time.dt = 0.01\ntime.T = 0.3\nsteady.time = {value}\n"
@@ -590,8 +591,28 @@ class TestMain:
         outdir = tmp_path / "out"
         argv = ["run", str(write_cfg(tmp_path, text)), "--output-dir", str(outdir)]
         assert cli.main(argv) == 2
-        assert "bad 'steady.time': time must lie in [0, 0.3]" in capsys.readouterr().err
-        # rejected before any solve, and the directory the run made is gone
+        assert "line 6: unknown key 'steady.time'" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("model = singular-drift\nmodel.c = 0.08\n", "model = heat\n", "'model'"),
+            ("time.T = 0.05\n", "time.T = 0.05\ntruncation.levels = 1\n", "'truncation.levels'"),
+        ],
+        ids=["drift-free", "one-level"],
+    )
+    def test_exit_two_on_continuation_with_fewer_than_two_levels(
+        self, tmp_path, capsys, old, new, key
+    ):
+        # a drift-free model (no plan) or a one-level plan used to pass the
+        # checks, make the output directory and then escape as a ValueError
+        # traceback with exit code 1
+        text = CONTINUATION.replace(old, new)
+        outdir = tmp_path / "out"
+        argv = ["run", str(write_cfg(tmp_path, text)), "--output-dir", str(outdir)]
+        assert cli.main(argv) == 2
+        assert key in capsys.readouterr().err
         assert not outdir.exists()
 
     @pytest.mark.parametrize("experiment", ["evolve", "decay", "uniqueness", "continuation"])
@@ -647,7 +668,6 @@ class TestMain:
         "solver.tol": ("steady", "-1"),
         "solver.max_iter": ("steady", "2.5"),
         "steady.tol": ("continuation", "-1"),
-        "steady.time": ("continuation", "soon"),
         "evolve.refine": ("decay", "-4"),
         "uniqueness.amplitude": ("decay", "0"),
         "output.dir": ("decay", ""),
@@ -679,7 +699,6 @@ class TestMain:
             ("time.T", "inf"),
             ("time.dt", "nan"),
             ("domain.lengths", "1,inf"),
-            ("steady.time", "inf"),
             ("uniqueness.amplitude", "nan"),
             ("truncation.factor", "inf"),
             ("truncation.m0", "nan"),

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -213,8 +214,8 @@ class TestEvolve:
         c = cfg(5e-3)
         u0 = data.initial
         v0 = G.GridFunction(dom, u0.values + rng.standard_normal(dom.interior_shape))
-        us = observed(data, c, u0=u0)
-        vs = observed(data, c, u0=v0)
+        us = observed(data, c)
+        vs = observed(replace(data, initial=v0), c)
         d0 = G.norm_l2(u0 - v0)
         for a, b in zip(us[1:], vs[1:]):
             assert G.norm_l2(a - b) <= d0 * (1 + 1e-12) + 1e-12
@@ -238,11 +239,13 @@ class TestEvolve:
         c = cfg(0.01)
         stretched = G.BoxDomain(2, (2.0, 1.0), (8, 8))  # same cells, other lengths
         finer = G.BoxDomain(2, (1.0, 1.0), (10, 10))
+        # ProblemData is the one place that refuses one, naming both grids
         for other in (stretched, finer):
             u0 = G.GridFunction(other, np.ones(other.interior_shape))
-            with pytest.raises(ValueError, match="u0"):
-                E.evolve(data, c, u0=u0)
-            with pytest.raises(ValueError, match="u0"):
+            message = f"^initial state lives on {re.escape(repr(other))}, not BoxDomain"
+            with pytest.raises(ValueError, match=message):
+                replace(data, initial=u0)
+            with pytest.raises(ValueError, match=message):
                 E.uniqueness_harness(data, c, data.initial, u0)
 
     def test_splitting_consistency_global(self):
@@ -365,6 +368,22 @@ class TestEvolve:
             _, trace = E.evolve(data, replace(implicit, splitting="semi-implicit"))
         assert trace.truncation_level == [1.0] * 5
 
+    def test_drift_free_march_has_no_level(self):
+        # without a drift no level enters the operator: a semi-implicit heat
+        # march under a plan records none, nor does a continuation's copy
+        data = M.make_model("heat", G.BoxDomain(2, (1.0, 1.0), (12, 12)), 0.05)
+        plan = M.make_truncation_plan(data)
+        assert plan.levels == (1.0, 2.0)
+        semi = cfg(0.01, splitting="semi-implicit", truncation=plan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, trace = E.evolve(data, semi)
+            res = E.continuation(data, semi)
+        assert [lev.reuses for lev in res.levels] == [None, 1.0]
+        for tr in (trace, *(lev.trace for lev in res.levels)):
+            assert len(tr.times) == 5
+            assert all(math.isnan(m) for m in tr.truncation_level)
+
     def test_trace_csv(self, tmp_path):
         dom = G.BoxDomain(1, (1.0,), (8,))
         data = M.make_model("heat", dom, 0.1)
@@ -414,11 +433,9 @@ class TestEvolve:
         dom = G.BoxDomain(2, (1.0, 1.0), (16, 16))
         stiff = M.make_model("lipschitz-nonlinear", dom, 0.5, beta=20.0)
         runs = {
-            "stiff": (stiff, cfg(0.05), 30.0 * stiff.initial),
-            "variable-diffusion": (
-                M.make_model("variable-diffusion", dom, 0.05), cfg(5e-3), None
-            ),
-            "heat": (M.make_model("heat", dom, 0.05), cfg(5e-3), None),
+            "stiff": (replace(stiff, initial=30.0 * stiff.initial), cfg(0.05)),
+            "variable-diffusion": (M.make_model("variable-diffusion", dom, 0.05), cfg(5e-3)),
+            "heat": (M.make_model("heat", dom, 0.05), cfg(5e-3)),
         }
         resolve = E.TruncatedOperator.resolve_detailed
         diags = []
@@ -430,9 +447,9 @@ class TestEvolve:
 
         monkeypatch.setattr(E.TruncatedOperator, "resolve_detailed", recorded)
         traces = {}
-        for name, (data, c, u0) in runs.items():
+        for name, (data, c) in runs.items():
             diags.clear()
-            _, trace = E.evolve(data, c, u0=u0)
+            _, trace = E.evolve(data, c)
             assert len(diags) == 10
             assert trace.solver_iterations == [d.iterations for d in diags]
             assert trace.final_residual == [d.residuals[-1] for d in diags]
@@ -857,8 +874,8 @@ class TestStreamedTrajectories:
         v0 = G.GridFunction(dom, u0.values + 0.5 * rng.standard_normal(dom.interior_shape))
         c = one_level(data, cfg(5e-3), level)
         rep = E.uniqueness_harness(data, c, u0, v0)
-        us = observed(data, c, u0=u0)
-        vs = observed(data, c, u0=v0)
+        us = observed(data, c)
+        vs = observed(replace(data, initial=v0), c)
         assert rep.distances == [G.norm_l2(a - b) for a, b in zip(us, vs)]
         assert rep.times == pytest.approx([j * 5e-3 for j in range(11)], abs=1e-15)
 
@@ -1094,7 +1111,7 @@ class TestKnownStalls:
         data = M.make_model("lipschitz-nonlinear", dom, 10 * dt, beta=100)
         c = cfg(dt)
         try:
-            _, trace = E.evolve(data, c, u0=30 * data.initial)
+            _, trace = E.evolve(replace(data, initial=30 * data.initial), c)
         except G.ConvergenceError as err:
             assert err.step == failing_step
             raise

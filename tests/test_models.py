@@ -234,7 +234,7 @@ class TestCertification:
         w = data.initial.values
         for op in ops:
             for a in range(DOM2.dim):
-                assert np.all(M.clamp_weight(op._face_bound(a), op.level) == 1.0)
+                assert np.all(op._drift_weight(a, explicit=True) == 1.0)
             op.explicit_drift(w)  # builds the explicit stencil
         first, other = ops
         assert first._linear_stencil().weights.tobytes() == other._linear_stencil().weights.tobytes()

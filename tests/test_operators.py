@@ -629,7 +629,8 @@ class TestFluxAssembly:
                 op.flux(u)
                 moved = op.at(t + 0.5)
                 assert moved._face_drift(0, False) is not op._face_drift(0, False)
-                assert moved._face_bound(1) is not op._face_bound(1)
+                if op.level is not None:
+                    assert moved._drift_weight(1, True) is not op._drift_weight(1, True)
                 for axis in range(2):
                     _, drift, _ = reference_flux_parts(data, t + 0.5, lv, mode, u, axis)
                     assert_relative(moved.drift_flux(u.values, axis), drift)
@@ -640,7 +641,8 @@ class TestFluxAssembly:
             op.flux(u)
             moved = op.at(0.5).at(0.75)
             assert moved._face_drift(0, False) is op._face_drift(0, False)
-            assert moved._face_bound(1) is op._face_bound(1)
+            if op.level is not None:
+                assert moved._drift_weight(1, True) is op._drift_weight(1, True)
             assert moved._face_coords is op._face_coords
             assert op.at(0.0) is op
 
@@ -1149,6 +1151,35 @@ class TestDriftModes:
         (u, diag), (ref, ref_diag) = (op.resolve_detailed(g, cfg) for op in (given_level, plain))
         assert same_bits(u.values, ref.values)
         assert diag.as_dict() == ref_diag.as_dict()
+
+    def test_drift_free_operator_keeps_no_level(self):
+        # without a drift no level enters the operator, in any mode
+        data = M.make_model("heat", DOM, 1.0)
+        for mode in ("remainder", "full", "none"):
+            assert TruncatedOperator(data, 0.0, level=2.0, drift_mode=mode).level is None
+
+    @pytest.mark.parametrize("velocity", [True, False], ids=["velocity", "evaluate"])
+    @pytest.mark.parametrize("autonomous", [True, False], ids=["autonomous", "moving"])
+    def test_clamp_weights_once_per_axis_and_slice(self, monkeypatch, velocity, autonomous):
+        # repeated applies and explicit drifts reuse the slice's theta_M;
+        # a slice moved in time keeps it for an autonomous drift only
+        dom = G.BoxDomain(2, (1.0, 1.0), (8, 8))
+        data = replace(M.make_model("heat", dom, 1.0), drift=t_dependent_drift(2))
+        drift = replace(data.drift, autonomous=autonomous)
+        if not velocity:
+            drift = replace(drift, velocity=None)
+        data = replace(data, drift=drift)
+        calls = []
+        clamp = O.clamp_weight
+        monkeypatch.setattr(O, "clamp_weight", lambda b, M: calls.append(M) or clamp(b, M))
+        u = rand_gf(dom, np.random.default_rng(5))
+        op = TruncatedOperator(data, 0.0, level=1.5)
+        for t in (0.0, 0.25):
+            op = op.at(t)
+            for _ in range(3):
+                op.apply(u)
+                op.explicit_drift(u.values)
+        assert calls == [1.5] * (dom.dim if autonomous else 2 * dom.dim)
 
 
 # (alpha, beta) pairs of a coefficient slice: moderate, wide, and small gamma

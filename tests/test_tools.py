@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -274,6 +275,37 @@ class TestPairedBench:
         pairs = report["final_runs"]["w"]["pairs"]
         assert [p["seed"] for p in pairs] == [1, 2]
         assert all(p["parent_run_s"] == p["change_run_s"] == 1.0 for p in pairs)
+
+    def test_untracked_paths_are_listed_and_warned_about(self, tmp_path, monkeypatch, capsys):
+        # a checkout's leftovers, ignored or not, moved peak_rss_mb; the
+        # src bytecode the tool compiles itself is not a leftover
+        sides = {}
+        for name in ("clean", "used"):
+            folder = stub_checkout(tmp_path / name)
+            (folder / ".gitignore").write_text(".bench_out/\n", encoding="utf-8")
+            git = ["git", "-c", "user.name=t", "-c", "user.email=t@t"]
+            for cmd in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "stub"]):
+                subprocess.run(git + cmd, cwd=folder, check=True, capture_output=True)
+            sides[name] = folder
+        used = sides["used"]
+        leftovers = (
+            ".bench_out/run/out.json", "tests/__pycache__/t.pyc", "notes.txt",
+            "src/stublib/__pycache__/old.pyc",
+        )
+        for leftover in leftovers:
+            (used / leftover).parent.mkdir(parents=True, exist_ok=True)
+            (used / leftover).write_text("x", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        args = [str(sides["clean"]), str(used), "--workload", "w", "--pairs", "1",
+                "--seeds", "1", "--label", "stub"]
+        assert paired.main(args) == 0
+        report = json.loads((tmp_path / "BENCH_stub.json").read_text(encoding="utf-8"))
+        assert report["untracked"] == {
+            "parent": [], "change": [".bench_out/", "notes.txt", "tests/"],
+        }
+        err = capsys.readouterr().err
+        assert f"warning: {used} holds 3 paths" in err
+        assert str(sides["clean"]) not in err
 
 
 _LINES_PATH = Path(__file__).resolve().parents[1] / "tools" / "source_lines.py"
