@@ -337,7 +337,7 @@ def _march(
     # one operator per march; each step moves it to its own time, which
     # re-samples nothing for autonomous data
     op = _step_operator(data, tau, cfg)
-    if op.level is not None and not cfg.truncation.certified(-1):
+    if op.level is not None and not cfg.truncation.certificates[-1].passes_evolution:
         # frames: this generator, the loop that drives it, its caller
         warnings.warn(
             f"truncation level {op.level:.6g} carries no accretivity "
@@ -440,16 +440,19 @@ def continuation(data: ProblemData, cfg: EvolutionConfig) -> ContinuationResult:
     not depend on the level, so a continuation under it would be vacuous.
     Level k marches under the one-level plan of M_k and its certificate,
     so it runs at M_k as any march runs at its plan's last level.
-    Uncertified levels produce a warning and the run continues.
+    Uncertified levels produce a warning and the run continues.  Data
+    without a drift raises ValueError before any solve: no level enters its
+    operator, so there would be nothing to compare.
 
     Every level from the first `models.saturated` one on (at every time, so
-    only without a drift or with an autonomous one) truncates nothing: its
-    operator, and so its march, is bit for bit the first saturated level's.
-    That level is marched once; each later one gets a copy of its final
-    state and of its trace, with `truncation_level` set to its own M (left
-    nan without a drift, where no level enters the operator), and names it
-    in `reuses`.
+    only with an autonomous drift) truncates nothing: its operator, and so
+    its march, is bit for bit the first saturated level's.  That level is
+    marched once; each later one gets a copy of its final state and of its
+    trace, with `truncation_level` set to its own M, and names it in
+    `reuses`.
     """
+    if not data.has_drift:
+        raise ValueError(f"continuation needs a drift; {data.name!r} has none")
     if cfg.truncation is None or len(cfg.truncation.levels) < 2:
         raise ValueError("continuation needs a truncation plan with at least 2 levels")
     cfg = replace(cfg, splitting="semi-implicit")
@@ -457,8 +460,8 @@ def continuation(data: ProblemData, cfg: EvolutionConfig) -> ContinuationResult:
     levels = []
     notes = []
     shared = None  # the first saturated level, once marched
-    for k, M in enumerate(plan.levels):
-        cert = plan.certificates[k]
+    for k, cert in enumerate(plan.certificates):
+        M = cert.level
         if not cert.passes_evolution:
             notes.append(
                 f"level {M:.6g} lacks an accretivity certificate "
@@ -469,13 +472,12 @@ def continuation(data: ProblemData, cfg: EvolutionConfig) -> ContinuationResult:
             # duplicate emitted by evolve
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                one = TruncationPlan(plan.levels[k : k + 1], plan.certificates[k : k + 1])
+                one = TruncationPlan(plan.certificates[k : k + 1])
                 final, trace = evolve(data, replace(cfg, truncation=one))
         else:
             final = shared.final_state.copy()
             columns = {f.name: list(getattr(shared.trace, f.name)) for f in _TRACE_COLUMNS}
-            if data.has_drift:
-                columns["truncation_level"] = [M] * len(shared.trace.times)
+            columns["truncation_level"] = [M] * len(shared.trace.times)
             trace = replace(shared.trace, **columns)
         levels.append(
             ContinuationLevel(

@@ -8,10 +8,12 @@ spot-checks (scattered points).
 The drift coefficient never enters the solvers through an unbounded value:
 the truncated operators only see clamped weights, and the feasibility of a
 truncation level is certified against the measured weak-L^N norm of the
-remainder b - T_M(b).  This module makes every such decision: the
-evolution certificate of a level (`certify_truncation`) and the decay
-small-data check (`small_data_check`), which reads the remainder and the
-bound from those certificates.  The clamped drift maximum a step couples
+remainder b - T_M(b), or by the level clamping nothing (`saturated`, on
+nodes and faces).  This module makes every such decision: the evolution
+certificate of a level (`certify_truncation`), which a `TruncationPlan`
+holds one of per level, and the decay small-data check
+(`small_data_check`), which reads the remainder and the bound from those
+certificates.  The clamped drift maximum a step couples
 is the step operator's (`TruncatedOperator.drift_face_max`).
 """
 
@@ -225,7 +227,6 @@ class TruncationCertificate:
     bound_longtime: float | None
     passes_evolution: bool
     passes_longtime: bool
-    obstruction: bool = False
     note: str = ""
 
     def as_dict(self) -> dict:
@@ -306,92 +307,79 @@ def _embedding_constant(N: int) -> float | None:
     return lorentz.sobolev_constant(N, 2) if N >= 3 else None
 
 
-def certify_truncation(
-    data: ProblemData,
-    M: float,
-    refinement_cells: Sequence[int] | None = None,
-) -> TruncationCertificate:
+def certify_truncation(data: ProblemData, M: float) -> TruncationCertificate:
     """Certify a truncation level against the diffusion margin.
 
     The measured quantity is the weak-L^N norm of the unbounded remainder
-    b - T_M(b), maximized over the `certificate_times`.  It must stay below
-    alpha / (2 S) to keep the truncated operator accretive with margin
-    alpha/2, and below alpha / (4 S) for the long-time contraction, where S
-    is the gradient-embedding constant for square-integrable gradients.
+    b - T_M(b) on the nodes, maximized over the `certificate_times` (read
+    at t = 0 only for an autonomous drift, which is the same at each).  It
+    must stay below alpha / (2 S) to keep the truncated operator accretive
+    with margin alpha/2, and below alpha / (4 S) for the long-time
+    contraction, where S is the gradient-embedding constant for
+    square-integrable gradients.
 
-    A zero remainder passes unconditionally (no embedding needed).  For a
-    nonzero remainder the constant S requires dimension >= 3; in lower
-    dimension the certificate fails with a note.  When `refinement_cells`
-    is given and the level fails, the measured norm is re-sampled on the
-    refined grids at t = 0; if it plateaus above the bound the failure is
-    flagged as a distance-to-bounded obstruction (no level can ever pass).
+    A level that clamps nothing, `saturated` at every certificate time
+    (nodes and faces), passes in any dimension with the note "remainder
+    vanishes": A_M is then A + B and needs no embedding.  Saturation
+    implies a zero node remainder, so the faces are read only when that is
+    0.  Any other level needs S, which requires dimension >= 3: below it
+    the level fails with a note, even when its node remainder is 0 but a
+    face is still clamped.  From dimension 3 such a level passes on its
+    node remainder of 0 against the bound: the face remainder it leaves is
+    not measured.
     """
     _check_level(M)
     N, weight = data.domain.dim, data.domain.node_weight
+    # an autonomous drift is the same at every time: read it once
+    still = data.drift is None or data.drift.autonomous
+    times = (0.0,) if still else certificate_times(data)
     measured = max(
         lorentz.weak_norm_of_values(
             np.maximum(data.drift_bound_grid(t).values - M, 0.0), weight, N
         )
-        for t in certificate_times(data)
+        for t in times
     )
+    clamps_nothing = measured == 0.0 and all(saturated(data, M, t) for t in times)
     alpha = data.diffusion.alpha
     S = _embedding_constant(N)
     bound_evo = None if S is None else alpha / (2 * S)
     bound_long = None if S is None else alpha / (4 * S)
-    note, obstruction = "", False
-    if measured == 0.0:
+    if clamps_nothing:
         note = "remainder vanishes; certificate holds without embedding"
-    elif S is None:
-        note = _NO_EMBEDDING
-    elif refinement_cells:
-        # A level can pass on a coarse grid simply because the sample misses
-        # the singularity; the refinement ladder exposes whether the
-        # continuum remainder sits above the bound for good.
-        ladder = []
-        for cells in refinement_cells:
-            fine = BoxDomain(N, data.domain.lengths, (int(cells),) * N)
-            b = np.broadcast_to(
-                data.drift.bound(grid.node_coordinates(fine), 0.0),
-                fine.interior_shape,
-            )
-            rest = np.maximum(b - M, 0.0)
-            ladder.append(lorentz.weak_norm_of_values(rest, fine.node_weight, N))
-        if all(v > bound_evo for v in ladder) and ladder[-1] > 0.9 * ladder[0]:
-            obstruction = True
-            note = (
-                "measured remainder plateaus above the bound under refinement: "
-                "distance-to-bounded obstruction"
-            )
+    else:
+        note = _NO_EMBEDDING if S is None else ""
     return TruncationCertificate(
         level=M,
         measured=measured,
         bound_evolution=bound_evo,
         bound_longtime=bound_long,
-        passes_evolution=measured == 0.0 if S is None else measured <= bound_evo,
-        passes_longtime=measured == 0.0 if S is None else measured <= bound_long,
-        obstruction=obstruction,
+        passes_evolution=clamps_nothing if S is None else measured <= bound_evo,
+        passes_longtime=clamps_nothing if S is None else measured <= bound_long,
         note=note,
     )
 
 
 @dataclass(frozen=True)
 class TruncationPlan:
-    """Increasing schedule of truncation levels with their certificates."""
+    """Increasing schedule of truncation levels: one certificate per level.
 
-    levels: tuple[float, ...]
+    Each certificate carries its level, so `levels` is read from them;
+    there must be at least one, finite, > 0 and strictly increasing.
+    """
+
     certificates: tuple[TruncationCertificate, ...]
 
     def __post_init__(self):
+        if not self.certificates:
+            raise ValueError("a truncation plan needs at least one level")
         for M in self.levels:
             _check_level(M)
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("levels must be strictly increasing")
-        if len(self.levels) != len(self.certificates):
-            raise ValueError("one certificate per level required")
 
-    def certified(self, k: int) -> bool:
-        """Whether level k carries the accretivity certificate for evolution."""
-        return self.certificates[k].passes_evolution
+    @property
+    def levels(self) -> tuple[float, ...]:
+        return tuple(c.level for c in self.certificates)
 
     @property
     def all_certified(self) -> bool:
@@ -433,8 +421,7 @@ def make_truncation_plan(
         else:
             for _ in range(count - 1):
                 levels.append(levels[-1] * factor)
-    certs = tuple(certify_truncation(data, M) for M in levels)
-    return TruncationPlan(tuple(float(M) for M in levels), certs)
+    return TruncationPlan(tuple(certify_truncation(data, float(M)) for M in levels))
 
 
 def small_data_check(data: ProblemData, plan: TruncationPlan | None) -> tuple[bool, dict]:
@@ -463,25 +450,25 @@ def small_data_check(data: ProblemData, plan: TruncationPlan | None) -> tuple[bo
     weight = data.domain.node_weight
     best = None
     # the plan's levels increase: the search stops at the least passing one
-    for lv, cert in zip(plan.levels, plan.certificates):
+    for cert in plan.certificates:
         trunc = max(
             lorentz.weak_norm_of_values(
-                np.minimum(data.drift_bound_grid(t).values, lv), weight, N
+                np.minimum(data.drift_bound_grid(t).values, cert.level), weight, N
             )
             for t in certificate_times(data)
         )
         worst = max(cert.measured, trunc)
         if best is None or worst < best[0]:
-            best = (worst, lv, cert, trunc)
+            best = (worst, cert, trunc)
         if worst <= cert.bound_longtime:
             break
-    worst, lv, cert, trunc = best
+    worst, cert, trunc = best
     detail = {
-        "level": lv,
+        "level": cert.level,
         "remainder_weak_norm": cert.measured,
         "truncated_weak_norm": trunc,
         "bound": cert.bound_longtime,
-        "literal_level_product": lv * S,
+        "literal_level_product": cert.level * S,
         "literal_bound": data.diffusion.alpha / 4,
     }
     return worst <= cert.bound_longtime, detail

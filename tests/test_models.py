@@ -171,13 +171,45 @@ class TestCertification:
     def test_large_coefficient_flags_obstruction(self):
         # c * omega_3^{1/3} far above the feasibility bound: no level can pass
         data = M.make_model("singular-drift", DOM3, 0.5, c=0.5)
-        cert = M.certify_truncation(data, 2.0, refinement_cells=(16, 24, 32))
+        cert = M.certify_truncation(data, 2.0)
         assert not cert.passes_evolution
-        assert cert.obstruction
-        # a nearly saturated level passes on the fixed grid, yet the ladder
-        # still exposes the continuum obstruction
-        high = M.certify_truncation(data, 5.0, refinement_cells=(16, 24, 32))
-        assert high.passes_evolution and high.obstruction
+        # a nearly saturated level passes on the fixed grid
+        assert M.certify_truncation(data, 5.0).passes_evolution
+
+    def test_level_clamping_a_face_is_uncertified_in_two_dimensions(self):
+        # on 16^2 the auto schedule's level 2.008 clears every node (max
+        # 1.810) but not the faces (max 2.560): its node remainder is 0, yet
+        # A_M still clamps, and below dimension 3 only a level that clamps
+        # nothing is certified
+        data = M.make_model("singular-drift", DOM2, 0.5, c=0.08)
+        plan = M.make_truncation_plan(data)
+        bmax = M.drift_bound_max(data)
+        assert plan.levels[2] == pytest.approx(2.008, abs=1e-3)
+        assert data.drift_bound_grid(0.0).max_abs() < plan.levels[2] < bmax
+        for cert in (plan.certificates[2], M.certify_truncation(data, np.nextafter(bmax, 0.0))):
+            assert cert.measured == 0.0
+            assert not cert.passes_evolution and not cert.passes_longtime
+            assert cert.note == "embedding constant undefined below dimension 3"
+        # the least level that clamps no node or face certifies
+        cert = M.certify_truncation(data, bmax)
+        assert cert.passes_evolution and cert.passes_longtime
+        assert cert.note == "remainder vanishes; certificate holds without embedding"
+        # a drift declared moving is read at every certificate time, to the
+        # same verdicts
+        moving = replace(data, drift=replace(data.drift, autonomous=False))
+        assert M.certify_truncation(moving, bmax) == cert
+        assert M.certify_truncation(moving, plan.levels[2]) == plan.certificates[2]
+
+    def test_level_clamping_a_face_passes_on_its_node_remainder_in_three_dimensions(self):
+        # on 12^3 the level 1.623 clears every node (max 1.386) but not the
+        # faces (max 1.697): it is not saturated, so it loses the note, yet
+        # passes on its node remainder of 0; the face remainder is unmeasured
+        data = M.make_model("singular-drift", DOM3, 0.5, c=0.1)
+        cert = M.make_truncation_plan(data).certificates[2]
+        assert cert.level == pytest.approx(1.623, abs=1e-3)
+        assert cert.measured == 0.0 and not M.saturated(data, cert.level)
+        assert cert.passes_evolution and cert.passes_longtime
+        assert cert.note == ""
 
     def test_measured_norm_monotone_in_level(self):
         data = M.make_model("singular-drift", DOM3, 0.5, c=0.3)
@@ -196,12 +228,12 @@ class TestCertification:
     def test_plan_auto_schedule_saturates(self):
         data = M.make_model("singular-drift", DOM2, 0.5, c=0.1)
         plan = M.make_truncation_plan(data)
-        bmax = data.drift_bound_grid(0.0).max_abs()
+        bmax = M.drift_bound_max(data)
         assert len(plan.levels) >= 2
         assert plan.levels[-1] >= bmax
         assert all(b > a for a, b in zip(plan.levels, plan.levels[1:]))
-        # in 2D only a saturated level, with no remainder, is certified
-        assert [plan.certified(k) for k in range(len(plan.levels))] == [
+        # in 2D only a saturated level, which clamps no node or face, is certified
+        assert [c.passes_evolution for c in plan.certificates] == [
             level >= bmax for level in plan.levels
         ]
         assert not plan.all_certified
@@ -243,19 +275,27 @@ class TestCertification:
 
     def test_plan_validation(self):
         data = M.make_model("singular-drift", DOM2, 0.5, c=0.1)
-        with pytest.raises(ValueError):
-            M.TruncationPlan((2.0, 1.0), tuple(M.certify_truncation(data, m) for m in (2.0, 1.0)))
+        certs = tuple(M.certify_truncation(data, m) for m in (1.0, 2.0))
+        assert M.TruncationPlan(certs).levels == (1.0, 2.0)
+        for bad in (certs[::-1], certs[:1] * 2):
+            with pytest.raises(ValueError, match="^levels must be strictly increasing"):
+                M.TruncationPlan(bad)
+        # an empty plan used to read all_certified and fail in its readers
+        with pytest.raises(ValueError, match="^a truncation plan needs at least one level"):
+            M.TruncationPlan(())
+        with pytest.raises(ValueError, match="^a truncation plan needs at least one level"):
+            M.make_truncation_plan(data, levels=[])
 
     @pytest.mark.parametrize("level", [math.nan, math.inf, 0.0, -1.0])
     def test_non_finite_or_non_positive_level_is_rejected(self, level):
         # a NaN level used to be certified as accretive, and a plan of NaN
         # levels passed the increasing check
         data = M.make_model("singular-drift", DOM2, 0.5, c=0.1)
-        cert = M.certify_truncation(data, 1.0)
+        cert = replace(M.certify_truncation(data, 1.0), level=level)
         with pytest.raises(ValueError, match="^truncation level must be finite"):
             M.certify_truncation(data, level)
         with pytest.raises(ValueError, match="^truncation level must be finite"):
-            M.TruncationPlan((level, level), (cert, cert))
+            M.TruncationPlan((cert, cert))
         # -1 used to come back as the clamped maximum, NaN as the unclamped one
         with pytest.raises(ValueError, match="^truncation level must be finite"):
             M.drift_bound_max(data, 0.0, level)
@@ -392,9 +432,9 @@ class TestSmallDataCheck:
         # a NaN level used to pass the check with both weak norms 0; a level
         # reaches the check only inside a plan, and no plan holds one
         data = M.make_model("singular-drift", DOM3, 0.5, c=0.1)
-        cert = M.certify_truncation(data, 1.0)
+        cert = replace(M.certify_truncation(data, 1.0), level=level)
         with pytest.raises(ValueError, match="^truncation level must be finite"):
-            M.small_data_check(data, M.TruncationPlan((level,), (cert,)))
+            M.small_data_check(data, M.TruncationPlan((cert,)))
 
     def test_drift_without_plan_raises_before_the_dimension_return(self):
         # a drift reaches no verdict without a plan, not even the
