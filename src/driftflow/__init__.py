@@ -58,7 +58,7 @@ from .evolution import (
     step,
     uniqueness_harness,
 )
-from .steady import DecayReport, SteadyConfig, decay_experiment, solve_steady
+from .steady import DecayReport, decay_experiment, solve_steady
 
 __all__ = [
     "BoxDomain",
@@ -75,7 +75,6 @@ __all__ = [
     "ProblemData",
     "ResolventConfig",
     "SolverDiagnostics",
-    "SteadyConfig",
     "TruncatedOperator",
     "TruncationCertificate",
     "TruncationPlan",

@@ -36,7 +36,7 @@ from .evolution import (
     uniqueness_harness,
 )
 from .grid import BoxDomain, ConvergenceError, GridFunction, norm_l2
-from .steady import SteadyConfig, decay_experiment, solve_steady_detailed
+from .steady import decay_experiment, solve_steady
 
 
 class ConfigError(ValueError):
@@ -375,12 +375,11 @@ def _run_continuation(cfg, outdir: Path, manifest: RunManifest, laps: _Laps, dat
 def _run_uniqueness(cfg, outdir: Path, manifest: RunManifest, laps: _Laps, data, evo) -> None:
     rng = np.random.default_rng(manifest.seed)
     amp = _read(cfg, "uniqueness.amplitude")
-    u0 = data.initial
     v0 = GridFunction(
         data.domain,
-        u0.values + amp * rng.standard_normal(data.domain.interior_shape),
+        data.initial.values + amp * rng.standard_normal(data.domain.interior_shape),
     )
-    report = uniqueness_harness(data, evo, u0, v0)
+    report = uniqueness_harness(data, evo, v0)
     laps.lap("march_s")
     manifest.solver_totals = EvolutionTrace.counter_totals(report.traces)
     _write_json(outdir / "uniqueness_report.json", report.as_dict())
@@ -394,8 +393,8 @@ def _run_uniqueness(cfg, outdir: Path, manifest: RunManifest, laps: _Laps, data,
         manifest.checks["contraction_monotone"] = report.contraction_monotone
 
 
-def _run_steady(cfg, outdir: Path, manifest: RunManifest, laps: _Laps, data, scfg) -> None:
-    u_inf, diag = solve_steady_detailed(data, scfg)
+def _run_steady(cfg, outdir: Path, manifest: RunManifest, laps: _Laps, data, steady_tol) -> None:
+    u_inf, diag = solve_steady(data, steady_tol)
     grid.save_grid_function(outdir / "steady_state.csv", u_inf)
     _write_json(
         outdir / "steady_report.json",
@@ -408,9 +407,11 @@ def _run_steady(cfg, outdir: Path, manifest: RunManifest, laps: _Laps, data, scf
     manifest.checks["steady_converged"] = diag.converged
 
 
-def _run_decay(cfg, outdir: Path, manifest: RunManifest, laps: _Laps, data, evo, scfg) -> None:
+def _run_decay(
+    cfg, outdir: Path, manifest: RunManifest, laps: _Laps, data, evo, steady_tol
+) -> None:
     # the stationary solve, the march and the rate fit
-    report = decay_experiment(data, evo, scfg)
+    report = decay_experiment(data, evo, steady_tol)
     laps.lap("march_s")
     payload = report.as_dict()
     payload["y_series_path"] = "y_series.csv"
@@ -489,9 +490,10 @@ class _Experiment(NamedTuple):
 
     `march` builds `evo`, the `EvolutionConfig` with its truncation plan
     and checked step count; `plan` builds the plan alone; a `steady_tol`
-    builds `scfg`, the `SteadyConfig` with that default `steady.tol` (the
-    stationary problem is frozen at `time.T`, the problem's horizon).
-    `run` passes each as a keyword of that name.
+    builds the float `steady_tol`, the key `steady.tol` read with that
+    default, which the experiment passes to the stationary solve (frozen at
+    `time.T`, the problem's horizon).  `run` passes each as a keyword of
+    that name.
     """
 
     run: Callable[..., None]
@@ -573,7 +575,7 @@ def run(
         raise ConfigError("a continuation needs 'truncation.levels' >= 2, got 1")
     built = {}
     if experiment.steady_tol is not None:
-        built["scfg"] = SteadyConfig(tol=_read(cfg, "steady.tol", experiment.steady_tol))
+        built["steady_tol"] = _read(cfg, "steady.tol", experiment.steady_tol)
     if experiment.march:
         built["evo"] = _build_evolution(cfg, data)
     if experiment.plan:

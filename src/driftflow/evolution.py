@@ -526,23 +526,23 @@ class UniquenessReport:
 
 
 def uniqueness_harness(
-    data: ProblemData, cfg: EvolutionConfig, u0: GridFunction, v0: GridFunction
+    data: ProblemData, cfg: EvolutionConfig, v0: GridFunction
 ) -> UniquenessReport:
     """March two initial states and check |u_j - v_j| <= e^{C t_j} |u_0 - v_0|.
 
-    The two marches advance in lockstep, each as `evolve` marches the
-    problem with u0 or v0 as its initial state (`ProblemData` refuses one
-    on another grid), so only their current states are held.  C is the
-    measured growth constant of the step's drift coupling, b_max^2 /
-    (2 alpha) corrected for the finite step, with b_max the step
-    operator's `drift_face_max` (clamped at the level when semi-implicit);
-    it is zero without drift, in which case the scheme must contract
-    monotonically.
+    u_0 is the problem's initial state and v_0 is v0.  The two marches
+    advance in lockstep, each as `evolve` marches the problem from its
+    initial state (`ProblemData` refuses a v0 on another grid), so only
+    their current states are held.  C is the measured growth constant of
+    the step's drift coupling, b_max^2 / (2 alpha) corrected for the finite
+    step, with b_max the step operator's `drift_face_max` (clamped at the
+    level when semi-implicit); it is zero without drift, in which case the
+    scheme must contract monotonically.
     """
     times, dists = [], []
     traces = (EvolutionTrace(), EvolutionTrace())
     for (t, u), (_, v) in zip(
-        _march(replace(data, initial=u0), cfg, traces[0]),
+        _march(data, cfg, traces[0]),
         _march(replace(data, initial=v0), cfg, traces[1]),
     ):
         times.append(t)

@@ -294,8 +294,14 @@ def _upper_decile(x: np.ndarray) -> float:
     return float(b - d * (1 - t) if t >= 0.5 else a + d * t)
 
 
-def certificate_times(data: ProblemData) -> tuple[float, float, float]:
-    """The times (0, T/2, T) at which the drift certificates sample b."""
+def certificate_times(data: ProblemData) -> tuple[float, ...]:
+    """The times at which the drift certificates sample b.
+
+    (0, T/2, T) for a drift that moves; (0,) where b cannot change, without
+    a drift or with an `autonomous` one, which is the same at every time.
+    """
+    if data.drift is None or data.drift.autonomous:
+        return (0.0,)
     return (0.0, 0.5 * data.horizon, data.horizon)
 
 
@@ -311,8 +317,7 @@ def certify_truncation(data: ProblemData, M: float) -> TruncationCertificate:
     """Certify a truncation level against the diffusion margin.
 
     The measured quantity is the weak-L^N norm of the unbounded remainder
-    b - T_M(b) on the nodes, maximized over the `certificate_times` (read
-    at t = 0 only for an autonomous drift, which is the same at each).  It
+    b - T_M(b) on the nodes, maximized over the `certificate_times`.  It
     must stay below alpha / (2 S) to keep the truncated operator accretive
     with margin alpha/2, and below alpha / (4 S) for the long-time
     contraction, where S is the gradient-embedding constant for
@@ -330,9 +335,7 @@ def certify_truncation(data: ProblemData, M: float) -> TruncationCertificate:
     """
     _check_level(M)
     N, weight = data.domain.dim, data.domain.node_weight
-    # an autonomous drift is the same at every time: read it once
-    still = data.drift is None or data.drift.autonomous
-    times = (0.0,) if still else certificate_times(data)
+    times = certificate_times(data)
     measured = max(
         lorentz.weak_norm_of_values(
             np.maximum(data.drift_bound_grid(t).values - M, 0.0), weight, N
@@ -433,8 +436,8 @@ def small_data_check(data: ProblemData, plan: TruncationPlan | None) -> tuple[bo
     pairing lose less than alpha/2 of the coercivity.  The candidates are
     the plan's levels, so a drift without a plan raises ValueError; each is
     read from its certificate, which holds the remainder and the bound, so
-    only the truncated part min(b, M) is measured here, at the
-    `certificate_times`.  So the plan must be one
+    only the truncated part min(b, M) is measured here, from b sampled once
+    at each of the `certificate_times`.  So the plan must be one
     certified for `data`, as `make_truncation_plan(data)` builds it.  The
     cruder product level * S is recorded for reference but not used, since
     it ignores the domain volume carried by the weak norm.
@@ -448,14 +451,13 @@ def small_data_check(data: ProblemData, plan: TruncationPlan | None) -> tuple[bo
     if S is None:
         return False, {"reason": _NO_EMBEDDING}
     weight = data.domain.node_weight
+    samples = [data.drift_bound_grid(t).values for t in certificate_times(data)]
     best = None
     # the plan's levels increase: the search stops at the least passing one
     for cert in plan.certificates:
         trunc = max(
-            lorentz.weak_norm_of_values(
-                np.minimum(data.drift_bound_grid(t).values, cert.level), weight, N
-            )
-            for t in certificate_times(data)
+            lorentz.weak_norm_of_values(np.minimum(b, cert.level), weight, N)
+            for b in samples
         )
         worst = max(cert.measured, trunc)
         if best is None or worst < best[0]:

@@ -1021,7 +1021,7 @@ def _monotone_iteration(
 def stationary_solve(
     op: TruncatedOperator,
     rhs: GridFunction,
-    tol: float = 1e-11,
+    tol: float,
     max_iter: int = 500,
     x0: GridFunction | None = None,
 ) -> tuple[GridFunction, SolverDiagnostics]:

@@ -3,7 +3,8 @@
 The stationary problem -div[A(x, grad u) + B(x, u)] = -div F is solved by
 the same preconditioned monotone iteration as the resolvents (one kernel,
 `operators._monotone_iteration`), just without the identity term and with
-residuals in the dual norm.  Strict monotonicity makes the solution
+residuals in the dual norm: `solve_steady(data, tol, x0=None)` returns the
+state with the solver's record.  Strict monotonicity makes the solution
 unique, which the tests confirm by starting from several initial guesses.
 
 The decay experiment integrates the evolution problem, records
@@ -29,38 +30,22 @@ import numpy as np
 from . import grid
 from .grid import GridFunction, divergence, norm_l2, poincare_constant
 from .models import ProblemData, small_data_check
-from .operators import TruncatedOperator, stationary_solve
+from .operators import SolverDiagnostics, TruncatedOperator, stationary_solve
 from .evolution import EvolutionConfig, EvolutionTrace, evolve
 from .evolution import _NOT_IN_JSON, _json_fields
 
 
-@dataclass(frozen=True)
-class SteadyConfig:
-    """Stationary solve settings.
+def solve_steady(
+    data: ProblemData, tol: float, x0: GridFunction | None = None
+) -> tuple[GridFunction, SolverDiagnostics]:
+    """Stationary state at data.horizon with dual-norm residual below tol.
 
-    The solve freezes nonautonomous data at the problem's horizon,
+    Nonautonomous data is frozen at the problem's horizon,
     `ProblemData.horizon`: to freeze it at s > 0, build the problem with
-    horizon s.
+    horizon s.  The solve starts from x0, or from 0 without one.
     """
-
-    tol: float = 1e-11
-    max_iter: int = 500
-    initial_guess: GridFunction | None = None
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
-        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-
-
-def solve_steady(data: ProblemData, cfg: SteadyConfig) -> GridFunction:
-    u, _ = solve_steady_detailed(data, cfg)
-    return u
-
-
-def solve_steady_detailed(data: ProblemData, cfg: SteadyConfig):
-    """Stationary state at data.horizon with dual-norm residual below cfg.tol."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     t = data.horizon
     op = TruncatedOperator(data, t, drift_mode="full")
     F = data.source_field(t)
@@ -69,9 +54,7 @@ def solve_steady_detailed(data: ProblemData, cfg: SteadyConfig):
         if F is not None
         else grid.zeros(data.domain)
     )
-    return stationary_solve(
-        op, rhs, tol=cfg.tol, max_iter=cfg.max_iter, x0=cfg.initial_guess
-    )
+    return stationary_solve(op, rhs, tol=tol, x0=x0)
 
 
 @dataclass
@@ -120,11 +103,12 @@ def fit_decay_rate(times, y_values, window: tuple[float, float]) -> float:
 def decay_experiment(
     data: ProblemData,
     evo_cfg: EvolutionConfig,
-    steady_cfg: SteadyConfig,
+    steady_tol: float,
 ) -> DecayReport:
     """Evolve toward the stationary state and fit the exponential rate.
 
-    The march runs at the plan's last level, and the small-data verdict
+    The stationary state u_inf is `solve_steady(data, steady_tol)`.  The
+    march runs at the plan's last level, and the small-data verdict
     takes the best of the plan's levels; it is taken first, so a drift
     without a plan raises ValueError before any solve.  The fit window is
     the second half of the horizon; early transients decay faster than the
@@ -136,7 +120,7 @@ def decay_experiment(
     dom = data.domain
     evo_cfg.steps(data)  # a bad step count raises before the stationary solve
     ok, detail = small_data_check(data, evo_cfg.truncation)
-    u_inf = solve_steady(data, steady_cfg)
+    u_inf, _ = solve_steady(data, steady_tol)
     y = []
     _, trace = evolve(data, evo_cfg, observe=lambda t, u: y.append(norm_l2(u - u_inf) ** 2))
     times = [0.0] + trace.times

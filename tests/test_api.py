@@ -17,7 +17,6 @@ PUBLIC = [
     "ProblemData",
     "ResolventConfig",
     "SolverDiagnostics",
-    "SteadyConfig",
     "TruncatedOperator",
     "TruncationCertificate",
     "TruncationPlan",

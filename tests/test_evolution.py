@@ -15,7 +15,7 @@ from driftflow import grid as G
 from driftflow import models as M
 from driftflow import evolution as E
 from driftflow.operators import ResolventConfig, SolverDiagnostics, _to_faces
-from driftflow.steady import SteadyConfig, decay_experiment, solve_steady
+from driftflow.steady import decay_experiment, solve_steady
 
 from _oracles import assembled_pairing, t_dependent_drift
 
@@ -102,8 +102,8 @@ class TestConfig:
         runs = (
             lambda: E.evolve(data, c),
             lambda: E.continuation(data, c),
-            lambda: E.uniqueness_harness(data, c, data.initial, 0.5 * data.initial),
-            lambda: decay_experiment(data, c, SteadyConfig()),
+            lambda: E.uniqueness_harness(data, c, 0.5 * data.initial),
+            lambda: decay_experiment(data, c, 1e-11),
         )
         for run in runs:
             with pytest.raises(ValueError, match="integer number of steps"):
@@ -122,9 +122,9 @@ class TestConfig:
         monkeypatch.setattr("driftflow.steady.stationary_solve", lambda *a, **k: solves.append(a))
         runs = (
             lambda: E.evolve(data, semi),
-            lambda: E.uniqueness_harness(data, semi, data.initial, 0.5 * data.initial),
+            lambda: E.uniqueness_harness(data, semi, 0.5 * data.initial),
             lambda: E.step(data.initial, semi.dt, semi, data),
-            lambda: decay_experiment(data, cfg(0.01), SteadyConfig()),
+            lambda: decay_experiment(data, cfg(0.01), 1e-11),
         )
         for run in runs:
             with pytest.raises(ValueError, match="needs a truncation plan"):
@@ -255,7 +255,7 @@ class TestEvolve:
             with pytest.raises(ValueError, match=message):
                 replace(data, initial=u0)
             with pytest.raises(ValueError, match=message):
-                E.uniqueness_harness(data, c, data.initial, u0)
+                E.uniqueness_harness(data, c, u0)
 
     def test_splitting_consistency_global(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (16, 16))
@@ -347,9 +347,7 @@ class TestEvolve:
         data = M.make_model("singular-drift", G.BoxDomain(2, (1.0, 1.0), (16, 16)), 0.02, c=0.08)
         march = {
             "evolve": lambda c: E.evolve(data, c),
-            "uniqueness_harness": lambda c: E.uniqueness_harness(
-                data, c, data.initial, 0.5 * data.initial
-            ),
+            "uniqueness_harness": lambda c: E.uniqueness_harness(data, c, 0.5 * data.initial),
         }[run]
         semi = cfg(0.01, splitting="semi-implicit")
         ending = M.make_truncation_plan(data, levels=[0.5])
@@ -372,7 +370,7 @@ class TestEvolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, trace = E.evolve(data, implicit)
-            rep = E.uniqueness_harness(data, implicit, data.initial, 0.5 * data.initial)
+            rep = E.uniqueness_harness(data, implicit, 0.5 * data.initial)
         for tr in (trace, *rep.traces):
             assert len(tr.times) == 5
             assert all(math.isnan(m) for m in tr.truncation_level)
@@ -665,16 +663,16 @@ class TestUniqueness:
     def test_identical_states_stay_identical(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (12, 12))
         data = M.make_model("heat", dom, 0.05)
-        rep = E.uniqueness_harness(data, cfg(5e-3), data.initial, data.initial)
+        rep = E.uniqueness_harness(data, cfg(5e-3), data.initial)
         assert max(rep.distances) <= 1e-12
 
     def test_pure_contraction_without_drift(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (12, 12))
         data = M.make_model("variable-diffusion", dom, 0.05)
         rng = np.random.default_rng(1)
-        u0 = data.initial
-        v0 = G.GridFunction(dom, u0.values + 0.5 * rng.standard_normal(dom.interior_shape))
-        rep = E.uniqueness_harness(data, cfg(5e-3), u0, v0)
+        noise = 0.5 * rng.standard_normal(dom.interior_shape)
+        v0 = G.GridFunction(dom, data.initial.values + noise)
+        rep = E.uniqueness_harness(data, cfg(5e-3), v0)
         assert rep.growth_constant == 0.0
         assert rep.contraction_monotone
         assert rep.tightest_exponent <= 0.0
@@ -689,7 +687,7 @@ class TestUniqueness:
         c = one_level(data, cfg(5e-3, splitting=splitting), level)
         v0 = G.GridFunction(dom, 0.5 * data.initial.values)
         with uncertified_warning(data.has_drift and splitting == "semi-implicit"):
-            rep = E.uniqueness_harness(data, c, data.initial, v0)
+            rep = E.uniqueness_harness(data, c, v0)
         if data.has_drift:
             clamp = level if splitting == "semi-implicit" else None
             b_eff = M.drift_bound_max(data, data.horizon, clamp)
@@ -706,9 +704,9 @@ class TestUniqueness:
         dom = G.BoxDomain(2, (1.0, 1.0), (16, 16))
         data = M.make_model("singular-drift", dom, 0.05, c=0.08)
         rng = np.random.default_rng(2)
-        u0 = data.initial
-        v0 = G.GridFunction(dom, u0.values + 0.5 * rng.standard_normal(dom.interior_shape))
-        rep = E.uniqueness_harness(data, one_level(data, cfg(2e-3), 1.0), u0, v0)
+        noise = 0.5 * rng.standard_normal(dom.interior_shape)
+        v0 = G.GridFunction(dom, data.initial.values + noise)
+        rep = E.uniqueness_harness(data, one_level(data, cfg(2e-3), 1.0), v0)
         assert rep.growth_constant > 0.0
         assert rep.bound_satisfied
         assert rep.tightest_exponent <= rep.growth_constant
@@ -884,9 +882,9 @@ class TestStreamedTrajectories:
     def test_decay_series_matches_stored_trajectory(self):
         dom = G.BoxDomain(2, (1.0, 1.0), (12, 12))
         data = M.make_model("lipschitz-nonlinear", dom, 0.1)
-        c, scfg = cfg(5e-3), SteadyConfig(tol=1e-12)
-        rep = decay_experiment(data, c, scfg)
-        u_inf = solve_steady(data, scfg)
+        c = cfg(5e-3)
+        rep = decay_experiment(data, c, 1e-12)
+        u_inf, _ = solve_steady(data, 1e-12)
         assert rep.y_values == [G.norm_l2(s - u_inf) ** 2 for s in observed(data, c)]
 
     @pytest.mark.parametrize(
@@ -896,10 +894,10 @@ class TestStreamedTrajectories:
         dom = G.BoxDomain(2, (1.0, 1.0), (12, 12))
         data = M.make_model(model, dom, 0.05)
         rng = np.random.default_rng(3)
-        u0 = data.initial
-        v0 = G.GridFunction(dom, u0.values + 0.5 * rng.standard_normal(dom.interior_shape))
+        noise = 0.5 * rng.standard_normal(dom.interior_shape)
+        v0 = G.GridFunction(dom, data.initial.values + noise)
         c = one_level(data, cfg(5e-3), level)
-        rep = E.uniqueness_harness(data, c, u0, v0)
+        rep = E.uniqueness_harness(data, c, v0)
         us = observed(data, c)
         vs = observed(replace(data, initial=v0), c)
         assert rep.distances == [G.norm_l2(a - b) for a, b in zip(us, vs)]
@@ -910,8 +908,8 @@ class TestStreamedTrajectories:
         data = M.make_model("lipschitz-nonlinear", dom, 0.1)
         bad = cfg(0.01, tol=1e-14, max_iter=1)
         runs = (
-            lambda: decay_experiment(data, bad, SteadyConfig(tol=1e-12)),
-            lambda: E.uniqueness_harness(data, bad, data.initial, 0.5 * data.initial),
+            lambda: decay_experiment(data, bad, 1e-12),
+            lambda: E.uniqueness_harness(data, bad, 0.5 * data.initial),
         )
         for run in runs:
             with pytest.raises(G.ConvergenceError) as info:
@@ -930,10 +928,9 @@ class TestStreamedTrajectories:
         rng = np.random.default_rng(4)
         data = M.make_model("heat", dom, 0.4)
         v0 = G.GridFunction(dom, rng.standard_normal(dom.interior_shape))
-        scfg = SteadyConfig(tol=1e-12)
         runs = {
-            "decay": lambda d: decay_experiment(d, cfg(1e-3), scfg),
-            "uniqueness": lambda d: E.uniqueness_harness(d, cfg(1e-3), d.initial, v0),
+            "decay": lambda d: decay_experiment(d, cfg(1e-3), 1e-12),
+            "uniqueness": lambda d: E.uniqueness_harness(d, cfg(1e-3), v0),
         }
 
         def peak(run, steps):
@@ -1113,7 +1110,7 @@ class TestBufferedExtrapolation:
 
         monkeypatch.setattr(E, "_march", recording)
         v0 = data.initial * 0.5
-        E.uniqueness_harness(data, c, data.initial, v0)
+        E.uniqueness_harness(data, c, v0)
         assert len(seen) == 3 * (c.steps(data) + 1)
         assert all(np.array_equal(u.values, copy) for u, copy in seen)
 

@@ -392,11 +392,17 @@ class TestSmallDataCheck:
         monkeypatch.setattr(L, "weak_norm_of_values", counting_weak_norm)
         got = M.small_data_check(data, plan)
         assert got[0]
-        # the remainder comes from the plan's certificate, so only min(b, M) is measured
-        assert counts == {"samples": 3, "weak_norms": 3}
+        # the remainder comes from the plan's certificate, so only min(b, M)
+        # is measured, and the autonomous b is sampled once, at t = 0
+        assert counts == {"samples": 1, "weak_norms": 1}
         counts.update(samples=0, weak_norms=0)
         assert small_data_reference(data, plan.levels) == got
-        assert counts == {"samples": 6, "weak_norms": 6}
+        assert counts == {"samples": 2, "weak_norms": 2}
+        # the same b declared moving is sampled at each of the three times
+        counts.update(samples=0, weak_norms=0)
+        moving = replace(data, drift=replace(data.drift, autonomous=False))
+        assert M.small_data_check(moving, plan) == got
+        assert counts == {"samples": 3, "weak_norms": 3}
 
     @pytest.mark.parametrize("c, ok, level", [(0.1, True, 0.2), (0.14, False, 0.4)])
     def test_search_goes_past_failing_levels(self, c, ok, level):

@@ -1006,7 +1006,7 @@ class TestInPlaceResiduals:
         cfg = ResolventConfig(lam=lam, tol=1e-12)
         (resolvent,) = kernel_residuals(lambda: op.resolve_detailed(g1, cfg))
         # the stationary solve's residual, taken from one capped iteration
-        (stationary,) = kernel_residuals(lambda: stationary_solve(op, g1, max_iter=1))
+        (stationary,) = kernel_residuals(lambda: stationary_solve(op, g1, 1e-11, max_iter=1))
         u, g = g2.values, g1.values
         r = resolvent(u)
         s = stationary(u)
@@ -1041,7 +1041,7 @@ class TestInPlaceResiduals:
         g = rand_gf(dom, np.random.default_rng(8))
         for lam in (0.1, 1e-3, None, 0.1):
             if lam is None:
-                ours, fresh = (stationary_solve(o, g) for o in (op, make()))
+                ours, fresh = (stationary_solve(o, g, 1e-11) for o in (op, make()))
             else:
                 cfg = ResolventConfig(lam=lam, tol=1e-12)
                 ours, fresh = (o.resolve_detailed(g, cfg) for o in (op, make()))

@@ -360,3 +360,15 @@ class TestSourceLines:
             "new.py": {"before": 0, "after": 2, "net": 2},
         }
         assert (report["before"], report["after"], report["net"]) == (10, 12, 2)
+
+    def test_public_names_are_the_entries_of_all(self, tmp_path, capsys):
+        init = 'from .a import f\n\n__version__ = "1"\n__all__ = [\n    "f",\n    "g",\n]\n'
+        write_package(tmp_path / "before", {"__init__.py": init})
+        write_package(tmp_path / "after", {"__init__.py": init.replace('    "g",\n', "")})
+        write_package(tmp_path / "bare", {"a.py": MODULE})
+        assert source_lines.public_names(tmp_path / "before") == 2
+        assert source_lines.public_names(tmp_path / "bare") == 0
+        assert source_lines.main([str(tmp_path / "before"), str(tmp_path / "after")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert json.loads(out[-1])["public"] == {"before": 2, "after": 1, "net": -1}
+        assert out[-2].split() == ["public", "names", "2", "1", "-1"]

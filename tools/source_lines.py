@@ -8,10 +8,12 @@ BEFORE, in AFTER and the net change; a module only one side has counts 0
 on the other.  A code line holds at least one token that is not a
 comment, and is not part of a docstring (the leading string of a module,
 class or function); blank lines and comment-only lines do not count.  A
-statement spread over several lines counts each of them.
+statement spread over several lines counts each of them.  The report also
+counts the public names, the entries of `driftflow.__all__` in each
+checkout's `src/driftflow/__init__.py` (read with `ast`, not imported).
 
 The last line is one JSON object: {"modules": {name: {"before", "after",
-"net"}}, "before", "after", "net"}.
+"net"}}, "before", "after", "net", "public": {"before", "after", "net"}}.
 """
 
 from __future__ import annotations
@@ -64,6 +66,19 @@ def module_lines(checkout: Path) -> dict[str, int]:
     }
 
 
+def public_names(checkout: Path) -> int:
+    """The number of names in the checkout's `driftflow.__all__`; 0 without one."""
+    init = checkout / "src" / "driftflow" / "__init__.py"
+    if not init.is_file():
+        return 0
+    for node in ast.parse(init.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return len(ast.literal_eval(node.value))
+    return 0
+
+
 def compare(before: Path, after: Path) -> dict:
     b, a = module_lines(before), module_lines(after)
     modules = {
@@ -72,8 +87,10 @@ def compare(before: Path, after: Path) -> dict:
         for name in sorted(set(b) | set(a))
     }
     total_b, total_a = sum(b.values()), sum(a.values())
+    public_b, public_a = public_names(before), public_names(after)
     return {"modules": modules, "before": total_b, "after": total_a,
-            "net": total_a - total_b}
+            "net": total_a - total_b,
+            "public": {"before": public_b, "after": public_a, "net": public_a - public_b}}
 
 
 def main(argv=None) -> int:
@@ -85,6 +102,8 @@ def main(argv=None) -> int:
     for name, row in report["modules"].items():
         print(f"{name:<20} {row['before']:>6} {row['after']:>6} {row['net']:>+6}")
     print(f"{'total':<20} {report['before']:>6} {report['after']:>6} {report['net']:>+6}")
+    public = report["public"]
+    print(f"{'public names':<20} {public['before']:>6} {public['after']:>6} {public['net']:>+6}")
     print(json.dumps(report))
     return 0
 
